@@ -319,7 +319,7 @@ def _run_spectrum(cfg: ExperimentConfig) -> int:
     p = cfg.params
     if p.get("csv"):
         sig = _read_signal_csv(p["csv"])
-        spec = load_spec(cfg.spec) if cfg.spec else None
+        spec = _load_spec_arg(cfg) if cfg.spec else None
     else:
         spec = _load_spec_arg(cfg)
         for key in ("t_max", "dt"):
@@ -487,7 +487,10 @@ def _run_evolve(cfg: ExperimentConfig) -> int:
     second_order = equation in ("kgf", "wave")
     spec = None
     if p.get("init"):
-        raw = np.genfromtxt(p["init"], delimiter=",", names=True)
+        try:
+            raw = np.genfromtxt(p["init"], delimiter=",", names=True)
+        except OSError:
+            raise ConfigError(f"cannot read init csv {p['init']}") from None
         names = raw.dtype.names or ()
         if grid.dim != 1 or "z" not in names:
             raise ConfigError("--init supports 1-d csv snapshots with a z column")

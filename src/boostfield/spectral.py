@@ -17,11 +17,26 @@ which is the projection that returns the coefficient q of a component
 q * exp(+i omega t): for such a component the integrand becomes the
 constant q, while every other harmonic contributes a sinc tail bounded by
 |q_other| / (|delta omega| * T).
+
+How the sums are evaluated: the trapezoid rule with interpolated edges is
+a set of sample weights, dt on the samples inside [-T, T] and adjusted at
+the two ends, reaching at most one sample beyond each edge, so only that
+slice of M samples is read.  On it the phasors factor as
+exp(-i omega t_j) = exp(-i omega (t_s + b B dt)) * exp(-i omega r dt) for
+j = b B + r and B = ceil(sqrt(M)): a (probes x B) inner table and a
+(probes x ceil(M/B)) outer table.  All P probes are then demodulated by
+one matrix product, with about 2 P sqrt(M) complex exponentials instead of
+P M.  Resynthesis (the scan residual, and `reconstruct` on evenly spaced
+times) is the conjugate product with the same tables, and the residual is
+summed a block of rows at a time, so a scan works in O(P sqrt(M)) memory
+and never copies the window of samples.  The estimator is unchanged: the
+results are those of the direct per-sample sums, to round-off.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,54 +96,162 @@ class SpectrumEstimate:
     residual_rms: float
 
 
-def _interp_complex(t: float, times: np.ndarray, samples: np.ndarray) -> complex:
-    re = np.interp(t, times, samples.real)
-    im = np.interp(t, times, samples.imag)
-    return complex(re, im)
+def _locate(sig: SampledSignal, t: float, side: str) -> int:
+    """np.searchsorted(sig.times, t, side), looking only at the samples near t."""
+    n = sig.samples.size
+    j = int(np.clip(np.ceil((t - sig.t0) / sig.dt), 0, n))
+    a, b = max(j - 2, 0), min(j + 2, n)
+    return a + int(np.searchsorted(sig.t0 + sig.dt * np.arange(a, b), t, side))
 
 
-def _integrate_window(sig: SampledSignal, values: np.ndarray, T: float) -> complex:
-    """Trapezoid integral of `values` over [-T, T], edges interpolated."""
+class _Window(NamedTuple):
+    """The trapezoid rule over [-T, T], edges interpolated, as sample weights.
+
+    Samples first..last are the ones inside the window.  The interior
+    samples first+1..last-1 weigh dt each.  The few samples in `ends`, the
+    window's end samples and at most one beyond each edge, weigh their
+    entry.  The end samples are kept out of the interior so that a window
+    narrower than dt is not the difference of two dt-sized terms.
+    """
+
+    first: int
+    last: int
+    ends: dict[int, float]
+
+    @property
+    def interior(self) -> slice:
+        return slice(self.first + 1, max(self.first + 1, self.last))
+
+
+def _window(sig: SampledSignal, T: float) -> _Window:
     if not (np.isfinite(T) and T > 0):
         raise ValueError(f"window half-width T must be positive, got {T!r}")
     slack = 1e-9 * sig.dt
-    if sig.t0 > -T + slack or sig.t_end < T - slack:
+    lo, hi = max(-T, sig.t0), min(T, sig.t_end)
+    if sig.t0 > -T + slack or sig.t_end < T - slack or lo > hi:
         raise ValueError(
             f"window [-{T}, {T}] not covered by samples "
             f"[{sig.t0}, {sig.t_end}]"
         )
-    times = sig.times
-    lo, hi = max(-T, times[0]), min(T, times[-1])
-    inside = np.nonzero((times >= lo) & (times <= hi))[0]
-    if inside.size == 0:
-        # whole window sits between two samples
-        fa = _interp_complex(lo, times, values)
-        fb = _interp_complex(hi, times, values)
-        return 0.5 * (fb + fa) * (hi - lo)
-    first, last = inside[0], inside[-1]
-    total = 0j
-    if inside.size >= 2:
-        total += np.trapezoid(values[first : last + 1], dx=sig.dt)
-    if times[first] - lo > 0:
-        fa = _interp_complex(lo, times, values)
-        total += 0.5 * (values[first] + fa) * (times[first] - lo)
-    if hi - times[last] > 0:
-        fb = _interp_complex(hi, times, values)
-        total += 0.5 * (fb + values[last]) * (hi - times[last])
-    return complex(total)
+    dt = sig.dt
+    first, last = _locate(sig, lo, "left"), _locate(sig, hi, "right") - 1
+
+    def t(j: int) -> float:
+        return sig.t0 + dt * j
+
+    ends: dict[int, float] = {}
+
+    def add(j: int, w: float) -> None:
+        ends[j] = ends.get(j, 0.0) + w
+
+    if first > last:
+        # the whole window sits between samples last and first
+        a, b = ((x - t(last)) / (t(first) - t(last)) for x in (lo, hi))
+        add(last, 0.5 * (hi - lo) * (2.0 - a - b))
+        add(first, 0.5 * (hi - lo) * (a + b))
+    else:
+        if first < last:
+            add(first, 0.5 * dt)
+            add(last, 0.5 * dt)
+        if t(first) > lo:
+            edge = t(first) - lo
+            a = (lo - t(first - 1)) / (t(first) - t(first - 1))
+            add(first - 1, 0.5 * edge * (1.0 - a))
+            add(first, 0.5 * edge * (1.0 + a))
+        if hi > t(last):
+            edge = hi - t(last)
+            b = edge / (t(last + 1) - t(last))
+            add(last, 0.5 * edge * (2.0 - b))
+            add(last + 1, 0.5 * edge * b)
+    return _Window(first, last, ends)
+
+
+def _probes(omegas) -> np.ndarray:
+    """The probe frequencies as an array; each must be finite."""
+    w = np.array([float(o) for o in omegas])
+    bad = w[~np.isfinite(w)]
+    if bad.size:
+        raise ValueError(f"omega must be finite, got {float(bad[0])!r}")
+    return w
+
+
+def _phasors(omegas: np.ndarray, t_start: float, dt: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tables with exp(-i w t_j) = outer[:, j // B] * inner[:, j % B].
+
+    t_j = t_start + j dt for j < m; B = ceil(sqrt(m)) is the width of inner,
+    and outer has ceil(m / B) columns.
+    """
+
+    def demodulator(t: np.ndarray) -> np.ndarray:
+        phase = np.multiply.outer(omegas, -t)
+        out = np.empty(phase.shape, dtype=complex)
+        np.cos(phase, out=out.real)
+        np.sin(phase, out=out.imag)
+        return out
+
+    width = max(1, int(np.ceil(np.sqrt(m))))
+    rows = -(-m // width)
+    return demodulator(dt * np.arange(width)), demodulator(t_start + dt * (width * np.arange(rows)))
+
+
+def _demodulate(x: np.ndarray, inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
+    """sum_j x_j exp(-i w t_j) for every probe w of the tables."""
+    width = inner.shape[1]
+    full = x.size // width
+    rows = x[: full * width].reshape(full, width)
+    # One probe is a matrix-vector product, summed by einsum instead of
+    # BLAS: a threaded BLAS call can stall for milliseconds while its
+    # worker threads settle, and single probes come in long runs of calls.
+    partial = np.einsum("pb,rb->pr", inner, rows) if len(inner) == 1 else inner @ rows.T
+    out = np.einsum("pb,pb->p", outer[:, :full], partial)
+    tail = x[full * width :]
+    if tail.size:
+        out += outer[:, full] * (inner[:, : tail.size] @ tail)
+    return out
+
+
+def _synthesize(coeffs: np.ndarray, inner: np.ndarray, outer: np.ndarray, rows: slice) -> np.ndarray:
+    """sum_p coeffs_p exp(+i w_p t_j) over the table rows `rows`, flattened.
+
+    It is the conjugate of demodulating conj(coeffs), so the same tables serve.
+    """
+    out = (coeffs.conj()[:, None] * outer[:, rows]).T @ inner
+    return np.conj(out, out=out).ravel()
+
+
+def _uniform_grid(times: np.ndarray) -> tuple[float, float] | None:
+    """(t_start, dt) when times is t_start + j dt to round-off, else None."""
+    if times.ndim != 1 or times.size < 2:
+        return None
+    dt = (times[-1] - times[0]) / (times.size - 1)
+    dev = times[0] + dt * np.arange(times.size)
+    dev -= times
+    np.abs(dev, out=dev)
+    if not dev.max() <= 4.0 * np.finfo(float).eps * np.abs(times).max():
+        return None
+    return float(times[0]), float(dt)
+
+
+def _estimate(sig: SampledSignal, omegas: np.ndarray, T: float):
+    """q_hat for every probe, with the window and phasor tables that gave it."""
+    win = _window(sig, T)
+    x = sig.samples[win.interior]
+    inner, outer = _phasors(omegas, sig.t0 + sig.dt * win.interior.start, sig.dt, x.size)
+    total = sig.dt * _demodulate(x, inner, outer)
+    for j, w in win.ends.items():
+        total += w * sig.samples[j] * np.exp(-1j * omegas * (sig.t0 + sig.dt * j))
+    return total / (2.0 * T), win, inner, outer
 
 
 def time_average(sig: SampledSignal, T: float) -> complex:
     """Symmetric boxcar mean <f>_T over [-T, T]."""
-    return _integrate_window(sig, sig.samples, T) / (2.0 * T)
+    return extract_harmonic(sig, 0.0, T)
 
 
 def extract_harmonic(sig: SampledSignal, omega: float, T: float) -> complex:
     """Coefficient estimate q_hat(omega) = <f(t) exp(-i omega t)>_T."""
-    if not np.isfinite(omega):
-        raise ValueError(f"omega must be finite, got {omega!r}")
-    demodulated = sig.samples * np.exp(-1j * omega * sig.times)
-    return _integrate_window(sig, demodulated, T) / (2.0 * T)
+    q_hat, *_ = _estimate(sig, _probes([omega]), T)
+    return complex(q_hat[0])
 
 
 def scan_spectrum(sig: SampledSignal, omegas, T: float) -> SpectrumEstimate:
@@ -138,28 +261,42 @@ def scan_spectrum(sig: SampledSignal, omegas, T: float) -> SpectrumEstimate:
     inside [-T, T].  An empty probe list yields the RMS of the signal
     itself.
     """
+    omegas = _probes(omegas)
+    q_hat, win, inner, outer = _estimate(sig, omegas, T)
     entries = tuple(
-        SpectrumEntry(float(w), extract_harmonic(sig, float(w), T), float(T))
-        for w in omegas
+        SpectrumEntry(float(w), complex(q), float(T)) for w, q in zip(omegas, q_hat)
     )
-    times = sig.times
-    mask = (times >= -T) & (times <= T)
-    window_t = times[mask]
-    recon = np.zeros(window_t.size, dtype=complex)
-    for ent in entries:
-        recon += ent.q_hat * np.exp(1j * ent.omega * window_t)
-    resid = sig.samples[mask] - recon
-    rms = float(np.sqrt(np.mean(np.abs(resid) ** 2))) if window_t.size else 0.0
+    # the residual over samples first..last: the interior a block of table
+    # rows at a time, then the two end samples
+    x = sig.samples[win.interior]
+    width = inner.shape[1]
+    block = max(1, 2**16 // width)
+    power = 0.0
+    for row in range(0, outer.shape[1], block):
+        seg = x[row * width : (row + block) * width]
+        resid = seg - _synthesize(q_hat, inner, outer, slice(row, row + block))[: seg.size]
+        power += float(np.vdot(resid, resid).real)
+    for j in {win.first, win.last} if win.first <= win.last else ():
+        t_j = sig.t0 + sig.dt * j
+        power += abs(sig.samples[j] - np.sum(q_hat * np.exp(1j * omegas * t_j))) ** 2
+    count = win.last - win.first + 1
+    rms = float(np.sqrt(power / count)) if count > 0 else 0.0
     return SpectrumEstimate(entries, rms)
 
 
 def reconstruct(est: SpectrumEstimate, times) -> np.ndarray:
     """Sum of the estimated harmonics q_hat * exp(i omega t) at given times."""
     times = np.asarray(times, dtype=float)
-    out = np.zeros(times.shape, dtype=complex)
-    for ent in est.entries:
-        out += ent.q_hat * np.exp(1j * ent.omega * times)
-    return out
+    grid = _uniform_grid(times)
+    if grid is None:
+        out = np.zeros(times.shape, dtype=complex)
+        for ent in est.entries:
+            out += ent.q_hat * np.exp(1j * ent.omega * times)
+        return out
+    omegas = np.array([ent.omega for ent in est.entries], dtype=float)
+    coeffs = np.array([ent.q_hat for ent in est.entries], dtype=complex)
+    inner, outer = _phasors(omegas, grid[0], grid[1], times.size)
+    return _synthesize(coeffs, inner, outer, slice(None))[: times.size]
 
 
 def sample_rest_signal(spec, z: float, T: float, dt: float, pad: float = 0.0) -> SampledSignal:

@@ -1,10 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import boostfield
 from boostfield import (
     ConstantProfile,
     FieldSpec,
@@ -51,6 +55,22 @@ def read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+def run_boostfield(args, cwd):
+    """`python -m boostfield args` in a fresh interpreter, on the package under test."""
+    env = dict(os.environ, PYTHONPATH=str(Path(boostfield.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "boostfield", *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def assert_config_error(proc):
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error:")
+    assert len(proc.stderr.splitlines()) == 1
 
 
 # -- config object -----------------------------------------------------------
@@ -181,6 +201,17 @@ def test_spectrum_csv_missing_columns(tmp_path, capsys):
     assert "t, re, im" in capsys.readouterr().err
 
 
+def test_spectrum_missing_spec_file_is_config_error(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("t,re,im\n-0.1,1.0,0.0\n0.0,1.0,0.0\n0.1,1.0,0.0\n")
+    proc = run_boostfield(
+        ["spectrum", "--csv", str(path), "--spec", "missing.json", "--omegas", "1.0", "--out", "o"],
+        tmp_path,
+    )
+    assert_config_error(proc)
+    assert "missing.json" in proc.stderr
+
+
 # -- verify --------------------------------------------------------------------
 
 
@@ -296,6 +327,16 @@ def test_evolve_wave_from_init_csv(tmp_path):
     _, rows = read_csv(out / "observables.csv")
     energies = [float(r[2]) for r in rows]
     assert max(energies) - min(energies) < 1e-3 * abs(energies[0])
+
+
+def test_evolve_missing_init_is_config_error(tmp_path):
+    proc = run_boostfield(
+        ["evolve", "kgf", "--init", "missing.csv", "--grid", "16", "--extent", "8",
+         "--dt", "0.1", "--steps", "2", "--out", "o"],
+        tmp_path,
+    )
+    assert_config_error(proc)
+    assert "missing.csv" in proc.stderr
 
 
 def test_evolve_kgf_dispersion(const_spec, tmp_path):

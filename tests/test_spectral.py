@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from conftest import spec_for
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from boostfield import (
@@ -10,12 +12,15 @@ from boostfield import (
     HarmonicComponent,
     LorentzBoost,
     SampledSignal,
+    SpectrumEntry,
+    SpectrumEstimate,
     extract_harmonic,
     reconstruct,
     sample_rest_signal,
     scan_spectrum,
     time_average,
 )
+from boostfield import spectral
 
 
 def harmonic_signal(qs, omegas, t_max=30.0, dt=1e-3):
@@ -71,6 +76,9 @@ def test_window_coverage_enforced():
         time_average(sig, 5.2)
     with pytest.raises(ValueError, match="positive"):
         time_average(sig, 0.0)
+    # a window narrower than the coverage slack, wholly before the first sample
+    with pytest.raises(ValueError, match="not covered"):
+        time_average(SampledSignal(np.ones(3, dtype=complex), 1.0, 5e-10), 1e-12)
 
 
 def test_extract_single_harmonic_exact():
@@ -148,3 +156,147 @@ def test_sample_rest_signal_pad_extends_coverage():
     assert sig.max_symmetric_window() >= 3.0 - 0.1
     with pytest.raises(ValueError, match="positive"):
         sample_rest_signal(spec, 0.0, -1.0, 0.1)
+
+
+# -- the batched kernel against the direct per-probe sum -------------------------
+
+
+def reference_extract(sig, omega, T):
+    """Demodulate the whole record, then trapezoid over [-T, T] with interpolated edges."""
+    t = sig.times
+    v = sig.samples * np.exp(-1j * omega * t)
+    lo, hi = max(-T, t[0]), min(T, t[-1])
+
+    def at(x):
+        return np.interp(x, t, v.real) + 1j * np.interp(x, t, v.imag)
+
+    inside = np.nonzero((t >= lo) & (t <= hi))[0]
+    if inside.size == 0:
+        return 0.5 * (at(lo) + at(hi)) * (hi - lo) / (2.0 * T)
+    a, b = inside[0], inside[-1]
+    total = 0.5 * sig.dt * np.sum(v[a:b] + v[a + 1 : b + 1])
+    total += 0.5 * (v[a] + at(lo)) * (t[a] - lo) + 0.5 * (at(hi) + v[b]) * (hi - t[b])
+    return total / (2.0 * T)
+
+
+@st.composite
+def signal_and_window(draw):
+    """A random record with t = 0 inside, and a window T it covers.
+
+    T is the largest symmetric window, a sample time, a fraction of the
+    largest window, or a sliver that may sit between two samples.
+    """
+    n = draw(st.integers(2, 400))
+    dt = draw(st.floats(1e-3, 2.0))
+    lead = draw(st.integers(0, n - 2)) + draw(st.floats(1e-3, 1.0 - 1e-3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sig = SampledSignal(rng.normal(size=n) + 1j * rng.normal(size=n), dt, -lead * dt)
+    t_max = sig.max_symmetric_window()
+    kind = draw(st.sampled_from(["max", "sample", "fraction", "sliver"]))
+    if kind == "max":
+        T = t_max
+    elif kind == "sample":
+        on_grid = sig.times[(sig.times > 0) & (sig.times <= t_max)]
+        T = float(draw(st.sampled_from(list(on_grid)))) if on_grid.size else t_max
+    elif kind == "fraction":
+        T = t_max * draw(st.floats(1e-3, 1.0))
+    else:
+        T = min(t_max, dt * draw(st.floats(1e-3, 1.0)))
+    return sig, T
+
+
+probe_lists = st.lists(
+    st.one_of(st.just(0.0), st.floats(-30.0, 30.0)), max_size=6
+).flatmap(lambda ws: st.just(ws + ws[:1]) | st.just(ws))
+
+
+def kernel_tol(sig, omegas):
+    """Round-off scale of a phase sum: the largest phase on the record, times the signal size."""
+    phase = 1.0 + max((abs(w) for w in omegas), default=0.0) * max(abs(sig.t0), abs(sig.t_end))
+    return 1e-13 * phase * float(np.abs(sig.samples).max())
+
+
+@settings(max_examples=150, deadline=None)
+@given(signal_and_window(), probe_lists)
+# a window far narrower than dt that starts on a sample: its estimate must
+# not come out as the difference of two dt-sized sums
+@example((SampledSignal(np.array([-1.75 - 0.67j, 0.2 + 0.37j, 1.0 + 0.5j]), 0.3, -1e-7), 1e-7), [7.0])
+def test_scan_matches_direct_sum(case, omegas):
+    sig, T = case
+    est = scan_spectrum(sig, omegas, T)
+    assert [e.omega for e in est.entries] == omegas
+    tol = kernel_tol(sig, omegas)
+    q = []
+    for ent, w in zip(est.entries, omegas):
+        assert ent.window_T == T
+        assert abs(ent.q_hat - reference_extract(sig, w, T)) <= tol
+        assert abs(ent.q_hat - extract_harmonic(sig, w, T)) <= tol
+        q.append(ent.q_hat)
+    t = sig.times
+    inside = (t >= -T) & (t <= T)
+    resid = sig.samples[inside] - sum(
+        (c * np.exp(1j * w * t[inside]) for c, w in zip(q, omegas)), np.zeros(inside.sum(), complex)
+    )
+    rms = float(np.sqrt(np.mean(np.abs(resid) ** 2))) if inside.any() else 0.0
+    assert est.residual_rms == pytest.approx(rms, rel=1e-9, abs=tol * (1 + sum(map(abs, q))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(signal_and_window())
+def test_time_average_is_extraction_at_zero(case):
+    sig, T = case
+    assert time_average(sig, T) == extract_harmonic(sig, 0.0, T)
+    assert abs(time_average(sig, T) - reference_extract(sig, 0.0, T)) <= kernel_tol(sig, [0.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 300),
+    st.floats(-50.0, 50.0),
+    st.floats(1e-3, 1.0),
+    probe_lists,
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+def test_reconstruct_matches_direct_sum(m, t_start, step, omegas, seed, jitter):
+    rng = np.random.default_rng(seed)
+    times = t_start + step * np.arange(m)
+    if jitter:
+        times = times + rng.uniform(-0.25, 0.25, m) * step
+    q = rng.normal(size=len(omegas)) + 1j * rng.normal(size=len(omegas))
+    est = SpectrumEstimate(tuple(SpectrumEntry(w, c, 1.0) for w, c in zip(omegas, q)), 0.0)
+    direct = np.zeros(m, dtype=complex)
+    for c, w in zip(q, omegas):
+        direct += c * np.exp(1j * w * times)
+    scale = 1.0 + max(map(abs, omegas), default=0.0) * float(np.abs(times).max(initial=0.0))
+    got = reconstruct(est, times)
+    assert got.shape == times.shape
+    assert_allclose(got, direct, rtol=0, atol=1e-13 * scale * (1 + np.abs(q).sum()))
+
+
+def test_reconstruct_takes_the_factored_path_on_sample_times():
+    sig = sample_rest_signal(spec_for(ConstantProfile(1.0), 0.0), 0.0, 800.0, 0.01)
+    assert spectral._uniform_grid(sig.times) == (sig.t0, pytest.approx(sig.dt, rel=1e-12))
+    assert spectral._uniform_grid(np.array([0.0, 1.0, 3.0])) is None
+
+
+# -- error contract ----------------------------------------------------------------
+
+
+def test_nonfinite_probe_named_as_scalar():
+    sig = harmonic_signal([1.0], [1.0], t_max=5.0, dt=1e-2)
+    with pytest.raises(ValueError, match=r"^omega must be finite, got nan$"):
+        scan_spectrum(sig, [1.0, float("nan"), 2.0], 4.0)
+    with pytest.raises(ValueError, match=r"^omega must be finite, got inf$"):
+        scan_spectrum(sig, np.array([1.0, np.inf]), 4.0)
+    with pytest.raises(ValueError, match=r"^omega must be finite, got -inf$"):
+        extract_harmonic(sig, np.float64(-np.inf), 4.0)
+
+
+def test_scan_window_errors():
+    sig = harmonic_signal([1.0], [1.0], t_max=5.0, dt=1e-2)
+    for omegas in ([], [1.0]):
+        with pytest.raises(ValueError, match="^window half-width T must be positive"):
+            scan_spectrum(sig, omegas, -1.0)
+        with pytest.raises(ValueError, match="not covered by samples"):
+            scan_spectrum(sig, omegas, 6.0)
