@@ -14,6 +14,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import platform
 import sys
 from dataclasses import dataclass
@@ -214,11 +215,27 @@ def _parse_floats(text: str, n: int | None = None) -> list[float]:
     return vals
 
 
-def _default_component(spec: FieldSpec) -> int:
+def _component(spec: FieldSpec, p: dict) -> int:
+    """The --component index, checked against the spec; the first oscillating one if absent."""
+    n = len(spec.components)
+    if p.get("component") is not None:
+        k = int(p["component"])
+        if not 0 <= k < n:
+            raise ConfigError(f"--component {k} out of range: the spec has components 0..{n - 1}")
+        return k
     for i, comp in enumerate(spec.components):
         if comp.omega > 0:
             return i
     raise ConfigError("spec has no oscillating component")
+
+
+def _stencil_spacing(p: dict) -> float | None:
+    if p.get("h") is None:
+        return None
+    h = float(p["h"])
+    if not (math.isfinite(h) and h > 0):
+        raise ConfigError(f"--h must be positive and finite, got {p['h']!r}")
+    return h
 
 
 def _events_for(spec: FieldSpec, params: dict, n: int, seed: int):
@@ -260,7 +277,7 @@ def _run_field(cfg: ExperimentConfig) -> int:
     if p.get("event"):
         e = Event(*_parse_floats(p["event"], 4))
         if p.get("component") is not None:
-            val = spec.harmonic_lab(int(p["component"]), e)
+            val = spec.harmonic_lab(_component(spec, p), e)
         else:
             val = spec.psi_lab(e)
         print(f"{_fmt(val.real)},{_fmt(val.imag)},{_fmt(spec.scalar_density(e))}")
@@ -385,14 +402,12 @@ def _run_verify(cfg: ExperimentConfig) -> int:
         return 0
 
     spec = _load_spec_arg(cfg)
-    k = int(p["component"]) if p.get("component") is not None else _default_component(spec)
+    k = _component(spec, p)
+    h = _stencil_spacing(p)
     events = _events_for(spec, p, n_events, seed)
 
     if check == "derivatives":
-        hs = None
-        if p.get("h"):
-            h0 = float(p["h"])
-            hs = [h0, h0 / 2.0, h0 / 4.0]
+        hs = None if h is None else [h, h / 2.0, h / 4.0]
         slopes = derivative_slopes(spec, k, events[: min(len(events), 8)], hs=hs)
         lo, hi = _TOLERANCES["derivative_slope_band"]
         bad = {n: s for n, s in slopes.items() if s is not None and not (lo <= s <= hi)}
@@ -411,7 +426,7 @@ def _run_verify(cfg: ExperimentConfig) -> int:
         return 0
 
     if check == "envelope":
-        rep = envelope_equation_residual(spec, k, events, h=float(p["h"]) if p.get("h") else None)
+        rep = envelope_equation_residual(spec, k, events, h=h)
         tol = float(p.get("tolerance", _TOLERANCES["envelope"]))
     elif check == "klein-gordon":
         rep = klein_gordon_residual(spec, k, events)
@@ -505,7 +520,7 @@ def _run_evolve(cfg: ExperimentConfig) -> int:
             pi = None
     else:
         spec = _load_spec_arg(cfg)
-        k = int(p["component"]) if p.get("component") is not None else _default_component(spec)
+        k = _component(spec, p)
         z = grid.axis(grid.dim - 1)
         if equation == "schrodinger":
             line = spec.envelope_on_axis(k, z, 0.0)

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .kinematics import Event, LorentzBoost, comoving_coords
-from .profiles import AmplitudeProfile, profile_from_dict
+from .profiles import AmplitudeProfile, _cmul, profile_from_dict
 
 
 @dataclass(frozen=True)
@@ -131,10 +131,14 @@ class FieldSpec:
         eta = b.gamma * (tau - b.beta * z) - tau
         return xi, eta
 
-    def envelope_on_axis(self, k: int, z, tau: float) -> np.ndarray:
+    def envelope_on_axis(self, k: int, z, tau) -> np.ndarray:
+        """Envelope k at lab points (z, tau); tau may be an array matching z.
+
+        Rounds as ``envelope`` does at each point.
+        """
         comp = self.components[k]
         xi, eta = self._xi_eta(z, tau)
-        return comp.profile.value(xi) * np.exp(1j * comp.omega * eta)
+        return _cmul(comp.profile.value(xi), np.exp(1j * comp.omega * eta))
 
     def harmonic_on_axis(self, k: int, z, tau: float) -> np.ndarray:
         comp = self.components[k]

@@ -33,6 +33,33 @@ def _as_complex(v) -> complex:
     raise ValueError(f"cannot parse complex value from {v!r}")
 
 
+# numpy's vectorized complex loops may fuse multiply-adds, and it divides a
+# complex array by a real number through a reciprocal, so an array's last bit
+# can differ from a scalar's and depend on the CPU.  Written in real arithmetic,
+# an array rounds exactly as each of its points does alone, on every machine.
+
+
+def _cmul(a, b) -> np.ndarray:
+    """Complex product of arrays, rounded as a product of two scalars is."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    re, im = out.real, out.imag  # written in place through views: fewer temporaries
+    np.multiply(a.real, b.real, out=re)
+    re -= a.imag * b.imag
+    np.multiply(a.real, b.imag, out=im)
+    im += a.imag * b.real
+    return out
+
+
+def _cdiv(a, d: float):
+    """a / d for a real d, divided part by part as a scalar is."""
+    if not isinstance(a, np.ndarray):
+        return a / d
+    out = np.empty(a.shape, dtype=complex)
+    np.divide(a.real, d, out=out.real)
+    np.divide(a.imag, d, out=out.imag)
+    return out
+
+
 def _dump_complex(a: complex) -> list[float]:
     return [float(a.real), float(a.imag)]
 
@@ -158,7 +185,8 @@ class PlaneWaveProfile(AmplitudeProfile):
         object.__setattr__(self, "wavenumber", float(self.wavenumber))
 
     def value(self, z):
-        return self.amplitude * np.exp(1j * self.wavenumber * np.asarray(z, dtype=float))
+        e = np.exp(1j * self.wavenumber * np.asarray(z, dtype=float))
+        return self.amplitude * e if e.ndim == 0 else _cmul(self.amplitude, e)
 
     def dz(self, z):
         return 1j * self.wavenumber * self.value(z)
@@ -300,13 +328,13 @@ class GaussHermiteProfile(AmplitudeProfile):
         u = self._u(z)
         n = self.order
         core = 2.0 * n * self._hermite(u, n - 1) - u * self._hermite(u, n)
-        return self.amplitude * core * np.exp(-0.5 * u * u) / self.sigma
+        return _cdiv(self.amplitude * core * np.exp(-0.5 * u * u), self.sigma)
 
     def dzz(self, z):
         # d2/du2 [H_n e^{-u^2/2}] = (u^2 - 2n - 1) H_n e^{-u^2/2}
         u = self._u(z)
         well = u * u - 2.0 * self.order - 1.0
-        return self.value(z) * well / self.sigma**2
+        return _cdiv(self.value(z) * well, self.sigma**2)
 
     def curvature_ratio(self, z):
         # the quadratic well, finite at the Hermite nodes

@@ -21,6 +21,11 @@ with xi = g(z - v t), eta = g(t - v z) - t, g = gamma, v = beta, w = omega:
 
 Transverse derivatives vanish for the profile catalog.  Central-difference
 stencils of first and second order provide the independent cross-check.
+
+Every check works on a whole event sample at once: the events become
+coordinate arrays, one closed-form kernel evaluates the bundle above at all
+of them, and the stencils evaluate the envelope on shifted arrays.  The
+per-event entry points are batches of one.
 """
 
 from __future__ import annotations
@@ -32,7 +37,8 @@ from typing import Callable, Literal
 import numpy as np
 
 from .fields import FieldSpec, MassParameters
-from .kinematics import Event, boost_event, comoving_coords
+from .kinematics import Event, LorentzBoost
+from .profiles import _cdiv, _cmul
 
 Axis = Literal["x", "y", "z", "tau"]
 
@@ -41,7 +47,10 @@ _AXES = ("x", "y", "z", "tau")
 
 @dataclass(frozen=True)
 class DerivativeBundle:
-    """First and second partial derivatives of a complex field at one event."""
+    """First and second partial derivatives of a complex field.
+
+    Entries are complex numbers at one event, or arrays over a batch of events.
+    """
 
     d_tau: complex
     d_x: complex
@@ -106,9 +115,61 @@ class ScanResult:
         }
 
 
-def fd_partial(
-    field: Callable[[Event], complex], e: Event, axis: Axis, order: int, h: float
-) -> complex:
+def _coords(events) -> np.ndarray:
+    """Lab coordinates of a list of events as a (4, n) array, rows x, y, z, tau."""
+    cols = ([e.x for e in events], [e.y for e in events], [e.z for e in events], [e.tau for e in events])
+    return np.array(cols, dtype=float)
+
+
+def _abs(a) -> np.ndarray:
+    """Complex modulus as Python's abs rounds it (numpy's vectorized one may not)."""
+    return np.hypot(a.real, a.imag)
+
+
+def _check_spacing(h: float) -> None:
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"stencil spacing must be positive, got {h!r}")
+
+
+def _central(up, mid, dn, order: int, h: float):
+    """The central difference: order 1 (up - dn) / 2h, order 2 (up - 2 mid + dn) / h^2."""
+    if order == 1:
+        return _cdiv(up - dn, 2.0 * h)
+    return _cdiv(up - 2.0 * mid + dn, h * h)
+
+
+def _require_finite(events, values) -> None:
+    """Raise naming the first event (one per column of values) with a non-finite value."""
+    bad = ~np.isfinite(values).reshape(-1, len(events)).all(axis=0)
+    if bad.any():
+        raise ValueError(f"stencil produced non-finite value at {events[int(np.argmax(bad))]!r}")
+
+
+def _stencils(field: Callable, X: np.ndarray, axes, h: float, events) -> dict:
+    """First and second central differences of an array field along each axis.
+
+    ``field`` maps a (4, n) coordinate array to n values; it is called once, on
+    the events and all their shifted copies.  The result maps each axis name to
+    its (first, second) difference arrays.
+    """
+    _check_spacing(h)
+    shifts = np.zeros((4, 1 + 2 * len(axes)))
+    for j, axis in enumerate(axes):
+        shifts[_AXES.index(axis), 1 + 2 * j : 3 + 2 * j] = (h, -h)
+    vals = field((X[:, None, :] + shifts[:, :, None]).reshape(4, -1)).reshape(len(shifts[0]), -1)
+    up, mid, dn = vals[1::2], vals[0], vals[2::2]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result raises below
+        first, second = _central(up, mid, dn, 1, h), _central(up, mid, dn, 2, h)
+    _require_finite(events, np.stack([first, second]))
+    return {axis: (first[j], second[j]) for j, axis in enumerate(axes)}
+
+
+def _pick(bun: DerivativeBundle, i: int) -> DerivativeBundle:
+    """Event i of a batched bundle, as complex numbers."""
+    return DerivativeBundle(*(complex(v[i]) for v in vars(bun).values()))
+
+
+def fd_partial(field: Callable[[Event], complex], e: Event, axis: Axis, order: int, h: float) -> complex:
     """Central-difference partial of a scalar field along one coordinate axis.
 
     order 1: (f(+h) - f(-h)) / 2h;  order 2: (f(+h) - 2 f + f(-h)) / h^2.
@@ -117,97 +178,94 @@ def fd_partial(
         raise ValueError(f"axis must be one of {_AXES}, got {axis!r}")
     if order not in (1, 2):
         raise ValueError(f"stencil order must be 1 or 2, got {order!r}")
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError(f"stencil spacing must be positive, got {h!r}")
+    _check_spacing(h)
     up = field(replace(e, **{axis: getattr(e, axis) + h}))
     dn = field(replace(e, **{axis: getattr(e, axis) - h}))
-    if order == 1:
-        out = (up - dn) / (2.0 * h)
-    else:
-        out = (up - 2.0 * field(e) + dn) / (h * h)
-    out = complex(out)
-    if not (math.isfinite(out.real) and math.isfinite(out.imag)):
-        raise ValueError(f"stencil produced non-finite value at {e!r}")
+    out = complex(_central(up, field(e) if order == 2 else None, dn, order, h))
+    _require_finite([e], out)
     return out
+
+
+def _closed_form(spec: FieldSpec, k: int, X: np.ndarray):
+    """Closed forms of envelope k at every event of a (4, n) batch.
+
+    Returns q and q'' at xi, the phase e^{i w eta} and the derivative bundle;
+    every check reads its terms from this one kernel.
+    """
+    comp = spec.components[k]
+    b = spec.boost
+    g, v, w = b.gamma, b.beta, comp.omega
+    xi, eta = spec._xi_eta(X[2], X[3])
+    prof = comp.profile
+    q, qz, qzz = (np.asarray(f(xi), dtype=complex) for f in (prof.value, prof.dz, prof.dzz))
+    ph = np.exp(1j * w * eta)
+    zero = np.zeros_like(q)
+    bundle = DerivativeBundle(
+        d_tau=_cmul(-g * v * qz + 1j * w * (g - 1.0) * q, ph),
+        d_x=zero,
+        d_y=zero,
+        d_z=_cmul(g * qz - 1j * g * w * v * q, ph),
+        d2_tau=_cmul(
+            g * g * v * v * qzz - 2j * g * (g - 1.0) * w * v * qz - w * w * (g - 1.0) ** 2 * q, ph
+        ),
+        d2_x=zero,
+        d2_y=zero,
+        d2_z=_cmul(g * g * qzz - g * g * w * w * v * v * q - 2j * g * g * w * v * qz, ph),
+    )
+    return q, qzz, ph, bundle
+
+
+def _fd_bundle(spec: FieldSpec, k: int, X: np.ndarray, h: float, events) -> DerivativeBundle:
+    """Stencil derivative bundle of envelope k over a (4, n) batch of events."""
+    st = _stencils(lambda Y: spec.envelope_on_axis(k, Y[2], Y[3]), X, ("tau", "x", "y", "z"), h, events)
+    return DerivativeBundle(*(d[0] for d in st.values()), *(d[1] for d in st.values()))
 
 
 def analytic_envelope_derivatives(spec: FieldSpec, k: int, e: Event) -> DerivativeBundle:
     """Closed-form derivative bundle of envelope k at a lab event."""
-    comp = spec.components[k]
-    b = spec.boost
-    g, v, w = b.gamma, b.beta, comp.omega
-    cc = comoving_coords(e, b)
-    q = complex(comp.profile.value(cc.xi))
-    qz = complex(comp.profile.dz(cc.xi))
-    qzz = complex(comp.profile.dzz(cc.xi))
-    ph = complex(np.exp(1j * w * cc.eta))
-    zero = 0j
-    return DerivativeBundle(
-        d_tau=(-g * v * qz + 1j * w * (g - 1.0) * q) * ph,
-        d_x=zero,
-        d_y=zero,
-        d_z=(g * qz - 1j * g * w * v * q) * ph,
-        d2_tau=(
-            g * g * v * v * qzz
-            - 2j * g * (g - 1.0) * w * v * qz
-            - w * w * (g - 1.0) ** 2 * q
-        )
-        * ph,
-        d2_x=zero,
-        d2_y=zero,
-        d2_z=(g * g * qzz - g * g * w * w * v * v * q - 2j * g * g * w * v * qz) * ph,
-    )
+    return _pick(_closed_form(spec, k, _coords([e]))[3], 0)
 
 
 def fd_envelope_bundle(spec: FieldSpec, k: int, e: Event, h: float) -> DerivativeBundle:
     """Stencil derivative bundle of envelope k, for cross-checking."""
-    f = lambda ev: spec.envelope(k, ev)
-    return DerivativeBundle(
-        d_tau=fd_partial(f, e, "tau", 1, h),
-        d_x=fd_partial(f, e, "x", 1, h),
-        d_y=fd_partial(f, e, "y", 1, h),
-        d_z=fd_partial(f, e, "z", 1, h),
-        d2_tau=fd_partial(f, e, "tau", 2, h),
-        d2_x=fd_partial(f, e, "x", 2, h),
-        d2_y=fd_partial(f, e, "y", 2, h),
-        d2_z=fd_partial(f, e, "z", 2, h),
-    )
+    return _pick(_fd_bundle(spec, k, _coords([e]), h, [e]), 0)
 
 
 _SCALE_FLOOR = 1e-30
 
 
-def _finish_report(
-    equation_id: str,
-    residuals: list[float],
-    h: float | None,
-    metadata: dict,
-) -> ResidualReport:
-    arr = np.asarray(residuals, dtype=float)
+def _normalized(*terms) -> np.ndarray:
+    """|sum of terms| / (sum of |each term| + floor), event by event."""
+    total, scale = terms[0], _abs(terms[0])
+    for t in terms[1:]:
+        total = total + t
+        scale = scale + _abs(t)
+    return _abs(total) / (scale + _SCALE_FLOOR)
+
+
+def _finish_report(equation_id: str, residuals: np.ndarray, h: float | None, metadata: dict) -> ResidualReport:
     return ResidualReport(
         equation_id=equation_id,
-        sample_count=int(arr.size),
-        max_abs=float(arr.max()),
-        rms=float(np.sqrt(np.mean(arr**2))),
+        sample_count=int(residuals.size),
+        max_abs=float(residuals.max()),
+        rms=float(np.sqrt(np.mean(residuals**2))),
         stencil_spacing=h,
         metadata=metadata,
     )
 
 
-def _filter_events(
-    spec: FieldSpec, k: int, events: list[Event], eps_q: float
-) -> tuple[list[Event], float]:
-    """Drop events where the envelope modulus is negligibly small."""
-    comp = spec.components[k]
-    b = spec.boost
-    mods = [abs(complex(comp.profile.value(comoving_coords(e, b).xi))) for e in events]
-    qmax = max(mods) if mods else 0.0
+def _sample(spec: FieldSpec, k: int, events: list[Event], eps_q: float) -> tuple[list[Event], np.ndarray]:
+    """The events, and their coordinates, where the envelope modulus is not negligible."""
+    X = _coords(events)
+    xi, _ = spec._xi_eta(X[2], X[3])
+    mods = _abs(np.asarray(spec.components[k].profile.value(xi), dtype=complex))
+    qmax = float(np.max(mods)) if mods.size else 0.0
     if qmax == 0.0:
         raise ValueError("envelope vanishes on the whole event sample")
-    kept = [e for e, m in zip(events, mods) if m > eps_q * qmax]
-    if not kept:
+    keep = mods > eps_q * qmax
+    if not keep.any():
         raise ValueError("no events with envelope modulus above threshold")
-    return kept, qmax
+    return [events[i] for i in np.flatnonzero(keep)], X[:, keep]
 
 
 def _base_metadata(spec: FieldSpec, k: int, extra: dict | None = None) -> dict:
@@ -239,53 +297,35 @@ def envelope_equation_residual(
 
     where lap is the lab Laplacian and q the profile evaluated at xi.  The
     residual is evaluated multiplied through by q (the curvature term uses
-    lap q * e^{i w eta} directly), so profile nodes cost nothing.
+    lap q * e^{i w eta} directly), so profile nodes cost nothing.  A given
+    stencil spacing ``h`` must be positive and finite in either mode.
     """
     comp = spec.components[k]
-    b = spec.boost
-    g, v, w = b.gamma, b.beta, comp.omega
+    g, w = spec.boost.gamma, comp.omega
     if w == 0.0:
         raise ValueError("mean component has no envelope equation")
-    kept, _ = _filter_events(spec, k, events, eps_q)
-    if derivatives == "fd" and h is None:
-        h = comp.profile.characteristic_length / 100.0
-    residuals = []
-    for e in kept:
-        cc = comoving_coords(e, b)
-        ph = complex(np.exp(1j * w * cc.eta))
-        q = complex(comp.profile.value(cc.xi))
-        psi_b = q * ph
-        if derivatives == "analytic":
-            bun = analytic_envelope_derivatives(spec, k, e)
-            lap_q = g * g * complex(comp.profile.dzz(cc.xi))  # transverse parts vanish
-        elif derivatives == "fd":
-            bun = fd_envelope_bundle(spec, k, e, h)
-            prof_field = lambda ev: complex(
-                comp.profile.value(comoving_coords(ev, b).xi)
-            )
-            lap_q = (
-                fd_partial(prof_field, e, "x", 2, h)
-                + fd_partial(prof_field, e, "y", 2, h)
-                + fd_partial(prof_field, e, "z", 2, h)
-            )
-        else:
-            raise ValueError(f"derivatives must be 'analytic' or 'fd', got {derivatives!r}")
-        t1 = -1j * g * bun.d_tau
-        t2 = bun.laplacian() / (2.0 * w)
-        t3 = -(lap_q * ph) / (2.0 * w)
-        t4 = -(w / 2.0) * (g - 1.0) ** 2 * psi_b
-        scale = abs(t1) + abs(t2) + abs(t3) + abs(t4) + _SCALE_FLOOR
-        residuals.append(abs(t1 + t2 + t3 + t4) / scale)
-    return _finish_report(
-        "envelope",
-        residuals,
-        h if derivatives == "fd" else None,
-        _base_metadata(
-            spec,
-            k,
-            {"eps_q": eps_q, "derivatives": derivatives, "events_given": len(events)},
-        ),
-    )
+    if derivatives not in ("analytic", "fd"):
+        raise ValueError(f"derivatives must be 'analytic' or 'fd', got {derivatives!r}")
+    if h is not None:
+        _check_spacing(h)
+    kept, X = _sample(spec, k, events, eps_q)
+    q, qzz, ph, bun = _closed_form(spec, k, X)
+    if derivatives == "analytic":
+        lap_q = g * g * qzz  # transverse parts vanish
+    else:
+        if h is None:
+            h = comp.profile.characteristic_length / 100.0
+        bun = _fd_bundle(spec, k, X, h, kept)
+        prof_field = lambda Y: comp.profile.value(spec._xi_eta(Y[2], Y[3])[0])
+        st = _stencils(prof_field, X, ("x", "y", "z"), h, kept)
+        lap_q = st["x"][1] + st["y"][1] + st["z"][1]
+    t1 = -1j * g * bun.d_tau
+    t2 = _cdiv(bun.laplacian(), 2.0 * w)
+    t3 = _cdiv(-_cmul(lap_q, ph), 2.0 * w)
+    t4 = -(w / 2.0) * (g - 1.0) ** 2 * _cmul(q, ph)
+    md = {"eps_q": eps_q, "derivatives": derivatives, "events_given": len(events)}
+    fd_h = h if derivatives == "fd" else None
+    return _finish_report("envelope", _normalized(t1, t2, t3, t4), fd_h, _base_metadata(spec, k, md))
 
 
 def schrodinger_residual(
@@ -308,62 +348,43 @@ def schrodinger_residual(
     static-limit equation; its residual is the relativistic leftovers and
     shrinks as the boost slows.
 
-    The potential u(x, y, z) must reproduce lap q / q at every sampled
-    event (time-separability); a mismatch raises rather than producing a
-    silently meaningless residual.
+    The potential u(x, y, z) is called once on coordinate arrays and its
+    result broadcast, so a constant return works.  It must reproduce
+    lap q / q at every sampled event (time-separability); a mismatch raises
+    rather than producing a silently meaningless residual.
     """
     if gamma_mode not in ("exact", "unity"):
         raise ValueError(f"gamma_mode must be 'exact' or 'unity', got {gamma_mode!r}")
     comp = spec.components[k]
-    b = spec.boost
-    g, v, w = b.gamma, b.beta, comp.omega
+    g, w = spec.boost.gamma, comp.omega
     if w == 0.0:
         raise ValueError("mean component has no envelope equation")
     if abs(w - mass.omega) > 1e-9 * max(w, mass.omega):
         raise ValueError(
             f"component omega {w} is not the carrier m c / hbar = {mass.omega}"
         )
-    kept, _ = _filter_events(spec, k, events, eps_q)
+    kept, X = _sample(spec, k, events, eps_q)
+    q, qzz, ph, bun = _closed_form(spec, k, X)
     hbar, m, c = mass.hbar, mass.m, mass.c
     geff = g if gamma_mode == "exact" else 1.0
-    residuals = []
-    for e in kept:
-        cc = comoving_coords(e, b)
-        ph = complex(np.exp(1j * w * cc.eta))
-        q = complex(comp.profile.value(cc.xi))
-        psi_b = q * ph
-        lap_ratio = g * g * complex(comp.profile.dzz(cc.xi)) / q if q != 0 else 0j
-        u = complex(potential(e.x, e.y, e.z))
-        if abs(lap_ratio - u) > 1e-6 * (1.0 + abs(lap_ratio) + abs(u)):
-            raise ValueError(
-                "potential is not the profile's curvature ratio at "
-                f"{e!r}: u={u!r} vs lap q / q={lap_ratio!r}; "
-                "the profile does not separate in time under this boost"
-            )
-        bun = analytic_envelope_derivatives(spec, k, e)
-        t1 = -1j * hbar * c * geff * bun.d_tau
-        t2 = (hbar * hbar / (2.0 * m)) * bun.laplacian()
-        t3 = -(hbar * hbar / (2.0 * m)) * u * psi_b
-        t4 = -(m * c * c * (geff - 1.0) ** 2 / 2.0) * psi_b
-        scale = abs(t1) + abs(t2) + abs(t3) + abs(t4) + _SCALE_FLOOR
-        residuals.append(abs(t1 + t2 + t3 + t4) / scale)
-    return _finish_report(
-        "schrodinger",
-        residuals,
-        None,
-        _base_metadata(
-            spec,
-            k,
-            {
-                "eps_q": eps_q,
-                "gamma_mode": gamma_mode,
-                "events_given": len(events),
-                "m": m,
-                "hbar": hbar,
-                "c": c,
-            },
-        ),
-    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lap_ratio = np.where(q != 0, g * g * qzz / q, 0j)
+    u = np.broadcast_to(np.asarray(potential(X[0], X[1], X[2]), dtype=complex), q.shape)
+    bad = _abs(lap_ratio - u) > 1e-6 * (1.0 + _abs(lap_ratio) + _abs(u))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(
+            "potential is not the profile's curvature ratio at "
+            f"{kept[i]!r}: u={complex(u[i])!r} vs lap q / q={complex(lap_ratio[i])!r}; "
+            "the profile does not separate in time under this boost"
+        )
+    psi_b = _cmul(q, ph)
+    t1 = -1j * hbar * c * geff * bun.d_tau
+    t2 = (hbar * hbar / (2.0 * m)) * bun.laplacian()
+    t3 = _cmul(-(hbar * hbar / (2.0 * m)) * u, psi_b)
+    t4 = -(m * c * c * (geff - 1.0) ** 2 / 2.0) * psi_b
+    md = {"eps_q": eps_q, "gamma_mode": gamma_mode, "events_given": len(events), "m": m, "hbar": hbar, "c": c}
+    return _finish_report("schrodinger", _normalized(t1, t2, t3, t4), None, _base_metadata(spec, k, md))
 
 
 def klein_gordon_residual(
@@ -389,42 +410,20 @@ def klein_gordon_residual(
     g, v, w = b.gamma, b.beta, comp.omega
     if w == 0.0:
         raise ValueError("mean component has no envelope equation")
-    kept, _ = _filter_events(spec, k, events, eps_q)
-    residuals = []
-    for e in kept:
-        cc = comoving_coords(e, b)
-        carrier = complex(np.exp(1j * w * e.tau))
-        ph = complex(np.exp(1j * w * cc.eta))
-        q = complex(comp.profile.value(cc.xi))
-        psi_b = q * ph
-        psi = psi_b * carrier
-        bun = analytic_envelope_derivatives(spec, k, e)
-        psi_tt = (bun.d2_tau + 2j * w * bun.d_tau - w * w * psi_b) * carrier
-        lap_psi = bun.laplacian() * carrier
-        if mass_scalar is None:
-            qzz = complex(comp.profile.dzz(cc.xi))
-            lab_lap_q = g * g * qzz
-            lab_qzz = g * g * qzz
-            s_term = (lab_lap_q - v * v * lab_qzz) * ph * carrier + w * w * psi
-        else:
-            s_term = mass_scalar * psi
-        t1, t2, t3 = psi_tt, -lap_psi, s_term
-        scale = abs(t1) + abs(t2) + abs(t3) + _SCALE_FLOOR
-        residuals.append(abs(t1 + t2 + t3) / scale)
-    return _finish_report(
-        "klein_gordon",
-        residuals,
-        None,
-        _base_metadata(
-            spec,
-            k,
-            {
-                "eps_q": eps_q,
-                "mass_scalar": mass_scalar,
-                "events_given": len(events),
-            },
-        ),
-    )
+    _, X = _sample(spec, k, events, eps_q)
+    q, qzz, ph, bun = _closed_form(spec, k, X)
+    carrier = np.exp(1j * w * X[3])
+    psi_b = _cmul(q, ph)
+    psi = _cmul(psi_b, carrier)
+    psi_tt = _cmul(bun.d2_tau + 2j * w * bun.d_tau - w * w * psi_b, carrier)
+    lap_psi = _cmul(bun.laplacian(), carrier)
+    if mass_scalar is None:
+        lap_q = g * g * qzz  # the lab lap q is its zz part: transverse parts vanish
+        s_term = _cmul(_cmul(lap_q - v * v * lap_q, ph), carrier) + w * w * psi
+    else:
+        s_term = mass_scalar * psi
+    md = {"eps_q": eps_q, "mass_scalar": mass_scalar, "events_given": len(events)}
+    return _finish_report("klein_gordon", _normalized(psi_tt, -lap_psi, s_term), None, _base_metadata(spec, k, md))
 
 
 def scalar_invariance_check(
@@ -433,38 +432,25 @@ def scalar_invariance_check(
     """Frame agreement of the curvature scalar of harmonic k.
 
     Compares (lap q - v^2 q_zz)/q evaluated with lab derivatives against
-    the rest-frame Laplacian ratio lap' q' / q' at the boosted event.  The
-    two are the same number; the report shows how close to round-off the
-    implementation keeps them.
+    the rest-frame Laplacian ratio lap' q' / q' at the boosted event, whose
+    z' is xi.  The two are the same number; the report shows how close to
+    round-off the implementation keeps them.
     """
-    comp = spec.components[k]
     b = spec.boost
     g, v = b.gamma, b.beta
-    kept, _ = _filter_events(spec, k, events, eps_q)
-    residuals = []
-    for e in kept:
-        cc = comoving_coords(e, b)
-        q = complex(comp.profile.value(cc.xi))
-        qzz = complex(comp.profile.dzz(cc.xi))
-        lhs = (g * g * qzz - v * v * g * g * qzz) / q
-        rp = boost_event(e, b)
-        qp = complex(comp.profile.value(rp.z))
-        rhs = complex(comp.profile.dzz(rp.z)) / qp
-        scale = abs(lhs) + abs(rhs) + _SCALE_FLOOR
-        residuals.append(abs(lhs - rhs) / scale)
-    return _finish_report(
-        "scalar_invariance",
-        residuals,
-        None,
-        _base_metadata(spec, k, {"eps_q": eps_q, "events_given": len(events)}),
-    )
+    _, X = _sample(spec, k, events, eps_q)
+    q, qzz, _, _ = _closed_form(spec, k, X)
+    lhs = (g * g * qzz - v * v * g * g * qzz) / q
+    rhs = qzz / q
+    md = {"eps_q": eps_q, "events_given": len(events)}
+    return _finish_report("scalar_invariance", _normalized(lhs, -rhs), None, _base_metadata(spec, k, md))
 
 
 def neglected_term(mass: MassParameters, beta: float) -> float:
     """The rest-energy correction m c^2 (gamma - 1)^2 / 2 at a given beta."""
     if not (np.isfinite(beta) and 0.0 <= beta < 1.0):
         raise ValueError(f"beta must lie in [0, 1), got {beta!r}")
-    gamma = 1.0 / math.sqrt(1.0 - beta * beta)
+    gamma = LorentzBoost(beta).gamma
     return mass.m * mass.c**2 * (gamma - 1.0) ** 2 / 2.0
 
 
@@ -497,9 +483,6 @@ def fit_loglog_slope(xs, ys) -> float:
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
-_BUNDLE_FIELDS = ("d_tau", "d_x", "d_y", "d_z", "d2_tau", "d2_x", "d2_y", "d2_z")
-
-
 def derivative_slopes(
     spec: FieldSpec,
     k: int,
@@ -525,20 +508,15 @@ def derivative_slopes(
     hs = [float(h) for h in hs]
     if len(hs) < 3 or any(h2 >= h1 for h1, h2 in zip(hs, hs[1:])):
         raise ValueError("need at least 3 strictly decreasing spacings")
-    analytic = [analytic_envelope_derivatives(spec, k, e) for e in events]
-    b_scale = max(abs(spec.envelope(k, e)) for e in events)
+    X = _coords(events)
+    q, _, ph, bundle = _closed_form(spec, k, X)
+    b_scale = float(np.max(_abs(_cmul(q, ph))))
+    fds = [_fd_bundle(spec, k, X, h, events) for h in hs]  # once per spacing, all entries
     eps = float(np.finfo(float).eps)
     out: dict[str, float | None] = {}
-    for name in _BUNDLE_FIELDS:
-        ref = max(abs(getattr(b, name)) for b in analytic)
-        floor_abs = floor * (1.0 + ref)
-        errs = []
-        for h in hs:
-            worst = 0.0
-            for e, bun in zip(events, analytic):
-                fd = fd_envelope_bundle(spec, k, e, h)
-                worst = max(worst, abs(getattr(fd, name) - getattr(bun, name)))
-            errs.append(worst)
+    for name, exact in vars(bundle).items():
+        floor_abs = floor * (1.0 + float(np.max(_abs(exact))))
+        errs = [float(np.max(_abs(getattr(fd, name) - exact))) for fd in fds]
         if max(errs) <= floor_abs:
             out[name] = None
             continue

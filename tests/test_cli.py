@@ -16,6 +16,9 @@ from boostfield import (
     HarmonicComponent,
     LorentzBoost,
     PlaneWaveProfile,
+    derivative_slopes,
+    load_spec,
+    sample_events,
     save_spec,
 )
 from boostfield.cli import ConfigError, ExperimentConfig, main
@@ -270,6 +273,52 @@ def test_verify_missing_spec_file(tmp_path, capsys):
     rc = main(["verify", "envelope", "--spec", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "envelope", "--component", "5"],
+        ["verify", "envelope", "--component", "-7"],
+        ["verify", "envelope", "--component", "-1"],  # in range from the end: still refused
+        ["verify", "derivatives", "--component", "3"],
+        ["verify", "schrodinger", "--component", "2"],
+        ["field", "--event", "0,0,0,0", "--component", "4"],
+        ["evolve", "schrodinger", "--grid", "16", "--extent", "8", "--dt", "0.1", "--steps", "1",
+         "--component", "1"],
+    ],
+)
+def test_out_of_range_component_is_config_error(args, gauss_spec, tmp_path, capsys):
+    assert main(args + ["--spec", gauss_spec, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --component") and len(err.splitlines()) == 1
+    assert not list(tmp_path.glob("o/*"))
+
+
+@pytest.mark.parametrize("check", ["envelope", "derivatives", "klein-gordon"])
+@pytest.mark.parametrize("h", ["0", "-1", "nan", "inf"])
+def test_bad_stencil_spacing_is_config_error(check, h, gauss_spec, tmp_path, capsys):
+    rc = main(["verify", check, "--spec", gauss_spec, "--h", h, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: --h") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["verify", "derivatives", "--component", "3"], ["verify", "derivatives", "--h", "0"]],
+)
+def test_bad_component_and_spacing_subprocess(args, gauss_spec, tmp_path):
+    assert_config_error(run_boostfield(args + ["--spec", gauss_spec, "--out", "o"], tmp_path))
+
+
+def test_verify_derivatives_uses_given_spacing(gauss_spec, tmp_path):
+    out = tmp_path / "o"
+    rc = main(["verify", "derivatives", "--spec", gauss_spec, "--events", "4", "--h", "0.006",
+               "--out", str(out)])
+    assert rc == 0
+    want = derivative_slopes(load_spec(gauss_spec), 0, sample_events(4, 0), hs=[0.006, 0.003, 0.0015])
+    assert json.loads((out / "report.json").read_text())["slopes"] == want
 
 
 def test_cli_rejects_bad_choice():

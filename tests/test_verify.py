@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import (
@@ -5,7 +7,10 @@ from conftest import (
     analytic_profiles,
     catalog_profiles,
     spec_for,
+    tabulated_profile,
 )
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from boostfield import (
     ConstantProfile,
@@ -28,11 +33,14 @@ from boostfield import (
     klein_gordon_residual,
     neglected_term,
     neglected_term_scan,
+    boost_event,
+    comoving_coords,
     sample_events,
     scalar_invariance_check,
     schrodinger_residual,
     separable_potential,
 )
+from boostfield.verify import _sample
 
 BETAS = (0.0, 0.3, 0.6, 0.9)
 
@@ -96,6 +104,14 @@ def test_envelope_identity_fd_mode():
     assert rep.max_abs < 1e-3  # limited by the second-order stencil, not the identity
     with pytest.raises(ValueError, match="analytic.*fd|fd.*analytic"):
         envelope_equation_residual(spec, 0, events, derivatives="spectral")
+
+
+@pytest.mark.parametrize("h", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("derivatives", ["analytic", "fd"])
+def test_envelope_residual_rejects_bad_spacing(derivatives, h):
+    spec = spec_for(GaussianProfile(1.0, 0.2, 0.8), 0.6)
+    with pytest.raises(ValueError, match="spacing must be positive"):
+        envelope_equation_residual(spec, 0, sample_events(5, 1), derivatives=derivatives, h=h)
 
 
 def test_mean_component_has_no_envelope_equation():
@@ -246,6 +262,14 @@ def test_neglected_term_reference_value():
     assert neglected_term(mass, 0.0) == 0.0
 
 
+def test_neglected_term_uses_factored_gamma_near_light_speed():
+    # 1 - beta*beta loses about 8 digits here; (1 - beta)(1 + beta) does not
+    beta = 1.0 - 1e-9
+    gamma = 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta))
+    want = (gamma - 1.0) ** 2 / 2.0
+    assert neglected_term(MassParameters(1.0, 1.0), beta) == pytest.approx(want, rel=1e-12)
+
+
 def test_neglected_term_scales_with_rest_energy():
     t1 = neglected_term(MassParameters(1.0, 1.0), 0.3)
     t3 = neglected_term(MassParameters(3.0, 1.0), 0.3)
@@ -357,3 +381,156 @@ def test_residual_report_validation_and_dict():
 def test_scan_result_needs_three_points():
     with pytest.raises(ValueError, match="3 points"):
         ScanResult(((1.0, 1.0), (2.0, 2.0)), 1.0, (1.0, 2.0))
+
+
+# -- batched checks against a per-event reference ---------------------------------
+#
+# The reference is the per-event loop: the eps_q filter event by event, and each
+# identity's terms assembled in Python complex arithmetic from the per-event
+# bundles.  The batched checks must agree with it on every event sample.
+
+_TABULATED = tabulated_profile()
+
+
+def _profile(kind, amp, shape, center, order):
+    if kind == "constant":
+        return ConstantProfile(amp)
+    if kind == "plane_wave":
+        return PlaneWaveProfile(amp, 2.0 * shape)
+    if kind == "gaussian":
+        return GaussianProfile(amp, center, shape)
+    if kind == "gauss_hermite":
+        return GaussHermiteProfile(amp, order, center, shape)
+    return _TABULATED
+
+
+def _reference_kept(spec, events, eps_q):
+    comp, b = spec.components[0], spec.boost
+    mods = [abs(complex(comp.profile.value(comoving_coords(e, b).xi))) for e in events]
+    return [e for e, m in zip(events, mods) if m > eps_q * max(mods)]
+
+
+def _reference(spec, check, events, eps_q, mass=None, u=None, geff=None):
+    """Normalized residuals of one check, event by event."""
+    comp, b = spec.components[0], spec.boost
+    g, v, w = b.gamma, b.beta, comp.omega
+    h = comp.profile.characteristic_length / 100.0
+    out = []
+    for e in _reference_kept(spec, events, eps_q):
+        cc = comoving_coords(e, b)
+        q, qzz = complex(comp.profile.value(cc.xi)), complex(comp.profile.dzz(cc.xi))
+        ph = complex(np.exp(1j * w * cc.eta))
+        bun = analytic_envelope_derivatives(spec, 0, e)
+        if check == "envelope":
+            terms = [-1j * g * bun.d_tau, bun.laplacian() / (2 * w), -(g * g * qzz * ph) / (2 * w)]
+            terms.append(-(w / 2) * (g - 1) ** 2 * q * ph)
+        elif check == "fd":
+            bun = fd_envelope_bundle(spec, 0, e, h)
+            prof = lambda ev: complex(comp.profile.value(comoving_coords(ev, b).xi))
+            lap_q = sum(fd_partial(prof, e, axis, 2, h) for axis in "xyz")
+            terms = [-1j * g * bun.d_tau, bun.laplacian() / (2 * w), -(lap_q * ph) / (2 * w)]
+            terms.append(-(w / 2) * (g - 1) ** 2 * q * ph)
+        elif check == "klein_gordon":
+            carrier = complex(np.exp(1j * w * e.tau))
+            psi_tt = (bun.d2_tau + 2j * w * bun.d_tau - w * w * q * ph) * carrier
+            bracket = (g * g * qzz - v * v * g * g * qzz) * ph * carrier + w * w * q * ph * carrier
+            terms = [psi_tt, -bun.laplacian() * carrier, bracket]
+        elif check == "scalar":
+            rest_z = boost_event(e, b).z
+            rest = complex(comp.profile.dzz(rest_z)) / complex(comp.profile.value(rest_z))
+            terms = [(g * g * qzz - v * v * g * g * qzz) / q, -rest]
+        else:  # schrodinger
+            hbar, m, c = mass.hbar, mass.m, mass.c
+            terms = [
+                -1j * hbar * c * geff * bun.d_tau,
+                (hbar * hbar / (2 * m)) * bun.laplacian(),
+                -(hbar * hbar / (2 * m)) * complex(u(e.x, e.y, e.z)) * q * ph,
+                -(m * c * c * (geff - 1) ** 2 / 2) * q * ph,
+            ]
+        out.append(abs(sum(terms)) / (sum(abs(t) for t in terms) + 1e-30))
+    return out
+
+
+def _assert_matches(rep, ref):
+    assert rep.sample_count == len(ref)
+    assert abs(rep.max_abs - max(ref)) <= 1e-13
+    assert abs(rep.rms - math.sqrt(sum(r * r for r in ref) / len(ref))) <= 1e-13
+
+
+_KINDS = st.sampled_from(sorted(catalog_profiles()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=_KINDS,
+    amp=st.complex_numbers(min_magnitude=0.2, max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+    shape=st.floats(0.3, 1.5),
+    center=st.floats(-0.5, 0.5),
+    order=st.integers(0, 3),
+    beta=st.floats(-0.95, 0.95),
+    omega=st.floats(0.5, 3.0),
+    z0=st.floats(-1.0, 1.0),
+    tau0=st.floats(-1.0, 1.0),
+    width=st.floats(0.01, 1.5),
+    n=st.integers(1, 20),
+    seed=st.integers(0, 2**16),
+    eps_q=st.sampled_from([1e-8, 1e-2, 0.5]),
+)
+# a single event
+@example(kind="gaussian", amp=1.0, shape=0.8, center=0.1, order=0, beta=0.6, omega=2.0,
+         z0=0.3, tau0=-0.2, width=0.5, n=1, seed=3, eps_q=1e-8)
+# a narrow Gaussian seen across a wide box: most envelopes fall below the threshold
+@example(kind="gaussian", amp=1.0 - 0.5j, shape=0.3, center=-0.5, order=0, beta=0.0, omega=1.0,
+         z0=1.0, tau0=0.0, width=1.5, n=20, seed=5, eps_q=1e-8)
+def test_batched_checks_match_per_event_reference(
+    kind, amp, shape, center, order, beta, omega, z0, tau0, width, n, seed, eps_q
+):
+    spec = FieldSpec((HarmonicComponent(omega, _profile(kind, amp, shape, center, order)),), LorentzBoost(beta))
+    events = sample_events(n, seed, z=(z0, z0 + width), tau=(tau0, tau0 + width))
+    kept, _ = _sample(spec, 0, events, eps_q)
+    assert kept == _reference_kept(spec, events, eps_q)
+    _assert_matches(envelope_equation_residual(spec, 0, events, eps_q), _reference(spec, "envelope", events, eps_q))
+    _assert_matches(
+        envelope_equation_residual(spec, 0, events, eps_q, derivatives="fd"), _reference(spec, "fd", events, eps_q)
+    )
+    _assert_matches(klein_gordon_residual(spec, 0, events, eps_q=eps_q), _reference(spec, "klein_gordon", events, eps_q))
+    _assert_matches(scalar_invariance_check(spec, 0, events, eps_q), _reference(spec, "scalar", events, eps_q))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    wavenumber=st.floats(-2.0, 2.0),
+    beta=st.floats(-0.95, 0.95),
+    omega=st.floats(0.5, 3.0),
+    n=st.integers(1, 20),
+    seed=st.integers(0, 2**16),
+    gamma_mode=st.sampled_from(["exact", "unity"]),
+)
+@example(wavenumber=1.3, beta=0.5, omega=2.0, n=1, seed=0, gamma_mode="exact")
+def test_batched_schrodinger_matches_per_event_reference(wavenumber, beta, omega, n, seed, gamma_mode):
+    spec = spec_for(PlaneWaveProfile(0.8 + 0.3j, wavenumber), beta, omega=omega)
+    mass, u = MassParameters(omega, 1.0), separable_potential(spec, 0)
+    events = sample_events(n, seed)
+    rep = schrodinger_residual(spec, 0, mass, u, events, gamma_mode=gamma_mode)
+    geff = spec.boost.gamma if gamma_mode == "exact" else 1.0
+    _assert_matches(rep, _reference(spec, "schrodinger", events, 1e-8, mass=mass, u=u, geff=geff))
+
+
+def test_schrodinger_broadcasts_a_constant_potential():
+    spec = spec_for(ConstantProfile(1.5), 0.6, omega=2.0)
+    rep = schrodinger_residual(spec, 0, MassParameters(2.0, 1.0), lambda x, y, z: 0.0, sample_events(30, 9))
+    assert rep.sample_count == 30 and rep.max_abs < 1e-13
+
+
+def test_first_offending_event_is_named():
+    spec = spec_for(GaussianProfile(1.0, 0.0, 0.8), 0.5, omega=2.0)
+    events = sample_events(10, 3)
+    with pytest.raises(ValueError, match="does not separate") as exc:
+        schrodinger_residual(spec, 0, MassParameters(2.0, 1.0), lambda x, y, z: 0.0, events)
+    assert repr(events[0]) in str(exc.value)
+    # the second difference overflows where 2 b does: near the centre, not at z = 0
+    spec = spec_for(GaussianProfile(1.5e308, 5.0, 1.0), 0.0, omega=2.0)
+    events = [Event(0.0, 0.0, z, 0.0) for z in (0.0, 4.9, 5.0)]
+    with pytest.raises(ValueError, match="non-finite") as exc:
+        envelope_equation_residual(spec, 0, events, eps_q=0.0, derivatives="fd")
+    assert repr(events[1]) in str(exc.value)
