@@ -22,7 +22,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .fields import FieldSpec, MassParameters, load_spec
@@ -168,6 +167,8 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _emit_manifest(cfg: ExperimentConfig, out_dir: Path, outputs: list[str]) -> None:
+    import importlib.metadata  # read scipy's version without importing scipy
+
     manifest = {
         "config": cfg.to_dict(),
         "inputs": {},
@@ -175,7 +176,7 @@ def _emit_manifest(cfg: ExperimentConfig, out_dir: Path, outputs: list[str]) -> 
         "versions": {
             "boostfield": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": importlib.metadata.version("scipy"),
             "python": platform.python_version(),
         },
         "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
@@ -301,10 +302,9 @@ def _run_field(cfg: ExperimentConfig) -> int:
         raise ConfigError("need at least 2 sample points")
     z = np.linspace(float(p["z_min"]), float(p["z_max"]), n)
     tau = float(p["tau"])
-    psi = spec.psi_lab_on_axis(z, tau)
-    phi = np.zeros_like(z)
-    for k in range(len(spec.components)):
-        phi += np.abs(spec.envelope_on_axis(k, z, tau)) ** 2
+    ks = range(len(spec.components)) if p.get("component") is None else [_component(spec, p)]
+    psi = sum(spec.harmonic_on_axis(k, z, tau) for k in ks)
+    phi = sum(np.abs(spec.envelope_on_axis(k, z, tau)) ** 2 for k in ks)
     d = _out_dir(cfg)
     _write_csv(
         d / "field.csv",
@@ -382,6 +382,8 @@ def _run_verify(cfg: ExperimentConfig) -> int:
     check = p.get("check")
     if check not in ("envelope", "schrodinger", "klein-gordon", "scalar", "beta4", "derivatives"):
         raise ConfigError(f"unknown verify check {check!r}")
+    if p.get("h") is not None and check != "derivatives":
+        raise ConfigError(f"--h applies only to verify derivatives, not to verify {check}")
     d = _out_dir(cfg)
     n_events = int(p.get("events", 100))
     seed = cfg.seed
@@ -403,10 +405,10 @@ def _run_verify(cfg: ExperimentConfig) -> int:
 
     spec = _load_spec_arg(cfg)
     k = _component(spec, p)
-    h = _stencil_spacing(p)
     events = _events_for(spec, p, n_events, seed)
 
     if check == "derivatives":
+        h = _stencil_spacing(p)
         hs = None if h is None else [h, h / 2.0, h / 4.0]
         slopes = derivative_slopes(spec, k, events[: min(len(events), 8)], hs=hs)
         lo, hi = _TOLERANCES["derivative_slope_band"]
@@ -426,7 +428,7 @@ def _run_verify(cfg: ExperimentConfig) -> int:
         return 0
 
     if check == "envelope":
-        rep = envelope_equation_residual(spec, k, events, h=h)
+        rep = envelope_equation_residual(spec, k, events)
         tol = float(p.get("tolerance", _TOLERANCES["envelope"]))
     elif check == "klein-gordon":
         rep = klein_gordon_residual(spec, k, events)

@@ -1,7 +1,9 @@
 """Finite-difference evolution on periodic grids.
 
-Two integrators, both second order in space and time, both on uniform
-periodic grids in 1 or 3 dimensions:
+Two integrators, second order in space and time, on uniform periodic grids
+in 1 or 3 dimensions.  The periodic second-order stencil is diagonal in
+Fourier space; one symbol, ``laplacian_symbol``, serves both.  Both abort on
+the first non-finite value rather than letting NaNs propagate.
 
 * Crank-Nicolson for the first-order-in-time equation
 
@@ -10,8 +12,11 @@ periodic grids in 1 or 3 dimensions:
   i.e. psi_t = +i H psi with the real symmetric H = (hbar/2mc)(-lap + u).
   The Cayley form (1 - i dt H / 2) psi+ = (1 + i dt H / 2) psi is exactly
   unitary in the discrete L2 norm, so norm drift measures round-off, not
-  physics.  1-d systems are solved with a prefactorized sparse LU; 3-d
-  systems iterate BiCGStab to 1e-12 on a matrix-free operator.
+  physics.  A constant potential makes a step the pointwise Cayley
+  multiplier in Fourier space.  With a varying potential, 1-d systems are
+  solved with a prefactorized sparse LU; 3-d systems iterate a matrix-free
+  BiCGStab to 1e-12, preconditioned by the Cayley denominator at the mean
+  potential.
 
 * Velocity-Verlet leapfrog for the second-order equation
 
@@ -19,14 +24,10 @@ periodic grids in 1 or 3 dimensions:
 
   storing (psi, pi = psi_t) at whole steps.  The scheme is symplectic:
   the discrete energy oscillates within an O(dt^2) band with no secular
-  drift.  Stability requires dt * sqrt(4 sum_i dx_i^-2 + m_s) <= 2; at
-  m_s = 0 in 1-d that is the unit Courant number, where every Fourier
-  mode advances with exact phase speed and a full periodic transit
-  returns the state to round-off.
-
-Complex states are evolved componentwise (the update coefficients are
-real, so real and imaginary parts never mix).  Solvers abort on the first
-non-finite value rather than letting NaNs propagate.
+  drift.  Stability requires dt * sqrt(max(-symbol) + m_s) <= 2; at m_s = 0
+  in 1-d that is the unit Courant number, where every Fourier mode advances
+  with exact phase speed and a full periodic transit returns the state to
+  round-off.  Real and imaginary parts never mix.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Literal
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .fields import MassParameters
 
@@ -150,11 +149,37 @@ class SolverConfig:
         raise ValueError("config carries neither mass_scalar nor mass parameters")
 
 
-def periodic_laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
-    out = np.zeros_like(f)
+def laplacian_symbol(grid: Grid) -> np.ndarray:
+    """Eigenvalues -sum_i (4 / dx_i^2) sin^2(k_i dx_i / 2) of the stencil, in fftn order."""
+    parts = [
+        -4.0 / dx**2 * np.sin(np.pi * np.fft.fftfreq(n)) ** 2
+        for n, dx in zip(grid.points, grid.spacing)
+    ]
+    return sum(np.meshgrid(*parts, indexing="ij", sparse=True))
+
+
+def _laplacian_into(f: np.ndarray, grid: Grid, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    # (f[i+1] - 2 f[i] + f[i-1]) / dx^2, summed over the axes in order, built from
+    # slices in place (tmp is scratch).  numpy divides a complex by a real through
+    # the real's reciprocal, so multiplying by 1 / dx^2 rounds the same, faster
     for ax, dx in enumerate(grid.spacing):
-        out += (np.roll(f, -1, axis=ax) - 2.0 * f + np.roll(f, 1, axis=ax)) / (dx * dx)
+        term, pre = (tmp if ax else out), (slice(None),) * ax
+        head, tail = pre + (slice(1, None),), pre + (slice(None, -1),)
+        first, last = pre + (slice(0, 1),), pre + (slice(-1, None),)
+        np.multiply(2.0, f, out=term)
+        np.subtract(f[head], term[tail], out=term[tail])
+        np.subtract(f[first], term[last], out=term[last])
+        np.add(term[head], f[tail], out=term[head])
+        np.add(term[first], f[last], out=term[first])
+        np.multiply(term, 1.0 / (dx * dx), out=term)
+        if ax:
+            out += tmp
     return out
+
+
+def periodic_laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
+    out = np.empty_like(f)
+    return _laplacian_into(f, grid, out, np.empty_like(f) if grid.dim > 1 else out)
 
 
 def _potential_on_grid(grid: Grid, potential: Callable | None) -> np.ndarray:
@@ -173,14 +198,19 @@ def _potential_on_grid(grid: Grid, potential: Callable | None) -> np.ndarray:
 
 
 def _check_finite(state: GridState) -> None:
-    ok = np.all(np.isfinite(state.field.real)) and np.all(np.isfinite(state.field.imag))
-    if ok and state.pi is not None:
-        ok = np.all(np.isfinite(state.pi.real)) and np.all(np.isfinite(state.pi.imag))
-    if not ok:
-        raise SolverError(f"non-finite field values at step {state.step_count}")
+    # a finite sum proves every term finite; scan the elements only when it is not
+    for a in (state.field, state.pi):
+        if a is None:
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):  # the scan below decides
+            total = a.sum()
+        if not np.isfinite(total) and not np.isfinite(a).all():
+            raise SolverError(f"non-finite field values at step {state.step_count}")
 
 
-def _periodic_lap_matrix(n: int, dx: float) -> sp.csr_matrix:
+def _periodic_lap_matrix(n: int, dx: float):
+    import scipy.sparse as sp
+
     main = -2.0 * np.ones(n)
     off = np.ones(n - 1)
     m = sp.diags([off, main, off], [-1, 0, 1], format="lil")
@@ -195,8 +225,8 @@ def evolve_schrodinger(
     """Crank-Nicolson evolution of psi_t = i (hbar/2mc)(-lap + u) psi.
 
     Returns a fresh evolved state; the input is left untouched.  ``monitor``
-    is called with the live working state after every step (copy it if you
-    keep it).
+    is called with the live working state after every step, whose arrays the
+    next step overwrites (copy them if you keep them).
     """
     if cfg.scheme != "crank_nicolson":
         raise ValueError("evolve_schrodinger requires the crank_nicolson scheme")
@@ -211,54 +241,68 @@ def evolve_schrodinger(
             stacklevel=2,
         )
     coef = cfg.mass.hbar / (2.0 * cfg.mass.m * cfg.mass.c)
+    half = 0.5j * cfg.dt
     u = _potential_on_grid(grid, cfg.potential)
+    # i dt H / 2 at the mean potential in Fourier space: exact if u is constant
+    ih = half * coef * (u.mean() - laplacian_symbol(grid))
     state = initial.copy()
     _check_finite(state)
 
-    if grid.dim == 1:
-        n = grid.points[0]
-        H = coef * (-_periodic_lap_matrix(n, grid.spacing[0]) + sp.diags(u))
-        eye = sp.identity(n, dtype=complex, format="csr")
-        A = (eye - 0.5j * cfg.dt * H).tocsc()
-        B = (eye + 0.5j * cfg.dt * H).tocsr()
-        lu = spla.splu(A)
+    if np.all(u == u.flat[0]):
+        cayley = (1.0 + ih) / (1.0 - ih)
+        spectral = monitor is None and cfg.steps > 0  # unobserved steps stay in Fourier space
+        if spectral:
+            np.fft.fftn(state.field, out=state.field)
+
+        def step(psi: np.ndarray) -> np.ndarray:
+            if spectral:
+                return np.multiply(psi, cayley, out=psi)
+            return np.fft.ifftn(np.multiply(np.fft.fftn(psi, out=psi), cayley, out=psi), out=psi)
+
+    elif grid.dim == 1:  # a prefactorized sparse LU beats any FFT-preconditioned solve here
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
+        spectral = False
+        H = coef * (-_periodic_lap_matrix(u.size, grid.spacing[0]) + sp.diags(u))
+        eye = sp.identity(u.size, dtype=complex, format="csr")
+        lu = spla.splu((eye - half * H).tocsc())
+        B = (eye + half * H).tocsr()
 
         def step(psi: np.ndarray) -> np.ndarray:
             return lu.solve(B @ psi)
 
-        flat = True
     else:
-        shape = grid.points
-        n_total = int(np.prod(shape))
+        import scipy.sparse.linalg as spla
 
-        def apply_h(v: np.ndarray) -> np.ndarray:
-            f = v.reshape(shape)
-            return (coef * (-periodic_laplacian(f, grid) + u * f)).ravel()
+        spectral, shape, n = False, grid.points, u.size
+        lap, tmp, inverse = np.empty_like(state.field), np.empty_like(state.field), 1.0 / (1.0 - ih)
+        dv = (half * coef * (u - u.mean())).ravel()
 
-        def apply_a(v: np.ndarray) -> np.ndarray:
-            return v - 0.5j * cfg.dt * apply_h(v)
+        def solve_mean(v: np.ndarray) -> np.ndarray:  # (1 - i dt H / 2)^-1 at the mean potential
+            w = np.fft.fftn(v.reshape(shape), out=np.empty(shape, dtype=complex))
+            return np.fft.ifftn(np.multiply(w, inverse, out=w), out=w).ravel()
 
-        A_op = spla.LinearOperator((n_total, n_total), matvec=apply_a, dtype=complex)
+        # right preconditioning: (1 - i dt H / 2) solve_mean(y) = y - dv solve_mean(y), no stencil
+        A = spla.LinearOperator((n, n), matvec=lambda y: y - dv * solve_mean(y), dtype=complex)
 
         def step(psi: np.ndarray) -> np.ndarray:
-            rhs = psi + 0.5j * cfg.dt * apply_h(psi)
-            sol, info = spla.bicgstab(A_op, rhs, x0=psi, rtol=1e-12, atol=0.0, maxiter=1000)
+            b = (psi + half * coef * (u * psi - _laplacian_into(psi, grid, lap, tmp))).ravel()
+            y, info = spla.bicgstab(A, b, x0=b, rtol=1e-12, atol=0.0, maxiter=1000)
             if info != 0:
                 raise SolverError(f"implicit solve did not converge (info={info})")
-            return sol
+            return solve_mean(y).reshape(shape)
 
-        flat = True
-
-    psi = state.field.ravel()
     for _ in range(cfg.steps):
-        psi = step(psi)
-        state.field = psi.reshape(grid.points)
+        state.field = step(state.field)
         state.t += cfg.dt
         state.step_count += 1
         _check_finite(state)
         if monitor is not None:
             monitor(state)
-        psi = state.field.ravel() if flat else state.field
+            _check_finite(state)  # before a solve spends its iterations on NaNs
+    if spectral:
+        np.fft.ifftn(state.field, out=state.field)
     return state
 
 
@@ -268,9 +312,7 @@ def _leapfrog(
     grid = initial.grid
     if initial.pi is None:
         raise ValueError("second-order evolution needs an initial pi = psi_t")
-    # velocity-Verlet stability bound for psi_tt = lap psi - m_s psi
-    omega_max = np.sqrt(sum(4.0 / dx**2 for dx in grid.spacing) + m_s)
-    courant = 0.5 * cfg.dt * omega_max
+    courant = 0.5 * cfg.dt * np.sqrt(m_s - laplacian_symbol(grid).min())  # velocity Verlet
     if courant > 1.0 + 1e-12:
         raise SolverError(
             f"Courant violation: dt*omega_max/2 = {courant:.6g} > 1 "
@@ -279,14 +321,18 @@ def _leapfrog(
     state = initial.copy()
     _check_finite(state)
     psi, pi = state.field, state.pi
-    accel = periodic_laplacian(psi, grid) - m_s * psi
-    half = 0.5 * cfg.dt
+    accel, tmp = np.empty_like(psi), np.empty_like(psi)
+
+    def force() -> None:  # accel = lap psi - m_s psi
+        _laplacian_into(psi, grid, accel, tmp)
+        np.subtract(accel, np.multiply(m_s, psi, out=tmp), out=accel)
+
+    force()
     for _ in range(cfg.steps):
-        pi = pi + half * accel
-        psi = psi + cfg.dt * pi
-        accel = periodic_laplacian(psi, grid) - m_s * psi
-        pi = pi + half * accel
-        state.field, state.pi = psi, pi
+        pi += np.multiply(0.5 * cfg.dt, accel, out=tmp)
+        psi += np.multiply(cfg.dt, pi, out=tmp)
+        force()
+        pi += np.multiply(0.5 * cfg.dt, accel, out=tmp)
         state.t += cfg.dt
         state.step_count += 1
         _check_finite(state)
@@ -299,7 +345,7 @@ def _leapfrog(
 def evolve_kgf(
     initial: GridState, cfg: SolverConfig, monitor: Callable | None = None
 ) -> GridState:
-    """Leapfrog evolution of psi_tt = lap psi - m_s psi."""
+    """Leapfrog evolution of psi_tt = lap psi - m_s psi; ``monitor`` as for Crank-Nicolson."""
     if cfg.scheme != "leapfrog":
         raise ValueError("evolve_kgf requires the leapfrog scheme")
     return _leapfrog(initial, cfg, cfg.resolved_mass_scalar(), monitor)
@@ -308,7 +354,7 @@ def evolve_kgf(
 def evolve_wave(
     initial: GridState, cfg: SolverConfig, monitor: Callable | None = None
 ) -> GridState:
-    """Leapfrog evolution of the massless case psi_tt = lap psi."""
+    """Leapfrog evolution of the massless case psi_tt = lap psi; ``monitor`` as above."""
     if cfg.scheme != "leapfrog":
         raise ValueError("evolve_wave requires the leapfrog scheme")
     if cfg.mass_scalar not in (None, 0.0):

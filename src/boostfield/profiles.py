@@ -20,7 +20,6 @@ from typing import ClassVar
 
 import numpy as np
 from numpy.polynomial import hermite
-from scipy.interpolate import CubicSpline
 
 
 def _as_complex(v) -> complex:
@@ -394,6 +393,8 @@ class TabulatedProfile(AmplitudeProfile):
             raise ValueError("nodes must be strictly increasing")
         self.z_nodes = z
         self.values_at_nodes = v
+        from scipy.interpolate import CubicSpline  # scipy only loads for tabulated profiles
+
         self._spline = CubicSpline(z, v)
         self._lo = z[0]
         self._hi = z[-1]

@@ -244,11 +244,13 @@ def _normalized(*terms) -> np.ndarray:
 
 
 def _finish_report(equation_id: str, residuals: np.ndarray, h: float | None, metadata: dict) -> ResidualReport:
+    max_abs = float(residuals.max())
     return ResidualReport(
         equation_id=equation_id,
         sample_count=int(residuals.size),
-        max_abs=float(residuals.max()),
-        rms=float(np.sqrt(np.mean(residuals**2))),
+        max_abs=max_abs,
+        # the rms of equal residuals can round one ulp above their maximum
+        rms=min(float(np.sqrt(np.mean(residuals**2))), max_abs),
         stencil_spacing=h,
         metadata=metadata,
     )
@@ -543,7 +545,7 @@ def sample_events(
     if n < 1:
         raise ValueError("need at least one event")
     rng = np.random.default_rng(seed)
-    cols = [rng.uniform(lo, hi, size=n) for lo, hi in (x, y, z, tau)]
+    cols = [rng.uniform(lo, hi, size=n).tolist() for lo, hi in (x, y, z, tau)]
     return [Event(*vals) for vals in zip(*cols)]
 
 

@@ -155,6 +155,65 @@ def test_field_grid_mode(gauss_spec, tmp_path, capsys):
     np.testing.assert_allclose([float(r[2]) for r in rows], psi.imag, atol=1e-12)
 
 
+@pytest.fixture
+def two_harmonic_spec(tmp_path):
+    spec = FieldSpec(
+        (
+            HarmonicComponent(1.3, GaussianProfile(1.0, 0.0, 1.2)),
+            HarmonicComponent(3.1, PlaneWaveProfile(0.5 + 0.2j, 0.8)),
+        ),
+        LorentzBoost(0.4),
+    )
+    path = tmp_path / "two.json"
+    save_spec(spec, path)
+    return str(path)
+
+
+GRID_ARGS = ["--tau", "0.2", "--z-min", "-2", "--z-max", "2", "--n", "17"]
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_field_grid_mode_writes_the_chosen_component(k, two_harmonic_spec, tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = main(["field", "--spec", two_harmonic_spec, *GRID_ARGS, "--component", str(k), "--out", str(out)])
+    capsys.readouterr()
+    assert rc == 0
+    header, rows = read_csv(out / "field.csv")
+    assert header == ["z", "re_psi", "im_psi", "phi"] and len(rows) == 17
+    spec = load_spec(two_harmonic_spec)
+    z, re_psi, im_psi, phi = (np.array([float(r[i]) for r in rows]) for i in range(4))
+    psi = spec.harmonic_on_axis(k, z, 0.2)
+    np.testing.assert_array_equal(re_psi + 1j * im_psi, psi)
+    np.testing.assert_array_equal(phi, np.abs(spec.envelope_on_axis(k, z, 0.2)) ** 2)
+    assert np.max(np.abs(psi - spec.psi_lab_on_axis(z, 0.2))) > 0.1  # not the whole field
+
+
+@pytest.mark.parametrize("k", ["2", "7", "-1"])
+def test_field_grid_mode_out_of_range_component(k, two_harmonic_spec, tmp_path, capsys):
+    rc = main(["field", "--spec", two_harmonic_spec, *GRID_ARGS, "--component", k, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"config error: --component {k} out of range: the spec has components 0..1\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_import_leaves_scipy_unloaded(tmp_path, capsys):
+    code = (
+        "import sys, boostfield, boostfield.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(boostfield.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stdout.strip() == "[]"
+    # the manifest still names the installed scipy
+    import scipy
+
+    assert main(["boost", "--beta", "0.5", "--event", "0,0,1,2", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["versions"]["scipy"] == scipy.__version__
+
+
 # -- spectrum ------------------------------------------------------------------
 
 
@@ -310,6 +369,21 @@ def test_bad_stencil_spacing_is_config_error(check, h, gauss_spec, tmp_path, cap
 )
 def test_bad_component_and_spacing_subprocess(args, gauss_spec, tmp_path):
     assert_config_error(run_boostfield(args + ["--spec", gauss_spec, "--out", "o"], tmp_path))
+
+
+@pytest.mark.parametrize("check", ["envelope", "klein-gordon", "scalar", "schrodinger", "beta4"])
+def test_spacing_outside_verify_derivatives_is_config_error(check, gauss_spec, tmp_path, capsys):
+    rc = main(["verify", check, "--spec", gauss_spec, "--h", "0.01", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"config error: --h applies only to verify derivatives, not to verify {check}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_spacing_outside_verify_derivatives_subprocess(gauss_spec, tmp_path):
+    proc = run_boostfield(["verify", "klein-gordon", "--h", "0.5", "--spec", gauss_spec, "--out", "o"], tmp_path)
+    assert_config_error(proc)
+    assert "--h applies only to verify derivatives" in proc.stderr
 
 
 def test_verify_derivatives_uses_given_spacing(gauss_spec, tmp_path):

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from boostfield import (
@@ -15,6 +19,7 @@ from boostfield import (
     measure_observables,
     periodic_laplacian,
 )
+from boostfield.pde import _check_finite, laplacian_symbol
 
 MASS = MassParameters(1.0, 1.0)
 
@@ -359,3 +364,196 @@ def test_dispersion_measure_validation():
     weak = [GridState(g, np.zeros(16, dtype=complex), None, t=0.1 * i) for i in range(4)]
     with pytest.raises(ValueError, match="too weak"):
         measure_dispersion(weak, 2.0 * np.pi / 8.0)
+
+
+# -- the spectral core -------------------------------------------------------------
+
+
+def random_field(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def roll_laplacian(f, grid):
+    """The stencil written with np.roll, axis by axis, as a reference."""
+    return sum(
+        (np.roll(f, -1, axis=ax) - 2.0 * f + np.roll(f, 1, axis=ax)) / (dx * dx)
+        for ax, dx in enumerate(grid.spacing)
+    )
+
+
+def dense_hamiltonian(grid, u, coef):
+    """coef (-lap + diag u) as a dense matrix: a Kronecker sum of 1-d stencils."""
+    ops = []
+    for n, dx in zip(grid.points, grid.spacing):
+        lap = (np.roll(np.eye(n), 1, axis=1) - 2.0 * np.eye(n) + np.roll(np.eye(n), -1, axis=1)) / dx**2
+        ops.append(lap)
+    total = np.zeros((u.size, u.size))
+    for ax, lap in enumerate(ops):
+        factors = [np.eye(n) for n in grid.points]
+        factors[ax] = lap
+        term = factors[0]
+        for fac in factors[1:]:
+            term = np.kron(term, fac)
+        total += term
+    return coef * (-total + np.diag(u.ravel()))
+
+
+grids_1d = st.builds(
+    lambda n, L: Grid((L,), (n,)), st.integers(8, 64), st.floats(0.5, 50.0)
+)
+grids_3d = st.builds(
+    lambda n, L: Grid(tuple(L), tuple(n)),
+    st.lists(st.integers(8, 12), min_size=3, max_size=3),
+    st.lists(st.floats(0.5, 20.0), min_size=3, max_size=3),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=st.one_of(grids_1d, grids_3d), seed=st.integers(0, 2**32 - 1))
+def test_symbol_is_the_stencil_on_fourier_modes(grid, seed):
+    rng = np.random.default_rng(seed)
+    sym = laplacian_symbol(grid)
+    assert sym.shape == grid.points and np.all(sym <= 0.0)
+    idx = tuple(int(rng.integers(n)) for n in grid.points)
+    phase = sum(
+        np.meshgrid(
+            *(2.0 * np.pi * np.fft.fftfreq(n)[i] * np.arange(n) for n, i in zip(grid.points, idx)),
+            indexing="ij",
+            sparse=True,
+        )
+    )
+    mode = np.exp(1j * phase)
+    scale = float(-sym.min())
+    assert_allclose(periodic_laplacian(mode, grid), sym[idx] * mode, rtol=0, atol=1e-12 * scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=st.one_of(grids_1d, grids_3d), seed=st.integers(0, 2**32 - 1))
+def test_stencil_is_the_roll_expression_bit_for_bit(grid, seed):
+    f = random_field(np.random.default_rng(seed), grid.points)
+    assert np.array_equal(periodic_laplacian(f, grid), roll_laplacian(f, grid))
+
+
+def test_courant_bound_comes_from_the_symbol():
+    # an odd ring has no Nyquist mode: its largest |symbol| is below 4 / dx^2,
+    # so dt = dx passes there although the even-ring bound would refuse it
+    g = Grid((9.0,), (9,))
+    dx = g.spacing[0]
+    omega_max = np.sqrt(-laplacian_symbol(g).min())
+    assert omega_max < 2.0 / dx
+    st_ = GridState(g, np.ones(9, dtype=complex), np.zeros(9, dtype=complex))
+    evolve_wave(st_, lf_config(2.0 / omega_max, 1, 0.0))
+    with pytest.raises(SolverError, match="Courant"):
+        evolve_wave(st_, lf_config(2.0 / omega_max * (1.0 + 1e-9), 1, 0.0))
+
+
+POTENTIALS = {
+    "zero": None,
+    "constant": lambda x, y, z: np.full_like(np.asarray(z, dtype=float), -0.7),
+    "varying": lambda x, y, z: 0.4 + np.cos(z) + 0.3 * np.sin(2.0 * x),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    three_d=st.booleans(),
+    kind=st.sampled_from(sorted(POTENTIALS)),
+    dt=st.floats(1e-3, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_cn_step_is_the_dense_cayley_solve(three_d, kind, dt, seed):
+    grid = Grid((2.0 * np.pi,) * 3, (8, 8, 8)) if three_d else Grid((2.0 * np.pi,), (48,))
+    rng = np.random.default_rng(seed)
+    psi = random_field(rng, grid.points)
+    pot = POTENTIALS[kind]
+    coords = grid.meshes() if three_d else (0.0, 0.0, grid.axis(0))
+    u = np.zeros(grid.points) if pot is None else np.broadcast_to(pot(*coords), grid.points)
+    H = dense_hamiltonian(grid, u, MASS.hbar / (2.0 * MASS.m * MASS.c))
+    eye = np.eye(u.size)
+    want = np.linalg.solve(eye - 0.5j * dt * H, (eye + 0.5j * dt * H) @ psi.ravel())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # dt above dx^2 is allowed here
+        got = evolve_schrodinger(GridState(grid, psi), cn_config(dt, 1, potential=pot))
+    assert got.step_count == 1 and got.t == dt
+    err = np.linalg.norm(got.field.ravel() - want) / np.linalg.norm(want)
+    assert err < 1e-10
+
+
+@pytest.mark.parametrize("points", [(256,), (12, 12, 12)])
+def test_cn_stiff_varying_potential_converges_and_conserves_norm(points):
+    # dt = 1000 dx^2: 1-d takes the sparse LU; in 3-d the mean-potential
+    # Cayley preconditioner keeps BiCGStab short
+    g = Grid((20.0,) * len(points), points)
+    z = g.meshes()[-1]
+    dx = g.spacing[0]
+    psi = np.exp(-((z - 10.0) ** 2) / 2.0) * np.exp(1.5j * z)
+    pot = lambda x, y, zz: 0.5 * (zz - 10.0) ** 2 + 0.1 * np.cos(2.0 * np.pi * x / 20.0)
+    cfg = cn_config(1000.0 * dx * dx, 20, potential=pot)
+    st_ = GridState(g, psi)
+    with pytest.warns(UserWarning, match="accuracy"):
+        fin = evolve_schrodinger(st_, cfg)
+    n0, n1 = measure_observables(st_, cfg).norm, measure_observables(fin, cfg).norm
+    assert np.all(np.isfinite(fin.field))
+    assert abs(n1 - n0) / n0 < 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    grid=st.one_of(grids_1d, grids_3d),
+    m_s=st.floats(0.0, 4.0),
+    courant=st.floats(0.05, 1.0),
+    steps=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kgf_is_a_plain_verlet_loop_bit_for_bit(grid, m_s, courant, steps, seed):
+    rng = np.random.default_rng(seed)
+    psi0, pi0 = random_field(rng, grid.points), random_field(rng, grid.points)
+    dt = 2.0 * courant / np.sqrt(m_s - laplacian_symbol(grid).min())
+    st_ = GridState(grid, psi0.copy(), pi0.copy())
+    fin = evolve_kgf(st_, lf_config(dt, steps, m_s))
+    assert np.array_equal(st_.field, psi0) and np.array_equal(st_.pi, pi0)  # input untouched
+    psi, pi = psi0, pi0
+    accel = roll_laplacian(psi, grid) - m_s * psi
+    for _ in range(steps):
+        pi = pi + 0.5 * dt * accel
+        psi = psi + dt * pi
+        accel = roll_laplacian(psi, grid) - m_s * psi
+        pi = pi + 0.5 * dt * accel
+    assert np.array_equal(fin.field, psi) and np.array_equal(fin.pi, pi)
+
+
+@pytest.mark.parametrize("equation", ["kgf", "cn_free", "cn_potential"])
+def test_nan_written_by_a_monitor_stops_the_run(equation):
+    g = Grid((8.0,), (32,))
+    z = g.axis(0)
+    psi = np.exp(-((z - 4.0) ** 2)).astype(complex)
+    if equation == "kgf":
+        run, cfg = evolve_kgf, lf_config(0.05, 10, 1.0)
+        st_ = GridState(g, psi, np.zeros_like(psi))
+    else:
+        pot = None if equation == "cn_free" else (lambda x, y, zz: np.cos(zz))
+        run, cfg, st_ = evolve_schrodinger, cn_config(0.01, 10, potential=pot), GridState(g, psi)
+    seen = []
+
+    def poison(s):
+        seen.append(s.step_count)
+        if s.step_count == 3:
+            s.field[5] = np.nan
+
+    with pytest.raises(SolverError, match="non-finite field values at step [34]"):
+        run(st_, cfg, monitor=poison)
+    assert seen == [1, 2, 3]
+
+
+def test_finite_check_is_exact():
+    g = Grid((8.0,), (16,))
+    big = np.full(16, 1e308, dtype=complex)  # finite values whose sum overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and silently: the sum's overflow is not reported
+        _check_finite(GridState(g, big, big.copy()))
+        for where in ("field", "pi"):
+            for bad in (np.nan, np.inf, complex(0.0, -np.inf), (np.inf, -np.inf)):
+                st_ = GridState(g, np.ones(16, dtype=complex), np.ones(16, dtype=complex))
+                getattr(st_, where)[7:7 + np.size(bad)] = bad
+                with pytest.raises(SolverError, match="non-finite"):
+                    _check_finite(st_)

@@ -534,3 +534,30 @@ def test_first_offending_event_is_named():
     with pytest.raises(ValueError, match="non-finite") as exc:
         envelope_equation_residual(spec, 0, events, eps_q=0.0, derivatives="fd")
     assert repr(events[1]) in str(exc.value)
+
+
+def test_sample_events_are_the_numpy_draws_as_plain_floats():
+    box = ((-1.0, 1.0), (-2.0, 0.5), (0.0, 3.0), (-4.0, 4.0))
+    rng = np.random.default_rng(17)
+    cols = [rng.uniform(lo, hi, size=40) for lo, hi in box]
+    events = sample_events(40, 17, *box)
+    assert len(events) == 40
+    for e, row in zip(events, zip(*cols)):
+        coords = (e.x, e.y, e.z, e.tau)
+        assert all(type(v) is float for v in coords)
+        assert [np.float64(v).tobytes() for v in coords] == [r.tobytes() for r in row]
+
+
+def test_potential_mismatch_message_prints_plain_floats():
+    spec = spec_for(GaussianProfile(1.0, 0.0, 0.8), 0.5, omega=2.0)
+    with pytest.raises(ValueError, match="does not separate") as exc:
+        schrodinger_residual(spec, 0, MassParameters(2.0, 1.0), lambda x, y, z: 0.0, sample_events(10, 3))
+    assert "Event(x=" in str(exc.value) and "np.float64(" not in str(exc.value)
+
+
+def test_report_of_equal_residuals_keeps_rms_within_max():
+    # all 18 residuals are equal, and sqrt(mean(r^2)) rounds one ulp above r
+    spec = spec_for(PlaneWaveProfile(0.8 + 0.3j, 0.0), 1e-30, omega=1.0)
+    u = separable_potential(spec, 0)
+    rep = schrodinger_residual(spec, 0, MassParameters(1.0, 1.0), u, sample_events(18, 0))
+    assert rep.rms == rep.max_abs > 0.0
