@@ -17,6 +17,7 @@ import json
 import math
 import platform
 import sys
+import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -31,6 +32,7 @@ from .pde import (
     GridState,
     SolverConfig,
     SolverError,
+    _rotation_rate,
     evolve_kgf,
     evolve_schrodinger,
     evolve_wave,
@@ -317,19 +319,21 @@ def _run_field(cfg: ExperimentConfig) -> int:
 
 def _read_signal_csv(path: str) -> SampledSignal:
     try:
-        raw = np.genfromtxt(path, delimiter=",", names=True)
-    except OSError:
-        raise ConfigError(f"cannot read signal csv {path}") from None
-    for col in ("t", "re", "im"):
-        if raw.dtype.names is None or col not in raw.dtype.names:
-            raise ConfigError("signal csv needs columns t, re, im")
-    t = np.asarray(raw["t"], dtype=float)
+        with open(path) as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a file without rows is reported below
+            names = [name.strip() for name in fh.readline().split(",")]
+            if not {"t", "re", "im"} <= set(names):
+                raise ConfigError("signal csv needs columns t, re, im")
+            cols = [names.index(name) for name in ("t", "re", "im")]
+            t, re, im = np.loadtxt(fh, delimiter=",", usecols=cols, ndmin=2).T
+    except (OSError, ValueError) as exc:  # a missing file, a ragged row, a bad number
+        raise ConfigError(f"cannot read signal csv {path}: {exc}") from None
     if t.size < 2:
         raise ConfigError("signal csv needs at least 2 rows")
     dts = np.diff(t)
     if not np.allclose(dts, dts[0], rtol=1e-9, atol=0.0):
         raise ConfigError("signal csv must be uniformly sampled")
-    return SampledSignal(raw["re"] + 1j * raw["im"], float(dts[0]), float(t[0]))
+    return SampledSignal(re + 1j * im, float(dts[0]), float(t[0]))
 
 
 def _run_spectrum(cfg: ExperimentConfig) -> int:
@@ -621,9 +625,7 @@ def _run_evolve(cfg: ExperimentConfig) -> int:
             k = 2.0 * np.pi * m / grid.extents[-1]
             if np.any(np.abs(series) < 1e-12):
                 raise VerificationFailure(f"mode {m} amplitude too weak to fit")
-            phase = np.unwrap(np.angle(series))
-            omega_meas = abs(np.polyfit(t_arr, phase, 1)[0])
-            rows.append((k, omega_meas, float(np.sqrt(k * k + m_s))))
+            rows.append((k, _rotation_rate(t_arr, series), float(np.sqrt(k * k + m_s))))
         _write_csv(d / "dispersion.csv", ["k", "omega_measured", "omega_continuum"], rows)
         outputs.append("dispersion.csv")
 

@@ -21,7 +21,7 @@ from boostfield import (
     sample_events,
     save_spec,
 )
-from boostfield.cli import ConfigError, ExperimentConfig, main
+from boostfield.cli import ConfigError, ExperimentConfig, _read_signal_csv, main
 
 
 @pytest.fixture
@@ -263,6 +263,31 @@ def test_spectrum_csv_missing_columns(tmp_path, capsys):
     assert "t, re, im" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row", ["0.0,1.0", "0.0,abc,0.0"])
+def test_spectrum_ragged_or_non_numeric_csv_is_config_error(tmp_path, row):
+    path = tmp_path / "s.csv"
+    path.write_text(f"t,re,im\n-0.1,1.0,0.0\n{row}\n0.1,1.0,0.0\n")
+    proc = run_boostfield(["spectrum", "--csv", str(path), "--omegas", "1.0", "--out", "o"], tmp_path)
+    assert_config_error(proc)
+    assert "s.csv" in proc.stderr
+
+
+def test_signal_csv_columns_are_read_by_name_as_genfromtxt_reads_them(tmp_path):
+    rng = np.random.default_rng(11)
+    t = -1.0 + 0.01 * np.arange(300)
+    re, im = rng.standard_normal(300), rng.standard_normal(300)
+    path = tmp_path / "s.csv"
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["im", "t", "extra", "re"])
+        for row in zip(im, t, rng.standard_normal(300), re):
+            w.writerow([repr(float(v)) for v in row])
+    raw = np.genfromtxt(path, delimiter=",", names=True)
+    sig = _read_signal_csv(str(path))
+    assert np.array_equal(sig.samples, raw["re"] + 1j * raw["im"])
+    assert sig.dt == float(np.diff(raw["t"])[0]) and sig.t0 == float(raw["t"][0])
+
+
 def test_spectrum_missing_spec_file_is_config_error(tmp_path):
     path = tmp_path / "s.csv"
     path.write_text("t,re,im\n-0.1,1.0,0.0\n0.0,1.0,0.0\n0.1,1.0,0.0\n")
@@ -427,6 +452,26 @@ def test_evolve_schrodinger_1d(gauss_spec, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert "observables.csv" in manifest["outputs"]
     assert Path(gauss_spec).name in "".join(manifest["inputs"])
+
+
+def test_evolve_schrodinger_3d_with_the_potential_of_a_static_gaussian(tmp_path):
+    # u = q''/q of a static Gaussian varies along z only; the norm holds to
+    # round-off, and the envelope is nearly stationary in its own potential
+    # (a free one would widen by about 4e-3 here)
+    spec = FieldSpec((HarmonicComponent(1.5, GaussianProfile(1.0, 4.0, 1.2)),), LorentzBoost(0.0))
+    save_spec(spec, tmp_path / "static.json")
+    out = tmp_path / "run"
+    rc = main(
+        ["evolve", "schrodinger", "--spec", str(tmp_path / "static.json"), "--grid", "16,16,16",
+         "--extent", "8", "--dt", "0.02", "--steps", "10", "--potential-from-spec",
+         "--snap-every", "10", "--out", str(out)]
+    )
+    assert rc == 0
+    _, rows = read_csv(out / "observables.csv")
+    norms = [float(r[1]) for r in rows]
+    assert len(rows) == 11
+    assert max(norms) - min(norms) < 1e-13 * norms[0]
+    assert abs(float(rows[-1][-1]) - float(rows[0][-1])) < 1e-3 * float(rows[0][-1])
 
 
 def test_evolve_wave_from_init_csv(tmp_path):

@@ -19,7 +19,7 @@ from boostfield import (
     measure_observables,
     periodic_laplacian,
 )
-from boostfield.pde import _check_finite, laplacian_symbol
+from boostfield.pde import Observables, _check_finite, _potential_on_grid, laplacian_symbol
 
 MASS = MassParameters(1.0, 1.0)
 
@@ -451,6 +451,7 @@ POTENTIALS = {
     "zero": None,
     "constant": lambda x, y, z: np.full_like(np.asarray(z, dtype=float), -0.7),
     "varying": lambda x, y, z: 0.4 + np.cos(z) + 0.3 * np.sin(2.0 * x),
+    "z_only": lambda x, y, z: 0.4 + np.cos(z),
 }
 
 
@@ -479,15 +480,19 @@ def test_one_cn_step_is_the_dense_cayley_solve(three_d, kind, dt, seed):
     assert err < 1e-10
 
 
-@pytest.mark.parametrize("points", [(256,), (12, 12, 12)])
-def test_cn_stiff_varying_potential_converges_and_conserves_norm(points):
-    # dt = 1000 dx^2: 1-d takes the sparse LU; in 3-d the mean-potential
-    # Cayley preconditioner keeps BiCGStab short
+@pytest.mark.parametrize(
+    "points, across",
+    [((256,), 0.1), ((12, 12, 12), 0.1), ((12, 12, 12), 0.0)],
+    ids=["points0", "points1", "points2_z_only"],
+)
+def test_cn_stiff_varying_potential_converges_and_conserves_norm(points, across):
+    # dt = 1000 dx^2: 1-d and a 3-d potential of z alone take the z-line LU; across
+    # x, the mean-potential Cayley preconditioner keeps BiCGStab short
     g = Grid((20.0,) * len(points), points)
     z = g.meshes()[-1]
     dx = g.spacing[0]
     psi = np.exp(-((z - 10.0) ** 2) / 2.0) * np.exp(1.5j * z)
-    pot = lambda x, y, zz: 0.5 * (zz - 10.0) ** 2 + 0.1 * np.cos(2.0 * np.pi * x / 20.0)
+    pot = lambda x, y, zz: 0.5 * (zz - 10.0) ** 2 + across * np.cos(2.0 * np.pi * x / 20.0)
     cfg = cn_config(1000.0 * dx * dx, 20, potential=pot)
     st_ = GridState(g, psi)
     with pytest.warns(UserWarning, match="accuracy"):
@@ -522,10 +527,10 @@ def test_kgf_is_a_plain_verlet_loop_bit_for_bit(grid, m_s, courant, steps, seed)
     assert np.array_equal(fin.field, psi) and np.array_equal(fin.pi, pi)
 
 
-@pytest.mark.parametrize("equation", ["kgf", "cn_free", "cn_potential"])
+@pytest.mark.parametrize("equation", ["kgf", "cn_free", "cn_potential", "cn_potential_3d"])
 def test_nan_written_by_a_monitor_stops_the_run(equation):
-    g = Grid((8.0,), (32,))
-    z = g.axis(0)
+    g = Grid((8.0,) * 3, (8, 8, 32)) if equation.endswith("3d") else Grid((8.0,), (32,))
+    z = g.meshes()[-1]
     psi = np.exp(-((z - 4.0) ** 2)).astype(complex)
     if equation == "kgf":
         run, cfg = evolve_kgf, lf_config(0.05, 10, 1.0)
@@ -557,3 +562,84 @@ def test_finite_check_is_exact():
                 getattr(st_, where)[7:7 + np.size(bad)] = bad
                 with pytest.raises(SolverError, match="non-finite"):
                     _check_finite(st_)
+
+
+def test_z_only_potential_monitored_and_unmonitored_runs_agree():
+    # unmonitored steps stay in transverse Fourier space; a monitor sees psi after each
+    g = Grid((6.0, 7.0, 8.0), (8, 10, 16))
+    x, y, z = g.meshes()
+    psi = np.exp(-((z - 4.0) ** 2) + 0.5j * x) * (1.0 + 0.2 * np.cos(2.0 * np.pi * y / 7.0))
+    cfg = cn_config(0.05, 12, potential=POTENTIALS["z_only"])
+    free = evolve_schrodinger(GridState(g, psi), cfg)
+    seen = []
+    watched = evolve_schrodinger(GridState(g, psi), cfg, monitor=lambda s_: seen.append(s_.step_count))
+    assert seen == list(range(1, 13))
+    assert np.linalg.norm(watched.field - free.field) < 1e-13 * np.linalg.norm(free.field)
+
+
+def test_1d_varying_potential_is_the_sparse_lu_bit_for_bit():
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    g = Grid((20.0,), (256,))
+    z, dx, n, dt = g.axis(0), g.spacing[0], 256, 0.9 * g.spacing[0] ** 2
+    psi = np.exp(-((z - 10.0) ** 2) / 2.0) * np.exp(1.5j * z)
+    pot = lambda x, y, zz: 0.5 * (zz - 10.0) ** 2 + np.cos(zz)
+    # the reference: a periodic tridiagonal stencil, factorized once, as a plain loop
+    lap = sp.diags([np.ones(n - 1), -2.0 * np.ones(n), np.ones(n - 1)], [-1, 0, 1], format="lil")
+    lap[0, n - 1] = lap[n - 1, 0] = 1.0
+    H = MASS.hbar / (2.0 * MASS.m * MASS.c) * (-(lap / (dx * dx)).tocsr() + sp.diags(pot(0.0, 0.0, z)))
+    eye = sp.identity(n, dtype=complex, format="csr")
+    lu, B = spla.splu((eye - 0.5j * dt * H).tocsc()), (eye + 0.5j * dt * H).tocsr()
+    want = psi.astype(complex)
+    for _ in range(300):
+        want = lu.solve(B @ want)
+    for monitor in (None, lambda s_: None):
+        got = evolve_schrodinger(GridState(g, psi), cn_config(dt, 300, potential=pot), monitor=monitor)
+        assert np.array_equal(got.field, want)
+
+
+def reference_observables(state, cfg):
+    """measure_observables written with np.roll and out-of-place sums: the reference."""
+    grid = state.grid
+    dv = grid.cell_volume
+    density = np.abs(state.field) ** 2
+    weight = float(density.sum()) * dv
+    if cfg.scheme == "crank_nicolson":
+        coef = cfg.mass.hbar / (2.0 * cfg.mass.m * cfg.mass.c)
+        u = _potential_on_grid(grid, cfg.potential)
+        hpsi = coef * (-periodic_laplacian(state.field, grid) + u * state.field)
+        energy = float(np.real(np.vdot(state.field, hpsi)) * dv)
+    else:
+        e = np.abs(state.pi) ** 2 + cfg.mass_scalar * density
+        for ax, dx in enumerate(grid.spacing):
+            grad = (np.roll(state.field, -1, axis=ax) - state.field) / dx
+            e = e + np.abs(grad) ** 2
+        energy = float(0.5 * e.sum() * dv)
+    centroid, width = [], []
+    for ax in range(grid.dim):
+        coords = grid.axis(ax)
+        other = tuple(i for i in range(grid.dim) if i != ax)
+        marginal = density.sum(axis=other) if other else density
+        w = marginal / marginal.sum()
+        mean = float(np.sum(coords * w))
+        centroid.append(mean)
+        width.append(float(np.sqrt(max(float(np.sum((coords - mean) ** 2 * w)), 0.0))))
+    return Observables(float(np.sqrt(weight)), energy, tuple(centroid), tuple(width))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    grid=st.one_of(grids_1d, grids_3d),
+    scheme=st.sampled_from(["crank_nicolson", "leapfrog"]),
+    m_s=st.floats(0.0, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_observables_are_the_roll_formula_bit_for_bit(grid, scheme, m_s, seed):
+    rng = np.random.default_rng(seed)
+    st_ = GridState(grid, random_field(rng, grid.points), random_field(rng, grid.points))
+    if scheme == "leapfrog":
+        cfg = lf_config(0.01, 1, m_s)
+    else:
+        cfg = cn_config(0.01, 1, potential=lambda x, y, z: m_s * np.cos(z))
+    assert measure_observables(st_, cfg) == reference_observables(st_, cfg)
