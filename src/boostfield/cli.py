@@ -11,7 +11,6 @@ everywhere else.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -160,12 +159,12 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([repr(float(v)) if isinstance(v, (int, float, np.floating)) else v for v in row])
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """One row per index of the columns: numbers as their float repr, str columns as given."""
+    cells = [col if isinstance(col[0], str) else map(repr, np.asarray(col, dtype=float).tolist()) for col in columns]
+    lines = [",".join(header)] + [",".join(row) for row in zip(*cells)]
+    with open(path, "w", newline="") as fh:  # the \r\n rows csv.writer wrote
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def _emit_manifest(cfg: ExperimentConfig, out_dir: Path, outputs: list[str]) -> None:
@@ -280,7 +279,7 @@ def _run_field(cfg: ExperimentConfig) -> int:
     if p.get("event"):
         e = Event(*_parse_floats(p["event"], 4))
         if p.get("component") is not None:
-            val = spec.harmonic_lab(_component(spec, p), e)
+            val = complex(spec.harmonic_on_axis(_component(spec, p), e.z, e.tau))
         else:
             val = spec.psi_lab(e)
         print(f"{_fmt(val.real)},{_fmt(val.imag)},{_fmt(spec.scalar_density(e))}")
@@ -308,26 +307,27 @@ def _run_field(cfg: ExperimentConfig) -> int:
     psi = sum(spec.harmonic_on_axis(k, z, tau) for k in ks)
     phi = sum(np.abs(spec.envelope_on_axis(k, z, tau)) ** 2 for k in ks)
     d = _out_dir(cfg)
-    _write_csv(
-        d / "field.csv",
-        ["z", "re_psi", "im_psi", "phi"],
-        zip(z, psi.real, psi.imag, phi),
-    )
+    _write_csv(d / "field.csv", ["z", "re_psi", "im_psi", "phi"], [z, psi.real, psi.imag, phi])
     _emit_manifest(cfg, d, ["field.csv"])
     return 0
 
 
-def _read_signal_csv(path: str) -> SampledSignal:
+def _read_csv_columns(path: str, what: str, names: tuple[str, ...]) -> np.ndarray:
+    """The named columns of a csv file with a header row, one float array per name."""
     try:
         with open(path) as fh, warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a file without rows is reported below
-            names = [name.strip() for name in fh.readline().split(",")]
-            if not {"t", "re", "im"} <= set(names):
-                raise ConfigError("signal csv needs columns t, re, im")
-            cols = [names.index(name) for name in ("t", "re", "im")]
-            t, re, im = np.loadtxt(fh, delimiter=",", usecols=cols, ndmin=2).T
+            warnings.simplefilter("ignore", UserWarning)  # the caller reports a file without rows
+            header = [name.strip() for name in fh.readline().split(",")]
+            if not set(names) <= set(header):
+                raise ConfigError(f"{what} csv needs columns {', '.join(names)}")
+            cols = [header.index(name) for name in names]
+            return np.loadtxt(fh, delimiter=",", usecols=cols, ndmin=2).T
     except (OSError, ValueError) as exc:  # a missing file, a ragged row, a bad number
-        raise ConfigError(f"cannot read signal csv {path}: {exc}") from None
+        raise ConfigError(f"cannot read {what} csv {path}: {exc}") from None
+
+
+def _read_signal_csv(path: str) -> SampledSignal:
+    t, re, im = _read_csv_columns(path, "signal", ("t", "re", "im"))
     if t.size < 2:
         raise ConfigError("signal csv needs at least 2 rows")
     dts = np.diff(t)
@@ -361,14 +361,8 @@ def _run_spectrum(cfg: ExperimentConfig) -> int:
     T = sig.max_symmetric_window() if window == "max" else float(window)
     est = scan_spectrum(sig, omegas, T)
     d = _out_dir(cfg)
-    _write_csv(
-        d / "spectrum.csv",
-        ["omega", "re_q", "im_q", "abs_q", "window_T"],
-        [
-            (ent.omega, ent.q_hat.real, ent.q_hat.imag, abs(ent.q_hat), ent.window_T)
-            for ent in est.entries
-        ],
-    )
+    rows = [(ent.omega, ent.q_hat.real, ent.q_hat.imag, abs(ent.q_hat), ent.window_T) for ent in est.entries]
+    _write_csv(d / "spectrum.csv", ["omega", "re_q", "im_q", "abs_q", "window_T"], zip(*rows))
     _write_json(d / "spectrum.json", {"residual_rms": est.residual_rms, "window_T": T})
     _emit_manifest(cfg, d, ["spectrum.csv", "spectrum.json"])
     return 0
@@ -379,6 +373,13 @@ def _mass_from_params(p: dict, fallback_m: float | None = None) -> MassParameter
     if m is None:
         raise ConfigError("need --mass (plus optional --hbar, --c)")
     return MassParameters(float(m), float(p.get("hbar", 1.0)), float(p.get("c", 1.0)))
+
+
+def _scan(p: dict):
+    """The rest-energy correction scan that verify beta4 and limit-scan both run."""
+    mass = _mass_from_params(p)
+    betas = _parse_floats(p["betas"]) if p.get("betas") else [0.01, 0.02, 0.04, 0.08]
+    return neglected_term_scan(mass, betas)
 
 
 def _run_verify(cfg: ExperimentConfig) -> int:
@@ -393,9 +394,7 @@ def _run_verify(cfg: ExperimentConfig) -> int:
     seed = cfg.seed
 
     if check == "beta4":
-        mass = _mass_from_params(p)
-        betas = _parse_floats(p["betas"]) if p.get("betas") else [0.01, 0.02, 0.04, 0.08]
-        scan = neglected_term_scan(mass, betas)
+        scan = _scan(p)
         lo, hi = _TOLERANCES["beta4_slope_band"]
         ok = lo <= scan.fitted_slope <= hi
         report = {"check": check, "passed": bool(ok), "scan": scan.to_dict()}
@@ -424,8 +423,9 @@ def _run_verify(cfg: ExperimentConfig) -> int:
             "slope_band": [lo, hi],
         }
         _write_json(d / "report.json", report)
-        rows = [(name, "" if s is None else s) for name, s in sorted(slopes.items())]
-        _write_csv(d / "derivative_slopes.csv", ["entry", "slope"], rows)
+        names = sorted(slopes)
+        cells = ["" if slopes[n] is None else repr(slopes[n]) for n in names]
+        _write_csv(d / "derivative_slopes.csv", ["entry", "slope"], [names, cells])
         _emit_manifest(cfg, d, ["report.json", "derivative_slopes.csv"])
         if bad:
             raise VerificationFailure(f"derivative slopes out of band: {bad}")
@@ -464,11 +464,7 @@ def _run_verify(cfg: ExperimentConfig) -> int:
 def _write_snapshot(d: Path, state: GridState, index: int) -> list[str]:
     if state.grid.dim == 1:
         name = f"snap_{index:06d}.csv"
-        _write_csv(
-            d / name,
-            ["z", "re", "im"],
-            zip(state.grid.axis(0), state.field.real, state.field.imag),
-        )
+        _write_csv(d / name, ["z", "re", "im"], [state.grid.axis(0), state.field.real, state.field.imag])
         return [name]
     base = f"snap_{index:06d}"
     data = np.empty(state.field.shape + (2,), dtype="<f8")
@@ -508,22 +504,16 @@ def _run_evolve(cfg: ExperimentConfig) -> int:
     second_order = equation in ("kgf", "wave")
     spec = None
     if p.get("init"):
-        try:
-            raw = np.genfromtxt(p["init"], delimiter=",", names=True)
-        except OSError:
-            raise ConfigError(f"cannot read init csv {p['init']}") from None
-        names = raw.dtype.names or ()
-        if grid.dim != 1 or "z" not in names:
+        if grid.dim != 1:
             raise ConfigError("--init supports 1-d csv snapshots with a z column")
-        if raw["z"].size != grid.points[0]:
+        names = ("z", "re", "im") + (("pi_re", "pi_im") if second_order else ())
+        cols = _read_csv_columns(p["init"], "init", names)
+        if cols[0].size != grid.points[0]:
             raise ConfigError("init snapshot size does not match grid")
-        field = raw["re"] + 1j * raw["im"]
-        if second_order:
-            if "pi_re" not in names:
-                raise ConfigError("second-order init needs pi_re, pi_im columns")
-            pi = raw["pi_re"] + 1j * raw["pi_im"]
-        else:
-            pi = None
+        if not np.all(np.isfinite(cols)):
+            raise ConfigError(f"init csv {p['init']} holds non-finite values")
+        field = cols[1] + 1j * cols[2]
+        pi = cols[3] + 1j * cols[4] if second_order else None
     else:
         spec = _load_spec_arg(cfg)
         k = _component(spec, p)
@@ -612,7 +602,7 @@ def _run_evolve(cfg: ExperimentConfig) -> int:
 
     axes = ["z"] if grid.dim == 1 else ["x", "y", "z"]
     header = ["t", "norm", "energy"] + [f"centroid_{a}" for a in axes] + [f"width_{a}" for a in axes]
-    _write_csv(d / "observables.csv", header, obs_rows)
+    _write_csv(d / "observables.csv", header, zip(*obs_rows))
     outputs.append("observables.csv")
     outputs.extend(_write_snapshot(d, final, final.step_count))
 
@@ -626,7 +616,7 @@ def _run_evolve(cfg: ExperimentConfig) -> int:
             if np.any(np.abs(series) < 1e-12):
                 raise VerificationFailure(f"mode {m} amplitude too weak to fit")
             rows.append((k, _rotation_rate(t_arr, series), float(np.sqrt(k * k + m_s))))
-        _write_csv(d / "dispersion.csv", ["k", "omega_measured", "omega_continuum"], rows)
+        _write_csv(d / "dispersion.csv", ["k", "omega_measured", "omega_continuum"], zip(*rows))
         outputs.append("dispersion.csv")
 
     _emit_manifest(cfg, d, sorted(set(outputs)))
@@ -634,12 +624,9 @@ def _run_evolve(cfg: ExperimentConfig) -> int:
 
 
 def _run_limit_scan(cfg: ExperimentConfig) -> int:
-    p = cfg.params
-    mass = _mass_from_params(p)
-    betas = _parse_floats(p["betas"]) if p.get("betas") else [0.01, 0.02, 0.04, 0.08]
-    scan = neglected_term_scan(mass, betas)
+    scan = _scan(cfg.params)
     d = _out_dir(cfg)
-    _write_csv(d / "beta_term.csv", ["beta", "term"], scan.points)
+    _write_csv(d / "beta_term.csv", ["beta", "term"], zip(*scan.points))
     _write_json(d / "scan.json", scan.to_dict())
     _emit_manifest(cfg, d, ["beta_term.csv", "scan.json"])
     return 0

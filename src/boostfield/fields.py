@@ -10,15 +10,17 @@ the omegas are distinct, non-negative and strictly increasing.  A zero
 frequency is allowed only for a real profile: that component is the static
 mean.  The real signal is the real part of psi'.
 
-Seen from the lab frame the same field is obtained by substituting the
-boost: with xi = gamma*(z - beta*tau) and eta = gamma*(tau - beta*z) - tau,
+The lab field is the rest field read at the boosted event: with
+(xi, tau') = ``boost.apply(z, tau)`` and eta = tau' - tau,
 
-    psi(r, tau) = sum_k q_k(xi) * exp(i * omega_k * (eta + tau))
+    psi(r, tau) = sum_k [q_k(xi) * exp(i * omega_k * eta)] * exp(i * omega_k * tau),
 
-Each term factorizes into a lab carrier exp(i*omega_k*tau) and a slowly
-varying envelope q_k(xi)*exp(i*omega_k*eta); ``envelope`` returns the
-latter.  The scalar density sum_k |q_k|^2 is the same number in both
-frames because |exp(i...)| = 1 and xi equals z' exactly.
+an envelope times a lab carrier.  One evaluator takes floats or
+broadcastable arrays of lab (z, tau); the per-event methods are its 0-d
+calls, so a point rounds alike either way.  The rest frame is the same spec
+at beta = 0, ``replace(spec, boost=LorentzBoost(0.0))``: xi = z and eta = 0.
+The scalar density sum_k |q_k|^2 is frame-invariant: |exp(i...)| = 1 and
+xi equals z' exactly.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kinematics import Event, LorentzBoost, comoving_coords
+from .kinematics import Event, LorentzBoost
 from .profiles import AmplitudeProfile, _cmul, profile_from_dict
 
 
@@ -81,90 +83,45 @@ class FieldSpec:
             raise ValueError(f"omegas must be strictly increasing, got {omegas}")
         object.__setattr__(self, "components", comps)
 
-    # -- rest frame -------------------------------------------------------
+    # -- the evaluator: floats or broadcastable arrays of lab (z, tau) --------
 
-    def psi_rest(self, e: Event) -> complex:
-        """Complex field at a rest-frame event."""
+    def envelope_on_axis(self, k: int, z, tau):
+        """Envelope q_k(xi) * exp(i omega_k eta) of harmonic k; constant in x and y."""
+        comp = self.components[k]
+        xi, tp = self.boost.apply(z, tau)
+        return _cmul(comp.profile.value(xi), np.exp(1j * comp.omega * (tp - tau)))
+
+    def harmonic_on_axis(self, k: int, z, tau):
+        """Harmonic k at lab (z, tau): the envelope times the carrier exp(i omega_k tau)."""
+        return _cmul(self.envelope_on_axis(k, z, tau), np.exp(1j * self.components[k].omega * tau))
+
+    def psi_lab_on_axis(self, z, tau):
+        """Complex field at lab (z, tau): the sum of the harmonics."""
         total = 0j
-        for comp in self.components:
-            total += comp.profile.value(e.z) * np.exp(1j * comp.omega * e.tau)
-        return complex(total)
-
-    def signal_rest(self, e: Event) -> float:
-        """Real signal at a rest-frame event; the real part of psi_rest."""
-        return self.psi_rest(e).real
-
-    # -- lab frame --------------------------------------------------------
-
-    def envelope(self, k: int, e: Event) -> complex:
-        """Envelope q_k(xi) * exp(i omega_k eta) of harmonic k at a lab event."""
-        comp = self.components[k]
-        cc = comoving_coords(e, self.boost)
-        return complex(comp.profile.value(cc.xi) * np.exp(1j * comp.omega * cc.eta))
-
-    def harmonic_lab(self, k: int, e: Event) -> complex:
-        """Harmonic k at a lab event: envelope times the carrier exp(i omega_k tau)."""
-        comp = self.components[k]
-        return self.envelope(k, e) * complex(np.exp(1j * comp.omega * e.tau))
-
-    def psi_lab(self, e: Event) -> complex:
-        """Complex field at a lab event (all harmonics)."""
-        cc = comoving_coords(e, self.boost)
-        total = 0j
-        for comp in self.components:
-            total += comp.profile.value(cc.xi) * np.exp(
-                1j * comp.omega * (cc.eta + e.tau)
-            )
-        return complex(total)
-
-    def scalar_density(self, e: Event) -> float:
-        """Frame-invariant density sum_k |q_k|^2 at a lab event."""
-        cc = comoving_coords(e, self.boost)
-        return float(sum(abs(c.profile.value(cc.xi)) ** 2 for c in self.components))
-
-    # -- vectorized helpers on the z axis (x = y = 0) ----------------------
-
-    def _xi_eta(self, z: np.ndarray, tau: float):
-        b = self.boost
-        z = np.asarray(z, dtype=float)
-        xi = b.gamma * (z - b.beta * tau)
-        eta = b.gamma * (tau - b.beta * z) - tau
-        return xi, eta
-
-    def envelope_on_axis(self, k: int, z, tau) -> np.ndarray:
-        """Envelope k at lab points (z, tau); tau may be an array matching z.
-
-        Rounds as ``envelope`` does at each point.
-        """
-        comp = self.components[k]
-        xi, eta = self._xi_eta(z, tau)
-        return _cmul(comp.profile.value(xi), np.exp(1j * comp.omega * eta))
-
-    def harmonic_on_axis(self, k: int, z, tau: float) -> np.ndarray:
-        comp = self.components[k]
-        return self.envelope_on_axis(k, z, tau) * np.exp(1j * comp.omega * tau)
-
-    def harmonic_dtau_on_axis(self, k: int, z, tau: float) -> np.ndarray:
-        """Exact time derivative of harmonic k along the z axis.
-
-        d/dtau [q(xi) e^{i omega tau'}] =
-            (-gamma beta q'(xi) + i omega gamma q(xi)) e^{i omega tau'}.
-        """
-        comp = self.components[k]
-        b = self.boost
-        xi, eta = self._xi_eta(z, tau)
-        carrier = np.exp(1j * comp.omega * (eta + tau))
-        return (
-            -b.gamma * b.beta * comp.profile.dz(xi)
-            + 1j * comp.omega * b.gamma * comp.profile.value(xi)
-        ) * carrier
-
-    def psi_lab_on_axis(self, z, tau: float) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        total = np.zeros(z.shape, dtype=complex)
         for k in range(len(self.components)):
             total += self.harmonic_on_axis(k, z, tau)
         return total
+
+    def harmonic_dtau_on_axis(self, k: int, z, tau):
+        """Exact d/dtau of harmonic k: (-gamma beta q'(xi) + i omega gamma q(xi)) e^{i omega tau'}."""
+        comp = self.components[k]
+        b = self.boost
+        xi, tp = b.apply(z, tau)
+        d = -b.gamma * b.beta * comp.profile.dz(xi) + 1j * comp.omega * b.gamma * comp.profile.value(xi)
+        return _cmul(_cmul(d, np.exp(1j * comp.omega * (tp - tau))), np.exp(1j * comp.omega * tau))
+
+    def envelope(self, k: int, e: Event) -> complex:
+        """Envelope of harmonic k at a lab event."""
+        return complex(self.envelope_on_axis(k, e.z, e.tau))
+
+    def psi_lab(self, e: Event) -> complex:
+        """Complex field at a lab event (all harmonics)."""
+        return complex(self.psi_lab_on_axis(e.z, e.tau))
+
+    def scalar_density(self, e: Event) -> float:
+        """Frame-invariant density sum_k |q_k|^2 at a lab event."""
+        xi, _ = self.boost.apply(e.z, e.tau)
+        return float(sum(abs(c.profile.value(xi)) ** 2 for c in self.components))
 
     # -- serialization ------------------------------------------------------
 

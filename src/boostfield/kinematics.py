@@ -14,7 +14,8 @@ every transformation below is dimensionless:
 with ``gamma = 1 / sqrt(1 - beta**2)``.  ``beta > 0`` means the lab frame
 moves along +z relative to the rest frame; equivalently, an object at rest
 in the primed frame drifts toward +z in the lab at speed ``beta``.  The
-inverse transformation is the same map with ``-beta``.
+inverse transformation is the same map with ``-beta``.  ``LorentzBoost.apply``
+computes the map, on floats or arrays; every function here calls it.
 
 For a lab event (z, tau) the comoving coordinates are
 
@@ -60,6 +61,14 @@ class LorentzBoost:
     def inverse(self) -> "LorentzBoost":
         return LorentzBoost(-self.beta, self.c)
 
+    def apply(self, z, tau):
+        """(gamma (z - beta tau), gamma (tau - beta z)) for floats or broadcastable arrays.
+
+        Every coordinate map in the package goes through here, so an array
+        rounds exactly as each of its points does alone.
+        """
+        return self.gamma * (z - self.beta * tau), self.gamma * (tau - self.beta * z)
+
 
 @dataclass(frozen=True)
 class Event:
@@ -87,12 +96,7 @@ class ComovingCoords:
 
 def boost_event(e: Event, b: LorentzBoost) -> Event:
     """Map a lab-frame event to its rest-frame coordinates."""
-    return Event(
-        e.x,
-        e.y,
-        b.gamma * (e.z - b.beta * e.tau),
-        b.gamma * (e.tau - b.beta * e.z),
-    )
+    return Event(e.x, e.y, *b.apply(e.z, e.tau))
 
 
 def inverse_boost_event(e: Event, b: LorentzBoost) -> Event:
@@ -102,8 +106,7 @@ def inverse_boost_event(e: Event, b: LorentzBoost) -> Event:
 
 def comoving_coords(e: Event, b: LorentzBoost) -> ComovingCoords:
     """Comoving coordinates of a lab event: xi = z', eta = tau' - tau."""
-    zp = b.gamma * (e.z - b.beta * e.tau)
-    tp = b.gamma * (e.tau - b.beta * e.z)
+    zp, tp = b.apply(e.z, e.tau)
     return ComovingCoords(zp, tp - e.tau)
 
 

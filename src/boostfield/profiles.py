@@ -38,8 +38,10 @@ def _as_complex(v) -> complex:
 # an array rounds exactly as each of its points does alone, on every machine.
 
 
-def _cmul(a, b) -> np.ndarray:
-    """Complex product of arrays, rounded as a product of two scalars is."""
+def _cmul(a, b):
+    """a * b, with arrays rounded as a product of two scalars is."""
+    if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
+        return a * b
     out = np.empty(np.broadcast(a, b).shape, dtype=complex)
     re, im = out.real, out.imag  # written in place through views: fewer temporaries
     np.multiply(a.real, b.real, out=re)
@@ -93,19 +95,9 @@ class AmplitudeProfile(abc.ABC):
     def dzz(self, z):
         """d2q/dz2."""
 
-    def laplacian(self, z):
-        # profiles are constant transversely, so the rest Laplacian is dzz
-        return self.dzz(z)
-
     def curvature_ratio(self, z):
         """lap q / q in the rest frame; overridden where a closed form avoids nodes."""
         return self.dzz(z) / self.value(z)
-
-    def modulus(self, z):
-        return np.abs(self.value(z))
-
-    def phase(self, z):
-        return np.angle(self.value(z))
 
     @property
     @abc.abstractmethod
@@ -184,8 +176,7 @@ class PlaneWaveProfile(AmplitudeProfile):
         object.__setattr__(self, "wavenumber", float(self.wavenumber))
 
     def value(self, z):
-        e = np.exp(1j * self.wavenumber * np.asarray(z, dtype=float))
-        return self.amplitude * e if e.ndim == 0 else _cmul(self.amplitude, e)
+        return _cmul(self.amplitude, np.exp(1j * self.wavenumber * np.asarray(z, dtype=float)))
 
     def dz(self, z):
         return 1j * self.wavenumber * self.value(z)

@@ -195,7 +195,8 @@ def _closed_form(spec: FieldSpec, k: int, X: np.ndarray):
     comp = spec.components[k]
     b = spec.boost
     g, v, w = b.gamma, b.beta, comp.omega
-    xi, eta = spec._xi_eta(X[2], X[3])
+    xi, tp = b.apply(X[2], X[3])
+    eta = tp - X[3]
     prof = comp.profile
     q, qz, qzz = (np.asarray(f(xi), dtype=complex) for f in (prof.value, prof.dz, prof.dzz))
     ph = np.exp(1j * w * eta)
@@ -259,7 +260,7 @@ def _finish_report(equation_id: str, residuals: np.ndarray, h: float | None, met
 def _sample(spec: FieldSpec, k: int, events: list[Event], eps_q: float) -> tuple[list[Event], np.ndarray]:
     """The events, and their coordinates, where the envelope modulus is not negligible."""
     X = _coords(events)
-    xi, _ = spec._xi_eta(X[2], X[3])
+    xi, _ = spec.boost.apply(X[2], X[3])
     mods = _abs(np.asarray(spec.components[k].profile.value(xi), dtype=complex))
     qmax = float(np.max(mods)) if mods.size else 0.0
     if qmax == 0.0:
@@ -318,7 +319,7 @@ def envelope_equation_residual(
         if h is None:
             h = comp.profile.characteristic_length / 100.0
         bun = _fd_bundle(spec, k, X, h, kept)
-        prof_field = lambda Y: comp.profile.value(spec._xi_eta(Y[2], Y[3])[0])
+        prof_field = lambda Y: comp.profile.value(spec.boost.apply(Y[2], Y[3])[0])
         st = _stencils(prof_field, X, ("x", "y", "z"), h, kept)
         lap_q = st["x"][1] + st["y"][1] + st["z"][1]
     t1 = -1j * g * bun.d_tau

@@ -21,7 +21,7 @@ from boostfield import (
     sample_events,
     save_spec,
 )
-from boostfield.cli import ConfigError, ExperimentConfig, _read_signal_csv, main
+from boostfield.cli import ConfigError, ExperimentConfig, _read_signal_csv, _write_csv, main
 
 
 @pytest.fixture
@@ -288,6 +288,21 @@ def test_signal_csv_columns_are_read_by_name_as_genfromtxt_reads_them(tmp_path):
     assert sig.dt == float(np.diff(raw["t"])[0]) and sig.t0 == float(raw["t"][0])
 
 
+def test_csv_columns_are_written_as_csv_writer_writes_rows(tmp_path):
+    rng = np.random.default_rng(12)
+    nums = [rng.standard_normal(40) * 10.0 ** rng.integers(-300, 300, 40), [-0.0, 0.0, np.nan, np.inf, -np.inf] * 8]
+    names = [f"d{i}" for i in range(40)]
+    slopes = ["" if i % 3 else repr(float(v)) for i, v in enumerate(rng.standard_normal(40))]
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["a", "b", "entry", "slope"])
+        for a, b, n, s in zip(*nums, names, slopes):
+            w.writerow([repr(float(a)), repr(float(b)), n, s])
+    _write_csv(tmp_path / "got.csv", ["a", "b", "entry", "slope"], nums + [names, slopes])
+    assert (tmp_path / "got.csv").read_bytes() == ref.read_bytes()
+
+
 def test_spectrum_missing_spec_file_is_config_error(tmp_path):
     path = tmp_path / "s.csv"
     path.write_text("t,re,im\n-0.1,1.0,0.0\n0.0,1.0,0.0\n0.1,1.0,0.0\n")
@@ -505,6 +520,20 @@ def test_evolve_missing_init_is_config_error(tmp_path):
     )
     assert_config_error(proc)
     assert "missing.csv" in proc.stderr
+
+
+@pytest.mark.parametrize("row", ["1.0,0.5", "1.0,abc,0.0", "1.0,nan,0.0"])
+def test_evolve_ragged_or_non_numeric_init_is_config_error(tmp_path, row):
+    lines = ["z,re,im"] + [f"{0.5 * i!r},1.0,0.0" for i in range(16)]
+    lines[3] = row
+    (tmp_path / "init.csv").write_text("\n".join(lines) + "\n")
+    proc = run_boostfield(
+        ["evolve", "schrodinger", "--init", "init.csv", "--mass", "1", "--grid", "16", "--extent", "8",
+         "--dt", "0.1", "--steps", "2", "--out", "o"],
+        tmp_path,
+    )
+    assert_config_error(proc)
+    assert "init.csv" in proc.stderr
 
 
 def test_evolve_kgf_dispersion(const_spec, tmp_path):

@@ -1,6 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import catalog_profiles, spec_for
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from boostfield import (
@@ -18,6 +22,7 @@ from boostfield import (
     save_spec,
     spec_from_dict,
 )
+from boostfield.profiles import _cmul
 
 
 def two_harmonic_spec(beta=0.6):
@@ -31,11 +36,11 @@ def two_harmonic_spec(beta=0.6):
 
 
 def test_psi_rest_is_plain_harmonic_sum():
-    spec = two_harmonic_spec()
-    e = Event(0.0, 0.0, 0.3, 1.1)
-    manual = 0.4 + spec.components[1].profile.value(0.3) * np.exp(1.7j * 1.1)
-    assert spec.psi_rest(e) == pytest.approx(manual, rel=1e-14)
-    assert spec.signal_rest(e) == pytest.approx(manual.real, rel=1e-14)
+    # the rest frame is the same spec at beta = 0: xi = z and eta = 0
+    spec = two_harmonic_spec(0.0)
+    for e in (Event(0.0, 0.0, 0.3, 1.1), Event(0.0, 0.0, -0.8, -0.4)):
+        manual = sum(c.profile.value(e.z) * np.exp(1j * c.omega * e.tau) for c in spec.components)
+        assert spec.psi_lab(e) == manual
 
 
 def test_lab_field_equals_rest_field_at_boosted_event():
@@ -43,11 +48,12 @@ def test_lab_field_equals_rest_field_at_boosted_event():
     rng = np.random.default_rng(9)
     for name, p in catalog_profiles().items():
         spec = spec_for(p, 0.6)
+        rest = replace(spec, boost=LorentzBoost(0.0))
         for _ in range(50):
             e = Event(*rng.uniform(-1.0, 1.0, size=4))
             lab = spec.psi_lab(e)
-            rest = spec.psi_rest(boost_event(e, spec.boost))
-            assert abs(lab - rest) < 1e-12 * (1.0 + abs(lab)), name
+            at_rest = rest.psi_lab(boost_event(e, spec.boost))
+            assert abs(lab - at_rest) < 1e-12 * (1.0 + abs(lab)), name
 
 
 def test_harmonic_lab_is_envelope_times_carrier():
@@ -55,9 +61,9 @@ def test_harmonic_lab_is_envelope_times_carrier():
     e = Event(0.0, 0.0, -0.4, 0.8)
     for k, comp in enumerate(spec.components):
         expected = spec.envelope(k, e) * np.exp(1j * comp.omega * e.tau)
-        assert spec.harmonic_lab(k, e) == pytest.approx(expected, rel=1e-14)
-    total = sum(spec.harmonic_lab(k, e) for k in range(2))
-    assert spec.psi_lab(e) == pytest.approx(total, rel=1e-13)
+        assert spec.harmonic_on_axis(k, e.z, e.tau) == expected
+    total = sum(spec.harmonic_on_axis(k, e.z, e.tau) for k in range(2))
+    assert spec.psi_lab(e) == total
 
 
 def test_scalar_density_is_frame_invariant_along_drift():
@@ -89,8 +95,44 @@ def test_on_axis_helpers_match_scalar_paths():
     for i, zi in enumerate(z):
         e = Event(0.0, 0.0, float(zi), tau)
         assert env[i] == pytest.approx(spec.envelope(1, e), rel=1e-13)
-        assert har[i] == pytest.approx(spec.harmonic_lab(1, e), rel=1e-13)
+        assert har[i] == pytest.approx(spec.harmonic_on_axis(1, e.z, e.tau), rel=1e-13)
         assert psi[i] == pytest.approx(spec.psi_lab(e), rel=1e-13)
+
+
+_PROFILES = catalog_profiles()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(_PROFILES)),
+    beta=st.floats(-0.99, 0.99),
+    # |xi| <= gamma (1 + |beta|) < 15 stays inside the tabulated support [-20, 20]
+    points=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=1, max_size=8),
+)
+def test_event_calls_are_elements_of_the_array_call(kind, beta, points):
+    spec = FieldSpec(
+        (
+            HarmonicComponent(1.3, _PROFILES[kind]),
+            HarmonicComponent(2.9, GaussianProfile(0.6 - 0.3j, -0.2, 0.9)),
+        ),
+        LorentzBoost(beta),
+    )
+    z, tau = np.array(points).T
+    env = [spec.envelope_on_axis(k, z, tau) for k in range(2)]
+    har = [spec.harmonic_on_axis(k, z, tau) for k in range(2)]
+    psi = spec.psi_lab_on_axis(z, tau)
+    for i, (zi, ti) in enumerate(points):
+        e = Event(0.0, 0.0, zi, ti)
+        assert spec.psi_lab(e) == psi[i]
+        for k in range(2):
+            assert spec.envelope(k, e) == env[k][i]
+            assert spec.harmonic_on_axis(k, zi, ti) == har[k][i]
+
+
+def test_cmul_rounds_scalars_as_arrays():
+    rng = np.random.default_rng(4)
+    for a, b in (rng.normal(size=(200, 2)) + 1j * rng.normal(size=(200, 2))).tolist():
+        assert _cmul(a, b) == _cmul(np.array([a]), np.array([b]))[0]
 
 
 def test_harmonic_dtau_matches_stencil():

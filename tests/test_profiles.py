@@ -38,7 +38,6 @@ def test_vectorized_evaluation(name):
     vals = p.value(z)
     assert vals.shape == z.shape
     assert_allclose(vals, [p.value(float(zi)) for zi in z], rtol=1e-14)
-    assert_allclose(p.laplacian(z), p.dzz(z), rtol=0, atol=0)
 
 
 @pytest.mark.parametrize("name", sorted(catalog_profiles()))
@@ -100,13 +99,6 @@ def test_constant_profile():
 def test_amplitude_accepts_re_im_pair():
     p = ConstantProfile([0.3, -0.4])
     assert p.amplitude == 0.3 - 0.4j
-
-
-def test_modulus_phase():
-    p = PlaneWaveProfile(2.0, 0.9)
-    z = 0.7
-    assert p.modulus(z) == pytest.approx(2.0, rel=1e-14)
-    assert p.phase(z) == pytest.approx(0.9 * 0.7, rel=1e-12)
 
 
 def test_hermite_order_zero_is_gaussian():
