@@ -389,11 +389,15 @@ class TabulatedProfile(AmplitudeProfile):
         self._spline = CubicSpline(z, v)
         self._lo = z[0]
         self._hi = z[-1]
-        self._slack = 1e-9 * (self._hi - self._lo)
+        slack = 1e-9 * (self._hi - self._lo)
+        self._support = (float(self._lo - slack), float(self._hi + slack))
 
-    def _check_support(self, z) -> np.ndarray:
+    def _check_support(self, z):
+        lo, hi = self._support
+        if isinstance(z, float) and not (z < lo or z > hi):  # one point inside, or NaN: no arrays
+            return z
         z = np.asarray(z, dtype=float)
-        if np.any(z < self._lo - self._slack) or np.any(z > self._hi + self._slack):
+        if np.any(z < lo) or np.any(z > hi):
             raise ValueError(
                 f"evaluation outside tabulated support [{self._lo}, {self._hi}]"
             )

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -221,6 +221,8 @@ def test_solver_aborts_on_non_finite_input():
     bad[3] = np.inf
     with pytest.raises(SolverError, match="non-finite"):
         evolve_schrodinger(GridState(g, bad), cn_config(1e-3, 1))
+    with pytest.raises(SolverError, match="non-finite field values at step 0"):  # no monitor
+        evolve_kgf(GridState(g, bad, np.zeros(16, dtype=complex)), lf_config(0.01, 5, 1.0))
 
 
 # -- leapfrog --------------------------------------------------------------------
@@ -238,6 +240,10 @@ def test_wave_rejects_mass():
     st = GridState(g, np.ones(16, dtype=complex), np.zeros(16, dtype=complex))
     with pytest.raises(ValueError, match="zero mass"):
         evolve_wave(st, lf_config(0.01, 1, 2.0))
+    with pytest.raises(ValueError, match="zero mass"):  # a mass resolves to m_s = 4
+        evolve_wave(st, SolverConfig(dt=0.01, steps=1, scheme="leapfrog", mass=MassParameters(2.0, 1.0)))
+    fin = evolve_wave(st, SolverConfig(dt=0.01, steps=1, scheme="leapfrog", mass=MASS, mass_scalar=0.0))
+    assert np.array_equal(fin.field, st.field)
     with pytest.raises(ValueError, match="leapfrog"):
         evolve_wave(st, cn_config(0.01, 1))
 
@@ -515,7 +521,7 @@ def test_kgf_is_a_plain_verlet_loop_bit_for_bit(grid, m_s, courant, steps, seed)
     psi0, pi0 = random_field(rng, grid.points), random_field(rng, grid.points)
     dt = 2.0 * courant / np.sqrt(m_s - laplacian_symbol(grid).min())
     st_ = GridState(grid, psi0.copy(), pi0.copy())
-    fin = evolve_kgf(st_, lf_config(dt, steps, m_s))
+    fin = evolve_kgf(st_, lf_config(dt, steps, m_s), monitor=lambda s: None)
     assert np.array_equal(st_.field, psi0) and np.array_equal(st_.pi, pi0)  # input untouched
     psi, pi = psi0, pi0
     accel = roll_laplacian(psi, grid) - m_s * psi
@@ -525,6 +531,51 @@ def test_kgf_is_a_plain_verlet_loop_bit_for_bit(grid, m_s, courant, steps, seed)
         accel = roll_laplacian(psi, grid) - m_s * psi
         pi = pi + 0.5 * dt * accel
     assert np.array_equal(fin.field, psi) and np.array_equal(fin.pi, pi)
+
+
+def rel_l2(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    grid=st.one_of(grids_1d, grids_3d),
+    m_s=st.floats(0.0, 4.0),
+    courant=st.floats(0.05, 1.0),
+    steps=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(grid=Grid((16.0,), (128,)), m_s=1.0, courant=0.9, steps=4000, seed=7)  # a long run
+def test_unmonitored_kgf_is_the_verlet_loop_in_fourier_space(grid, m_s, courant, steps, seed):
+    # with no monitor a run is one matrix power per Fourier mode: the same scheme, rounded
+    # differently.  The reference is the monitored run, which the test above pins to the loop
+    rng = np.random.default_rng(seed)
+    psi0, pi0 = random_field(rng, grid.points), random_field(rng, grid.points)
+    dt = 2.0 * courant / np.sqrt(m_s - laplacian_symbol(grid).min())
+    st_ = GridState(grid, psi0.copy(), pi0.copy())
+    fin = evolve_kgf(st_, lf_config(dt, steps, m_s))
+    assert np.array_equal(st_.field, psi0) and np.array_equal(st_.pi, pi0)  # input untouched
+    loop = evolve_kgf(st_, lf_config(dt, steps, m_s), monitor=lambda s: None)
+    assert rel_l2(fin.field, loop.field) <= 1e-12 and rel_l2(fin.pi, loop.pi) <= 1e-12
+    assert (fin.t, fin.step_count) == (loop.t, loop.step_count)  # the same repeated sum of dt
+
+
+def test_zero_steps_return_the_input_bits():
+    g = Grid((8.0,), (16,))
+    rng = np.random.default_rng(3)
+    st_ = GridState(g, random_field(rng, g.points), random_field(rng, g.points), t=0.3, step_count=2)
+    fin = evolve_kgf(st_, lf_config(0.1, 0, 1.0))
+    assert np.array_equal(fin.field, st_.field) and np.array_equal(fin.pi, st_.pi)
+    assert (fin.t, fin.step_count) == (0.3, 2) and fin.field is not st_.field
+
+
+def test_massless_zero_mode_drifts_by_n_dt_pi():
+    g = Grid((8.0,), (16,))
+    psi0, pi0 = 0.5 - 0.25j, 1.5 + 0.75j
+    st_ = GridState(g, np.full(16, psi0), np.full(16, pi0))
+    fin = evolve_wave(st_, lf_config(0.1, 50, 0.0))
+    assert_allclose(fin.field, psi0 + 50 * 0.1 * pi0, rtol=1e-12)
+    assert_allclose(fin.pi, pi0, rtol=1e-12)
 
 
 @pytest.mark.parametrize("equation", ["kgf", "cn_free", "cn_potential", "cn_potential_3d"])

@@ -133,6 +133,19 @@ def test_tabulated_outside_support_raises():
         p.dzz(np.array([0.0, -21.0]))
 
 
+def test_tabulated_support_check_is_the_same_on_floats_and_arrays():
+    p = tabulated_profile()  # support [-20, 20], slack 4e-8
+    for z in (20.0 + 3e-8, -20.0 - 3e-8, float("nan")):
+        assert np.isnan(p.value(z)) == np.isnan(z) and p.value(np.array([z])).shape == (1,)
+    messages = set()
+    for z in (20.0 + 5e-8, -20.0 - 5e-8):
+        for arg in (z, np.array([0.0, z])):
+            with pytest.raises(ValueError, match="support") as err:
+                p.dz(arg)
+            messages.add(str(err.value))
+    assert messages == {"evaluation outside tabulated support [-20.0, 20.0]"}
+
+
 def test_tabulated_validation():
     with pytest.raises(ValueError, match="4 nodes"):
         TabulatedProfile([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
