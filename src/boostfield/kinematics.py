@@ -118,5 +118,6 @@ def compose_boosts(b1: LorentzBoost, b2: LorentzBoost) -> LorentzBoost:
 
 
 def interval(e: Event) -> float:
-    """Invariant interval tau^2 - x^2 - y^2 - z^2 of an event."""
-    return e.tau * e.tau - e.x * e.x - e.y * e.y - e.z * e.z
+    """Invariant interval tau^2 - x^2 - y^2 - z^2 of an event; (tau - z)(tau + z) keeps
+    the digits that tau^2 - z^2 loses near the light cone."""
+    return (e.tau - e.z) * (e.tau + e.z) - e.x * e.x - e.y * e.y

@@ -13,10 +13,13 @@ the first non-finite value rather than letting NaNs propagate.
   The Cayley form (1 - i dt H / 2) psi+ = (1 + i dt H / 2) psi is exactly
   unitary in the discrete L2 norm, so norm drift measures round-off, not
   physics.  A constant potential makes a step a Cayley multiplier in Fourier
-  space; one of z alone makes H one periodic z-line per transverse Fourier
-  mode, all solved by one prefactorized sparse LU; one that varies across x
-  or y takes a BiCGStab to 1e-12, preconditioned by the Cayley denominator
-  at the mean potential.
+  space.  One of z alone makes H one real symmetric z-line matrix per
+  transverse Fourier mode, shifted by that mode's transverse symbol: on a 3-d
+  grid with nz <= nx ny one eigendecomposition of the line diagonalizes them
+  all, and a step is again a Cayley multiplier, in that eigenbasis; in 1-d
+  and on longer lines one prefactorized sparse LU solves them.  One that
+  varies across x or y takes a BiCGStab to 1e-12, preconditioned by the
+  Cayley denominator at the mean potential.
 
 * Velocity-Verlet leapfrog for the second-order equation
 
@@ -130,6 +133,7 @@ class SolverConfig:
     mass: MassParameters | None = None
     mass_scalar: float | None = None
     potential: Callable | None = None
+    _potential_memo: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.dt) and self.dt > 0):
@@ -149,6 +153,14 @@ class SolverConfig:
         if self.mass is not None:
             return float((self.mass.m * self.mass.c / self.mass.hbar) ** 2)
         raise ValueError("config carries neither mass_scalar nor mass parameters")
+
+    def potential_on(self, grid: Grid) -> np.ndarray:
+        """The potential at ``grid``'s points, read-only: evaluated once per config and grid."""
+        if self._potential_memo[0] != grid:
+            u = _potential_on_grid(grid, self.potential)
+            u.flags.writeable = False
+            object.__setattr__(self, "_potential_memo", (grid, u))
+        return self._potential_memo[1]
 
 
 def laplacian_symbol(grid: Grid, folded: bool = False) -> np.ndarray:
@@ -221,16 +233,24 @@ def _periodic_lap_matrix(n: int, dx: float):
     return m / (dx * dx)
 
 
+def _ffts(axes: tuple[int, ...]) -> tuple[Callable, Callable]:
+    """FFT and inverse FFT over ``axes``, in place; the identity over no axes."""
+    if not axes:
+        return (lambda f: f), (lambda f: f)
+    return (lambda f: np.fft.fftn(f, axes=axes, out=f)), (lambda f: np.fft.ifftn(f, axes=axes, out=f))
+
+
 def evolve_schrodinger(
     initial: GridState, cfg: SolverConfig, monitor: Callable | None = None
 ) -> GridState:
     """Crank-Nicolson evolution of psi_t = i (hbar/2mc)(-lap + u) psi.
 
-    Constant u (none, a plane wave's) takes the Cayley step, u of z alone (any 1-d u,
-    a static profile's) the z-line LU, u varying in x or y (library callers only)
-    BiCGStab.  Returns a fresh evolved state; the input is left untouched.  ``monitor``
-    is called with the live working state after every step, whose arrays the
-    next step overwrites (copy them if you keep them).
+    Constant u (none, a plane wave's) takes the Cayley step in Fourier space.  u of z
+    alone (a static profile's) takes it in the z-line eigenbasis on a 3-d grid with
+    nz <= nx ny; a longer line, and any 1-d u, takes the z-line LU.  u varying in x or y
+    (library callers only) takes BiCGStab.  Returns a fresh evolved state; the input is
+    left untouched.  ``monitor`` is called with the live working state after every step,
+    whose arrays the next step overwrites (copy them if you keep them).
     """
     if cfg.scheme != "crank_nicolson":
         raise ValueError("evolve_schrodinger requires the crank_nicolson scheme")
@@ -246,43 +266,68 @@ def evolve_schrodinger(
         )
     coef = cfg.mass.hbar / (2.0 * cfg.mass.m * cfg.mass.c)
     half = 0.5j * cfg.dt
-    u = _potential_on_grid(grid, cfg.potential)
+    u = cfg.potential_on(grid)
     sym = laplacian_symbol(grid)
-    # i dt H / 2 at the mean potential in Fourier space: exact if u is constant
-    ih = half * coef * (u.mean() - sym)
     state = initial.copy()
     _check_finite(state)
 
-    # each branch advances psi's Fourier transform over ``axes`` by one step
+    # each branch maps psi to the basis it steps in (forward), advances one step there, and
+    # maps back (inverse); where H is diagonal in that basis, a step is one Cayley multiplier
+    nz, z_only = grid.points[-1], np.all(u == u[(slice(1),) * (grid.dim - 1)])  # always in 1-d
     if np.all(u == u.flat[0]):
-        axes, cayley = tuple(range(grid.dim)), (1.0 + ih) / (1.0 - ih)
-        advance = lambda psi: np.multiply(psi, cayley, out=psi)
+        ih = half * coef * (u.mean() - sym)  # i dt H / 2 in Fourier space
+        cayley, (forward, inverse) = (1.0 + ih) / (1.0 - ih), _ffts(tuple(range(grid.dim)))
+        advance = lambda c: np.multiply(c, cayley, out=c)
 
-    elif np.all(u == u[(slice(1),) * (grid.dim - 1)]):  # u varies along z only; always in 1-d
+    elif z_only and grid.dim == 3 and nz <= grid.points[0] * grid.points[1]:
+        # in each transverse Fourier mode (kx, ky) H is one real symmetric z-line matrix Hz,
+        # shifted by -coef times the transverse symbol, so Hz = V diag(lam) V^T diagonalizes
+        # them all.  With nz <= nx ny, eigh costs no more than one basis change and V holds no
+        # more numbers than one field
+        eye, dz = np.eye(nz), grid.spacing[-1]
+        lap_z = (np.roll(eye, 1, axis=1) - 2.0 * eye + np.roll(eye, -1, axis=1)) / (dz * dz)
+        lam, V = np.linalg.eigh(coef * (np.diag(u[0, 0]) - lap_z))
+        ih = half * (lam - coef * sym[..., :1])
+        cayley, (fft_xy, ifft_xy) = (1.0 + ih) / (1.0 - ih), _ffts((0, 1))
+        advance = lambda c: np.multiply(c, cayley, out=c)
+        psi, coeffs = state.field, np.empty_like(state.field)
+
+        def forward(f: np.ndarray) -> np.ndarray:
+            np.matmul(fft_xy(f).reshape(-1, nz), V, out=coeffs.reshape(-1, nz))
+            return coeffs
+
+        def inverse(c: np.ndarray) -> np.ndarray:
+            np.matmul(c.reshape(-1, nz), V.T, out=psi.reshape(-1, nz))
+            return ifft_xy(psi)
+
+    elif z_only:
         import scipy.sparse as sp
         import scipy.sparse.linalg as spla
 
-        # in the transverse Fourier modes H is one periodic z-line per (kx, ky), shifted by the
-        # transverse symbol.  SuperLU's panels and relaxed supernodes gain nothing on such sparse
-        # lines but workspace, so 3-d goes without; 1-d keeps the defaults, and so its old bits
-        axes, shape, nz = tuple(range(grid.dim - 1)), grid.points, grid.points[-1]
+        # 1-d, and 3-d lines longer than nx ny, where eigh would cost more than a basis change:
+        # the same z-lines as above, solved by one sparse LU.  SuperLU's panels and relaxed
+        # supernodes gain nothing on such sparse lines but workspace, so 3-d goes without;
+        # 1-d keeps the defaults, and so its old bits
+        axes, shape = tuple(range(grid.dim - 1)), grid.points
         hz = coef * (-_periodic_lap_matrix(nz, grid.spacing[-1]) + sp.diags(u.reshape(-1, nz)[0]))
         H = sp.kron(sp.identity(u.size // nz), hz) - sp.diags(coef * np.repeat(sym[..., 0], nz))
         eye = sp.identity(u.size, dtype=complex, format="csr")
         lu = spla.splu((eye - half * H).tocsc(), **({"panel_size": 1, "relax": 1} if axes else {}))
         B = (eye + half * H).tocsr()
-        advance = lambda psi: lu.solve(B @ psi.ravel()).reshape(shape)
+        forward, inverse = _ffts(axes)
+        advance = lambda c: lu.solve(B @ c.ravel()).reshape(shape)
 
     else:
         import scipy.sparse.linalg as spla
 
-        axes, shape, n = (), grid.points, u.size
-        lap, tmp, inverse = np.empty_like(state.field), np.empty_like(state.field), 1.0 / (1.0 - ih)
+        shape, n = grid.points, u.size
+        lap, tmp = np.empty_like(state.field), np.empty_like(state.field)
+        inverse_mean = 1.0 / (1.0 - half * coef * (u.mean() - sym))
         dv = (half * coef * (u - u.mean())).ravel()
 
         def solve_mean(v: np.ndarray) -> np.ndarray:  # (1 - i dt H / 2)^-1 at the mean potential
             w = np.fft.fftn(v.reshape(shape), out=np.empty(shape, dtype=complex))
-            return np.fft.ifftn(np.multiply(w, inverse, out=w), out=w).ravel()
+            return np.fft.ifftn(np.multiply(w, inverse_mean, out=w), out=w).ravel()
 
         # right preconditioning: (1 - i dt H / 2) solve_mean(y) = y - dv solve_mean(y), no stencil
         A = spla.LinearOperator((n, n), matvec=lambda y: y - dv * solve_mean(y), dtype=complex)
@@ -294,15 +339,14 @@ def evolve_schrodinger(
                 raise SolverError(f"implicit solve did not converge (info={info})")
             return solve_mean(y).reshape(shape)
 
-    spectral = monitor is None and cfg.steps > 0 and bool(axes)  # unobserved steps stay transformed
+        forward, inverse = _ffts(())
+
+    spectral = monitor is None and cfg.steps > 0  # unobserved steps stay in the stepping basis
     if spectral:
-        np.fft.fftn(state.field, axes=axes, out=state.field)
+        state.field = forward(state.field)
     for _ in range(cfg.steps):
-        if spectral or not axes:
-            state.field = advance(state.field)
-        else:  # a monitor sees psi after every step
-            psi = np.fft.fftn(state.field, axes=axes, out=state.field)
-            state.field = np.fft.ifftn(advance(psi), axes=axes, out=psi)
+        # a monitor sees psi after every step
+        state.field = advance(state.field) if spectral else inverse(advance(forward(state.field)))
         state.t += cfg.dt
         state.step_count += 1
         _check_finite(state)
@@ -310,7 +354,7 @@ def evolve_schrodinger(
             monitor(state)
             _check_finite(state)  # before a solve spends its iterations on NaNs
     if spectral:
-        np.fft.ifftn(state.field, axes=axes, out=state.field)
+        state.field = inverse(state.field)
     return state
 
 
@@ -431,7 +475,7 @@ def measure_observables(state: GridState, cfg: SolverConfig) -> Observables:
         if cfg.mass is None:
             raise ValueError("Schrodinger observables need mass parameters")
         coef = cfg.mass.hbar / (2.0 * cfg.mass.m * cfg.mass.c)
-        u = _potential_on_grid(grid, cfg.potential)
+        u = cfg.potential_on(grid)
         hpsi = coef * (-periodic_laplacian(state.field, grid) + u * state.field)
         energy = float(np.real(np.vdot(state.field, hpsi)) * dv)
     else:

@@ -489,6 +489,28 @@ def test_evolve_schrodinger_3d_with_the_potential_of_a_static_gaussian(tmp_path)
     assert abs(float(rows[-1][-1]) - float(rows[0][-1])) < 1e-3 * float(rows[0][-1])
 
 
+def test_3d_potential_run_leaves_scipy_unloaded(tmp_path):
+    # a potential of z alone on a 3-d grid with nz <= nx ny steps in the z-line eigenbasis,
+    # numpy alone; a 1-d one still takes the sparse LU and runs
+    spec = FieldSpec((HarmonicComponent(1.5, GaussianProfile(1.0, 4.0, 1.2)),), LorentzBoost(0.0))
+    save_spec(spec, tmp_path / "static.json")
+    code = (
+        "import sys; from boostfield.cli import main; "
+        "run = lambda grid, out: main(['evolve', 'schrodinger', '--spec', sys.argv[1], '--grid', grid, "
+        "'--extent', '8', '--dt', '0.02', '--steps', '5', '--potential-from-spec', '--out', out]); "
+        "rc = run('16,16,16', sys.argv[2]); "
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+        "print(run('64', sys.argv[3]))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(boostfield.__file__).resolve().parents[1]))
+    args = [str(tmp_path / p) for p in ("static.json", "run3", "run1")]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["0 []", "0"]
+
+
 def test_evolve_wave_from_init_csv(tmp_path):
     n, L = 64, 16.0
     z = np.arange(n) * (L / n)

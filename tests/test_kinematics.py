@@ -77,6 +77,12 @@ def test_interval_invariance():
         assert interval(ep) == pytest.approx(interval(e), abs=1e-12)
 
 
+def test_interval_near_the_light_cone():
+    # tau^2 - z^2 rounds 1e16 + 2e8 + 1 - 1e16 to 2e8; the product form keeps the 1
+    assert interval(Event(0.0, 0.0, 1e8, 1e8 + 1.0)) == 2e8 + 1.0
+    assert interval(Event(3.0, 4.0, -1e8, 1e8 + 1.0)) == 2e8 + 1.0 - 25.0
+
+
 def test_compose_reference_value():
     b = compose_boosts(LorentzBoost(0.6), LorentzBoost(0.6))
     assert b.beta == pytest.approx(COMPOSED_BETA_06_06, rel=1e-15)

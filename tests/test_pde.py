@@ -492,8 +492,8 @@ def test_one_cn_step_is_the_dense_cayley_solve(three_d, kind, dt, seed):
     ids=["points0", "points1", "points2_z_only"],
 )
 def test_cn_stiff_varying_potential_converges_and_conserves_norm(points, across):
-    # dt = 1000 dx^2: 1-d and a 3-d potential of z alone take the z-line LU; across
-    # x, the mean-potential Cayley preconditioner keeps BiCGStab short
+    # dt = 1000 dx^2: 1-d takes the z-line LU, a 3-d potential of z alone the z-line
+    # eigenbasis; across x, the mean-potential Cayley preconditioner keeps BiCGStab short
     g = Grid((20.0,) * len(points), points)
     z = g.meshes()[-1]
     dx = g.spacing[0]
@@ -650,6 +650,57 @@ def test_1d_varying_potential_is_the_sparse_lu_bit_for_bit():
         assert np.array_equal(got.field, want)
 
 
+def transverse_mode_cayley_run(grid, table, coef, dt, steps, psi):
+    """steps Crank-Nicolson steps for u = table(z): in each transverse Fourier mode, the
+    dense Cayley matrix of that mode's z-line, to the power steps (the transverse stencil
+    is diagonal in Fourier space: test_symbol_is_the_stencil_on_fourier_modes)"""
+    nz, dz = grid.points[2], grid.spacing[2]
+    eye = np.eye(nz)
+    hz = -(np.roll(eye, 1, axis=1) - 2.0 * eye + np.roll(eye, -1, axis=1)) / dz**2 + np.diag(table)
+    shift = -laplacian_symbol(grid)[..., 0].reshape(-1, 1, 1)  # -(sx + sy) per mode
+    h = coef * (hz + shift * eye)
+    cayley = np.linalg.solve(np.eye(nz) - 0.5j * dt * h, np.eye(nz) + 0.5j * dt * h)
+    lines = np.fft.fft2(psi, axes=(0, 1)).reshape(-1, nz, 1)
+    out = np.linalg.matrix_power(cayley, steps) @ lines
+    return np.fft.ifft2(out.reshape(grid.points), axes=(0, 1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    points=st.tuples(st.integers(8, 11), st.integers(8, 11), st.integers(8, 130)),
+    extents=st.tuples(*[st.floats(0.5, 20.0)] * 3),
+    steps=st.integers(1, 12),
+    stiffness=st.floats(0.0, 1.0),
+    monitored=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(points=(8, 9, 73), extents=(3.0, 5.0, 20.0), steps=5, stiffness=1.0, monitored=False, seed=1)
+@example(points=(11, 10, 24), extents=(7.0, 4.0, 9.0), steps=12, stiffness=1.0, monitored=True, seed=2)
+def test_z_only_cn_run_is_each_transverse_modes_cayley_power(
+    points, extents, steps, stiffness, monitored, seed
+):
+    # nz <= nx ny steps in the z-line eigenbasis, a longer line (nz > nx ny) takes the LU;
+    # dt runs from 1e-3 to 1000 dx^2 on a log scale
+    grid = Grid(extents, points)
+    rng = np.random.default_rng(seed)
+    psi = random_field(rng, points)
+    table = rng.uniform(-2.0, 2.0, points[2])
+    pot = lambda x, y, z: np.broadcast_to(table, np.shape(z))
+    dt = 1e-3 * (1e6 * min(grid.spacing) ** 2) ** stiffness
+    st_ = GridState(grid, psi.copy(), t=0.25, step_count=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # dt above dx^2 is allowed here
+        monitor = (lambda s_: None) if monitored else None
+        fin = evolve_schrodinger(st_, cn_config(dt, steps, potential=pot), monitor=monitor)
+    assert np.array_equal(st_.field, psi) and (st_.t, st_.step_count) == (0.25, 3)  # input untouched
+    t = 0.25
+    for _ in range(steps):
+        t += dt
+    assert (fin.t, fin.step_count) == (t, 3 + steps)
+    want = transverse_mode_cayley_run(grid, table, MASS.hbar / (2.0 * MASS.m * MASS.c), dt, steps, psi)
+    assert rel_l2(fin.field, want) <= 1e-12
+
+
 def reference_observables(state, cfg):
     """measure_observables written with np.roll and out-of-place sums: the reference."""
     grid = state.grid
@@ -694,3 +745,22 @@ def test_observables_are_the_roll_formula_bit_for_bit(grid, scheme, m_s, seed):
     else:
         cfg = cn_config(0.01, 1, potential=lambda x, y, z: m_s * np.cos(z))
     assert measure_observables(st_, cfg) == reference_observables(st_, cfg)
+
+
+def test_potential_is_evaluated_once_per_config_and_grid():
+    calls = []
+
+    def pot(x, y, z):
+        calls.append(np.shape(z))
+        return np.cos(z)
+
+    g, g3 = Grid((8.0,), (32,)), Grid((8.0,) * 3, (8, 8, 16))
+    cfg = cn_config(0.01, 5, potential=pot)
+    st_ = GridState(g, np.exp(-((g.axis(0) - 4.0) ** 2)))
+    before = measure_observables(st_, cfg)
+    evolve_schrodinger(st_, cfg, monitor=lambda s_: measure_observables(s_, cfg))
+    u = cfg.potential_on(g)
+    assert calls == [(32,)] and not u.flags.writeable
+    measure_observables(GridState(g3, np.ones(g3.points)), cfg)  # another grid: evaluated anew
+    assert calls == [(32,), (8, 8, 16)] and measure_observables(st_, cfg) == before
+    assert np.array_equal(u, _potential_on_grid(g, pot))
