@@ -304,8 +304,11 @@ def evolve_schrodinger(
         import scipy.sparse as sp
         import scipy.sparse.linalg as spla
 
-        # 1-d, and 3-d lines longer than nx ny, where eigh would cost more than a basis change:
-        # the same z-lines as above, solved by one sparse LU.  SuperLU's panels and relaxed
+        # 1-d, and 3-d lines longer than nx ny: the same z-lines as above, solved by one sparse
+        # LU.  A basis change costs O(nz) per point, a sparse solve O(1), so past nz ~ nx ny the
+        # eigenbasis stops paying: timed on 2 CPUs, a monitored run's two changes per step
+        # overtake the LU at nz of 1 to 4 nx ny, an unmonitored run's eigh at 4 to 8 nx ny, and
+        # V grows as nz^2 (32 GB at 8 x 8 x 65536).  SuperLU's panels and relaxed
         # supernodes gain nothing on such sparse lines but workspace, so 3-d goes without;
         # 1-d keeps the defaults, and so its old bits
         axes, shape = tuple(range(grid.dim - 1)), grid.points
