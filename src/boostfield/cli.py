@@ -17,7 +17,7 @@ import math
 import platform
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -58,44 +58,12 @@ class VerificationFailure(Exception):
     pass
 
 
-_COMMANDS = ("boost", "field", "spectrum", "verify", "evolve", "limit-scan")
+class _ConfigParser(argparse.ArgumentParser):
+    """The flag parser with every failure one ConfigError, for a config given as JSON."""
 
-_PARAM_KEYS = {
-    "boost": {"beta", "c", "event", "inverse"},
-    "field": {"event", "component", "tau", "z_min", "z_max", "n"},
-    "spectrum": {"csv", "z", "t_max", "dt", "omegas", "omegas_from_spec", "window"},
-    "verify": {
-        "check",
-        "component",
-        "events",
-        "h",
-        "gamma_mode",
-        "mass",
-        "hbar",
-        "c",
-        "betas",
-        "tolerance",
-        "box_z",
-        "box_tau",
-    },
-    "evolve": {
-        "equation",
-        "component",
-        "init",
-        "grid",
-        "extent",
-        "dt",
-        "steps",
-        "snap_every",
-        "mass_scalar",
-        "mass",
-        "hbar",
-        "c",
-        "potential_from_spec",
-        "dispersion_modes",
-    },
-    "limit-scan": {"mass", "hbar", "c", "betas"},
-}
+    def error(self, message):
+        raise ConfigError(message)
+
 
 _TOLERANCES = {
     "envelope": 1e-10,
@@ -109,7 +77,14 @@ _TOLERANCES = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One resolved run: command, inputs, parameters, output directory, seed."""
+    """One resolved run: command, inputs, parameters, output directory, seed.
+
+    The command's subparser reads the whole config, each value given as its
+    flag's text, so a config holds to the flags' types, choices, required
+    flags and defaults.  A null value, or false for a switch, leaves the flag
+    unset.  The stored params are the parsed flags that are set, as a flag
+    run stores them.
+    """
 
     command: str
     spec: str | None
@@ -118,22 +93,36 @@ class ExperimentConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.command not in _COMMANDS:
+        ap = _build_parser(_ConfigParser)
+        commands = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction)).choices
+        if not isinstance(self.command, str) or self.command not in commands:
             raise ConfigError(f"unknown command {self.command!r}")
-        unknown = set(self.params) - _PARAM_KEYS[self.command]
+        flags = {a.dest: a for a in commands[self.command]._actions}
+        unknown = set(self.params) - (set(flags) - {"help", "spec", "out", "seed"})
         if unknown:
             raise ConfigError(
                 f"unknown parameters for {self.command}: {sorted(unknown)}"
             )
+        argv, positional = [], []
+        for dest, value in dict(self.params, spec=self.spec, out=self.out, seed=self.seed).items():
+            flag = flags[dest].option_strings[:1]
+            if value is None:
+                continue
+            if not flag:  # the check or equation, read as one even if it starts with "-"
+                positional = ["--", str(value)]
+            elif flags[dest].nargs != 0:
+                argv.append(f"{flag[0]}={value}")
+            elif isinstance(value, bool):  # a store_true switch
+                argv += flag if value else []
+            else:
+                raise ConfigError(f"{flag[0]} takes true or false, got {value!r}")
+        ns = vars(commands[self.command].parse_args(argv + positional))
+        for name in ("spec", "out", "seed"):
+            object.__setattr__(self, name, ns.pop(name))
+        object.__setattr__(self, "params", {k: v for k, v in ns.items() if v is not None and v is not False})
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "spec": self.spec,
-            "params": dict(self.params),
-            "out": self.out,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -144,7 +133,9 @@ class ExperimentConfig:
             raise ConfigError(
                 f"config keys must be exactly {sorted(required)}, got {sorted(d)}"
             )
-        return cls(d["command"], d["spec"], dict(d["params"]), d["out"], int(d["seed"]))
+        if not isinstance(d["params"], dict):
+            raise ConfigError(f"config params must be a mapping, got {d['params']!r}")
+        return cls(d["command"], d["spec"], dict(d["params"]), d["out"], d["seed"])
 
 
 def _fmt(v: float) -> str:
@@ -152,7 +143,10 @@ def _fmt(v: float) -> str:
 
 
 def _sha256(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    try:
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    except OSError as exc:  # a --spec that the command itself does not read
+        raise ConfigError(f"cannot read spec file {path}: {exc}") from None
 
 
 def _write_json(path: Path, obj) -> None:
@@ -192,7 +186,10 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     if not cfg.out:
         raise ConfigError(f"command {cfg.command!r} needs an output directory (--out)")
     p = Path(cfg.out)
-    p.mkdir(parents=True, exist_ok=True)
+    try:
+        p.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, no permission
+        raise ConfigError(f"cannot make output directory {cfg.out}: {exc}") from None
     return p
 
 
@@ -203,6 +200,8 @@ def _load_spec_arg(cfg: ExperimentConfig) -> FieldSpec:
         return load_spec(cfg.spec)
     except FileNotFoundError:
         raise ConfigError(f"spec file not found: {cfg.spec}") from None
+    except OSError as exc:  # a directory, no permission
+        raise ConfigError(f"cannot read spec file {cfg.spec}: {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"bad spec file {cfg.spec}: {exc}") from None
 
@@ -220,8 +219,8 @@ def _parse_floats(text: str, n: int | None = None) -> list[float]:
 def _component(spec: FieldSpec, p: dict) -> int:
     """The --component index, checked against the spec; the first oscillating one if absent."""
     n = len(spec.components)
-    if p.get("component") is not None:
-        k = int(p["component"])
+    if "component" in p:
+        k = p["component"]
         if not 0 <= k < n:
             raise ConfigError(f"--component {k} out of range: the spec has components 0..{n - 1}")
         return k
@@ -232,11 +231,9 @@ def _component(spec: FieldSpec, p: dict) -> int:
 
 
 def _stencil_spacing(p: dict) -> float | None:
-    if p.get("h") is None:
-        return None
-    h = float(p["h"])
-    if not (math.isfinite(h) and h > 0):
-        raise ConfigError(f"--h must be positive and finite, got {p['h']!r}")
+    h = p.get("h")
+    if h is not None and not (math.isfinite(h) and h > 0):
+        raise ConfigError(f"--h must be positive and finite, got {h!r}")
     return h
 
 
@@ -251,9 +248,7 @@ def _events_for(spec: FieldSpec, params: dict, n: int, seed: int):
 
 def _run_boost(cfg: ExperimentConfig) -> int:
     p = cfg.params
-    if "beta" not in p or "event" not in p:
-        raise ConfigError("boost needs beta and event")
-    b = LorentzBoost(float(p["beta"]), float(p.get("c", 1.0)))
+    b = LorentzBoost(p["beta"], p["c"])
     e = Event(*_parse_floats(p["event"], 4))
     out = inverse_boost_event(e, b) if p.get("inverse") else boost_event(e, b)
     line = ",".join(_fmt(v) for v in (out.x, out.y, out.z, out.tau))
@@ -265,7 +260,7 @@ def _run_boost(cfg: ExperimentConfig) -> int:
             {
                 "input": [e.x, e.y, e.z, e.tau],
                 "beta": b.beta,
-                "inverse": bool(p.get("inverse")),
+                "inverse": "inverse" in p,
                 "output": [out.x, out.y, out.z, out.tau],
             },
         )
@@ -278,7 +273,7 @@ def _run_field(cfg: ExperimentConfig) -> int:
     p = cfg.params
     if p.get("event"):
         e = Event(*_parse_floats(p["event"], 4))
-        if p.get("component") is not None:
+        if "component" in p:
             val = complex(spec.harmonic_on_axis(_component(spec, p), e.z, e.tau))
         else:
             val = spec.psi_lab(e)
@@ -298,12 +293,12 @@ def _run_field(cfg: ExperimentConfig) -> int:
     for key in ("tau", "z_min", "z_max", "n"):
         if key not in p:
             raise ConfigError("field sampling needs tau, z_min, z_max and n (or event)")
-    n = int(p["n"])
+    n = p["n"]
     if n < 2:
         raise ConfigError("need at least 2 sample points")
-    z = np.linspace(float(p["z_min"]), float(p["z_max"]), n)
-    tau = float(p["tau"])
-    ks = range(len(spec.components)) if p.get("component") is None else [_component(spec, p)]
+    z = np.linspace(p["z_min"], p["z_max"], n)
+    tau = p["tau"]
+    ks = [_component(spec, p)] if "component" in p else range(len(spec.components))
     psi = sum(spec.harmonic_on_axis(k, z, tau) for k in ks)
     phi = sum(np.abs(spec.envelope_on_axis(k, z, tau)) ** 2 for k in ks)
     d = _out_dir(cfg)
@@ -346,9 +341,7 @@ def _run_spectrum(cfg: ExperimentConfig) -> int:
         for key in ("t_max", "dt"):
             if key not in p:
                 raise ConfigError("synthesized spectrum needs t_max and dt")
-        sig = sample_rest_signal(
-            spec, float(p.get("z", 0.0)), float(p["t_max"]), float(p["dt"])
-        )
+        sig = sample_rest_signal(spec, p["z"], p["t_max"], p["dt"])
     if p.get("omegas_from_spec"):
         if spec is None:
             raise ConfigError("--omegas-from-spec needs --spec")
@@ -357,7 +350,7 @@ def _run_spectrum(cfg: ExperimentConfig) -> int:
         omegas = _parse_floats(p["omegas"])
     else:
         raise ConfigError("spectrum needs probe frequencies (--omegas or --omegas-from-spec)")
-    window = p.get("window", "max")
+    window = p["window"]
     T = sig.max_symmetric_window() if window == "max" else float(window)
     est = scan_spectrum(sig, omegas, T)
     d = _out_dir(cfg)
@@ -372,7 +365,7 @@ def _mass_from_params(p: dict, fallback_m: float | None = None) -> MassParameter
     m = p.get("mass", fallback_m)
     if m is None:
         raise ConfigError("need --mass (plus optional --hbar, --c)")
-    return MassParameters(float(m), float(p.get("hbar", 1.0)), float(p.get("c", 1.0)))
+    return MassParameters(m, p["hbar"], p["c"])
 
 
 def _scan(p: dict):
@@ -384,14 +377,10 @@ def _scan(p: dict):
 
 def _run_verify(cfg: ExperimentConfig) -> int:
     p = cfg.params
-    check = p.get("check")
-    if check not in ("envelope", "schrodinger", "klein-gordon", "scalar", "beta4", "derivatives"):
-        raise ConfigError(f"unknown verify check {check!r}")
-    if p.get("h") is not None and check != "derivatives":
+    check = p["check"]
+    if "h" in p and check != "derivatives":
         raise ConfigError(f"--h applies only to verify derivatives, not to verify {check}")
     d = _out_dir(cfg)
-    n_events = int(p.get("events", 100))
-    seed = cfg.seed
 
     if check == "beta4":
         scan = _scan(p)
@@ -408,7 +397,7 @@ def _run_verify(cfg: ExperimentConfig) -> int:
 
     spec = _load_spec_arg(cfg)
     k = _component(spec, p)
-    events = _events_for(spec, p, n_events, seed)
+    events = _events_for(spec, p, p["events"], cfg.seed)
 
     if check == "derivatives":
         h = _stencil_spacing(p)
@@ -431,25 +420,23 @@ def _run_verify(cfg: ExperimentConfig) -> int:
             raise VerificationFailure(f"derivative slopes out of band: {bad}")
         return 0
 
+    default = _TOLERANCES[check]
     if check == "envelope":
         rep = envelope_equation_residual(spec, k, events)
-        tol = float(p.get("tolerance", _TOLERANCES["envelope"]))
     elif check == "klein-gordon":
         rep = klein_gordon_residual(spec, k, events)
-        tol = float(p.get("tolerance", _TOLERANCES["klein-gordon"]))
     elif check == "scalar":
         rep = scalar_invariance_check(spec, k, events)
-        tol = float(p.get("tolerance", _TOLERANCES["scalar"]))
     else:  # schrodinger
-        gamma_mode = p.get("gamma_mode", "exact")
         mass = _mass_from_params(p, fallback_m=spec.components[k].omega)
         try:
             u = separable_potential(spec, k)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        rep = schrodinger_residual(spec, k, mass, u, events, gamma_mode=gamma_mode)
-        default = _TOLERANCES["schrodinger"] if gamma_mode == "exact" else float("inf")
-        tol = float(p.get("tolerance", default))
+        rep = schrodinger_residual(spec, k, mass, u, events, gamma_mode=p["gamma_mode"])
+        if p["gamma_mode"] == "unity":
+            default = float("inf")
+    tol = p.get("tolerance", default)
     ok = rep.max_abs <= tol
     report = {"check": check, "passed": bool(ok), "tolerance": tol, "report": rep.to_dict()}
     _write_json(d / "report.json", report)
@@ -486,14 +473,9 @@ def _write_snapshot(d: Path, state: GridState, index: int) -> list[str]:
 
 def _run_evolve(cfg: ExperimentConfig) -> int:
     p = cfg.params
-    equation = p.get("equation")
-    if equation not in ("schrodinger", "kgf", "wave"):
-        raise ConfigError(f"unknown equation {equation!r}")
-    for key in ("grid", "extent", "dt", "steps"):
-        if key not in p:
-            raise ConfigError("evolve needs grid, extent, dt and steps")
-    pts = tuple(int(v) for v in _parse_floats(str(p["grid"])))
-    ext = tuple(_parse_floats(str(p["extent"])))
+    equation = p["equation"]
+    pts = tuple(int(v) for v in _parse_floats(p["grid"]))
+    ext = tuple(_parse_floats(p["extent"]))
     if len(ext) == 1 and len(pts) > 1:
         ext = ext * len(pts)
     try:
@@ -531,8 +513,6 @@ def _run_evolve(cfg: ExperimentConfig) -> int:
             shape = grid.points
             field = np.broadcast_to(line, shape).copy()
             pi = np.broadcast_to(dline, shape).copy() if dline is not None else None
-        if not second_order:
-            pi = None
 
     state = GridState(grid, field, pi)
 
@@ -551,15 +531,15 @@ def _run_evolve(cfg: ExperimentConfig) -> int:
         scheme = "leapfrog"
         if equation == "wave":
             mass_scalar = 0.0
-        elif p.get("mass_scalar") is not None:
-            mass_scalar = float(p["mass_scalar"])
+        elif "mass_scalar" in p:
+            mass_scalar = p["mass_scalar"]
         else:
             # intrinsic default: the carrier frequency is m c / hbar
             fallback = spec.components[k].omega if spec is not None else None
             mass = _mass_from_params(p, fallback_m=fallback)
     sc = SolverConfig(
-        dt=float(p["dt"]),
-        steps=int(p["steps"]),
+        dt=p["dt"],
+        steps=p["steps"],
         scheme=scheme,
         mass=mass,
         mass_scalar=mass_scalar,
@@ -567,10 +547,10 @@ def _run_evolve(cfg: ExperimentConfig) -> int:
     )
 
     d = _out_dir(cfg)
-    snap_every = int(p.get("snap_every", 0))
+    snap_every = p["snap_every"]
     outputs: list[str] = []
     obs_rows = []
-    modes = [int(v) for v in _parse_floats(str(p["dispersion_modes"]))] if p.get("dispersion_modes") else []
+    modes = [int(v) for v in _parse_floats(p["dispersion_modes"])] if p.get("dispersion_modes") else []
     mode_series: dict[int, list[complex]] = {m: [] for m in modes}
     times: list[float] = []
 
@@ -652,10 +632,7 @@ def run(cfg: ExperimentConfig) -> int:
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 1
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
@@ -663,8 +640,9 @@ def run(cfg: ExperimentConfig) -> int:
 # -- argument parsing --------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+def _build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """The flag parser; its subparsers are of ``parser_class`` too."""
+    ap = parser_class(
         prog="boostfield",
         description="Boosted almost-periodic fields: evaluate, extract, verify, evolve.",
     )
@@ -748,20 +726,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(ns: argparse.Namespace) -> ExperimentConfig:
-    command = ns.command
-    skip = {"command", "config", "spec", "out", "seed"}
-    params = {
-        k: v
-        for k, v in vars(ns).items()
-        if k not in skip and v is not None and v is not False
-    }
-    return ExperimentConfig(
-        command=command,
-        spec=getattr(ns, "spec", None),
-        params=params,
-        out=getattr(ns, "out", None),
-        seed=getattr(ns, "seed", 0),
-    )
+    params = {k: v for k, v in vars(ns).items() if k not in ("command", "config", "spec", "out", "seed")}
+    return ExperimentConfig(ns.command, ns.spec, params, ns.out, ns.seed)
 
 
 def main(argv=None) -> int:
@@ -770,9 +736,10 @@ def main(argv=None) -> int:
     try:
         if ns.config:
             try:
-                cfg = ExperimentConfig.from_dict(json.loads(Path(ns.config).read_text()))
-            except (OSError, json.JSONDecodeError) as exc:
+                record = json.loads(Path(ns.config).read_text())
+            except (OSError, ValueError) as exc:  # unreadable, not UTF-8, not JSON
                 raise ConfigError(f"cannot load config {ns.config}: {exc}") from None
+            cfg = ExperimentConfig.from_dict(record)
         else:
             if ns.command is None:
                 ap.print_usage(sys.stderr)

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .kinematics import Event, LorentzBoost
-from .profiles import AmplitudeProfile, _cmul, profile_from_dict
+from .profiles import AmplitudeProfile, _cmul, _real, profile_from_dict
 
 
 @dataclass(frozen=True)
@@ -135,31 +135,28 @@ class FieldSpec:
         }
 
 
+def _record(v, name: str, keys: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
+    """v as a mapping with every one of ``keys`` and nothing beyond them and ``optional``."""
+    if not isinstance(v, dict):
+        raise ValueError(f"{name} record must be a mapping, got {v!r}")
+    unknown = set(v) - set(keys) - set(optional)
+    if unknown:
+        raise ValueError(f"unknown {name} keys {sorted(unknown)}")
+    if not set(keys) <= set(v):
+        raise ValueError(f"{name} record needs " + " and ".join(map(repr, keys)))
+    return v
+
+
 def spec_from_dict(d: dict) -> FieldSpec:
-    if not isinstance(d, dict):
-        raise ValueError("field spec must be a mapping")
-    unknown = set(d) - {"boost", "components"}
-    if unknown:
-        raise ValueError(f"unknown field-spec keys {sorted(unknown)}")
-    if "boost" not in d or "components" not in d:
-        raise ValueError("field spec needs 'boost' and 'components'")
-    braw = d["boost"]
-    unknown = set(braw) - {"beta", "c"}
-    if unknown:
-        raise ValueError(f"unknown boost keys {sorted(unknown)}")
-    if "beta" not in braw:
-        raise ValueError("boost record needs 'beta'")
-    boost = LorentzBoost(float(braw["beta"]), float(braw.get("c", 1.0)))
+    d = _record(d, "field-spec", ("boost", "components"))
+    braw = _record(d["boost"], "boost", ("beta",), optional=("c",))
+    boost = LorentzBoost(_real("beta", braw["beta"]), _real("c", braw.get("c", 1.0)))
+    if not isinstance(d["components"], list):
+        raise ValueError(f"components must be a list, got {d['components']!r}")
     comps = []
     for rec in d["components"]:
-        unknown = set(rec) - {"omega", "profile"}
-        if unknown:
-            raise ValueError(f"unknown component keys {sorted(unknown)}")
-        if "omega" not in rec or "profile" not in rec:
-            raise ValueError("component record needs 'omega' and 'profile'")
-        comps.append(
-            HarmonicComponent(float(rec["omega"]), profile_from_dict(rec["profile"]))
-        )
+        rec = _record(rec, "component", ("omega", "profile"))
+        comps.append(HarmonicComponent(_real("omega", rec["omega"]), profile_from_dict(rec["profile"])))
     return FieldSpec(tuple(comps), boost)
 
 

@@ -8,28 +8,54 @@ contract, not a convenience.  The tabulated profile interpolates with a cubic
 spline and differentiates the spline itself, which keeps values and
 derivatives mutually consistent even though they are not closed forms.
 
-Profiles serialize to plain dicts (JSON-friendly).  Complex numbers are
-stored as [re, im] pairs; a bare number is accepted on input.
+Profiles serialize to plain dicts (JSON-friendly).  A catalog profile's
+record is its dataclass fields plus its kind: complex numbers are stored as
+[re, im] pairs (a bare number is accepted on input), float fields as finite
+real numbers and int fields as integers.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
 from numpy.polynomial import hermite
 
 
+def _real(name: str, v) -> float:
+    """v as a float, for a real number that is not a bool."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {v!r}")
+    return float(v)
+
+
 def _as_complex(v) -> complex:
     if isinstance(v, (list, tuple)):
         if len(v) != 2:
             raise ValueError(f"complex value needs [re, im], got {v!r}")
-        return complex(float(v[0]), float(v[1]))
-    if isinstance(v, (int, float, complex, np.number)):
+        return complex(_real("re", v[0]), _real("im", v[1]))
+    if isinstance(v, (int, float, complex, np.number)) and not isinstance(v, bool):
         return complex(v)
     raise ValueError(f"cannot parse complex value from {v!r}")
+
+
+def _read_field(type_name: str, name: str, v):
+    """A record value as its field's annotated type: a finite complex or float, or an int.
+
+    An integral float reads as int() reads it; 2.7 and bools are not integers.
+    """
+    if type_name == "int":
+        if isinstance(v, (float, np.floating)) and float(v).is_integer():
+            v = int(v)
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
+        return int(v)
+    x = _as_complex(v) if type_name == "complex" else _real(name, v)
+    if not np.isfinite(x):
+        raise ValueError(f"{name} must be finite")
+    return x
 
 
 # numpy's vectorized complex loops may fuse multiply-adds, and it divides a
@@ -79,9 +105,18 @@ def _require_keys(d: dict, required: set[str], kind: str) -> None:
 
 
 class AmplitudeProfile(abc.ABC):
-    """Complex envelope q(z) of one harmonic, with closed-form derivatives."""
+    """Complex envelope q(z) of one harmonic, with closed-form derivatives.
+
+    A catalog profile is a frozen dataclass: its fields are read, checked and
+    serialized here, by their annotated type, so a subclass states only its
+    math and its range checks.
+    """
 
     kind: ClassVar[str]
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            object.__setattr__(self, f.name, _read_field(f.type, f.name, getattr(self, f.name)))
 
     @abc.abstractmethod
     def value(self, z):
@@ -104,12 +139,22 @@ class AmplitudeProfile(abc.ABC):
     def characteristic_length(self) -> float:
         """Scale used to size finite-difference stencils against."""
 
-    @abc.abstractmethod
     def is_real(self) -> bool:
         """True when q(z) is real for every z."""
+        return self.amplitude.imag == 0.0
 
-    @abc.abstractmethod
-    def to_dict(self) -> dict: ...
+    def to_dict(self) -> dict:
+        rec = {"kind": self.kind}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            rec[f.name] = _dump_complex(v) if isinstance(v, complex) else v
+        return rec
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "AmplitudeProfile":
+        names = [f.name for f in fields(cls)]
+        _require_keys(d, {"kind", *names}, cls.kind)
+        return cls(**{name: d[name] for name in names})
 
 
 @dataclass(frozen=True)
@@ -118,12 +163,6 @@ class ConstantProfile(AmplitudeProfile):
 
     amplitude: complex
     kind: ClassVar[str] = "constant"
-
-    def __post_init__(self) -> None:
-        a = _as_complex(self.amplitude)
-        if not (np.isfinite(a.real) and np.isfinite(a.imag)):
-            raise ValueError("amplitude must be finite")
-        object.__setattr__(self, "amplitude", a)
 
     def value(self, z):
         z = np.asarray(z, dtype=float)
@@ -146,17 +185,6 @@ class ConstantProfile(AmplitudeProfile):
     def characteristic_length(self) -> float:
         return 1.0
 
-    def is_real(self) -> bool:
-        return self.amplitude.imag == 0.0
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "amplitude": _dump_complex(self.amplitude)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ConstantProfile":
-        _require_keys(d, {"kind", "amplitude"}, cls.kind)
-        return cls(_as_complex(d["amplitude"]))
-
 
 @dataclass(frozen=True)
 class PlaneWaveProfile(AmplitudeProfile):
@@ -165,15 +193,6 @@ class PlaneWaveProfile(AmplitudeProfile):
     amplitude: complex
     wavenumber: float
     kind: ClassVar[str] = "plane_wave"
-
-    def __post_init__(self) -> None:
-        a = _as_complex(self.amplitude)
-        if not (np.isfinite(a.real) and np.isfinite(a.imag)):
-            raise ValueError("amplitude must be finite")
-        if not np.isfinite(self.wavenumber):
-            raise ValueError("wavenumber must be finite")
-        object.__setattr__(self, "amplitude", a)
-        object.__setattr__(self, "wavenumber", float(self.wavenumber))
 
     def value(self, z):
         return _cmul(self.amplitude, np.exp(1j * self.wavenumber * np.asarray(z, dtype=float)))
@@ -197,18 +216,6 @@ class PlaneWaveProfile(AmplitudeProfile):
     def is_real(self) -> bool:
         return self.wavenumber == 0.0 and self.amplitude.imag == 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "amplitude": _dump_complex(self.amplitude),
-            "wavenumber": self.wavenumber,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PlaneWaveProfile":
-        _require_keys(d, {"kind", "amplitude", "wavenumber"}, cls.kind)
-        return cls(_as_complex(d["amplitude"]), float(d["wavenumber"]))
-
 
 @dataclass(frozen=True)
 class GaussianProfile(AmplitudeProfile):
@@ -220,16 +227,9 @@ class GaussianProfile(AmplitudeProfile):
     kind: ClassVar[str] = "gaussian"
 
     def __post_init__(self) -> None:
-        a = _as_complex(self.amplitude)
-        if not (np.isfinite(a.real) and np.isfinite(a.imag)):
-            raise ValueError("amplitude must be finite")
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
+        super().__post_init__()
+        if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma!r}")
-        if not np.isfinite(self.center):
-            raise ValueError("center must be finite")
-        object.__setattr__(self, "amplitude", a)
-        object.__setattr__(self, "center", float(self.center))
-        object.__setattr__(self, "sigma", float(self.sigma))
 
     def value(self, z):
         u = (np.asarray(z, dtype=float) - self.center) / self.sigma
@@ -252,22 +252,6 @@ class GaussianProfile(AmplitudeProfile):
     def characteristic_length(self) -> float:
         return self.sigma
 
-    def is_real(self) -> bool:
-        return self.amplitude.imag == 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "amplitude": _dump_complex(self.amplitude),
-            "center": self.center,
-            "sigma": self.sigma,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GaussianProfile":
-        _require_keys(d, {"kind", "amplitude", "center", "sigma"}, cls.kind)
-        return cls(_as_complex(d["amplitude"]), float(d["center"]), float(d["sigma"]))
-
 
 @dataclass(frozen=True)
 class GaussHermiteProfile(AmplitudeProfile):
@@ -285,19 +269,11 @@ class GaussHermiteProfile(AmplitudeProfile):
     kind: ClassVar[str] = "gauss_hermite"
 
     def __post_init__(self) -> None:
-        a = _as_complex(self.amplitude)
-        if not (np.isfinite(a.real) and np.isfinite(a.imag)):
-            raise ValueError("amplitude must be finite")
-        if not (isinstance(self.order, (int, np.integer)) and self.order >= 0):
+        super().__post_init__()
+        if self.order < 0:
             raise ValueError(f"order must be a non-negative integer, got {self.order!r}")
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
+        if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma!r}")
-        if not np.isfinite(self.center):
-            raise ValueError("center must be finite")
-        object.__setattr__(self, "amplitude", a)
-        object.__setattr__(self, "order", int(self.order))
-        object.__setattr__(self, "center", float(self.center))
-        object.__setattr__(self, "sigma", float(self.sigma))
 
     def _u(self, z):
         return (np.asarray(z, dtype=float) - self.center) / self.sigma
@@ -336,28 +312,6 @@ class GaussHermiteProfile(AmplitudeProfile):
     def characteristic_length(self) -> float:
         return self.sigma
 
-    def is_real(self) -> bool:
-        return self.amplitude.imag == 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "amplitude": _dump_complex(self.amplitude),
-            "order": self.order,
-            "center": self.center,
-            "sigma": self.sigma,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GaussHermiteProfile":
-        _require_keys(d, {"kind", "amplitude", "order", "center", "sigma"}, cls.kind)
-        return cls(
-            _as_complex(d["amplitude"]),
-            int(d["order"]),
-            float(d["center"]),
-            float(d["sigma"]),
-        )
-
 
 class TabulatedProfile(AmplitudeProfile):
     """Profile given by samples on a grid, evaluated via a cubic spline.
@@ -386,7 +340,13 @@ class TabulatedProfile(AmplitudeProfile):
         self.values_at_nodes = v
         from scipy.interpolate import CubicSpline  # scipy only loads for tabulated profiles
 
-        self._spline = CubicSpline(z, v)
+        with np.errstate(all="ignore"):  # a spline that cannot be represented raises below
+            try:
+                self._spline = CubicSpline(z, v)
+            except (ValueError, np.linalg.LinAlgError):  # nodes too close for its divided differences
+                self._spline = None
+        if self._spline is None or not np.all(np.isfinite(self._spline.c)):
+            raise ValueError("nodes too close together for a finite cubic spline")
         self._lo = z[0]
         self._hi = z[-1]
         slack = 1e-9 * (self._hi - self._lo)
@@ -435,7 +395,9 @@ class TabulatedProfile(AmplitudeProfile):
     @classmethod
     def from_dict(cls, d: dict) -> "TabulatedProfile":
         _require_keys(d, {"kind", "z", "values"}, cls.kind)
-        return cls(d["z"], [_as_complex(v) for v in d["values"]])
+        if not (isinstance(d["z"], list) and isinstance(d["values"], list)):
+            raise ValueError("tabulated profile needs lists 'z' and 'values'")
+        return cls([_real("z", v) for v in d["z"]], [_as_complex(v) for v in d["values"]])
 
     def __eq__(self, other) -> bool:
         return (
@@ -464,10 +426,7 @@ def profile_from_dict(d: dict) -> AmplitudeProfile:
     if not isinstance(d, dict) or "kind" not in d:
         raise ValueError(f"profile record needs a 'kind' field, got {d!r}")
     kind = d["kind"]
-    try:
-        cls = _PROFILE_KINDS[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown profile kind {kind!r}, expected one of {sorted(_PROFILE_KINDS)}"
-        ) from None
+    cls = _PROFILE_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown profile kind {kind!r}, expected one of {sorted(_PROFILE_KINDS)}")
     return cls.from_dict(d)

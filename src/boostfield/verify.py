@@ -218,8 +218,10 @@ def _closed_form(spec: FieldSpec, k: int, X: np.ndarray):
 
 def _fd_bundle(spec: FieldSpec, k: int, X: np.ndarray, h: float, events) -> DerivativeBundle:
     """Stencil derivative bundle of envelope k over a (4, n) batch of events."""
-    st = _stencils(lambda Y: spec.envelope_on_axis(k, Y[2], Y[3]), X, ("tau", "x", "y", "z"), h, events)
-    return DerivativeBundle(*(d[0] for d in st.values()), *(d[1] for d in st.values()))
+    # the envelope reads only z and tau: its x and y entries are zeros, as in _closed_form
+    st = _stencils(lambda Y: spec.envelope_on_axis(k, Y[2], Y[3]), X, ("tau", "z"), h, events)
+    zero = np.zeros_like(st["z"][0])
+    return DerivativeBundle(st["tau"][0], zero, zero, st["z"][0], st["tau"][1], zero, zero, st["z"][1])
 
 
 def analytic_envelope_derivatives(spec: FieldSpec, k: int, e: Event) -> DerivativeBundle:
@@ -320,8 +322,7 @@ def envelope_equation_residual(
             h = comp.profile.characteristic_length / 100.0
         bun = _fd_bundle(spec, k, X, h, kept)
         prof_field = lambda Y: comp.profile.value(spec.boost.apply(Y[2], Y[3])[0])
-        st = _stencils(prof_field, X, ("x", "y", "z"), h, kept)
-        lap_q = st["x"][1] + st["y"][1] + st["z"][1]
+        lap_q = _stencils(prof_field, X, ("z",), h, kept)["z"][1]  # transverse parts vanish
     t1 = -1j * g * bun.d_tau
     t2 = _cdiv(bun.laplacian(), 2.0 * w)
     t3 = _cdiv(-_cmul(lap_q, ph), 2.0 * w)

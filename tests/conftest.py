@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from boostfield import (
     ConstantProfile,
@@ -54,6 +56,44 @@ def analytic_profiles() -> dict:
 
 def spec_for(profile, beta: float, omega: float = 2.0) -> FieldSpec:
     return FieldSpec((HarmonicComponent(omega, profile),), LorentzBoost(beta))
+
+
+# any value a JSON record can hold: ±inf and nan (1e400 reads as inf), a few
+# texts a flag reads, lists of numbers or of [re, im] pairs, small mappings
+_JSON_NUMBERS = st.one_of(st.integers(-(10**6), 10**6), st.floats(), st.sampled_from([0, 1, 2.0, 2.7, -1.5]))
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    _JSON_NUMBERS,
+    st.text(max_size=10),
+    st.sampled_from(["0,0,1,0", "-1,0,0,0", "0.5", "1", "0.01,0.02,0.04,0.08", "1,2", "envelope", "max"]),
+    st.lists(st.one_of(_JSON_NUMBERS, st.lists(_JSON_NUMBERS, max_size=3), st.text(max_size=2)), max_size=6),
+    st.dictionaries(st.text(max_size=3), _JSON_NUMBERS, max_size=2),
+)
+
+_REALS = st.floats(-1e3, 1e3)
+_AMPLITUDES = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+_SIGMAS = st.floats(1e-3, 1e3)
+
+
+@st.composite
+def _tabulated(draw):
+    z = sorted(draw(st.lists(_REALS, min_size=4, max_size=10, unique=True)))
+    values = draw(st.lists(_AMPLITUDES, min_size=len(z), max_size=len(z)))
+    try:
+        return TabulatedProfile(z, values)
+    except ValueError:  # nodes too close together for a finite spline
+        assume(False)
+
+
+# a profile of every kind over its valid parameters
+PROFILES = st.one_of(
+    st.builds(ConstantProfile, _AMPLITUDES),
+    st.builds(PlaneWaveProfile, _AMPLITUDES, _REALS),
+    st.builds(GaussianProfile, _AMPLITUDES, _REALS, _SIGMAS),
+    st.builds(GaussHermiteProfile, _AMPLITUDES, st.integers(0, 60), _REALS, _SIGMAS),
+    _tabulated(),
+)
 
 
 # -- acceptance reporting ------------------------------------------------------

@@ -1,12 +1,19 @@
+import argparse
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import JSON_VALUES
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import boostfield
 from boostfield import (
@@ -21,7 +28,15 @@ from boostfield import (
     sample_events,
     save_spec,
 )
-from boostfield.cli import ConfigError, ExperimentConfig, _read_signal_csv, _write_csv, main
+from boostfield.cli import (
+    ConfigError,
+    ExperimentConfig,
+    _build_parser,
+    _config_from_args,
+    _read_signal_csv,
+    _write_csv,
+    main,
+)
 
 
 @pytest.fixture
@@ -76,6 +91,15 @@ def assert_config_error(proc):
     assert len(proc.stderr.splitlines()) == 1
 
 
+def main_config_error(args, capsys) -> str:
+    """Run main in-process; assert exit 2 with one config error line, and return that line."""
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert len(err.splitlines()) == 1
+    return err
+
+
 # -- config object -----------------------------------------------------------
 
 
@@ -99,6 +123,143 @@ def test_config_from_dict_requires_exact_keys():
         ExperimentConfig.from_dict({"command": "boost"})
     with pytest.raises(ConfigError, match="mapping"):
         ExperimentConfig.from_dict([1, 2])
+
+
+def test_config_params_are_read_by_the_flag_parser():
+    cfg = ExperimentConfig("verify", "s.json", {"check": "envelope", "events": "40", "box_z": -2}, "out", "7")
+    assert cfg.seed == 7
+    # the flags' types and defaults, as a flag run stores them
+    assert cfg.params == {"check": "envelope", "events": 40, "gamma_mode": "exact", "hbar": 1.0, "c": 1.0, "box_z": "-2"}
+    assert "inverse" not in ExperimentConfig("boost", None, {"beta": 0.5, "event": "0,0,1,0", "inverse": False}, None, 0).params
+
+
+def test_flag_run_config_replays_as_it_is():
+    argv = ["verify", "schrodinger", "--spec", "s.json", "--mass", "2", "--gamma-mode", "unity", "--out", "o", "--seed", "4"]
+    cfg = _config_from_args(_build_parser().parse_args(argv))
+    assert cfg.params["mass"] == 2.0 and cfg.params["gamma_mode"] == "unity" and cfg.seed == 4
+    assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+@pytest.mark.parametrize("value", [1, "true", [True]])
+def test_config_switch_must_be_boolean(value):
+    with pytest.raises(ConfigError, match="--inverse takes true or false"):
+        ExperimentConfig("boost", None, {"beta": 0.5, "event": "0,0,1,0", "inverse": value}, None, 0)
+
+
+def test_config_positional_is_never_read_as_a_flag():
+    with pytest.raises(ConfigError, match="invalid choice: '-h'"):
+        ExperimentConfig("verify", None, {"check": "-h"}, "o", 0)
+
+
+@pytest.mark.parametrize(
+    "command,params,seed,message",
+    [
+        ("boost", {"beta": None, "event": "0,0,1,0"}, "0", "required: --beta"),
+        ("limit-scan", {"mass": [1]}, "0", "--mass: invalid float value"),
+        ("boost", {"beta": 0.5, "event": 5}, "0", "expected 4 comma-separated values"),
+        ("boost", {"beta": 0.5, "event": "0,0,1,0"}, "1e400", "--seed: invalid int value"),
+        ("boost", [1], "0", "params must be a mapping"),
+    ],
+)
+def test_bad_config_values_are_config_errors(command, params, seed, message, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    text = f'{{"command": "{command}", "spec": null, "params": {json.dumps(params)}, "out": "o", "seed": {seed}}}'
+    path.write_text(text)
+    assert message in main_config_error(["--config", str(path)], capsys)
+
+
+_SPEC_RECORD = {
+    "boost": {"beta": 0.3},
+    "components": [{"omega": 1.0, "profile": {"kind": "gaussian", "amplitude": 1.0, "center": 0.0, "sigma": 1.0}}],
+}
+
+
+@pytest.mark.parametrize(
+    "mangle,message",
+    [
+        (lambda d: d["components"][0]["profile"].update(center=[0, 1]), "center must be a real number"),
+        (lambda d: d["components"][0]["profile"].update(kind="gauss_hermite", order=2.7), "order must be an integer"),
+        (lambda d: d.update(components=5), "components must be a list"),
+        (lambda d: d.update(boost=0.3), "boost record must be a mapping"),
+        (lambda d: d.update(components=[5]), "component record must be a mapping"),
+        (lambda d: d["components"][0].update(omega=[1]), "omega must be a real number"),
+        (lambda d: d["boost"].update(beta=[1]), "beta must be a real number"),
+    ],
+)
+def test_bad_spec_records_are_config_errors(mangle, message, tmp_path, capsys):
+    record = json.loads(json.dumps(_SPEC_RECORD))
+    mangle(record)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(record))
+    assert message in main_config_error(["field", "--spec", str(path), "--event", "0,0,0,0"], capsys)
+
+
+def test_spec_naming_a_directory_is_config_error(tmp_path):
+    (tmp_path / "adir").mkdir()
+    assert_config_error(run_boostfield(["field", "--spec", "adir", "--event", "0,0,0,0"], tmp_path))
+
+
+def test_out_naming_a_file_is_config_error(tmp_path):
+    (tmp_path / "afile").write_text("x")
+    assert_config_error(run_boostfield(["boost", "--beta", "0.5", "--event", "0,0,1,0", "--out", "afile"], tmp_path))
+
+
+def test_config_file_not_utf8_is_config_error(tmp_path):
+    (tmp_path / "cfg.json").write_bytes(b'\xff\xfe{"command": "boost"}')
+    assert_config_error(run_boostfield(["--config", "cfg.json"], tmp_path))
+
+
+def test_unread_spec_recorded_in_the_manifest_is_config_error(tmp_path, capsys):
+    # boost does not read --spec, but its manifest records the file's digest
+    args = ["boost", "--beta", "0.5", "--event", "0,0,1,0", "--spec", str(tmp_path / "missing.json"), "--out", str(tmp_path / "o")]
+    assert "missing.json" in main_config_error(args, capsys)
+
+
+# every command's subparser dests, plus spec, out and seed, which are not params
+_SUBPARSERS = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+_DESTS = {name: sorted({a.dest for a in sp._actions} - {"help"}) for name, sp in _SUBPARSERS.items()}
+
+
+# a runnable base record for the commands the fuzz executes
+_RUNNABLE = {"boost": {"beta": 0.5, "event": "0,0,1,0"}, "limit-scan": {"mass": 1.0}}
+
+
+def _mostly(draw, likely):
+    """A draw from ``likely`` three times in four, else any JSON value."""
+    return draw(likely) if draw(st.integers(0, 3)) else draw(JSON_VALUES)
+
+
+@st.composite
+def config_records(draw):
+    command = _mostly(draw, st.sampled_from(sorted(_DESTS) + ["boost", "limit-scan", "frobnicate"]))
+    name = command if isinstance(command, str) else ""
+    redrawn = st.dictionaries(st.sampled_from(_DESTS.get(name, []) + ["zeta"]), JSON_VALUES, max_size=3)
+    params = _mostly(draw, redrawn.map(lambda r: dict(_RUNNABLE.get(name, {}), **r)))
+    # spec and out name entries of a scratch directory: none, missing, a directory, a file
+    spec, out = (draw(st.sampled_from([None, "missing.json", "adir", "afile", "new"])) for _ in range(2))
+    seed = _mostly(draw, st.integers(0, 2**32))
+    return {"command": command, "spec": spec, "params": params, "out": out, "seed": seed}
+
+
+@settings(max_examples=200, deadline=None)
+@given(config_records())
+def test_fuzzed_configs_raise_only_config_error_and_exit_0_1_or_2(record):
+    with tempfile.TemporaryDirectory() as d:
+        for key in ("spec", "out"):
+            if record[key] is not None:
+                record[key] = str(Path(d, record[key]))
+        (Path(d) / "adir").mkdir()
+        (Path(d) / "afile").write_text("x")
+        try:
+            ExperimentConfig.from_dict(record)
+        except ConfigError:
+            pass
+        if record["command"] not in ("boost", "limit-scan"):
+            return  # fuzzed evolve, field and verify runs have unbounded cost
+        path = Path(d) / "cfg.json"
+        path.write_text(json.dumps(record))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["--config", str(path)]) in (0, 1, 2)
 
 
 # -- boost and field ----------------------------------------------------------

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import catalog_profiles, spec_for
+from conftest import PROFILES, catalog_profiles, spec_for
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -204,6 +204,40 @@ def test_strict_spec_parsing(mangle, err):
     mangle(d)
     with pytest.raises(ValueError, match=err):
         spec_from_dict(d)
+
+
+@pytest.mark.parametrize(
+    "mangle,err",
+    [
+        (lambda d: d.update(components=5), "components must be a list"),
+        (lambda d: d.update(boost=0.3), "boost record must be a mapping"),
+        (lambda d: d.update(components=[5]), "component record must be a mapping"),
+        (lambda d: d["components"][0].update(omega=[1]), "omega must be a real number"),
+        (lambda d: d["boost"].update(beta=[1]), "beta must be a real number"),
+    ],
+)
+def test_spec_records_of_the_wrong_shape(mangle, err):
+    d = two_harmonic_spec().to_dict()
+    mangle(d)
+    with pytest.raises(ValueError, match=err):
+        spec_from_dict(d)
+
+
+@st.composite
+def field_specs(draw):
+    profiles = draw(st.lists(PROFILES, min_size=1, max_size=3))
+    omegas = sorted(draw(st.lists(st.floats(1e-3, 1e3), min_size=len(profiles), max_size=len(profiles), unique=True)))
+    beta = draw(st.floats(-0.999, 0.999))
+    return FieldSpec(tuple(map(HarmonicComponent, omegas, profiles)), LorentzBoost(beta))
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_specs())
+def test_spec_json_round_trips_to_the_same_bytes(spec):
+    text = dumps_spec(spec)
+    again = loads_spec(text)
+    assert again.components == spec.components and again.boost == spec.boost
+    assert dumps_spec(again) == text
 
 
 def test_mass_parameters():

@@ -1,6 +1,10 @@
+import json
+
 import numpy as np
 import pytest
-from conftest import catalog_profiles, tabulated_profile
+from conftest import JSON_VALUES, PROFILES, catalog_profiles, tabulated_profile
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from boostfield import (
@@ -47,6 +51,54 @@ def test_serialization_round_trip(name):
     assert again == p
     z = np.linspace(-1.0, 1.0, 7)
     assert_allclose(again.value(z), p.value(z), rtol=0, atol=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(PROFILES)
+def test_profile_record_round_trips(p):
+    assert profile_from_dict(p.to_dict()) == p
+    assert profile_from_dict(json.loads(json.dumps(p.to_dict()))) == p
+
+
+# each kind's record keys, from a catalog profile's record
+_RECORD_KEYS = {p.kind: sorted(set(p.to_dict()) - {"kind"}) for p in catalog_profiles().values()}
+
+
+@st.composite
+def profile_records(draw):
+    kind = draw(st.sampled_from(sorted(_RECORD_KEYS)) | JSON_VALUES)
+    keys = _RECORD_KEYS.get(kind, []) if isinstance(kind, str) else []
+    record = {key: draw(JSON_VALUES) for key in keys if draw(st.integers(0, 9))}  # a key now and then missing
+    record.update(draw(st.dictionaries(st.sampled_from(["kind", "order", "zeta"]), JSON_VALUES, max_size=1)))
+    return dict(record, kind=kind) if draw(st.integers(0, 9)) else record
+
+
+@settings(max_examples=500, deadline=None)
+@given(profile_records())
+def test_fuzzed_profile_records_raise_only_value_error(record):
+    try:
+        p = profile_from_dict(record)
+    except ValueError:
+        return
+    assert profile_from_dict(p.to_dict()) == p
+
+
+@pytest.mark.parametrize("order,read", [(2, 2), (2.0, 2), (np.int64(3), 3)])
+def test_gauss_hermite_order_reads_integral_values(order, read):
+    p = GaussHermiteProfile(1.0, order, 0.0, 1.0)
+    assert p.order == read and type(p.order) is int
+
+
+@pytest.mark.parametrize("order", [2.7, True, "2", None, float("inf")])
+def test_gauss_hermite_order_must_be_an_integer(order):
+    with pytest.raises(ValueError, match="order must be an integer"):
+        GaussHermiteProfile(1.0, order, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("center", [[0, 1], "0", None, True])
+def test_float_fields_must_be_real_numbers(center):
+    with pytest.raises(ValueError, match="center must be a real number"):
+        profile_from_dict({"kind": "gaussian", "amplitude": 1.0, "center": center, "sigma": 1.0})
 
 
 def test_curvature_ratio_matches_quotient_away_from_nodes():
@@ -155,6 +207,12 @@ def test_tabulated_validation():
         TabulatedProfile([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="finite"):
         TabulatedProfile([0.0, 1.0, 2.0, 3.0], [1.0, np.inf, 3.0, 4.0])
+
+
+@pytest.mark.parametrize("z", [[0.0, 5e-324, 1.0, 2.0], [0.0, 1e-300, 2e-300, 3e-300]])
+def test_tabulated_nodes_too_close_for_a_spline(z):
+    with pytest.raises(ValueError, match="too close"):
+        TabulatedProfile(z, [0.0, 1.0, 0.0, 1.0])
 
 
 @pytest.mark.parametrize(

@@ -40,7 +40,7 @@ from boostfield import (
     schrodinger_residual,
     separable_potential,
 )
-from boostfield.verify import _sample
+from boostfield.verify import _coords, _fd_bundle, _sample
 
 BETAS = (0.0, 0.3, 0.6, 0.9)
 
@@ -81,6 +81,33 @@ def test_analytic_bundle_agrees_with_stencils():
         assert getattr(a, name) == pytest.approx(getattr(f, name), rel=1e-6, abs=1e-7)
     assert a.d_x == 0 and a.d2_y == 0
     assert a.laplacian() == a.d2_x + a.d2_y + a.d2_z
+
+
+def _count_points(obj, method: str) -> list:
+    """Record the number of points of every call of obj.method (frozen dataclasses too)."""
+    sizes, inner = [], getattr(obj, method)
+    object.__setattr__(obj, method, lambda *a: sizes.append(np.size(a[-1])) or inner(*a))
+    return sizes
+
+
+def test_stencils_run_along_tau_and_z_only():
+    # the envelope reads only z and tau: its x and y entries are zeros, not differences
+    spec = spec_for(GaussianProfile(1.0, 0.2, 0.8), 0.6)
+    events = sample_events(7, 3)
+    sizes = _count_points(spec, "envelope_on_axis")
+    bun = _fd_bundle(spec, 0, _coords(events), 1e-3, events)
+    assert sizes == [5 * len(events)]  # the events, then one step either way along tau and z
+    for name in ("d_x", "d_y", "d2_x", "d2_y"):
+        assert np.array_equal(getattr(bun, name), np.zeros(len(events)))
+
+
+def test_fd_envelope_residual_takes_the_profile_stencil_along_z_only():
+    profile = GaussianProfile(1.0, 0.2, 0.8)
+    events = sample_events(7, 3)
+    sizes = _count_points(profile, "value")
+    envelope_equation_residual(spec_for(profile, 0.6), 0, events, eps_q=0.0, derivatives="fd")
+    n = len(events)
+    assert sizes[-2:] == [5 * n, 3 * n]  # the envelope bundle, then the profile's lap q
 
 
 # -- residual identities ------------------------------------------------------
