@@ -145,7 +145,7 @@ def _fmt(v: float) -> str:
 def _sha256(path: str) -> str:
     try:
         return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    except OSError as exc:  # a --spec that the command itself does not read
+    except OSError as exc:  # the spec file went away after the command read it
         raise ConfigError(f"cannot read spec file {path}: {exc}") from None
 
 
@@ -191,6 +191,12 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     except OSError as exc:  # a file in the way, no permission
         raise ConfigError(f"cannot make output directory {cfg.out}: {exc}") from None
     return p
+
+
+def _refuse_spec(cfg: ExperimentConfig, name: str) -> None:
+    """Refuse a --spec that the command never reads, before it writes anything."""
+    if cfg.spec is not None:
+        raise ConfigError(f"{name} reads no field spec; drop --spec {cfg.spec}")
 
 
 def _load_spec_arg(cfg: ExperimentConfig) -> FieldSpec:
@@ -247,6 +253,7 @@ def _events_for(spec: FieldSpec, params: dict, n: int, seed: int):
 
 
 def _run_boost(cfg: ExperimentConfig) -> int:
+    _refuse_spec(cfg, "boost")
     p = cfg.params
     b = LorentzBoost(p["beta"], p["c"])
     e = Event(*_parse_floats(p["event"], 4))
@@ -380,6 +387,8 @@ def _run_verify(cfg: ExperimentConfig) -> int:
     check = p["check"]
     if "h" in p and check != "derivatives":
         raise ConfigError(f"--h applies only to verify derivatives, not to verify {check}")
+    if check == "beta4":
+        _refuse_spec(cfg, "verify beta4")
     d = _out_dir(cfg)
 
     if check == "beta4":
@@ -486,6 +495,7 @@ def _run_evolve(cfg: ExperimentConfig) -> int:
     second_order = equation in ("kgf", "wave")
     spec = None
     if p.get("init"):
+        _refuse_spec(cfg, "evolve --init")
         if grid.dim != 1:
             raise ConfigError("--init supports 1-d csv snapshots with a z column")
         names = ("z", "re", "im") + (("pi_re", "pi_im") if second_order else ())
@@ -524,7 +534,7 @@ def _run_evolve(cfg: ExperimentConfig) -> int:
         mass = _mass_from_params(p, fallback_m=fallback)
         if p.get("potential_from_spec"):
             if spec is None:
-                raise ConfigError("--potential-from-spec needs --spec")
+                raise ConfigError("--potential-from-spec needs --spec in place of --init")
             potential = separable_potential(spec, k)
         scheme = "crank_nicolson"
     else:
@@ -604,6 +614,7 @@ def _run_evolve(cfg: ExperimentConfig) -> int:
 
 
 def _run_limit_scan(cfg: ExperimentConfig) -> int:
+    _refuse_spec(cfg, "limit-scan")
     scan = _scan(cfg.params)
     d = _out_dir(cfg)
     _write_csv(d / "beta_term.csv", ["beta", "term"], zip(*scan.points))

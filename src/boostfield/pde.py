@@ -12,14 +12,14 @@ the first non-finite value rather than letting NaNs propagate.
   i.e. psi_t = +i H psi with the real symmetric H = (hbar/2mc)(-lap + u).
   The Cayley form (1 - i dt H / 2) psi+ = (1 + i dt H / 2) psi is exactly
   unitary in the discrete L2 norm, so norm drift measures round-off, not
-  physics.  A constant potential makes a step a Cayley multiplier in Fourier
-  space.  One of z alone makes H one real symmetric z-line matrix per
+  physics.  The potential depends on z alone, as the static potential
+  u = lap q / q of a profile q(z) does: on a 3-d grid a u that varies across
+  x or y is refused.  A constant u makes a step a Cayley multiplier in
+  Fourier space.  Any other makes H one real symmetric z-line matrix per
   transverse Fourier mode, shifted by that mode's transverse symbol: on a 3-d
   grid with nz <= nx ny one eigendecomposition of the line diagonalizes them
   all, and a step is again a Cayley multiplier, in that eigenbasis; in 1-d
-  and on longer lines one prefactorized sparse LU solves them.  One that
-  varies across x or y takes a BiCGStab to 1e-12, preconditioned by the
-  Cayley denominator at the mean potential.
+  and on longer lines one prefactorized sparse LU solves them.
 
 * Velocity-Verlet leapfrog for the second-order equation
 
@@ -125,7 +125,10 @@ class GridState:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Time step, step count and the physics of one evolution run."""
+    """Time step, step count and the physics of one evolution run.
+
+    ``potential``, u(x, y, z) called on coordinate arrays, must depend on z alone.
+    """
 
     dt: float
     steps: int
@@ -155,7 +158,7 @@ class SolverConfig:
         raise ValueError("config carries neither mass_scalar nor mass parameters")
 
     def potential_on(self, grid: Grid) -> np.ndarray:
-        """The potential at ``grid``'s points, read-only: evaluated once per config and grid."""
+        """u on ``grid``'s z-line, read-only, once per config and grid; ValueError if u varies in x or y."""
         if self._potential_memo[0] != grid:
             u = _potential_on_grid(grid, self.potential)
             u.flags.writeable = False
@@ -202,17 +205,20 @@ def periodic_laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
 
 def _potential_on_grid(grid: Grid, potential: Callable | None) -> np.ndarray:
     if potential is None:
-        return np.zeros(grid.points)
+        return np.zeros(grid.points[-1])
     if grid.dim == 1:
         z = grid.axis(0)
         vals = potential(np.zeros_like(z), np.zeros_like(z), z)
     else:
-        x, y, z = grid.meshes()
-        vals = potential(x, y, z)
-    vals = np.broadcast_to(np.asarray(vals, dtype=float), grid.points).copy()
+        vals = potential(*grid.meshes())
+    vals = np.broadcast_to(np.asarray(vals, dtype=float), grid.points)
     if not np.all(np.isfinite(vals)):
         raise ValueError("potential evaluated to non-finite values on the grid")
-    return vals
+    spread = [np.ptp(vals, axis=ax).max() for ax in range(grid.dim - 1)]
+    across = " and ".join(f"{a} by up to {s:.3g}" for a, s in zip("xy", spread) if s)
+    if across:
+        raise ValueError(f"potential varies across {across}; u must depend on z alone")
+    return vals[(0,) * (grid.dim - 1)].copy()
 
 
 def _check_finite(state: GridState) -> None:
@@ -245,12 +251,12 @@ def evolve_schrodinger(
 ) -> GridState:
     """Crank-Nicolson evolution of psi_t = i (hbar/2mc)(-lap + u) psi.
 
-    Constant u (none, a plane wave's) takes the Cayley step in Fourier space.  u of z
-    alone (a static profile's) takes it in the z-line eigenbasis on a 3-d grid with
-    nz <= nx ny; a longer line, and any 1-d u, takes the z-line LU.  u varying in x or y
-    (library callers only) takes BiCGStab.  Returns a fresh evolved state; the input is
-    left untouched.  ``monitor`` is called with the live working state after every step,
-    whose arrays the next step overwrites (copy them if you keep them).
+    u is of z alone (``SolverConfig.potential_on``).  Constant u (none, a plane wave's)
+    takes the Cayley step in Fourier space; any other (a static profile's) takes it in
+    the z-line eigenbasis on a 3-d grid with nz <= nx ny, and on a longer line or in 1-d
+    the z-line LU.  Returns a fresh evolved state; the input is left untouched.
+    ``monitor`` is called with the live working state after every step, whose arrays
+    the next step overwrites (copy them if you keep them).
     """
     if cfg.scheme != "crank_nicolson":
         raise ValueError("evolve_schrodinger requires the crank_nicolson scheme")
@@ -273,20 +279,20 @@ def evolve_schrodinger(
 
     # each branch maps psi to the basis it steps in (forward), advances one step there, and
     # maps back (inverse); where H is diagonal in that basis, a step is one Cayley multiplier
-    nz, z_only = grid.points[-1], np.all(u == u[(slice(1),) * (grid.dim - 1)])  # always in 1-d
-    if np.all(u == u.flat[0]):
-        ih = half * coef * (u.mean() - sym)  # i dt H / 2 in Fourier space
+    nz = grid.points[-1]
+    if np.all(u == u[0]):
+        ih = half * coef * (u[0] - sym)  # i dt H / 2 in Fourier space
         cayley, (forward, inverse) = (1.0 + ih) / (1.0 - ih), _ffts(tuple(range(grid.dim)))
         advance = lambda c: np.multiply(c, cayley, out=c)
 
-    elif z_only and grid.dim == 3 and nz <= grid.points[0] * grid.points[1]:
+    elif grid.dim == 3 and nz <= grid.points[0] * grid.points[1]:
         # in each transverse Fourier mode (kx, ky) H is one real symmetric z-line matrix Hz,
         # shifted by -coef times the transverse symbol, so Hz = V diag(lam) V^T diagonalizes
         # them all.  With nz <= nx ny, eigh costs no more than one basis change and V holds no
         # more numbers than one field
         eye, dz = np.eye(nz), grid.spacing[-1]
         lap_z = (np.roll(eye, 1, axis=1) - 2.0 * eye + np.roll(eye, -1, axis=1)) / (dz * dz)
-        lam, V = np.linalg.eigh(coef * (np.diag(u[0, 0]) - lap_z))
+        lam, V = np.linalg.eigh(coef * (np.diag(u) - lap_z))
         ih = half * (lam - coef * sym[..., :1])
         cayley, (fft_xy, ifft_xy) = (1.0 + ih) / (1.0 - ih), _ffts((0, 1))
         advance = lambda c: np.multiply(c, cayley, out=c)
@@ -300,7 +306,7 @@ def evolve_schrodinger(
             np.matmul(c.reshape(-1, nz), V.T, out=psi.reshape(-1, nz))
             return ifft_xy(psi)
 
-    elif z_only:
+    else:
         import scipy.sparse as sp
         import scipy.sparse.linalg as spla
 
@@ -311,38 +317,14 @@ def evolve_schrodinger(
         # V grows as nz^2 (32 GB at 8 x 8 x 65536).  SuperLU's panels and relaxed
         # supernodes gain nothing on such sparse lines but workspace, so 3-d goes without;
         # 1-d keeps the defaults, and so its old bits
-        axes, shape = tuple(range(grid.dim - 1)), grid.points
-        hz = coef * (-_periodic_lap_matrix(nz, grid.spacing[-1]) + sp.diags(u.reshape(-1, nz)[0]))
-        H = sp.kron(sp.identity(u.size // nz), hz) - sp.diags(coef * np.repeat(sym[..., 0], nz))
-        eye = sp.identity(u.size, dtype=complex, format="csr")
+        axes, shape, size = tuple(range(grid.dim - 1)), grid.points, state.field.size
+        hz = coef * (-_periodic_lap_matrix(nz, grid.spacing[-1]) + sp.diags(u))
+        H = sp.kron(sp.identity(size // nz), hz) - sp.diags(coef * np.repeat(sym[..., 0], nz))
+        eye = sp.identity(size, dtype=complex, format="csr")
         lu = spla.splu((eye - half * H).tocsc(), **({"panel_size": 1, "relax": 1} if axes else {}))
         B = (eye + half * H).tocsr()
         forward, inverse = _ffts(axes)
         advance = lambda c: lu.solve(B @ c.ravel()).reshape(shape)
-
-    else:
-        import scipy.sparse.linalg as spla
-
-        shape, n = grid.points, u.size
-        lap, tmp = np.empty_like(state.field), np.empty_like(state.field)
-        inverse_mean = 1.0 / (1.0 - half * coef * (u.mean() - sym))
-        dv = (half * coef * (u - u.mean())).ravel()
-
-        def solve_mean(v: np.ndarray) -> np.ndarray:  # (1 - i dt H / 2)^-1 at the mean potential
-            w = np.fft.fftn(v.reshape(shape), out=np.empty(shape, dtype=complex))
-            return np.fft.ifftn(np.multiply(w, inverse_mean, out=w), out=w).ravel()
-
-        # right preconditioning: (1 - i dt H / 2) solve_mean(y) = y - dv solve_mean(y), no stencil
-        A = spla.LinearOperator((n, n), matvec=lambda y: y - dv * solve_mean(y), dtype=complex)
-
-        def advance(psi: np.ndarray) -> np.ndarray:
-            b = (psi + half * coef * (u * psi - _laplacian_into(psi, grid, lap, tmp))).ravel()
-            y, info = spla.bicgstab(A, b, x0=b, rtol=1e-12, atol=0.0, maxiter=1000)
-            if info != 0:
-                raise SolverError(f"implicit solve did not converge (info={info})")
-            return solve_mean(y).reshape(shape)
-
-        forward, inverse = _ffts(())
 
     spectral = monitor is None and cfg.steps > 0  # unobserved steps stay in the stepping basis
     if spectral:
@@ -355,7 +337,7 @@ def evolve_schrodinger(
         _check_finite(state)
         if monitor is not None:
             monitor(state)
-            _check_finite(state)  # before a solve spends its iterations on NaNs
+            _check_finite(state)  # the monitor may have written into the live state
     if spectral:
         state.field = inverse(state.field)
     return state

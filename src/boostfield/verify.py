@@ -19,8 +19,9 @@ with xi = g(z - v t), eta = g(t - v z) - t, g = gamma, v = beta, w = omega:
     b_tt = (g^2 v^2 q'' - 2 i g (g-1) w v q' - w^2 (g-1)^2 q) e^{i w eta}
     b_zz = (g^2 q'' - g^2 w^2 v^2 q - 2 i g^2 w v q') e^{i w eta}
 
-Transverse derivatives vanish for the profile catalog.  Central-difference
-stencils of first and second order provide the independent cross-check.
+Transverse derivatives vanish for the profile catalog, so the bundle carries
+these four and b_zz is the lab Laplacian.  Central-difference stencils of
+first and second order provide the independent cross-check.
 
 Every check works on a whole event sample at once: the events become
 coordinate arrays, one closed-form kernel evaluates the bundle above at all
@@ -47,22 +48,15 @@ _AXES = ("x", "y", "z", "tau")
 
 @dataclass(frozen=True)
 class DerivativeBundle:
-    """First and second partial derivatives of a complex field.
+    """First and second partial derivatives of a complex field along tau and z.
 
     Entries are complex numbers at one event, or arrays over a batch of events.
     """
 
     d_tau: complex
-    d_x: complex
-    d_y: complex
     d_z: complex
     d2_tau: complex
-    d2_x: complex
-    d2_y: complex
     d2_z: complex
-
-    def laplacian(self) -> complex:
-        return self.d2_x + self.d2_y + self.d2_z
 
 
 @dataclass(frozen=True)
@@ -200,17 +194,12 @@ def _closed_form(spec: FieldSpec, k: int, X: np.ndarray):
     prof = comp.profile
     q, qz, qzz = (np.asarray(f(xi), dtype=complex) for f in (prof.value, prof.dz, prof.dzz))
     ph = np.exp(1j * w * eta)
-    zero = np.zeros_like(q)
     bundle = DerivativeBundle(
         d_tau=_cmul(-g * v * qz + 1j * w * (g - 1.0) * q, ph),
-        d_x=zero,
-        d_y=zero,
         d_z=_cmul(g * qz - 1j * g * w * v * q, ph),
         d2_tau=_cmul(
             g * g * v * v * qzz - 2j * g * (g - 1.0) * w * v * qz - w * w * (g - 1.0) ** 2 * q, ph
         ),
-        d2_x=zero,
-        d2_y=zero,
         d2_z=_cmul(g * g * qzz - g * g * w * w * v * v * q - 2j * g * g * w * v * qz, ph),
     )
     return q, qzz, ph, bundle
@@ -218,10 +207,8 @@ def _closed_form(spec: FieldSpec, k: int, X: np.ndarray):
 
 def _fd_bundle(spec: FieldSpec, k: int, X: np.ndarray, h: float, events) -> DerivativeBundle:
     """Stencil derivative bundle of envelope k over a (4, n) batch of events."""
-    # the envelope reads only z and tau: its x and y entries are zeros, as in _closed_form
     st = _stencils(lambda Y: spec.envelope_on_axis(k, Y[2], Y[3]), X, ("tau", "z"), h, events)
-    zero = np.zeros_like(st["z"][0])
-    return DerivativeBundle(st["tau"][0], zero, zero, st["z"][0], st["tau"][1], zero, zero, st["z"][1])
+    return DerivativeBundle(st["tau"][0], st["z"][0], st["tau"][1], st["z"][1])
 
 
 def analytic_envelope_derivatives(spec: FieldSpec, k: int, e: Event) -> DerivativeBundle:
@@ -324,7 +311,7 @@ def envelope_equation_residual(
         prof_field = lambda Y: comp.profile.value(spec.boost.apply(Y[2], Y[3])[0])
         lap_q = _stencils(prof_field, X, ("z",), h, kept)["z"][1]  # transverse parts vanish
     t1 = -1j * g * bun.d_tau
-    t2 = _cdiv(bun.laplacian(), 2.0 * w)
+    t2 = _cdiv(bun.d2_z, 2.0 * w)
     t3 = _cdiv(-_cmul(lap_q, ph), 2.0 * w)
     t4 = -(w / 2.0) * (g - 1.0) ** 2 * _cmul(q, ph)
     md = {"eps_q": eps_q, "derivatives": derivatives, "events_given": len(events)}
@@ -384,7 +371,7 @@ def schrodinger_residual(
         )
     psi_b = _cmul(q, ph)
     t1 = -1j * hbar * c * geff * bun.d_tau
-    t2 = (hbar * hbar / (2.0 * m)) * bun.laplacian()
+    t2 = (hbar * hbar / (2.0 * m)) * bun.d2_z
     t3 = _cmul(-(hbar * hbar / (2.0 * m)) * u, psi_b)
     t4 = -(m * c * c * (geff - 1.0) ** 2 / 2.0) * psi_b
     md = {"eps_q": eps_q, "gamma_mode": gamma_mode, "events_given": len(events), "m": m, "hbar": hbar, "c": c}
@@ -420,7 +407,7 @@ def klein_gordon_residual(
     psi_b = _cmul(q, ph)
     psi = _cmul(psi_b, carrier)
     psi_tt = _cmul(bun.d2_tau + 2j * w * bun.d_tau - w * w * psi_b, carrier)
-    lap_psi = _cmul(bun.laplacian(), carrier)
+    lap_psi = _cmul(bun.d2_z, carrier)
     if mass_scalar is None:
         lap_q = g * g * qzz  # the lab lap q is its zz part: transverse parts vanish
         s_term = _cmul(_cmul(lap_q - v * v * lap_q, ph), carrier) + w * w * psi
@@ -500,7 +487,7 @@ def derivative_slopes(
     stencil error over the spacing ladder ``hs``; a slope of 2 certifies
     that the closed forms are the true derivatives.  Entries where closed
     form and stencils agree below the degeneracy floor (identically zero
-    derivatives: transverse axes, static limits, constant profiles) return
+    derivatives: static limits, constant profiles) return
     None, as do entries whose finest-ladder error sits at the stencil
     round-off plateau eps * |b| / h**order, where no order can be measured.
     A degenerate entry that *disagrees* raises.

@@ -209,10 +209,26 @@ def test_config_file_not_utf8_is_config_error(tmp_path):
     assert_config_error(run_boostfield(["--config", "cfg.json"], tmp_path))
 
 
-def test_unread_spec_recorded_in_the_manifest_is_config_error(tmp_path, capsys):
-    # boost does not read --spec, but its manifest records the file's digest
-    args = ["boost", "--beta", "0.5", "--event", "0,0,1,0", "--spec", str(tmp_path / "missing.json"), "--out", str(tmp_path / "o")]
-    assert "missing.json" in main_config_error(args, capsys)
+# commands that never read a field spec; the manifest would record the digest of one given
+_READS_NO_SPEC = {
+    "boost": ["boost", "--beta", "0.5", "--event", "0,0,1,0"],
+    "limit-scan": ["limit-scan", "--mass", "1"],
+    "beta4": ["verify", "beta4", "--mass", "1"],
+    "evolve-init": ["evolve", "schrodinger", "--init", "init.csv", "--grid", "64", "--extent", "16",
+                    "--dt", "0.01", "--steps", "3", "--mass", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_READS_NO_SPEC))
+@pytest.mark.parametrize("via", ["flags", "config"])
+def test_unread_spec_is_refused_before_any_output(via, command, tmp_path, capsys):
+    args = _READS_NO_SPEC[command] + ["--spec", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o3")]
+    if via == "config":
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_config_from_args(_build_parser().parse_args(args)).to_dict()))
+        args = ["--config", str(path)]
+    assert f"reads no field spec; drop --spec {tmp_path / 'nope.json'}" in main_config_error(args, capsys)
+    assert not (tmp_path / "o3").exists()
 
 
 # every command's subparser dests, plus spec, out and seed, which are not params
@@ -717,6 +733,16 @@ def test_evolve_ragged_or_non_numeric_init_is_config_error(tmp_path, row):
     )
     assert_config_error(proc)
     assert "init.csv" in proc.stderr
+
+
+def test_potential_from_spec_with_init_names_the_conflict(tmp_path, capsys):
+    # --init reads no spec and refuses one, so the potential cannot come from a spec
+    init = tmp_path / "init.csv"
+    init.write_text("z,re,im\n" + "".join(f"{0.5 * i!r},1.0,0.0\n" for i in range(16)))
+    args = ["evolve", "schrodinger", "--init", str(init), "--mass", "1", "--grid", "16", "--extent", "8",
+            "--dt", "0.1", "--steps", "2", "--potential-from-spec", "--out", str(tmp_path / "o")]
+    assert "needs --spec in place of --init" in main_config_error(args, capsys)
+    assert not (tmp_path / "o").exists()
 
 
 def test_evolve_kgf_dispersion(const_spec, tmp_path):

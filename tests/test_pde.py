@@ -473,6 +473,11 @@ def test_one_cn_step_is_the_dense_cayley_solve(three_d, kind, dt, seed):
     rng = np.random.default_rng(seed)
     psi = random_field(rng, grid.points)
     pot = POTENTIALS[kind]
+    if three_d and kind == "varying":  # u of x is refused; in 1-d x = 0 and u is of z alone
+        with pytest.raises(ValueError, match="varies across x"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # dt above dx^2 is allowed here
+            evolve_schrodinger(GridState(grid, psi), cn_config(dt, 1, potential=pot))
+        return
     coords = grid.meshes() if three_d else (0.0, 0.0, grid.axis(0))
     u = np.zeros(grid.points) if pot is None else np.broadcast_to(pot(*coords), grid.points)
     H = dense_hamiltonian(grid, u, MASS.hbar / (2.0 * MASS.m * MASS.c))
@@ -493,7 +498,7 @@ def test_one_cn_step_is_the_dense_cayley_solve(three_d, kind, dt, seed):
 )
 def test_cn_stiff_varying_potential_converges_and_conserves_norm(points, across):
     # dt = 1000 dx^2: 1-d takes the z-line LU, a 3-d potential of z alone the z-line
-    # eigenbasis; across x, the mean-potential Cayley preconditioner keeps BiCGStab short
+    # eigenbasis; one that varies across x is refused (in 1-d x = 0: a constant offset)
     g = Grid((20.0,) * len(points), points)
     z = g.meshes()[-1]
     dx = g.spacing[0]
@@ -501,11 +506,38 @@ def test_cn_stiff_varying_potential_converges_and_conserves_norm(points, across)
     pot = lambda x, y, zz: 0.5 * (zz - 10.0) ** 2 + across * np.cos(2.0 * np.pi * x / 20.0)
     cfg = cn_config(1000.0 * dx * dx, 20, potential=pot)
     st_ = GridState(g, psi)
+    if g.dim == 3 and across:
+        with pytest.warns(UserWarning, match="accuracy"), pytest.raises(ValueError, match="varies across x"):
+            evolve_schrodinger(st_, cfg)
+        return
     with pytest.warns(UserWarning, match="accuracy"):
         fin = evolve_schrodinger(st_, cfg)
     n0, n1 = measure_observables(st_, cfg).norm, measure_observables(fin, cfg).norm
     assert np.all(np.isfinite(fin.field))
     assert abs(n1 - n0) / n0 < 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    grid=grids_3d,
+    axis=st.sampled_from("xy"),
+    amplitude=st.floats(1e-6, 10.0),
+    cycles=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_potential_varying_across_x_or_y_is_refused_by_every_entry_point(grid, axis, amplitude, cycles, seed):
+    # a random line u(z) plus a periodic term of x or y, which no branch of the solver steps
+    rng = np.random.default_rng(seed)
+    table, phase = rng.uniform(-2.0, 2.0, grid.points[2]), rng.uniform(0.0, 2.0 * np.pi)
+    ax = "xy".index(axis)
+    k = 2.0 * np.pi * cycles / grid.extents[ax]
+    pot = lambda x, y, z: np.broadcast_to(table, np.shape(z)) + amplitude * np.cos(k * (x, y)[ax] + phase)
+    cfg = cn_config(1e-4, 2, potential=pot)
+    st_ = GridState(grid, random_field(rng, grid.points))
+    for call in (lambda: cfg.potential_on(grid), lambda: evolve_schrodinger(st_, cfg), lambda: measure_observables(st_, cfg)):
+        with pytest.raises(ValueError, match=f"varies across {axis} by up to") as exc:
+            call()
+        assert "\n" not in str(exc.value)
 
 
 @settings(max_examples=25, deadline=None)
