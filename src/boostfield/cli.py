@@ -31,6 +31,7 @@ from .pde import (
     GridState,
     SolverConfig,
     SolverError,
+    _mode_index,
     _rotation_rate,
     evolve_kgf,
     evolve_schrodinger,
@@ -278,39 +279,31 @@ def _run_boost(cfg: ExperimentConfig) -> int:
 def _run_field(cfg: ExperimentConfig) -> int:
     spec = _load_spec_arg(cfg)
     p = cfg.params
-    if p.get("event"):
+    if p.get("event"):  # the sampled path at one point
         e = Event(*_parse_floats(p["event"], 4))
-        if "component" in p:
-            val = complex(spec.harmonic_on_axis(_component(spec, p), e.z, e.tau))
-        else:
-            val = spec.psi_lab(e)
-        print(f"{_fmt(val.real)},{_fmt(val.imag)},{_fmt(spec.scalar_density(e))}")
-        if cfg.out:
-            d = _out_dir(cfg)
-            _write_json(
-                d / "field.json",
-                {
-                    "event": [e.x, e.y, e.z, e.tau],
-                    "psi": [val.real, val.imag],
-                    "scalar_density": spec.scalar_density(e),
-                },
-            )
-            _emit_manifest(cfg, d, ["field.json"])
-        return 0
-    for key in ("tau", "z_min", "z_max", "n"):
-        if key not in p:
-            raise ConfigError("field sampling needs tau, z_min, z_max and n (or event)")
-    n = p["n"]
-    if n < 2:
-        raise ConfigError("need at least 2 sample points")
-    z = np.linspace(p["z_min"], p["z_max"], n)
-    tau = p["tau"]
+        z, tau = e.z, e.tau
+    else:
+        for key in ("tau", "z_min", "z_max", "n"):
+            if key not in p:
+                raise ConfigError("field sampling needs tau, z_min, z_max and n (or event)")
+        if p["n"] < 2:
+            raise ConfigError("need at least 2 sample points")
+        z, tau = np.linspace(p["z_min"], p["z_max"], p["n"]), p["tau"]
     ks = [_component(spec, p)] if "component" in p else range(len(spec.components))
     psi = sum(spec.harmonic_on_axis(k, z, tau) for k in ks)
     phi = sum(np.abs(spec.envelope_on_axis(k, z, tau)) ** 2 for k in ks)
-    d = _out_dir(cfg)
-    _write_csv(d / "field.csv", ["z", "re_psi", "im_psi", "phi"], [z, psi.real, psi.imag, phi])
-    _emit_manifest(cfg, d, ["field.csv"])
+    if not p.get("event"):
+        d = _out_dir(cfg)
+        _write_csv(d / "field.csv", ["z", "re_psi", "im_psi", "phi"], [z, psi.real, psi.imag, phi])
+        _emit_manifest(cfg, d, ["field.csv"])
+        return 0
+    psi, phi = complex(psi), float(phi)
+    print(f"{_fmt(psi.real)},{_fmt(psi.imag)},{_fmt(phi)}")
+    if cfg.out:
+        d = _out_dir(cfg)
+        record = {"event": [e.x, e.y, e.z, e.tau], "psi": [psi.real, psi.imag], "scalar_density": phi}
+        _write_json(d / "field.json", record)
+        _emit_manifest(cfg, d, ["field.json"])
     return 0
 
 
@@ -480,9 +473,24 @@ def _write_snapshot(d: Path, state: GridState, index: int) -> list[str]:
     return [f"{base}.bin", f"{base}.json"]
 
 
+# the flags each equation never reads; kgf reads --mass only without --mass-scalar
+_UNREAD = {
+    "wave": ("mass", "mass_scalar", "potential_from_spec"),
+    "schrodinger": ("mass_scalar",),
+    "kgf": ("potential_from_spec",),
+}
+
+
 def _run_evolve(cfg: ExperimentConfig) -> int:
     p = cfg.params
     equation = p["equation"]
+    for name in _UNREAD[equation]:
+        if name in p:
+            raise ConfigError(f"evolve {equation} reads no --{name.replace('_', '-')}; drop it")
+    if equation == "kgf" and "mass" in p and "mass_scalar" in p:
+        raise ConfigError("evolve kgf reads --mass only without --mass-scalar; drop one")
+    if p["snap_every"] < 0:
+        raise ConfigError(f"--snap-every must be >= 0, got {p['snap_every']}")
     pts = tuple(int(v) for v in _parse_floats(p["grid"]))
     ext = tuple(_parse_floats(p["extent"]))
     if len(ext) == 1 and len(pts) > 1:
@@ -511,18 +519,10 @@ def _run_evolve(cfg: ExperimentConfig) -> int:
         k = _component(spec, p)
         z = grid.axis(grid.dim - 1)
         if equation == "schrodinger":
-            line = spec.envelope_on_axis(k, z, 0.0)
-            dline = None
+            lines = spec.envelope_on_axis(k, z, 0.0), None
         else:
-            line = spec.harmonic_on_axis(k, z, 0.0)
-            dline = spec.harmonic_dtau_on_axis(k, z, 0.0)
-        if grid.dim == 1:
-            field = line
-            pi = dline
-        else:
-            shape = grid.points
-            field = np.broadcast_to(line, shape).copy()
-            pi = np.broadcast_to(dline, shape).copy() if dline is not None else None
+            lines = spec.harmonic_on_axis(k, z, 0.0), spec.harmonic_dtau_on_axis(k, z, 0.0)
+        field, pi = (None if a is None else np.broadcast_to(a, grid.points).copy() for a in lines)
 
     state = GridState(grid, field, pi)
 
@@ -556,12 +556,25 @@ def _run_evolve(cfg: ExperimentConfig) -> int:
         potential=potential,
     )
 
+    modes = _parse_floats(p["dispersion_modes"]) if p.get("dispersion_modes") else []
+    if not all(m.is_integer() for m in modes):
+        raise ConfigError(f"--dispersion-modes takes integers, got {p['dispersion_modes']!r}")
+    if modes and sc.steps < 2:
+        raise ConfigError("--dispersion-modes needs at least 2 steps to fit a rotation rate")
+    ks = [2.0 * np.pi * m / grid.extents[-1] for m in modes]
+    index = [_mode_index(grid, k) for k in ks]  # ValueError, so exit 2, on a 3-d grid or an aliased mode
+    continuum = lambda k: float(np.sqrt(k * k + sc.resolved_mass_scalar()))
+    if modes and equation == "schrodinger":  # exp(ikz) under psi_t = i (hbar / 2mc)(-lap + u) psi, u constant
+        u = sc.potential_on(grid)
+        if np.any(u != u[0]):
+            raise ConfigError("--dispersion-modes needs a constant potential; this one varies along z")
+        continuum = lambda k: abs(mass.hbar / (2.0 * mass.m * mass.c) * (k * k + u[0]))
+
     d = _out_dir(cfg)
     snap_every = p["snap_every"]
     outputs: list[str] = []
     obs_rows = []
-    modes = [int(v) for v in _parse_floats(p["dispersion_modes"])] if p.get("dispersion_modes") else []
-    mode_series: dict[int, list[complex]] = {m: [] for m in modes}
+    mode_series: list[list[complex]] = [[] for _ in modes]
     times: list[float] = []
 
     def record(st: GridState) -> None:
@@ -573,12 +586,11 @@ def _run_evolve(cfg: ExperimentConfig) -> int:
             + obs.centroid
             + obs.width
         )
-        if modes and st.grid.dim == 1:
-            n = st.grid.points[0]
-            f = np.fft.fft(st.field) / n
+        if modes:  # each coefficient as measure_dispersion takes it
+            f = np.fft.fft(st.field)
             times.append(st.t)
-            for m in modes:
-                mode_series[m].append(complex(f[m % n]))
+            for series, i in zip(mode_series, index):
+                series.append(f[i] / grid.points[0])
 
     outputs.extend(_write_snapshot(d, state, 0))
     record(state)
@@ -597,15 +609,13 @@ def _run_evolve(cfg: ExperimentConfig) -> int:
     outputs.extend(_write_snapshot(d, final, final.step_count))
 
     if modes:
-        m_s = sc.resolved_mass_scalar() if equation != "schrodinger" else 0.0
         rows = []
         t_arr = np.asarray(times)
-        for m in modes:
-            series = np.asarray(mode_series[m])
-            k = 2.0 * np.pi * m / grid.extents[-1]
-            if np.any(np.abs(series) < 1e-12):
-                raise VerificationFailure(f"mode {m} amplitude too weak to fit")
-            rows.append((k, _rotation_rate(t_arr, series), float(np.sqrt(k * k + m_s))))
+        for m, k, series in zip(modes, ks, mode_series):
+            try:
+                rows.append((k, _rotation_rate(t_arr, np.asarray(series)), continuum(k)))
+            except ValueError as exc:  # a weak mode
+                raise VerificationFailure(f"mode {m:g}: {exc}") from None
         _write_csv(d / "dispersion.csv", ["k", "omega_measured", "omega_continuum"], zip(*rows))
         outputs.append("dispersion.csv")
 

@@ -119,9 +119,9 @@ class FieldSpec:
         return complex(self.psi_lab_on_axis(e.z, e.tau))
 
     def scalar_density(self, e: Event) -> float:
-        """Frame-invariant density sum_k |q_k|^2 at a lab event."""
-        xi, _ = self.boost.apply(e.z, e.tau)
-        return float(sum(abs(c.profile.value(xi)) ** 2 for c in self.components))
+        """Frame-invariant density sum_k |q_k|^2 at a lab event, as the envelopes' squared moduli."""
+        ks = range(len(self.components))
+        return float(sum(np.abs(self.envelope_on_axis(k, e.z, e.tau)) ** 2 for k in ks))
 
     # -- serialization ------------------------------------------------------
 

@@ -408,6 +408,7 @@ def _leapfrog(
         _check_finite(state)
         monitor(state)  # only a monitored run reaches a step here
         psi, pi = state.field, state.pi
+    _check_finite(state)  # a step checks what the monitor wrote before it; this checks the last call
     return state
 
 
@@ -506,6 +507,13 @@ def measure_dispersion(states: list[GridState], k: float) -> float:
     if len(states) < 3:
         raise ValueError("need at least 3 snapshots to fit a rotation rate")
     grid = states[0].grid
+    i, n = _mode_index(grid, k), grid.points[0]
+    coeffs = np.array([np.fft.fft(s.field)[i] / n for s in states])
+    return _rotation_rate(np.array([s.t for s in states]), coeffs)
+
+
+def _mode_index(grid: Grid, k: float) -> int:
+    """The FFT index of exp(i k z) on a 1-d grid; k commensurate with the extent, |m| <= n / 2."""
     if grid.dim != 1:
         raise ValueError("dispersion measurement expects 1-d states")
     n, L = grid.points[0], grid.extents[0]
@@ -513,15 +521,15 @@ def measure_dispersion(states: list[GridState], k: float) -> float:
     m = int(round(mode))
     if abs(mode - m) > 1e-9 * max(1.0, abs(mode)):
         raise ValueError(f"wavenumber {k} is not commensurate with extent {L}")
-    coeffs = np.array([np.fft.fft(s.field)[m % n] / n for s in states])
-    if np.any(np.abs(coeffs) < 1e-12):
-        raise ValueError("mode amplitude below 1e-12: signal too weak to fit")
-    times = np.array([s.t for s in states])
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("snapshots must be ordered in time")
-    return _rotation_rate(times, coeffs)
+    if 2 * abs(m) > n:
+        raise ValueError(f"mode {m} aliases on {n} points: need |m| <= {n // 2}")
+    return m % n
 
 
 def _rotation_rate(times: np.ndarray, coeffs: np.ndarray) -> float:
     """|d phase / dt| of a mode's coefficients: a line fitted to the unwrapped phase."""
+    if np.any(np.abs(coeffs) < 1e-12):
+        raise ValueError("mode amplitude below 1e-12: signal too weak to fit")
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("snapshots must be ordered in time")
     return float(abs(np.polyfit(times, np.unwrap(np.angle(coeffs)), 1)[0]))

@@ -11,20 +11,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import JSON_VALUES
+from conftest import JSON_VALUES, catalog_profiles
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import boostfield
 from boostfield import (
     ConstantProfile,
+    Event,
     FieldSpec,
     GaussianProfile,
+    Grid,
+    GridState,
     HarmonicComponent,
     LorentzBoost,
     PlaneWaveProfile,
     derivative_slopes,
     load_spec,
+    measure_dispersion,
     sample_events,
     save_spec,
 )
@@ -372,6 +376,47 @@ def test_field_grid_mode_out_of_range_component(k, two_harmonic_spec, tmp_path, 
     assert rc == 2
     assert err == f"config error: --component {k} out of range: the spec has components 0..1\n"
     assert not (tmp_path / "o").exists()
+
+
+def _run_quietly(args) -> tuple[int, str, str]:
+    """main(args) in-process: exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(args)
+    return rc, out.getvalue(), err.getvalue()
+
+
+_CATALOG = sorted(catalog_profiles())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(_CATALOG), min_size=1, max_size=2),
+    beta=st.floats(-0.6, 0.6),
+    x=st.floats(-3.0, 3.0),
+    z=st.floats(-3.0, 3.0),
+    tau=st.floats(-3.0, 3.0),
+    pick=st.integers(-1, 1),
+)
+def test_field_event_is_the_sampled_row_at_its_point(kinds, beta, x, z, tau, pick):
+    comps = tuple(HarmonicComponent(1.0 + i, catalog_profiles()[kind]) for i, kind in enumerate(kinds))
+    spec = FieldSpec(comps, LorentzBoost(beta))
+    component = ["--component", str(pick)] if 0 <= pick < len(comps) else []
+    with tempfile.TemporaryDirectory() as d:
+        save_spec(spec, Path(d, "s.json"))
+        common = ["--spec", str(Path(d, "s.json")), *component]
+        rc, printed, _ = _run_quietly(["field", *common, f"--event={x!r},0.5,{z!r},{tau!r}", "--out", str(Path(d, "e"))])
+        assert rc == 0
+        grid = [f"--tau={tau!r}", f"--z-min={z!r}", f"--z-max={z + 1.0!r}", "--n=2"]
+        assert _run_quietly(["field", *common, *grid, "--out", str(Path(d, "g"))])[0] == 0
+        _, rows = read_csv(Path(d, "g", "field.csv"))
+        z0, re_psi, im_psi, phi = (float(v) for v in rows[0])
+        record = json.loads(Path(d, "e", "field.json").read_text())
+    assert z0 == z
+    assert record["psi"] == [re_psi, im_psi] and record["scalar_density"] == phi
+    assert printed == ",".join(format(v, ".12g") for v in (re_psi, im_psi, phi)) + "\n"
+    if not component:
+        assert phi == spec.scalar_density(Event(x, 0.5, z, tau))
 
 
 def test_import_leaves_scipy_unloaded(tmp_path, capsys):
@@ -770,6 +815,131 @@ def test_evolve_kgf_weak_mode_fails(const_spec, tmp_path, capsys):
     )
     assert rc == 1
     assert "too weak" in capsys.readouterr().err
+
+
+_EQUATION_FLAGS = {"kgf": ["--mass-scalar=0.7"], "wave": [], "schrodinger": ["--mass=1.3"]}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    equation=st.sampled_from(sorted(_EQUATION_FLAGS)),
+    n=st.integers(8, 40),
+    data=st.data(),
+    steps=st.integers(2, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cli_dispersion_is_measure_dispersion_over_the_runs_states(equation, n, data, steps, seed):
+    m = data.draw(st.integers(-(n // 2), n // 2), label="m")
+    rng = np.random.default_rng(seed)
+    cols = rng.standard_normal((4, n))
+    extent, dt = float(n), 0.3  # dx = 1, inside the leapfrog Courant bound
+    with tempfile.TemporaryDirectory() as d:
+        init, out = Path(d, "init.csv"), Path(d, "o")
+        _write_csv(init, ["z", "re", "im", "pi_re", "pi_im"], [np.arange(n) * 1.0, *cols])
+        rc, _, err = _run_quietly(
+            ["evolve", equation, f"--init={init}", f"--grid={n}", f"--extent={extent!r}", f"--dt={dt!r}",
+             f"--steps={steps}", "--snap-every=1", f"--dispersion-modes={m}", f"--out={out}", *_EQUATION_FLAGS[equation]]
+        )
+        states, t = [], 0.0
+        for i in range(steps + 1):
+            _, rows = read_csv(out / f"snap_{i:06d}.csv")
+            field = np.array([complex(float(r[1]), float(r[2])) for r in rows])
+            states.append(GridState(Grid((extent,), (n,)), field, None, t=t))
+            t += dt  # the solver's own sum of steps
+        k = 2.0 * np.pi * m / extent
+        if rc == 1:  # a mode that passed within 1e-12 of zero
+            assert "too weak" in err
+            with pytest.raises(ValueError, match="too weak"):
+                measure_dispersion(states, k)
+            return
+        assert rc == 0, err
+        _, rows = read_csv(out / "dispersion.csv")
+    assert [float(v) for v in rows[0][:2]] == [k, measure_dispersion(states, k)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.sampled_from([1, 3]),
+    n=st.integers(8, 11),
+    mode=st.one_of(st.integers(-12, 12), st.sampled_from([0.5, -2.5, 1e-3])),
+    steps=st.integers(0, 3),
+    snap_every=st.integers(-2, 2),
+)
+def test_evolve_refusals_come_before_any_output(dim, n, mode, steps, snap_every):
+    refused = (
+        snap_every < 0 or not float(mode).is_integer() or steps < 2 or dim == 3 or 2 * abs(mode) > n
+    )
+    with tempfile.TemporaryDirectory() as d:
+        spec, out = Path(d, "c.json"), Path(d, "o")
+        save_spec(FieldSpec((HarmonicComponent(1.0, ConstantProfile(1.0)),), LorentzBoost(0.6)), spec)
+        rc, _, err = _run_quietly(
+            ["evolve", "kgf", f"--spec={spec}", "--grid=" + ",".join([str(n)] * dim), "--extent=8",
+             "--dt=0.1", f"--steps={steps}", f"--snap-every={snap_every}", f"--dispersion-modes={mode}",
+             f"--out={out}"]
+        )
+        if refused:
+            assert rc == 2 and err.startswith("config error:") and len(err.splitlines()) == 1, err
+            assert not out.exists()
+        else:
+            assert rc == 0 or (rc == 1 and "too weak" in err), err
+
+
+_UNREAD_FLAGS = [
+    ("wave", ["--mass=1"], "evolve wave reads no --mass; drop it"),
+    ("wave", ["--mass-scalar=1"], "evolve wave reads no --mass-scalar; drop it"),
+    ("wave", ["--potential-from-spec"], "evolve wave reads no --potential-from-spec; drop it"),
+    ("schrodinger", ["--mass-scalar=1"], "evolve schrodinger reads no --mass-scalar; drop it"),
+    ("kgf", ["--potential-from-spec"], "evolve kgf reads no --potential-from-spec; drop it"),
+    ("kgf", ["--mass=1", "--mass-scalar=2"], "evolve kgf reads --mass only without --mass-scalar; drop one"),
+]
+
+
+@pytest.mark.parametrize("equation,flags,message", _UNREAD_FLAGS)
+@pytest.mark.parametrize("via", ["flags", "config"])
+def test_flags_an_equation_never_reads_are_refused_before_any_output(
+    equation, flags, message, via, const_spec, tmp_path, capsys
+):
+    args = ["evolve", equation, "--spec", const_spec, "--grid", "16", "--extent", "8", "--dt", "0.05",
+            "--steps", "3", *flags, "--out", str(tmp_path / "o")]
+    if via == "config":
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_config_from_args(_build_parser().parse_args(args)).to_dict()))
+        args = ["--config", str(path)]
+    assert main_config_error(args, capsys) == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_negative_snap_every_is_refused_before_any_output(const_spec, tmp_path, capsys):
+    args = ["evolve", "kgf", "--spec", const_spec, "--grid", "16", "--extent", "8", "--dt", "0.05",
+            "--steps", "3", "--snap-every=-1", "--out", str(tmp_path / "o")]
+    assert main_config_error(args, capsys) == "config error: --snap-every must be >= 0, got -1\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("with_potential", [False, True])
+def test_schrodinger_dispersion_continuum_is_the_schrodinger_relation(with_potential, plane_spec, tmp_path):
+    # plane_spec: omega = 2, so m = 2 with hbar = c = 1 and hbar / 2mc = 1/4; its potential is
+    # u = -(gamma K)^2, gamma^2 = 4/3 at beta = 0.5
+    out = tmp_path / "o"
+    rc = main(
+        ["evolve", "schrodinger", "--spec", plane_spec, "--grid", "128", "--extent", repr(8.0 * np.pi),
+         "--dt", "0.01", "--steps", "200", "--dispersion-modes", "2", "--out", str(out)]
+        + (["--potential-from-spec"] if with_potential else [])
+    )
+    assert rc == 0
+    k, measured, continuum = (float(v) for v in read_csv(out / "dispersion.csv")[1][0])
+    u = -(1.3**2) * 4.0 / 3.0 if with_potential else 0.0
+    assert k == 0.5 and continuum == pytest.approx(0.25 * abs(k * k + u), rel=1e-14)
+    assert measured == pytest.approx(continuum, rel=1e-3)
+
+
+def test_schrodinger_dispersion_refuses_a_potential_that_varies(tmp_path, capsys):
+    spec = tmp_path / "static.json"
+    save_spec(FieldSpec((HarmonicComponent(1.5, GaussianProfile(1.0, 4.0, 1.2)),), LorentzBoost(0.0)), spec)
+    args = ["evolve", "schrodinger", "--spec", str(spec), "--grid", "64", "--extent", "8", "--dt", "0.01",
+            "--steps", "5", "--potential-from-spec", "--dispersion-modes", "1", "--out", str(tmp_path / "o")]
+    assert "needs a constant potential" in main_config_error(args, capsys)
+    assert not (tmp_path / "o").exists()
 
 
 def test_evolve_3d_binary_snapshot(gauss_spec, tmp_path):

@@ -19,7 +19,7 @@ from boostfield import (
     measure_observables,
     periodic_laplacian,
 )
-from boostfield.pde import Observables, _check_finite, _potential_on_grid, laplacian_symbol
+from boostfield.pde import Observables, _check_finite, _mode_index, _potential_on_grid, laplacian_symbol
 
 MASS = MassParameters(1.0, 1.0)
 
@@ -370,6 +370,22 @@ def test_dispersion_measure_validation():
     weak = [GridState(g, np.zeros(16, dtype=complex), None, t=0.1 * i) for i in range(4)]
     with pytest.raises(ValueError, match="too weak"):
         measure_dispersion(weak, 2.0 * np.pi / 8.0)
+    with pytest.raises(ValueError, match="ordered in time"):
+        measure_dispersion(states[::-1], 2.0 * np.pi / 8.0)
+    with pytest.raises(ValueError, match="1-d"):
+        g3 = Grid((8.0,) * 3, (8,) * 3)
+        measure_dispersion([GridState(g3, np.ones((8,) * 3), None, t=0.1 * i) for i in range(4)], 0.0)
+
+
+@pytest.mark.parametrize("n", [16, 17])
+def test_mode_index_refuses_aliased_modes(n):
+    # exp(i k z) with |m| > n / 2 is another mode's samples: it is refused, not measured as that mode
+    g = Grid((8.0,), (n,))
+    for m in range(-(n // 2), n // 2 + 1):
+        assert _mode_index(g, 2.0 * np.pi * m / 8.0) == m % n
+    for m in (n // 2 + 1, -(n // 2) - 1, 3 * n):
+        with pytest.raises(ValueError, match=f"mode {m} aliases on {n} points"):
+            _mode_index(g, 2.0 * np.pi * m / 8.0)
 
 
 # -- the spectral core -------------------------------------------------------------
@@ -631,6 +647,21 @@ def test_nan_written_by_a_monitor_stops_the_run(equation):
     with pytest.raises(SolverError, match="non-finite field values at step [34]"):
         run(st_, cfg, monitor=poison)
     assert seen == [1, 2, 3]
+
+
+@pytest.mark.parametrize("run", [evolve_kgf, evolve_wave])
+@pytest.mark.parametrize("where", ["field", "pi"])
+def test_nan_written_by_the_last_monitor_call_stops_a_leapfrog_run(run, where):
+    # no step follows the last monitor call, so only the check after the loop sees it
+    g = Grid((8.0,), (32,))
+    st_ = GridState(g, np.ones(32, dtype=complex), np.zeros(32, dtype=complex))
+
+    def poison(s):
+        if s.step_count == 3:
+            getattr(s, where)[5] = np.nan
+
+    with pytest.raises(SolverError, match="non-finite field values at step 3"):
+        run(st_, lf_config(0.05, 3, 0.0), monitor=poison)
 
 
 def test_finite_check_is_exact():
