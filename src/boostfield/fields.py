@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .kinematics import Event, LorentzBoost
-from .profiles import AmplitudeProfile, _cmul, _real, profile_from_dict
+from .profiles import AmplitudeProfile, _cmul, _real, _require_keys, profile_from_dict
 
 
 @dataclass(frozen=True)
@@ -135,27 +135,15 @@ class FieldSpec:
         }
 
 
-def _record(v, name: str, keys: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
-    """v as a mapping with every one of ``keys`` and nothing beyond them and ``optional``."""
-    if not isinstance(v, dict):
-        raise ValueError(f"{name} record must be a mapping, got {v!r}")
-    unknown = set(v) - set(keys) - set(optional)
-    if unknown:
-        raise ValueError(f"unknown {name} keys {sorted(unknown)}")
-    if not set(keys) <= set(v):
-        raise ValueError(f"{name} record needs " + " and ".join(map(repr, keys)))
-    return v
-
-
 def spec_from_dict(d: dict) -> FieldSpec:
-    d = _record(d, "field-spec", ("boost", "components"))
-    braw = _record(d["boost"], "boost", ("beta",), optional=("c",))
+    d = _require_keys(d, "field-spec", ("boost", "components"))
+    braw = _require_keys(d["boost"], "boost", ("beta",), optional=("c",))
     boost = LorentzBoost(_real("beta", braw["beta"]), _real("c", braw.get("c", 1.0)))
     if not isinstance(d["components"], list):
         raise ValueError(f"components must be a list, got {d['components']!r}")
     comps = []
     for rec in d["components"]:
-        rec = _record(rec, "component", ("omega", "profile"))
+        rec = _require_keys(rec, "component", ("omega", "profile"))
         comps.append(HarmonicComponent(_real("omega", rec["omega"]), profile_from_dict(rec["profile"])))
     return FieldSpec(tuple(comps), boost)
 

@@ -50,13 +50,15 @@ class SolverError(RuntimeError):
     pass
 
 
+_MAX_POINTS = 1 << 22
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic grid; axis i covers [0, extents[i]) with points[i] cells."""
 
     extents: tuple[float, ...]
     points: tuple[int, ...]
-    max_points: int = 1 << 22
 
     def __post_init__(self) -> None:
         ext = tuple(float(L) for L in self.extents)
@@ -68,8 +70,8 @@ class Grid:
         if any(n < 8 for n in pts):
             raise ValueError(f"need at least 8 points per axis, got {pts}")
         total = int(np.prod(pts))
-        if total > self.max_points:
-            raise ValueError(f"{total} points exceed the cap {self.max_points}")
+        if total > _MAX_POINTS:
+            raise ValueError(f"{total} points exceed the cap {_MAX_POINTS}")
         object.__setattr__(self, "extents", ext)
         object.__setattr__(self, "points", pts)
 

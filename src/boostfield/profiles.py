@@ -91,17 +91,17 @@ def _dump_complex(a: complex) -> list[float]:
     return [float(a.real), float(a.imag)]
 
 
-def _require_keys(d: dict, required: set[str], kind: str) -> None:
-    keys = set(d)
-    if keys != required:
-        missing = required - keys
-        extra = keys - required
-        parts = []
-        if missing:
-            parts.append(f"missing {sorted(missing)}")
-        if extra:
-            parts.append(f"unknown {sorted(extra)}")
-        raise ValueError(f"bad keys for {kind} profile: " + ", ".join(parts))
+def _require_keys(v, name: str, keys: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
+    """v as a mapping with every one of ``keys`` and nothing beyond them and ``optional``."""
+    if not isinstance(v, dict):
+        raise ValueError(f"{name} record must be a mapping, got {v!r}")
+    unknown = set(v) - set(keys) - set(optional)
+    if unknown:
+        raise ValueError(f"unknown {name} keys {sorted(unknown)}")
+    missing = [key for key in keys if key not in v]
+    if missing:
+        raise ValueError(f"{name} record needs " + " and ".join(map(repr, keys)) + f", missing {missing}")
+    return v
 
 
 class AmplitudeProfile(abc.ABC):
@@ -153,7 +153,7 @@ class AmplitudeProfile(abc.ABC):
     @classmethod
     def from_dict(cls, d: dict) -> "AmplitudeProfile":
         names = [f.name for f in fields(cls)]
-        _require_keys(d, {"kind", *names}, cls.kind)
+        _require_keys(d, f"{cls.kind} profile", ("kind", *names))
         return cls(**{name: d[name] for name in names})
 
 
@@ -394,7 +394,7 @@ class TabulatedProfile(AmplitudeProfile):
 
     @classmethod
     def from_dict(cls, d: dict) -> "TabulatedProfile":
-        _require_keys(d, {"kind", "z", "values"}, cls.kind)
+        _require_keys(d, f"{cls.kind} profile", ("kind", "z", "values"))
         if not (isinstance(d["z"], list) and isinstance(d["values"], list)):
             raise ValueError("tabulated profile needs lists 'z' and 'values'")
         return cls([_real("z", v) for v in d["z"]], [_as_complex(v) for v in d["values"]])

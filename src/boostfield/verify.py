@@ -23,10 +23,12 @@ Transverse derivatives vanish for the profile catalog, so the bundle carries
 these four and b_zz is the lab Laplacian.  Central-difference stencils of
 first and second order provide the independent cross-check.
 
-Every check works on a whole event sample at once: the events become
-coordinate arrays, one closed-form kernel evaluates the bundle above at all
-of them, and the stencils evaluate the envelope on shifted arrays.  The
-per-event entry points are batches of one.
+Every residual check is one call of one pipeline, ``_certify``: it keeps the
+events where the envelope is not negligible, evaluates the bundle above at
+all of them at once as coordinate arrays, sums the check's terms into the
+normalized residual and writes the report.  The envelope and Schrodinger
+checks share the four terms of one identity.  The stencils evaluate the
+envelope on shifted arrays; the per-event entry points are batches of one.
 """
 
 from __future__ import annotations
@@ -222,6 +224,7 @@ def fd_envelope_bundle(spec: FieldSpec, k: int, e: Event, h: float) -> Derivativ
 
 
 _SCALE_FLOOR = 1e-30
+_SLOPE_FLOOR = 1e-12  # derivative_slopes' degeneracy floor, relative to 1 + |entry|
 
 
 def _normalized(*terms) -> np.ndarray:
@@ -231,19 +234,6 @@ def _normalized(*terms) -> np.ndarray:
         total = total + t
         scale = scale + _abs(t)
     return _abs(total) / (scale + _SCALE_FLOOR)
-
-
-def _finish_report(equation_id: str, residuals: np.ndarray, h: float | None, metadata: dict) -> ResidualReport:
-    max_abs = float(residuals.max())
-    return ResidualReport(
-        equation_id=equation_id,
-        sample_count=int(residuals.size),
-        max_abs=max_abs,
-        # the rms of equal residuals can round one ulp above their maximum
-        rms=min(float(np.sqrt(np.mean(residuals**2))), max_abs),
-        stencil_spacing=h,
-        metadata=metadata,
-    )
 
 
 def _sample(spec: FieldSpec, k: int, events: list[Event], eps_q: float) -> tuple[list[Event], np.ndarray]:
@@ -260,17 +250,26 @@ def _sample(spec: FieldSpec, k: int, events: list[Event], eps_q: float) -> tuple
     return [events[i] for i in np.flatnonzero(keep)], X[:, keep]
 
 
-def _base_metadata(spec: FieldSpec, k: int, extra: dict | None = None) -> dict:
-    comp = spec.components[k]
-    md = {
-        "beta": spec.boost.beta,
-        "omega": comp.omega,
-        "profile": comp.profile.kind,
-        "normalization": "local_term_scale",
-    }
-    if extra:
-        md.update(extra)
-    return md
+def _certify(equation_id: str, spec: FieldSpec, k: int, events, eps_q: float, terms, h=None, **metadata):
+    """The one pipeline of every residual check: keep the events, evaluate the closed
+    forms there once, and report the normalized residual of the equation terms that
+    ``terms(kept, X, q, qzz, ph, bundle)`` returns, with the check's own ``metadata``."""
+    kept, X = _sample(spec, k, events, eps_q)
+    residuals = _normalized(*terms(kept, X, *_closed_form(spec, k, X)))
+    comp, max_abs = spec.components[k], float(residuals.max())
+    md = {"beta": spec.boost.beta, "omega": comp.omega, "profile": comp.profile.kind,
+          "normalization": "local_term_scale", "eps_q": eps_q, "events_given": len(events), **metadata}
+    # the rms of equal residuals can round one ulp above their maximum
+    rms = min(float(np.sqrt(np.mean(residuals**2))), max_abs)
+    return ResidualReport(equation_id, int(residuals.size), max_abs, rms, h, md)
+
+
+def _envelope_terms(bun: DerivativeBundle, psi_b, lap_q_ph, G: float, w: float) -> tuple:
+    """The terms of -i G b_t + (1/2w) lap b - (1/2w) (lap q) e^{i w eta} - (w/2)(G-1)^2 b = 0,
+    with b = ``psi_b`` and (lap q) e^{i w eta} = ``lap_q_ph``: the envelope identity, and
+    times hbar c, with w = m c / hbar and U b = (hbar^2/2m) lap_q_ph, the Schrodinger form."""
+    return (-1j * G * bun.d_tau, _cdiv(bun.d2_z, 2.0 * w), _cdiv(-lap_q_ph, 2.0 * w),
+            -(w / 2.0) * (G - 1.0) ** 2 * psi_b)
 
 
 def envelope_equation_residual(
@@ -300,23 +299,20 @@ def envelope_equation_residual(
         raise ValueError(f"derivatives must be 'analytic' or 'fd', got {derivatives!r}")
     if h is not None:
         _check_spacing(h)
-    kept, X = _sample(spec, k, events, eps_q)
-    q, qzz, ph, bun = _closed_form(spec, k, X)
-    if derivatives == "analytic":
-        lap_q = g * g * qzz  # transverse parts vanish
-    else:
-        if h is None:
-            h = comp.profile.characteristic_length / 100.0
-        bun = _fd_bundle(spec, k, X, h, kept)
-        prof_field = lambda Y: comp.profile.value(spec.boost.apply(Y[2], Y[3])[0])
-        lap_q = _stencils(prof_field, X, ("z",), h, kept)["z"][1]  # transverse parts vanish
-    t1 = -1j * g * bun.d_tau
-    t2 = _cdiv(bun.d2_z, 2.0 * w)
-    t3 = _cdiv(-_cmul(lap_q, ph), 2.0 * w)
-    t4 = -(w / 2.0) * (g - 1.0) ** 2 * _cmul(q, ph)
-    md = {"eps_q": eps_q, "derivatives": derivatives, "events_given": len(events)}
+    elif derivatives == "fd":
+        h = comp.profile.characteristic_length / 100.0
+
+    def terms(kept, X, q, qzz, ph, bun):
+        if derivatives == "analytic":
+            lap_q = g * g * qzz  # transverse parts vanish
+        else:
+            bun = _fd_bundle(spec, k, X, h, kept)
+            prof_field = lambda Y: comp.profile.value(spec.boost.apply(Y[2], Y[3])[0])
+            lap_q = _stencils(prof_field, X, ("z",), h, kept)["z"][1]  # transverse parts vanish
+        return _envelope_terms(bun, _cmul(q, ph), _cmul(lap_q, ph), g, w)
+
     fd_h = h if derivatives == "fd" else None
-    return _finish_report("envelope", _normalized(t1, t2, t3, t4), fd_h, _base_metadata(spec, k, md))
+    return _certify("envelope", spec, k, events, eps_q, terms, fd_h, derivatives=derivatives)
 
 
 def schrodinger_residual(
@@ -337,7 +333,8 @@ def schrodinger_residual(
 
     exactly when G = gamma ("exact" mode).  "unity" mode sets G = 1, the
     static-limit equation; its residual is the relativistic leftovers and
-    shrinks as the boost slows.
+    shrinks as the boost slows.  The residual is the envelope identity's with
+    u b as the curvature term: the factor hbar c drops out of its normalization.
 
     The potential u(x, y, z) is called once on coordinate arrays and its
     result broadcast, so a constant return works.  It must reproduce
@@ -346,36 +343,29 @@ def schrodinger_residual(
     """
     if gamma_mode not in ("exact", "unity"):
         raise ValueError(f"gamma_mode must be 'exact' or 'unity', got {gamma_mode!r}")
-    comp = spec.components[k]
-    g, w = spec.boost.gamma, comp.omega
+    g, w = spec.boost.gamma, spec.components[k].omega
     if w == 0.0:
         raise ValueError("mean component has no envelope equation")
     if abs(w - mass.omega) > 1e-9 * max(w, mass.omega):
-        raise ValueError(
-            f"component omega {w} is not the carrier m c / hbar = {mass.omega}"
-        )
-    kept, X = _sample(spec, k, events, eps_q)
-    q, qzz, ph, bun = _closed_form(spec, k, X)
-    hbar, m, c = mass.hbar, mass.m, mass.c
-    geff = g if gamma_mode == "exact" else 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lap_ratio = np.where(q != 0, g * g * qzz / q, 0j)
-    u = np.broadcast_to(np.asarray(potential(X[0], X[1], X[2]), dtype=complex), q.shape)
-    bad = _abs(lap_ratio - u) > 1e-6 * (1.0 + _abs(lap_ratio) + _abs(u))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(
-            "potential is not the profile's curvature ratio at "
-            f"{kept[i]!r}: u={complex(u[i])!r} vs lap q / q={complex(lap_ratio[i])!r}; "
-            "the profile does not separate in time under this boost"
-        )
-    psi_b = _cmul(q, ph)
-    t1 = -1j * hbar * c * geff * bun.d_tau
-    t2 = (hbar * hbar / (2.0 * m)) * bun.d2_z
-    t3 = _cmul(-(hbar * hbar / (2.0 * m)) * u, psi_b)
-    t4 = -(m * c * c * (geff - 1.0) ** 2 / 2.0) * psi_b
-    md = {"eps_q": eps_q, "gamma_mode": gamma_mode, "events_given": len(events), "m": m, "hbar": hbar, "c": c}
-    return _finish_report("schrodinger", _normalized(t1, t2, t3, t4), None, _base_metadata(spec, k, md))
+        raise ValueError(f"component omega {w} is not the carrier m c / hbar = {mass.omega}")
+
+    def terms(kept, X, q, qzz, ph, bun):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lap_ratio = np.where(q != 0, g * g * qzz / q, 0j)
+        u = np.broadcast_to(np.asarray(potential(X[0], X[1], X[2]), dtype=complex), q.shape)
+        bad = _abs(lap_ratio - u) > 1e-6 * (1.0 + _abs(lap_ratio) + _abs(u))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(
+                "potential is not the profile's curvature ratio at "
+                f"{kept[i]!r}: u={complex(u[i])!r} vs lap q / q={complex(lap_ratio[i])!r}; "
+                "the profile does not separate in time under this boost"
+            )
+        psi_b = _cmul(q, ph)
+        return _envelope_terms(bun, psi_b, _cmul(u, psi_b), g if gamma_mode == "exact" else 1.0, mass.omega)
+
+    md = {"gamma_mode": gamma_mode, "m": mass.m, "hbar": mass.hbar, "c": mass.c}
+    return _certify("schrodinger", spec, k, events, eps_q, terms, **md)
 
 
 def klein_gordon_residual(
@@ -396,25 +386,24 @@ def klein_gordon_residual(
     scalar, e.g. plane waves); when None the bracket is evaluated from the
     profile, multiplied through by q.
     """
-    comp = spec.components[k]
-    b = spec.boost
-    g, v, w = b.gamma, b.beta, comp.omega
+    g, v, w = spec.boost.gamma, spec.boost.beta, spec.components[k].omega
     if w == 0.0:
         raise ValueError("mean component has no envelope equation")
-    _, X = _sample(spec, k, events, eps_q)
-    q, qzz, ph, bun = _closed_form(spec, k, X)
-    carrier = np.exp(1j * w * X[3])
-    psi_b = _cmul(q, ph)
-    psi = _cmul(psi_b, carrier)
-    psi_tt = _cmul(bun.d2_tau + 2j * w * bun.d_tau - w * w * psi_b, carrier)
-    lap_psi = _cmul(bun.d2_z, carrier)
-    if mass_scalar is None:
-        lap_q = g * g * qzz  # the lab lap q is its zz part: transverse parts vanish
-        s_term = _cmul(_cmul(lap_q - v * v * lap_q, ph), carrier) + w * w * psi
-    else:
-        s_term = mass_scalar * psi
-    md = {"eps_q": eps_q, "mass_scalar": mass_scalar, "events_given": len(events)}
-    return _finish_report("klein_gordon", _normalized(psi_tt, -lap_psi, s_term), None, _base_metadata(spec, k, md))
+
+    def terms(kept, X, q, qzz, ph, bun):
+        carrier = np.exp(1j * w * X[3])
+        psi_b = _cmul(q, ph)
+        psi = _cmul(psi_b, carrier)
+        psi_tt = _cmul(bun.d2_tau + 2j * w * bun.d_tau - w * w * psi_b, carrier)
+        lap_psi = _cmul(bun.d2_z, carrier)
+        if mass_scalar is None:
+            lap_q = g * g * qzz  # the lab lap q is its zz part: transverse parts vanish
+            s_term = _cmul(_cmul(lap_q - v * v * lap_q, ph), carrier) + w * w * psi
+        else:
+            s_term = mass_scalar * psi
+        return psi_tt, -lap_psi, s_term
+
+    return _certify("klein_gordon", spec, k, events, eps_q, terms, mass_scalar=mass_scalar)
 
 
 def scalar_invariance_check(
@@ -427,14 +416,9 @@ def scalar_invariance_check(
     z' is xi.  The two are the same number; the report shows how close to
     round-off the implementation keeps them.
     """
-    b = spec.boost
-    g, v = b.gamma, b.beta
-    _, X = _sample(spec, k, events, eps_q)
-    q, qzz, _, _ = _closed_form(spec, k, X)
-    lhs = (g * g * qzz - v * v * g * g * qzz) / q
-    rhs = qzz / q
-    md = {"eps_q": eps_q, "events_given": len(events)}
-    return _finish_report("scalar_invariance", _normalized(lhs, -rhs), None, _base_metadata(spec, k, md))
+    g, v = spec.boost.gamma, spec.boost.beta
+    terms = lambda kept, X, q, qzz, ph, bun: ((g * g * qzz - v * v * g * g * qzz) / q, -(qzz / q))
+    return _certify("scalar_invariance", spec, k, events, eps_q, terms)
 
 
 def neglected_term(mass: MassParameters, beta: float) -> float:
@@ -479,7 +463,6 @@ def derivative_slopes(
     k: int,
     events: list[Event],
     hs=None,
-    floor: float = 1e-12,
 ) -> dict[str, float | None]:
     """Convergence order of stencils against the closed-form bundle.
 
@@ -506,7 +489,7 @@ def derivative_slopes(
     eps = float(np.finfo(float).eps)
     out: dict[str, float | None] = {}
     for name, exact in vars(bundle).items():
-        floor_abs = floor * (1.0 + float(np.max(_abs(exact))))
+        floor_abs = _SLOPE_FLOOR * (1.0 + float(np.max(_abs(exact))))
         errs = [float(np.max(_abs(getattr(fd, name) - exact))) for fd in fds]
         if max(errs) <= floor_abs:
             out[name] = None

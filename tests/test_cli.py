@@ -235,6 +235,17 @@ def test_unread_spec_is_refused_before_any_output(via, command, tmp_path, capsys
     assert not (tmp_path / "o3").exists()
 
 
+@pytest.mark.parametrize("via", ["flags", "config"])
+def test_init_refuses_component_before_any_output(via, tmp_path, capsys):
+    args = _READS_NO_SPEC["evolve-init"] + ["--component", "7", "--out", str(tmp_path / "o3")]
+    if via == "config":
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_config_from_args(_build_parser().parse_args(args)).to_dict()))
+        args = ["--config", str(path)]
+    assert main_config_error(args, capsys) == "config error: evolve --init reads no --component; drop it\n"
+    assert not (tmp_path / "o3").exists()
+
+
 # every command's subparser dests, plus spec, out and seed, which are not params
 _SUBPARSERS = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
 _DESTS = {name: sorted({a.dest for a in sp._actions} - {"help"}) for name, sp in _SUBPARSERS.items()}
@@ -808,13 +819,26 @@ def test_evolve_kgf_dispersion(const_spec, tmp_path):
 
 
 def test_evolve_kgf_weak_mode_fails(const_spec, tmp_path, capsys):
+    out = tmp_path / "run"
     rc = main(
         ["evolve", "kgf", "--spec", const_spec, "--grid", "64",
          "--extent", repr(8.0 * np.pi), "--dt", "0.05", "--steps", "5",
-         "--dispersion-modes", "5", "--out", str(tmp_path / "run")]
+         "--dispersion-modes", "5", "--out", str(out)]
     )
     assert rc == 1
     assert "too weak" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == sorted(f.name for f in out.iterdir() if f.name != "manifest.json")
+    assert manifest["outputs"] == ["observables.csv", "snap_000000.csv", "snap_000005.csv"]
+
+
+def test_evolve_prints_the_coarse_dt_warning_as_one_line(gauss_spec, tmp_path):
+    rc, _, err = _run_quietly(
+        ["evolve", "schrodinger", "--spec", gauss_spec, "--grid", "64", "--extent", "6.28",
+         "--dt", "0.01", "--steps", "5", "--out", str(tmp_path / "o")]
+    )
+    assert rc == 0
+    assert err.startswith("warning: dt=0.01 above dx^2=") and len(err.splitlines()) == 1, err
 
 
 _EQUATION_FLAGS = {"kgf": ["--mass-scalar=0.7"], "wave": [], "schrodinger": ["--mass=1.3"]}

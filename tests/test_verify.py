@@ -539,6 +539,28 @@ def test_batched_schrodinger_matches_per_event_reference(wavenumber, beta, omega
     _assert_matches(rep, _reference(spec, "schrodinger", events, 1e-8, mass=mass, u=u, geff=geff))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    plane=st.booleans(),
+    wavenumber=st.floats(-2.0, 2.0),
+    beta=st.floats(-0.95, 0.95),
+    omega=st.floats(0.5, 3.0),
+    hbar=st.floats(0.1, 10.0),
+    c=st.floats(0.1, 10.0),
+    seed=st.integers(0, 2**16),
+)
+def test_schrodinger_exact_mode_is_the_envelope_identity(plane, wavenumber, beta, omega, hbar, c, seed):
+    # the Schrodinger form is the envelope identity times hbar c, which the normalization divides out
+    profile = PlaneWaveProfile(0.8 + 0.3j, wavenumber) if plane else ConstantProfile(0.7 - 0.2j)
+    spec = spec_for(profile, beta, omega=omega)
+    mass = MassParameters(omega * hbar / c, hbar, c)
+    events = sample_events(20, seed)
+    schr = schrodinger_residual(spec, 0, mass, separable_potential(spec, 0), events)
+    env = envelope_equation_residual(spec, 0, events)
+    assert schr.sample_count == env.sample_count
+    assert abs(schr.max_abs - env.max_abs) <= 1e-13 and abs(schr.rms - env.rms) <= 1e-13
+
+
 def test_schrodinger_broadcasts_a_constant_potential():
     spec = spec_for(ConstantProfile(1.5), 0.6, omega=2.0)
     rep = schrodinger_residual(spec, 0, MassParameters(2.0, 1.0), lambda x, y, z: 0.0, sample_events(30, 9))
