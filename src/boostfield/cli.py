@@ -31,6 +31,7 @@ from .pde import (
     GridState,
     SolverConfig,
     SolverError,
+    _mode_coefficients,
     _mode_index,
     _rotation_rate,
     evolve_kgf,
@@ -389,13 +390,11 @@ def _run_verify(cfg: ExperimentConfig) -> int:
         raise ConfigError(f"--h applies only to verify derivatives, not to verify {check}")
     if check == "beta4":
         _refuse_spec(cfg, "verify beta4")
-    d = _out_dir(cfg)
-
-    if check == "beta4":
         scan = _scan(p)
         lo, hi = _TOLERANCES["beta4_slope_band"]
         ok = lo <= scan.fitted_slope <= hi
         report = {"check": check, "passed": bool(ok), "scan": scan.to_dict()}
+        d = _out_dir(cfg)
         _write_json(d / "report.json", report)
         _emit_manifest(cfg, d, ["report.json"])
         if not ok:
@@ -420,6 +419,7 @@ def _run_verify(cfg: ExperimentConfig) -> int:
             "slopes": {n: s for n, s in slopes.items()},
             "slope_band": [lo, hi],
         }
+        d = _out_dir(cfg)
         _write_json(d / "report.json", report)
         names = sorted(slopes)
         cells = ["" if slopes[n] is None else repr(slopes[n]) for n in names]
@@ -441,6 +441,7 @@ def _run_verify(cfg: ExperimentConfig) -> int:
     tol = p.get("tolerance", default)
     ok = rep.max_abs <= tol
     report = {"check": check, "passed": bool(ok), "tolerance": tol, "report": rep.to_dict()}
+    d = _out_dir(cfg)
     _write_json(d / "report.json", report)
     _emit_manifest(cfg, d, ["report.json"])
     if not ok:
@@ -573,7 +574,7 @@ def _run_evolve(cfg: ExperimentConfig) -> int:
     snap_every = p["snap_every"]
     outputs: list[str] = []
     obs_rows = []
-    mode_series: list[list[complex]] = [[] for _ in modes]
+    coeffs: list[np.ndarray] = []
     times: list[float] = []
 
     def record(st: GridState) -> None:
@@ -586,10 +587,8 @@ def _run_evolve(cfg: ExperimentConfig) -> int:
             + obs.width
         )
         if modes:  # each coefficient as measure_dispersion takes it
-            f = np.fft.fft(st.field)
             times.append(st.t)
-            for series, i in zip(mode_series, index):
-                series.append(f[i] / grid.points[0])
+            coeffs.append(_mode_coefficients(st.field, index))
 
     outputs.extend(_write_snapshot(d, state, 0))
     record(state)
@@ -613,9 +612,9 @@ def _run_evolve(cfg: ExperimentConfig) -> int:
     if modes:
         rows = []
         t_arr = np.asarray(times)
-        for m, k, series in zip(modes, ks, mode_series):
+        for m, k, series in zip(modes, ks, np.array(coeffs).T):
             try:
-                rows.append((k, _rotation_rate(t_arr, np.asarray(series)), continuum(k)))
+                rows.append((k, _rotation_rate(t_arr, series), continuum(k)))
             except ValueError as exc:  # a weak mode: fail with a manifest for what is written
                 _emit_manifest(cfg, d, sorted(set(outputs)))
                 raise VerificationFailure(f"mode {m:g}: {exc}") from None

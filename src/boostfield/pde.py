@@ -33,10 +33,17 @@ the first non-finite value rather than letting NaNs propagate.
   round-off.  A monitored run steps the stencil in real space, where real
   and imaginary parts never mix; with no monitor each Fourier mode takes the
   N-th power of its 2x2 step matrix (repeated squaring) in one go.
+
+``measure_observables`` reads a state in one pass over slabs along axis 0 (a
+1-d grid is one slab) and keeps no scratch larger than a slab.  One kinetic sum
+K = sum over axes of |psi_{i+1} - psi_i|^2 / dx^2 serves both energies: the
+leapfrog's (|pi|^2 + m_s |psi|^2 + K) / 2, and by summation by parts the CN
+<psi, H psi> = coef (K + u . m_z), m_z being |psi|^2 summed over x and y.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Literal
@@ -85,7 +92,7 @@ class Grid:
 
     @property
     def cell_volume(self) -> float:
-        return float(np.prod(self.spacing))
+        return math.prod(self.spacing)
 
     def axis(self, i: int) -> np.ndarray:
         return self.spacing[i] * np.arange(self.points[i])
@@ -225,13 +232,11 @@ def _potential_on_grid(grid: Grid, potential: Callable | None) -> np.ndarray:
 
 def _check_finite(state: GridState) -> None:
     # a finite sum proves every term finite; scan the elements only when it is not
-    for a in (state.field, state.pi):
-        if a is None:
-            continue
-        with np.errstate(over="ignore", invalid="ignore"):  # the scan below decides
-            total = a.sum()
-        if not np.isfinite(total) and not np.isfinite(a).all():
-            raise SolverError(f"non-finite field values at step {state.step_count}")
+    f, p = state.field, state.pi
+    with np.errstate(over="ignore", invalid="ignore"):  # the scan below decides
+        summed = np.isfinite(f.sum()) and (p is None or np.isfinite(p.sum()))
+    if not summed and not (np.isfinite(f).all() and (p is None or np.isfinite(p).all())):
+        raise SolverError(f"non-finite field values at step {state.step_count}")
 
 
 def _periodic_lap_matrix(n: int, dx: float):
@@ -453,50 +458,54 @@ class Observables:
 def measure_observables(state: GridState, cfg: SolverConfig) -> Observables:
     """Norm, scheme-consistent energy, and |psi|^2 centroid/width per axis."""
     grid = state.grid
-    dv = grid.cell_volume
-    density = np.abs(state.field)
-    np.square(density, out=density)
-    weight = float(density.sum()) * dv
-    norm = float(np.sqrt(weight))
-
-    if cfg.scheme == "crank_nicolson":
-        if cfg.mass is None:
-            raise ValueError("Schrodinger observables need mass parameters")
+    if cfg.scheme == "crank_nicolson" and cfg.mass is None:
+        raise ValueError("Schrodinger observables need mass parameters")
+    if cfg.scheme == "leapfrog" and state.pi is None:
+        raise ValueError("second-order observables need pi")
+    # a 1-d grid is one slab of one row; a C-ordered field, as the solvers return, is read in place
+    shape = (1,) * (3 - grid.dim) + grid.points
+    f = np.ascontiguousarray(state.field).reshape(shape)
+    pi = np.ascontiguousarray(state.pi).reshape(shape) if cfg.scheme == "leapfrog" else None
+    n0, n1, n2 = shape
+    rows, m_z, sums = np.empty((n0, n1)), np.zeros(2 * n2), np.zeros(4)  # sums: per axis, then |pi|^2
+    sq, g = np.empty((n1, 2 * n2)), np.empty((n1, n2), dtype=complex)
+    axes = range(3 - grid.dim, 3)
+    for i, s in enumerate(f):
+        np.square(s.view(float), out=sq)  # re^2 and im^2, side by side
+        sq.sum(axis=1, out=rows[i])
+        m_z += sq.sum(axis=0)
+        for ax in axes:  # sum |psi_{i+1} - psi_i|^2, wrapping at the end (axis 0: the next slab)
+            if ax == 0:
+                np.subtract(f[(i + 1) % n0], s, out=g)
+            else:
+                head, tail, first, last = _shifts(ax - 1)
+                np.subtract(s[head], s[tail], out=g[tail])
+                np.subtract(s[first], s[last], out=g[last])
+            sums[ax] += np.vdot(g, g).real
+        if pi is not None:
+            sums[3] += np.vdot(pi[i], pi[i]).real
+    m_z, total, dv = m_z[0::2] + m_z[1::2], float(rows.sum()), grid.cell_volume
+    kinetic = sum(sums[ax] / (dx * dx) for ax, dx in zip(axes, grid.spacing))
+    if pi is None:  # <psi, H psi>: on a periodic grid <psi, -lap psi> = kinetic, and u is of z alone
         coef = cfg.mass.hbar / (2.0 * cfg.mass.m * cfg.mass.c)
-        u = cfg.potential_on(grid)
-        hpsi = coef * (-periodic_laplacian(state.field, grid) + u * state.field)
-        energy = float(np.real(np.vdot(state.field, hpsi)) * dv)
+        energy = coef * (kinetic + np.dot(cfg.potential_on(grid), m_z)) * dv
     else:
-        if state.pi is None:
-            raise ValueError("second-order observables need pi")
         m_s = cfg.resolved_mass_scalar() if (cfg.mass or cfg.mass_scalar is not None) else 0.0
-        # |pi|^2 + m_s |psi|^2 + sum over axes of |forward difference|^2, in place
-        f, grad, e = state.field, np.empty_like(state.field), np.abs(state.pi)
-        np.square(e, out=e)
-        term = m_s * density
-        e += term
-        for ax, dx in enumerate(grid.spacing):
-            head, tail, first, last = _shifts(ax)
-            np.subtract(f[head], f[tail], out=grad[tail])
-            np.subtract(f[first], f[last], out=grad[last])
-            e += np.square(np.abs(np.divide(grad, dx, out=grad), out=term), out=term)
-        energy = float(0.5 * e.sum() * dv)
+        energy = 0.5 * (sums[3] + m_s * total + kinetic) * dv
 
     centroid, width = [], []
-    for ax in range(grid.dim):
-        coords = grid.axis(ax)
-        other = tuple(i for i in range(grid.dim) if i != ax)
-        marginal = density.sum(axis=other) if other else density
-        if weight == 0.0:
+    for ax, marginal in enumerate((m_z,) if grid.dim == 1 else (rows.sum(axis=1), rows.sum(axis=0), m_z)):
+        if total == 0.0:
             centroid.append(0.0)
             width.append(0.0)
             continue
+        coords = grid.axis(ax)
         w = marginal / marginal.sum()
-        mean = float(np.sum(coords * w))
-        var = float(np.sum((coords - mean) ** 2 * w))
+        mean = float(coords @ w)
+        var = float((coords - mean) ** 2 @ w)
         centroid.append(mean)
         width.append(float(np.sqrt(max(var, 0.0))))
-    return Observables(norm, energy, tuple(centroid), tuple(width))
+    return Observables(float(np.sqrt(total * dv)), float(energy), tuple(centroid), tuple(width))
 
 
 def measure_dispersion(states: list[GridState], k: float) -> float:
@@ -509,9 +518,13 @@ def measure_dispersion(states: list[GridState], k: float) -> float:
     if len(states) < 3:
         raise ValueError("need at least 3 snapshots to fit a rotation rate")
     grid = states[0].grid
-    i, n = _mode_index(grid, k), grid.points[0]
-    coeffs = np.array([np.fft.fft(s.field)[i] / n for s in states])
+    coeffs = _mode_coefficients(np.array([s.field for s in states]), _mode_index(grid, k))
     return _rotation_rate(np.array([s.t for s in states]), coeffs)
+
+
+def _mode_coefficients(fields: np.ndarray, index: int | list[int]) -> np.ndarray:
+    """Coefficients of the FFT modes ``index`` of 1-d fields stacked before the last axis: one FFT."""
+    return np.fft.fft(fields, axis=-1)[..., index] / fields.shape[-1]
 
 
 def _mode_index(grid: Grid, k: float) -> int:

@@ -607,6 +607,16 @@ def test_verify_missing_spec_file(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_verify_that_exits_2_makes_no_out_directory(tmp_path, capsys):
+    moving = tmp_path / "moving.json"  # a Gaussian under a boost has no separable potential
+    save_spec(FieldSpec((HarmonicComponent(1.7, GaussianProfile(1.0, 0.0, 1.2)),), LorentzBoost(0.6)), moving)
+    for check, spec, message in [("envelope", tmp_path / "nope.json", "not found"),
+                                 ("schrodinger", moving, "does not separate")]:
+        assert main(["verify", check, "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "args",
     [
