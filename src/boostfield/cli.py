@@ -299,7 +299,7 @@ def _run_field(cfg: ExperimentConfig) -> int:
         z, tau = np.linspace(p["z_min"], p["z_max"], p["n"]), p["tau"]
     ks = [_component(spec, p)] if "component" in p else range(len(spec.components))
     psi = sum(spec.harmonic_on_axis(k, z, tau) for k in ks)
-    phi = sum(np.abs(spec.envelope_on_axis(k, z, tau)) ** 2 for k in ks)
+    phi = sum(np.square(np.abs(spec.envelope_on_axis(k, z, tau))) for k in ks)
     if not p.get("event"):
         d = _out_dir(cfg)
         _write_csv(d / "field.csv", ["z", "re_psi", "im_psi", "phi"], [z, psi.real, psi.imag, phi])

@@ -121,7 +121,7 @@ class FieldSpec:
     def scalar_density(self, e: Event) -> float:
         """Frame-invariant density sum_k |q_k|^2 at a lab event, as the envelopes' squared moduli."""
         ks = range(len(self.components))
-        return float(sum(np.abs(self.envelope_on_axis(k, e.z, e.tau)) ** 2 for k in ks))
+        return float(sum(np.square(np.abs(self.envelope_on_axis(k, e.z, e.tau))) for k in ks))
 
     # -- serialization ------------------------------------------------------
 

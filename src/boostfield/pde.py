@@ -2,8 +2,10 @@
 
 Two integrators, second order in space and time, on uniform periodic grids
 in 1 or 3 dimensions.  The periodic second-order stencil is diagonal in
-Fourier space; one symbol, ``laplacian_symbol``, serves both.  Both abort on
-the first non-finite value rather than letting NaNs propagate.
+Fourier space; one symbol, ``laplacian_symbol``, serves both.  Both abort on a
+non-finite value, checked after every step of a monitored run; an unobserved
+Fourier or eigenbasis CN run, or leapfrog run, checks only its input and result,
+as each mode's one multiplier is finite (for CN of modulus 1).
 
 * Crank-Nicolson for the first-order-in-time equation
 
@@ -43,6 +45,7 @@ leapfrog's (|pi|^2 + m_s |psi|^2 + K) / 2, and by summation by parts the CN
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -86,7 +89,7 @@ class Grid:
     def dim(self) -> int:
         return len(self.points)
 
-    @property
+    @functools.cached_property  # read on every step: computed once per grid
     def spacing(self) -> tuple[float, ...]:
         return tuple(L / n for L, n in zip(self.extents, self.points))
 
@@ -190,26 +193,36 @@ def _shifts(ax: int) -> tuple[tuple[slice, ...], ...]:
     return pre + (slice(1, None),), pre + (slice(None, -1),), pre + (slice(0, 1),), pre + (slice(-1, None),)
 
 
-def _laplacian_into(f: np.ndarray, grid: Grid, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    # (f[i+1] - 2 f[i] + f[i-1]) / dx^2, summed over the axes in order, built from
-    # slices in place (tmp is scratch).  numpy divides a complex by a real through
-    # the real's reciprocal, so multiplying by 1 / dx^2 rounds the same, faster
-    for ax, dx in enumerate(grid.spacing):
-        term, (head, tail, first, last) = (tmp if ax else out), _shifts(ax)
-        np.multiply(2.0, f, out=term)
-        np.subtract(f[head], term[tail], out=term[tail])
-        np.subtract(f[first], term[last], out=term[last])
-        np.add(term[head], f[tail], out=term[head])
-        np.add(term[first], f[last], out=term[first])
-        np.multiply(term, 1.0 / (dx * dx), out=term)
-        if ax:
-            out += tmp
+def _second_difference(s: np.ndarray, ax: int, c: float, term: np.ndarray, nxt=None, prv=None) -> None:
+    # term = (next - 2 s + previous) * c along ax; nxt, prv neighbour the last, first slice (default:
+    # periodic).  numpy divides a complex by a real through its reciprocal: c = 1 / dx^2 rounds the same
+    head, tail, first, last = _shifts(ax)
+    np.multiply(2.0, s, out=term)
+    np.subtract(s[head], term[tail], out=term[tail])
+    np.subtract(s[first] if nxt is None else nxt, term[last], out=term[last])
+    np.add(term[head], s[tail], out=term[head])
+    np.add(term[first], s[last] if prv is None else prv, out=term[first])
+    np.multiply(term, c, out=term)
+
+
+def _laplacian_into(f: np.ndarray, grid: Grid, out: np.ndarray) -> np.ndarray:
+    # the second differences summed over the axes in order, a 256 KB block of slabs along axis 0 at a
+    # time so it stays in cache (64^3, 2-vCPU Xeon: 4.6 ms; whole arrays 6.5, slabs 6.3); 1-d: axis 0
+    inv, n0 = [1.0 / (dx * dx) for dx in grid.spacing], len(f)
+    size = max(1, (1 << 18) * n0 // f.nbytes)
+    tmp = np.empty_like(out[:size]) if grid.dim > 1 else None
+    for i0 in range(0, n0, size):  # axis 0 takes the neighbours of a block's end slabs from f
+        i1 = min(i0 + size, n0)
+        s, o = f[i0:i1], out[i0:i1]
+        _second_difference(s, 0, inv[0], o, f[i1 % n0], f[i0 - 1])
+        for ax in range(1, grid.dim):
+            _second_difference(s, ax, inv[ax], tmp[: i1 - i0])
+            o += tmp[: i1 - i0]
     return out
 
 
 def periodic_laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
-    out = np.empty_like(f)
-    return _laplacian_into(f, grid, out, np.empty_like(f) if grid.dim > 1 else out)
+    return _laplacian_into(f, grid, np.empty_like(f))
 
 
 def _potential_on_grid(grid: Grid, potential: Callable | None) -> np.ndarray:
@@ -231,12 +244,11 @@ def _potential_on_grid(grid: Grid, potential: Callable | None) -> np.ndarray:
 
 
 def _check_finite(state: GridState) -> None:
-    # a finite sum proves every term finite; scan the elements only when it is not
-    f, p = state.field, state.pi
-    with np.errstate(over="ignore", invalid="ignore"):  # the scan below decides
-        summed = np.isfinite(f.sum()) and (p is None or np.isfinite(p.sum()))
-    if not summed and not (np.isfinite(f).all() and (p is None or np.isfinite(p).all())):
-        raise SolverError(f"non-finite field values at step {state.step_count}")
+    # a finite sum of |f|^2 proves every element finite, and BLAS raises no floating-point
+    # warnings when it overflows; scan the elements only when it is not finite
+    for f in (state.field, state.pi):
+        if f is not None and not math.isfinite(np.vdot(f, f).real) and not np.isfinite(f).all():
+            raise SolverError(f"non-finite field values at step {state.step_count}")
 
 
 def _periodic_lap_matrix(n: int, dx: float):
@@ -261,7 +273,10 @@ def evolve_schrodinger(
     u is of z alone (``SolverConfig.potential_on``).  Constant u (none, a plane wave's)
     takes the Cayley step in Fourier space; any other (a static profile's) takes it in
     the z-line eigenbasis on a 3-d grid with nz <= nx ny, and on a longer line or in 1-d
-    the z-line LU.  Returns a fresh evolved state; the input is left untouched.
+    the z-line LU.  Unobserved, the Fourier and eigenbasis branches take N steps as one phase
+    e^{2iN arctan x} per mode: the Cayley multiplier (1 + ix) / (1 - ix), x = dt H / 2, is
+    e^{2i arctan x}, so the phase is that of one step of tan(N arctan x).  Returns a fresh
+    evolved state; the input is left untouched.
     ``monitor`` is called with the live working state after every step, whose arrays
     the next step overwrites (copy them if you keep them).
     """
@@ -285,13 +300,10 @@ def evolve_schrodinger(
     _check_finite(state)
 
     # each branch maps psi to the basis it steps in (forward), advances one step there, and
-    # maps back (inverse); where H is diagonal in that basis, a step is one Cayley multiplier
-    nz = grid.points[-1]
+    # maps back (inverse); where H is diagonal in that basis, x is dt H / 2 per mode
+    nz, x = grid.points[-1], None
     if np.all(u == u[0]):
-        ih = half * coef * (u[0] - sym)  # i dt H / 2 in Fourier space
-        cayley, (forward, inverse) = (1.0 + ih) / (1.0 - ih), _ffts(tuple(range(grid.dim)))
-        advance = lambda c: np.multiply(c, cayley, out=c)
-
+        x, (forward, inverse) = 0.5 * cfg.dt * coef * (u[0] - sym), _ffts(tuple(range(grid.dim)))
     elif grid.dim == 3 and nz <= grid.points[0] * grid.points[1]:
         # in each transverse Fourier mode (kx, ky) H is one real symmetric z-line matrix Hz,
         # shifted by -coef times the transverse symbol, so Hz = V diag(lam) V^T diagonalizes
@@ -300,9 +312,7 @@ def evolve_schrodinger(
         eye, dz = np.eye(nz), grid.spacing[-1]
         lap_z = (np.roll(eye, 1, axis=1) - 2.0 * eye + np.roll(eye, -1, axis=1)) / (dz * dz)
         lam, V = np.linalg.eigh(coef * (np.diag(u) - lap_z))
-        ih = half * (lam - coef * sym[..., :1])
-        cayley, (fft_xy, ifft_xy) = (1.0 + ih) / (1.0 - ih), _ffts((0, 1))
-        advance = lambda c: np.multiply(c, cayley, out=c)
+        x, (fft_xy, ifft_xy) = 0.5 * cfg.dt * (lam - coef * sym[..., :1]), _ffts((0, 1))
         psi, coeffs = state.field, np.empty_like(state.field)
 
         def forward(f: np.ndarray) -> np.ndarray:
@@ -334,6 +344,13 @@ def evolve_schrodinger(
         advance = lambda c: lu.solve(B @ c.ravel()).reshape(shape)
 
     spectral = monitor is None and cfg.steps > 0  # unobserved steps stay in the stepping basis
+    if x is not None:  # N steps that nobody sees are one of tan(N arctan x): numpy's float tan is
+        x = np.tan(cfg.steps * np.arctan(x)) if spectral else x  # vectorized, its complex exp is not
+        cayley = (1.0 + 1j * x) / (1.0 - 1j * x)
+        advance = lambda c: np.multiply(c, cayley, out=c)
+        if spectral:
+            state.field = inverse(advance(forward(state.field)))
+            return _unobserved_steps_taken(state, cfg)
     if spectral:
         state.field = forward(state.field)
     for _ in range(cfg.steps):
@@ -347,6 +364,15 @@ def evolve_schrodinger(
             _check_finite(state)  # the monitor may have written into the live state
     if spectral:
         state.field = inverse(state.field)
+    return state
+
+
+def _unobserved_steps_taken(state: GridState, cfg: SolverConfig) -> GridState:
+    """``state`` after cfg.steps steps taken at once: its clock advanced and its values checked."""
+    for _ in range(cfg.steps):  # the loop's own sum, so t stays bit-equal
+        state.t += cfg.dt
+    state.step_count += cfg.steps
+    _check_finite(state)
     return state
 
 
@@ -385,23 +411,22 @@ def _leapfrog(
     if monitor is None and cfg.steps > 0:  # nobody sees the steps in between: M^N per mode
         m = _verlet_power(w2, cfg.dt, cfg.steps)
         fold = [np.minimum(np.arange(n), n - np.arange(n)) for n in grid.points]
-        slabs = [slice(None)] if grid.dim == 1 else [slice(i, i + 1) for i in range(grid.points[0])]
+        for ax in range(grid.dim > 1, grid.dim):  # unfold all but axis 0 of a 3-d grid once
+            m = [e.take(fold[ax], axis=ax) for e in m]
         psi, pi = (np.fft.fftn(f, out=f) for f in (psi, pi))
-        for at in slabs:  # slab by slab along axis 0: no full-grid temporaries
-            a, b, c, d = (e[np.ix_(fold[0][at], *fold[1:])] for e in m)
-            p, q = psi[at], pi[at]
-            psi[at], pi[at] = a * p + b * q, c * p + d * q
+        s1, s2 = np.empty((2,) + psi.shape[grid.dim > 1:], dtype=complex)
+        for i, j in [(..., ...)] if grid.dim == 1 else enumerate(fold[0]):  # slab by slab, in place
+            (a, b, c, d), p, q = (e[j] for e in m), psi[i], pi[i]
+            np.add(np.multiply(a, p, out=s1), np.multiply(b, q, out=s2), out=s1)  # a p + b q
+            np.add(np.multiply(d, q, out=q), np.multiply(c, p, out=s2), out=q)  # d q + c p, as c p + d q
+            p[...] = s1
         psi, pi = (np.fft.ifftn(f, out=f) for f in (psi, pi))
-        for _ in range(cfg.steps):  # the loop's own sum, so t stays bit-equal
-            state.t += cfg.dt
-        state.step_count += cfg.steps
-        _check_finite(state)
-        return state
+        return _unobserved_steps_taken(state, cfg)
 
     accel, tmp = np.empty_like(psi), np.empty_like(psi)
 
     def force() -> None:  # accel = lap psi - m_s psi
-        _laplacian_into(psi, grid, accel, tmp)
+        _laplacian_into(psi, grid, accel)
         np.subtract(accel, np.multiply(m_s, psi, out=tmp), out=accel)
 
     force()

@@ -3,10 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from boostfield import pde
 from boostfield import (
     Grid,
     GridState,
@@ -452,6 +453,8 @@ def test_symbol_is_the_stencil_on_fourier_modes(grid, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(grid=st.one_of(grids_1d, grids_3d), seed=st.integers(0, 2**32 - 1))
+@example(grid=Grid((3.0, 4.0, 5.0), (40, 41, 43)), seed=1)  # blocks of 9 slabs along axis 0, the last of 4
+@example(grid=Grid((9.0,), (40000,)), seed=2)  # a line of three blocks
 def test_stencil_is_the_roll_expression_bit_for_bit(grid, seed):
     f = random_field(np.random.default_rng(seed), grid.points)
     assert np.array_equal(periodic_laplacian(f, grid), roll_laplacian(f, grid))
@@ -668,15 +671,84 @@ def test_nan_written_by_the_last_monitor_call_stops_a_leapfrog_run(run, where):
 def test_finite_check_is_exact():
     g = Grid((8.0,), (16,))
     big = np.full(16, 1e308, dtype=complex)  # finite values whose sum overflows
+    huge = np.full(16, complex(1e200, -3e200))  # finite values whose |psi|^2 overflows in the reduction
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # and silently: the sum's overflow is not reported
         _check_finite(GridState(g, big, big.copy()))
+        _check_finite(GridState(g, huge, huge.copy()))
+        _check_finite(GridState(g, huge))
         for where in ("field", "pi"):
-            for bad in (np.nan, np.inf, complex(0.0, -np.inf), (np.inf, -np.inf)):
-                st_ = GridState(g, np.ones(16, dtype=complex), np.ones(16, dtype=complex))
-                getattr(st_, where)[7:7 + np.size(bad)] = bad
-                with pytest.raises(SolverError, match="non-finite"):
-                    _check_finite(st_)
+            for bad in (np.nan, np.inf, -np.inf, complex(0.0, -np.inf), (np.inf, -np.inf)):
+                for fill in (1.0, 1e200):
+                    st_ = GridState(g, np.full(16, fill, dtype=complex), np.full(16, fill, dtype=complex))
+                    getattr(st_, where)[7:7 + np.size(bad)] = bad
+                    with pytest.raises(SolverError, match="non-finite"):
+                        _check_finite(st_)
+
+
+CN_BRANCHES = {  # grid and potential that select each Crank-Nicolson branch
+    "fourier_1d": (Grid((6.0,), (64,)), "constant"),
+    "fourier_3d": (Grid((6.0, 7.0, 8.0), (8, 8, 16)), "zero"),
+    "eigenbasis": (Grid((6.0, 7.0, 8.0), (8, 8, 16)), "z_only"),
+    "lu_1d": (Grid((6.0,), (64,)), "z_only"),
+    "lu_3d": (Grid((6.0, 7.0, 8.0), (8, 8, 80)), "z_only"),  # nz > nx ny
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    points=st.one_of(
+        st.tuples(st.integers(8, 64)), st.tuples(st.integers(8, 11), st.integers(8, 11), st.integers(8, 64))
+    ),
+    extents=st.tuples(*[st.floats(0.5, 20.0)] * 3),
+    kind=st.sampled_from(["zero", "constant", "z_only"]),
+    steps=st.integers(1, 40),
+    ratio=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(points=(1024,), extents=(8.0 * np.pi,) * 3, kind="zero", steps=1000, ratio=0.9, seed=1)  # the bench's 1-d run
+def test_unmonitored_cn_is_the_monitored_loop_in_the_stepping_basis(points, extents, kind, steps, ratio, seed):
+    # with no monitor the Fourier branch (zero or constant u) and the eigenbasis branch (u of z
+    # alone, nz <= nx ny) take one phase exp(2i steps arctan x) per mode; the monitored run,
+    # which the dense-solve test pins step by step, takes the Cayley multiplier every step.
+    # Both share x = dt H / 2, so only rounding parts them: the phase's is about eps steps pi,
+    # a monitored step's about eps per basis change (worst of 550 draws: 8.5 eps steps)
+    assume(len(points) == 3 or kind != "z_only")  # a 1-d u of z takes the LU, which keeps its loop
+    grid = Grid(extents[: len(points)], points)
+    rng = np.random.default_rng(seed)
+    psi = random_field(rng, points)
+    table = rng.uniform(-2.0, 2.0, points[-1])
+    pot = (lambda x, y, z: np.broadcast_to(table, np.shape(z))) if kind == "z_only" else POTENTIALS[kind]
+    cfg = cn_config(ratio * min(grid.spacing) ** 2, steps, potential=pot)
+    st_ = GridState(grid, psi.copy(), t=0.25, step_count=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # dt above dx^2 is allowed here
+        fin = evolve_schrodinger(st_, cfg)
+        assert np.array_equal(st_.field, psi) and (st_.t, st_.step_count) == (0.25, 3)  # input untouched
+        loop = evolve_schrodinger(st_, cfg, monitor=lambda s_: None)
+    assert (fin.t, fin.step_count) == (loop.t, loop.step_count)  # the same repeated sum of dt
+    assert rel_l2(fin.field, loop.field) <= 64 * np.finfo(float).eps * steps
+
+
+@pytest.mark.parametrize("branch", ["fourier_1d", "fourier_3d", "eigenbasis"])
+def test_unobserved_cn_checks_only_its_input_and_result(branch, monkeypatch):
+    grid, kind = CN_BRANCHES[branch]
+    psi = random_field(np.random.default_rng(4), grid.points)
+    seen = []
+    monkeypatch.setattr(pde, "_check_finite", lambda s_: seen.append(s_.step_count) or _check_finite(s_))
+    for steps in (1, 7, 300):
+        seen.clear()
+        fin = evolve_schrodinger(GridState(grid, psi), cn_config(0.005, steps, potential=POTENTIALS[kind]))
+        assert seen == [0, steps] and fin.step_count == steps
+
+
+@pytest.mark.parametrize("branch", sorted(CN_BRANCHES))
+def test_unobserved_cn_refuses_non_finite_input_on_every_branch(branch):
+    grid, kind = CN_BRANCHES[branch]
+    bad = random_field(np.random.default_rng(5), grid.points)
+    bad.flat[11] = np.nan
+    with pytest.raises(SolverError, match="non-finite field values at step 0"):
+        evolve_schrodinger(GridState(grid, bad), cn_config(0.005, 20, potential=POTENTIALS[kind]))
 
 
 def test_z_only_potential_monitored_and_unmonitored_runs_agree():
