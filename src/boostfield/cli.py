@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import platform
 import sys
 import warnings
@@ -24,15 +23,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .fields import FieldSpec, MassParameters, load_spec
+from .fields import FieldSpec, MassParameters, _check_spacing, load_spec
 from .kinematics import Event, LorentzBoost, boost_event, inverse_boost_event
 from .pde import (
     Grid,
     GridState,
     SolverConfig,
     SolverError,
-    _mode_coefficients,
-    _mode_index,
+    _mode_projector,
     _rotation_rate,
     evolve_kgf,
     evolve_schrodinger,
@@ -247,8 +245,8 @@ def _component(spec: FieldSpec, p: dict) -> int:
 
 def _stencil_spacing(p: dict) -> float | None:
     h = p.get("h")
-    if h is not None and not (math.isfinite(h) and h > 0):
-        raise ConfigError(f"--h must be positive and finite, got {h!r}")
+    if h is not None:
+        _check_spacing(h, "--h")
     return h
 
 
@@ -562,7 +560,7 @@ def _run_evolve(cfg: ExperimentConfig) -> int:
     if modes and sc.steps < 2:
         raise ConfigError("--dispersion-modes needs at least 2 steps to fit a rotation rate")
     ks = [2.0 * np.pi * m / grid.extents[-1] for m in modes]
-    index = [_mode_index(grid, k) for k in ks]  # ValueError, so exit 2, on a 3-d grid or an aliased mode
+    project = _mode_projector(grid, ks)  # ValueError, so exit 2, on a 3-d grid or an aliased mode
     continuum = lambda k: float(np.sqrt(k * k + sc.resolved_mass_scalar()))
     if modes and equation == "schrodinger":  # exp(ikz) under psi_t = i (hbar / 2mc)(-lap + u) psi, u constant
         u = sc.potential_on(grid)
@@ -588,7 +586,7 @@ def _run_evolve(cfg: ExperimentConfig) -> int:
         )
         if modes:  # each coefficient as measure_dispersion takes it
             times.append(st.t)
-            coeffs.append(_mode_coefficients(st.field, index))
+            coeffs.append(project(st.field))
 
     outputs.extend(_write_snapshot(d, state, 0))
     record(state)
@@ -598,10 +596,7 @@ def _run_evolve(cfg: ExperimentConfig) -> int:
         "kgf": evolve_kgf,
         "wave": evolve_wave,
     }[equation]
-    with warnings.catch_warnings(record=True) as caught:  # each one line, not Python's two
-        final = evolve(state, sc, monitor=record)
-    for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
+    final = evolve(state, sc, monitor=record)
 
     axes = ["z"] if grid.dim == 1 else ["x", "y", "z"]
     header = ["t", "norm", "energy"] + [f"centroid_{a}" for a in axes] + [f"width_{a}" for a in axes]
@@ -647,17 +642,20 @@ _RUNNERS = {
 
 def run(cfg: ExperimentConfig) -> int:
     """Execute one configured command; returns the process exit code."""
-    try:
-        return _RUNNERS[cfg.command](cfg)
-    except VerificationFailure as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return 1
-    except SolverError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 1
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings(record=True) as caught:  # each one line, not Python's two
+        try:
+            return _RUNNERS[cfg.command](cfg)
+        except VerificationFailure as exc:
+            code, message = 1, f"FAIL: {exc}"
+        except SolverError as exc:
+            code, message = 1, f"solver error: {exc}"
+        except (ConfigError, ValueError) as exc:
+            code, message = 2, f"config error: {exc}"
+        finally:
+            for warning in caught:
+                print(f"warning: {warning.message}", file=sys.stderr)
+    print(message, file=sys.stderr)
+    return code
 
 
 # -- argument parsing --------------------------------------------------------

@@ -26,6 +26,7 @@ xi equals z' exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -48,6 +49,15 @@ class HarmonicComponent:
         object.__setattr__(self, "omega", float(self.omega))
         if self.omega == 0.0 and not self.profile.is_real():
             raise ValueError("a zero-frequency (mean) component must have a real profile")
+
+
+def _check_spacing(h: float, what: str) -> None:
+    """Refuse a stencil spacing unless h > 0 and h^2 and 1 / h^2 are finite and nonzero."""
+    h = float(h)
+    if not (h > 0.0 and 0.0 < h * h < math.inf and 1.0 / (h * h) < math.inf):
+        raise ValueError(
+            f"{what} spacing must be positive, with its square and inverse square finite and nonzero, got {h!r}"
+        )
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,9 @@ as each mode's one multiplier is finite (for CN of modulus 1).
   in 1-d that is the unit Courant number, where every Fourier mode advances
   with exact phase speed and a full periodic transit returns the state to
   round-off.  A monitored run steps the stencil in real space, where real
-  and imaginary parts never mix; with no monitor each Fourier mode takes the
+  and imaginary parts never mix, by a plan: the step's ufunc calls, every
+  slice and view of the stencil (``_stencil``) among them, are built once per
+  run and replayed each step.  With no monitor each Fourier mode takes the
   N-th power of its 2x2 step matrix (repeated squaring) in one go.
 
 ``measure_observables`` reads a state in one pass over slabs along axis 0 (a
@@ -41,6 +43,8 @@ as each mode's one multiplier is finite (for CN of modulus 1).
 K = sum over axes of |psi_{i+1} - psi_i|^2 / dx^2 serves both energies: the
 leapfrog's (|pi|^2 + m_s |psi|^2 + K) / 2, and by summation by parts the CN
 <psi, H psi> = coef (K + u . m_z), m_z being |psi|^2 summed over x and y.
+``measure_dispersion`` reads one Fourier mode of each state as a projection on
+that mode's phasor, built once per call, not as an FFT of the whole run.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .fields import MassParameters
+from .fields import MassParameters, _check_spacing
 
 
 class SolverError(RuntimeError):
@@ -75,10 +79,10 @@ class Grid:
         pts = tuple(int(n) for n in self.points)
         if len(ext) != len(pts) or len(ext) not in (1, 3):
             raise ValueError("grid must be 1-d or 3-d with matching extents/points")
-        if any(not np.isfinite(L) or L <= 0 for L in ext):
-            raise ValueError(f"extents must be positive, got {ext}")
         if any(n < 8 for n in pts):
             raise ValueError(f"need at least 8 points per axis, got {pts}")
+        for L, n in zip(ext, pts):  # the stencil's 1 / dx^2 is built once per run
+            _check_spacing(L / n, f"grid ({L!r} over {n} points)")
         total = int(np.prod(pts))
         if total > _MAX_POINTS:
             raise ValueError(f"{total} points exceed the cap {_MAX_POINTS}")
@@ -97,11 +101,18 @@ class Grid:
     def cell_volume(self) -> float:
         return math.prod(self.spacing)
 
+    @functools.cached_property  # read on every observation: computed once per grid, read-only
+    def coords(self) -> tuple[np.ndarray, ...]:
+        axes = tuple(dx * np.arange(n) for dx, n in zip(self.spacing, self.points))
+        for a in axes:
+            a.flags.writeable = False
+        return axes
+
     def axis(self, i: int) -> np.ndarray:
-        return self.spacing[i] * np.arange(self.points[i])
+        return self.coords[i].copy()
 
     def meshes(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.meshgrid(*(self.axis(i) for i in range(self.dim)), indexing="ij"))
+        return tuple(np.meshgrid(*self.coords, indexing="ij"))
 
 
 @dataclass
@@ -187,42 +198,48 @@ def laplacian_symbol(grid: Grid, folded: bool = False) -> np.ndarray:
     return sum(np.meshgrid(*parts, indexing="ij", sparse=True))
 
 
+@functools.lru_cache(maxsize=3)
 def _shifts(ax: int) -> tuple[tuple[slice, ...], ...]:
     """Slices i+1 and i along a periodic axis, then the wrap-around pair 0 and n-1."""
     pre = (slice(None),) * ax
     return pre + (slice(1, None),), pre + (slice(None, -1),), pre + (slice(0, 1),), pre + (slice(-1, None),)
 
 
-def _second_difference(s: np.ndarray, ax: int, c: float, term: np.ndarray, nxt=None, prv=None) -> None:
-    # term = (next - 2 s + previous) * c along ax; nxt, prv neighbour the last, first slice (default:
-    # periodic).  numpy divides a complex by a real through its reciprocal: c = 1 / dx^2 rounds the same
-    head, tail, first, last = _shifts(ax)
-    np.multiply(2.0, s, out=term)
-    np.subtract(s[head], term[tail], out=term[tail])
-    np.subtract(s[first] if nxt is None else nxt, term[last], out=term[last])
-    np.add(term[head], s[tail], out=term[head])
-    np.add(term[first], s[last] if prv is None else prv, out=term[first])
-    np.multiply(term, c, out=term)
-
-
-def _laplacian_into(f: np.ndarray, grid: Grid, out: np.ndarray) -> np.ndarray:
-    # the second differences summed over the axes in order, a 256 KB block of slabs along axis 0 at a
-    # time so it stays in cache (64^3, 2-vCPU Xeon: 4.6 ms; whole arrays 6.5, slabs 6.3); 1-d: axis 0
+def _stencil(f: np.ndarray, grid: Grid, out: np.ndarray) -> list[tuple]:
+    # the ufunc calls (fn, a, b, out), views built once, writing (next - 2 f + previous) * (1 / dx^2), which
+    # numpy rounds as the division, summed over the axes; a 256 KB block of slabs along axis 0 at a time stays
+    # in cache (64^3, 2-vCPU Xeon: 4.6 ms; whole arrays 6.5, slabs 6.3).  A block's axis-0 neighbours are
+    # slices of f: in 1-d f[j] is a scalar, copied when the list is built, where a replay must read f anew
     inv, n0 = [1.0 / (dx * dx) for dx in grid.spacing], len(f)
     size = max(1, (1 << 18) * n0 // f.nbytes)
     tmp = np.empty_like(out[:size]) if grid.dim > 1 else None
-    for i0 in range(0, n0, size):  # axis 0 takes the neighbours of a block's end slabs from f
+    calls = []
+    for i0 in range(0, n0, size):
         i1 = min(i0 + size, n0)
         s, o = f[i0:i1], out[i0:i1]
-        _second_difference(s, 0, inv[0], o, f[i1 % n0], f[i0 - 1])
-        for ax in range(1, grid.dim):
-            _second_difference(s, ax, inv[ax], tmp[: i1 - i0])
-            o += tmp[: i1 - i0]
-    return out
+        for ax in range(grid.dim):
+            head, tail, first, last = _shifts(ax)
+            term = o if ax == 0 else tmp[: i1 - i0]
+            nxt, prv = (f[i1 % n0 : i1 % n0 + 1], f[i0 - 1 : i0 or None]) if ax == 0 else (s[first], s[last])
+            calls += [
+                (np.multiply, 2.0, s, term),
+                (np.subtract, s[head], term[tail], term[tail]),
+                (np.subtract, nxt, term[last], term[last]),
+                (np.add, term[head], s[tail], term[head]),
+                (np.add, term[first], prv, term[first]),
+                (np.multiply, term, inv[ax], term),
+            ] + ([(np.add, o, term, o)] if ax else [])
+    return calls
+
+
+def _run(calls: list[tuple]) -> None:
+    for fn, a, b, out in calls:
+        fn(a, b, out=out)
 
 
 def periodic_laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
-    return _laplacian_into(f, grid, np.empty_like(f))
+    _run(_stencil(f, grid, out := np.empty_like(f)))
+    return out
 
 
 def _potential_on_grid(grid: Grid, potential: Callable | None) -> np.ndarray:
@@ -425,21 +442,22 @@ def _leapfrog(
 
     accel, tmp = np.empty_like(psi), np.empty_like(psi)
 
-    def force() -> None:  # accel = lap psi - m_s psi
-        _laplacian_into(psi, grid, accel)
-        np.subtract(accel, np.multiply(m_s, psi, out=tmp), out=accel)
+    def plan(psi: np.ndarray, pi: np.ndarray) -> tuple[list, list]:  # force, then kick drift force kick
+        force = _stencil(psi, grid, accel) + [(np.multiply, m_s, psi, tmp), (np.subtract, accel, tmp, accel)]
+        kick = [(np.multiply, 0.5 * cfg.dt, accel, tmp), (np.add, pi, tmp, pi)]
+        return force, kick + [(np.multiply, cfg.dt, pi, tmp), (np.add, psi, tmp, psi)] + force + kick
 
-    force()
+    force, step = plan(psi, pi)
+    _run(force)
     for _ in range(cfg.steps):
-        pi += np.multiply(0.5 * cfg.dt, accel, out=tmp)
-        psi += np.multiply(cfg.dt, pi, out=tmp)
-        force()
-        pi += np.multiply(0.5 * cfg.dt, accel, out=tmp)
+        _run(step)
         state.t += cfg.dt
         state.step_count += 1
         _check_finite(state)
         monitor(state)  # only a monitored run reaches a step here
-        psi, pi = state.field, state.pi
+        if state.field is not psi or state.pi is not pi:  # rebound: step the new arrays, accel as it is
+            psi, pi = state.field, state.pi
+            step = plan(psi, pi)[1]
     _check_finite(state)  # a step checks what the monitor wrote before it; this checks the last call
     return state
 
@@ -524,10 +542,9 @@ def measure_observables(state: GridState, cfg: SolverConfig) -> Observables:
             centroid.append(0.0)
             width.append(0.0)
             continue
-        coords = grid.axis(ax)
         w = marginal / marginal.sum()
-        mean = float(coords @ w)
-        var = float((coords - mean) ** 2 @ w)
+        mean = float(grid.coords[ax] @ w)
+        var = float((grid.coords[ax] - mean) ** 2 @ w)
         centroid.append(mean)
         width.append(float(np.sqrt(max(var, 0.0))))
     return Observables(float(np.sqrt(total * dv)), float(energy), tuple(centroid), tuple(width))
@@ -542,14 +559,17 @@ def measure_dispersion(states: list[GridState], k: float) -> float:
     """
     if len(states) < 3:
         raise ValueError("need at least 3 snapshots to fit a rotation rate")
-    grid = states[0].grid
-    coeffs = _mode_coefficients(np.array([s.field for s in states]), _mode_index(grid, k))
-    return _rotation_rate(np.array([s.t for s in states]), coeffs)
+    project = _mode_projector(states[0].grid, [k])
+    coeffs = [project(s.field)[0] for s in states]
+    return _rotation_rate(np.array([s.t for s in states]), np.array(coeffs))
 
 
-def _mode_coefficients(fields: np.ndarray, index: int | list[int]) -> np.ndarray:
-    """Coefficients of the FFT modes ``index`` of 1-d fields stacked before the last axis: one FFT."""
-    return np.fft.fft(fields, axis=-1)[..., index] / fields.shape[-1]
+def _mode_projector(grid: Grid, ks: list[float]) -> Callable[[np.ndarray], list[complex]]:
+    """f -> fft(f)[m] / n for the FFT mode m of each wavenumber in ``ks``, once per run: not an FFT, but
+    a projection on the phasor exp(-2 pi i (m j mod n) / n), j < n, which is built here."""
+    n, index = grid.points[-1], [_mode_index(grid, k) for k in ks]
+    phasors = np.exp(-2j * np.pi * (np.outer(index, np.arange(n)) % n) / n)
+    return lambda f: [np.dot(f, p) / n for p in phasors]
 
 
 def _mode_index(grid: Grid, k: float) -> int:

@@ -39,7 +39,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .fields import FieldSpec, MassParameters
+from .fields import FieldSpec, MassParameters, _check_spacing
 from .kinematics import Event, LorentzBoost
 from .profiles import _cdiv, _cmul
 
@@ -122,11 +122,6 @@ def _abs(a) -> np.ndarray:
     return np.hypot(a.real, a.imag)
 
 
-def _check_spacing(h: float) -> None:
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError(f"stencil spacing must be positive, got {h!r}")
-
-
 def _central(up, mid, dn, order: int, h: float):
     """The central difference: order 1 (up - dn) / 2h, order 2 (up - 2 mid + dn) / h^2."""
     if order == 1:
@@ -148,7 +143,7 @@ def _stencils(field: Callable, X: np.ndarray, axes, h: float, events) -> dict:
     the events and all their shifted copies.  The result maps each axis name to
     its (first, second) difference arrays.
     """
-    _check_spacing(h)
+    _check_spacing(h, "stencil")
     shifts = np.zeros((4, 1 + 2 * len(axes)))
     for j, axis in enumerate(axes):
         shifts[_AXES.index(axis), 1 + 2 * j : 3 + 2 * j] = (h, -h)
@@ -174,7 +169,7 @@ def fd_partial(field: Callable[[Event], complex], e: Event, axis: Axis, order: i
         raise ValueError(f"axis must be one of {_AXES}, got {axis!r}")
     if order not in (1, 2):
         raise ValueError(f"stencil order must be 1 or 2, got {order!r}")
-    _check_spacing(h)
+    _check_spacing(h, "stencil")
     up = field(replace(e, **{axis: getattr(e, axis) + h}))
     dn = field(replace(e, **{axis: getattr(e, axis) - h}))
     out = complex(_central(up, field(e) if order == 2 else None, dn, order, h))
@@ -298,7 +293,7 @@ def envelope_equation_residual(
     if derivatives not in ("analytic", "fd"):
         raise ValueError(f"derivatives must be 'analytic' or 'fd', got {derivatives!r}")
     if h is not None:
-        _check_spacing(h)
+        _check_spacing(h, "stencil")
     elif derivatives == "fd":
         h = comp.profile.characteristic_length / 100.0
 
@@ -482,6 +477,8 @@ def derivative_slopes(
     hs = [float(h) for h in hs]
     if len(hs) < 3 or any(h2 >= h1 for h1, h2 in zip(hs, hs[1:])):
         raise ValueError("need at least 3 strictly decreasing spacings")
+    for h in hs:
+        _check_spacing(h, "stencil")
     X = _coords(events)
     q, _, ph, bundle = _closed_form(spec, k, X)
     b_scale = float(np.max(_abs(_cmul(q, ph))))
@@ -516,6 +513,8 @@ def sample_events(
     """Deterministic uniform events inside a declared bounding box."""
     if n < 1:
         raise ValueError("need at least one event")
+    if not all(math.isfinite(float(hi) - float(lo)) for lo, hi in (x, y, z, tau)):  # so the bounds are finite too
+        raise ValueError(f"event box bounds must be finite with a finite width, got {(x, y, z, tau)}")
     rng = np.random.default_rng(seed)
     cols = [rng.uniform(lo, hi, size=n).tolist() for lo, hi in (x, y, z, tau)]
     return [Event(*vals) for vals in zip(*cols)]

@@ -20,6 +20,7 @@ from boostfield import (
     ConstantProfile,
     Event,
     FieldSpec,
+    GaussHermiteProfile,
     GaussianProfile,
     Grid,
     GridState,
@@ -849,6 +850,34 @@ def test_evolve_prints_the_coarse_dt_warning_as_one_line(gauss_spec, tmp_path):
     )
     assert rc == 0
     assert err.startswith("warning: dt=0.01 above dx^2=") and len(err.splitlines()) == 1, err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["evolve", "schrodinger", "--extent=1e-300", "--grid=16", "--dt=0.1", "--steps=2"],  # dx^2 underflows
+        ["evolve", "kgf", "--extent=1e308", "--grid=16", "--dt=0.1", "--steps=2"],  # dx^2 overflows
+        ["verify", "derivatives", "--h=1e308"],
+        ["verify", "envelope", "--box-z=-inf,inf"],
+    ],
+)
+def test_spacings_and_boxes_out_of_float_range_are_config_errors(args, gauss_spec, tmp_path, capsys):
+    main_config_error(args + ["--spec", gauss_spec, "--out", str(tmp_path / "o")], capsys)
+    assert not (tmp_path / "o").exists()
+
+
+def test_every_command_prints_a_warning_as_one_line(tmp_path):
+    # numpy warns as a Gauss-Hermite profile is evaluated at z = -inf; the run then exits 2
+    spec = FieldSpec((HarmonicComponent(1.7, GaussHermiteProfile(1.0, 3, 0.0, 1.2)),), LorentzBoost(0.4))
+    save_spec(spec, tmp_path / "gh.json")
+    proc = run_boostfield(
+        ["spectrum", "--spec", "gh.json", "--z=-inf", "--t-max=10", "--dt=0.1", "--omegas-from-spec", "--out", "o"],
+        tmp_path,
+    )
+    *warned, last = proc.stderr.splitlines()
+    assert proc.returncode == 2 and last.startswith("config error:"), proc.stderr
+    assert warned and all(line.startswith("warning: ") for line in warned), proc.stderr
+    assert not (tmp_path / "o").exists()
 
 
 _EQUATION_FLAGS = {"kgf": ["--mass-scalar=0.7"], "wave": [], "schrodinger": ["--mass=1.3"]}

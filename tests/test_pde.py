@@ -48,6 +48,8 @@ def test_grid_geometry():
     g3 = Grid((4.0, 4.0, 8.0), (8, 8, 16))
     assert g3.dim == 3
     assert g3.meshes()[0].shape == (8, 8, 16)
+    assert g3.coords[2] is g3.coords[2] and not g3.coords[2].flags.writeable  # once per grid, read-only
+    assert np.array_equal(g3.axis(2), g3.coords[2]) and g3.axis(2).flags.writeable
     assert g3.cell_volume == pytest.approx(0.125)
 
 
@@ -58,6 +60,9 @@ def test_grid_validation():
         Grid((1.0,), (4,))
     with pytest.raises(ValueError, match="positive"):
         Grid((-1.0,), (16,))
+    for extent in (1e-300, 1e308, np.inf, np.nan, 1.6e-154):  # dx^2 or 1 / dx^2 zero or not finite
+        with pytest.raises(ValueError, match="square and inverse square"):
+            Grid((extent,), (16,))
     with pytest.raises(ValueError, match="cap"):
         Grid((1.0, 1.0, 1.0), (512, 512, 512))
 
@@ -390,6 +395,21 @@ def test_mode_index_refuses_aliased_modes(n):
             _mode_index(g, 2.0 * np.pi * m / 8.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    nm=st.integers(8, 1024).flatmap(lambda n: st.tuples(st.just(n), st.integers(-(n // 2), n // 2))),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(nm=(1024, -512), seed=1)
+def test_a_mode_coefficient_is_the_fft_bin(nm, seed):
+    # one mode's coefficient is a projection on its phasor, within round-off of the FFT's bin
+    n, m = nm
+    f = random_field(np.random.default_rng(seed), n)
+    bins = np.fft.fft(f) / n
+    got = pde._mode_projector(Grid((float(n),), (n,)), [2.0 * np.pi * m / n])(f)
+    assert abs(got[0] - bins[m % n]) <= 1e-13 * np.abs(bins).max()
+
+
 # -- the spectral core -------------------------------------------------------------
 
 
@@ -567,13 +587,16 @@ def test_potential_varying_across_x_or_y_is_refused_by_every_entry_point(grid, a
     courant=st.floats(0.05, 1.0),
     steps=st.integers(1, 12),
     seed=st.integers(0, 2**32 - 1),
+    edit=st.sampled_from(["none", "write", "rebind"]),
 )
-def test_kgf_is_a_plain_verlet_loop_bit_for_bit(grid, m_s, courant, steps, seed):
+def test_kgf_is_a_plain_verlet_loop_bit_for_bit(grid, m_s, courant, steps, seed, edit):
+    # a monitor may write into the live arrays or rebind them; either way the next step starts from
+    # its edit, with the force computed before it
     rng = np.random.default_rng(seed)
     psi0, pi0 = random_field(rng, grid.points), random_field(rng, grid.points)
     dt = 2.0 * courant / np.sqrt(m_s - laplacian_symbol(grid).min())
     st_ = GridState(grid, psi0.copy(), pi0.copy())
-    fin = evolve_kgf(st_, lf_config(dt, steps, m_s), monitor=lambda s: None)
+    fin = evolve_kgf(st_, lf_config(dt, steps, m_s), monitor=_MONITOR_EDITS[edit])
     assert np.array_equal(st_.field, psi0) and np.array_equal(st_.pi, pi0)  # input untouched
     psi, pi = psi0, pi0
     accel = roll_laplacian(psi, grid) - m_s * psi
@@ -582,7 +605,35 @@ def test_kgf_is_a_plain_verlet_loop_bit_for_bit(grid, m_s, courant, steps, seed)
         psi = psi + dt * pi
         accel = roll_laplacian(psi, grid) - m_s * psi
         pi = pi + 0.5 * dt * accel
+        if edit != "none":
+            psi, pi = psi + 0.01j * pi, pi * 0.99
     assert np.array_equal(fin.field, psi) and np.array_equal(fin.pi, pi)
+
+
+def _write_into(s: GridState) -> None:
+    s.field += 0.01j * s.pi
+    s.pi *= 0.99
+
+
+def _rebind(s: GridState) -> None:
+    s.field, s.pi = s.field + 0.01j * s.pi, s.pi * 0.99
+
+
+_MONITOR_EDITS = {"none": lambda s: None, "write": _write_into, "rebind": _rebind}
+
+
+@pytest.mark.parametrize("grid", [Grid((8.0,), (64,)), Grid((4.0, 5.0, 6.0), (8, 9, 10))])
+def test_a_monitored_run_builds_its_stencil_once(grid, monkeypatch):
+    # the plan is built once per run, and again only over arrays that a monitor rebinds
+    calls = []
+    stencil = pde._stencil
+    monkeypatch.setattr(pde, "_stencil", lambda *a: calls.append(1) or stencil(*a))
+    rng = np.random.default_rng(3)
+    st_ = GridState(grid, random_field(rng, grid.points), random_field(rng, grid.points))
+    for edit, builds in (("write", 1), ("rebind", 1 + 5)):
+        calls.clear()
+        evolve_kgf(st_, lf_config(0.01, 5, 1.0), monitor=_MONITOR_EDITS[edit])
+        assert len(calls) == builds, edit
 
 
 def rel_l2(got, want):
