@@ -410,6 +410,22 @@ def test_a_mode_coefficient_is_the_fft_bin(nm, seed):
     assert abs(got[0] - bins[m % n]) <= 1e-13 * np.abs(bins).max()
 
 
+@pytest.mark.parametrize(
+    "n, count, fft",
+    [(512, 9, False), (512, 10, True), (1 << 18, 8, False), (1 << 18, 9, True)]
+    + [(1 << 21, 1, False), (1 << 22, 1, True)],
+)
+def test_many_modes_are_read_from_one_fft(n, count, fft):
+    # up to log2 n modes whose phasors fit in 32 MB are projections; more are the FFT's own bins, bit for bit
+    f = random_field(np.random.default_rng(n + count), n)
+    ms = range(-(count // 2), count - count // 2)
+    got = pde._mode_projector(Grid((float(n),), (n,)), [2.0 * np.pi * m / n for m in ms])(f)
+    idx = [m % n for m in ms]
+    phasor = lambda m: np.exp(-2j * np.pi * (m * np.arange(n) % n) / n)
+    want = np.fft.fft(f)[idx] / n if fft else [np.dot(f, phasor(m)) / n for m in idx]
+    assert np.array_equal(got, want)
+
+
 # -- the spectral core -------------------------------------------------------------
 
 
@@ -580,18 +596,31 @@ def test_potential_varying_across_x_or_y_is_refused_by_every_entry_point(grid, a
         assert "\n" not in str(exc.value)
 
 
-@settings(max_examples=25, deadline=None)
-@given(
+_verlet_cases = given(
     grid=st.one_of(grids_1d, grids_3d),
     m_s=st.floats(0.0, 4.0),
     courant=st.floats(0.05, 1.0),
     steps=st.integers(1, 12),
     seed=st.integers(0, 2**32 - 1),
-    edit=st.sampled_from(["none", "write", "rebind"]),
 )
-def test_kgf_is_a_plain_verlet_loop_bit_for_bit(grid, m_s, courant, steps, seed, edit):
+
+
+@settings(max_examples=25, deadline=None)
+@_verlet_cases
+def test_kgf_is_a_plain_verlet_loop_bit_for_bit(grid, m_s, courant, steps, seed):
+    _assert_plain_verlet_loop(grid, m_s, courant, steps, seed, "none")
+
+
+@pytest.mark.parametrize("edit", ["write", "rebind"])
+@settings(max_examples=25, deadline=None)
+@_verlet_cases
+def test_a_monitors_edit_carries_into_the_verlet_loop(grid, m_s, courant, steps, seed, edit):
     # a monitor may write into the live arrays or rebind them; either way the next step starts from
     # its edit, with the force computed before it
+    _assert_plain_verlet_loop(grid, m_s, courant, steps, seed, edit)
+
+
+def _assert_plain_verlet_loop(grid, m_s, courant, steps, seed, edit):
     rng = np.random.default_rng(seed)
     psi0, pi0 = random_field(rng, grid.points), random_field(rng, grid.points)
     dt = 2.0 * courant / np.sqrt(m_s - laplacian_symbol(grid).min())
