@@ -38,8 +38,9 @@ as each mode's one multiplier is finite (for CN of modulus 1).
   run and replayed each step.  With no monitor each Fourier mode takes the
   N-th power of its 2x2 step matrix (repeated squaring) in one go.
 
-``measure_observables`` reads a state in one pass over slabs along axis 0 (a
-1-d grid is one slab) and keeps no scratch larger than a slab.  One kinetic sum
+``measure_observables`` reads a 1-d line in a handful of whole-array calls, and
+a 3-d grid slab by slab along axis 0, keeping no scratch larger than a slab; both
+paths then share the energy, centroid and width arithmetic.  One kinetic sum
 K = sum over axes of |psi_{i+1} - psi_i|^2 / dx^2 serves both energies: the
 leapfrog's (|pi|^2 + m_s |psi|^2 + K) / 2, and by summation by parts the CN
 <psi, H psi> = coef (K + u . m_z), m_z being |psi|^2 summed over x and y.
@@ -98,7 +99,7 @@ class Grid:
     def spacing(self) -> tuple[float, ...]:
         return tuple(L / n for L, n in zip(self.extents, self.points))
 
-    @property
+    @functools.cached_property  # read on every observation: computed once per grid
     def cell_volume(self) -> float:
         return math.prod(self.spacing)
 
@@ -506,49 +507,55 @@ def measure_observables(state: GridState, cfg: SolverConfig) -> Observables:
         raise ValueError("Schrodinger observables need mass parameters")
     if cfg.scheme == "leapfrog" and state.pi is None:
         raise ValueError("second-order observables need pi")
-    # a 1-d grid is one slab of one row; a C-ordered field, as the solvers return, is read in place
-    shape = (1,) * (3 - grid.dim) + grid.points
-    f = np.ascontiguousarray(state.field).reshape(shape)
-    pi = np.ascontiguousarray(state.pi).reshape(shape) if cfg.scheme == "leapfrog" else None
-    n0, n1, n2 = shape
-    rows, m_z, sums = np.empty((n0, n1)), np.zeros(2 * n2), np.zeros(4)  # sums: per axis, then |pi|^2
-    sq, g = np.empty((n1, 2 * n2)), np.empty((n1, n2), dtype=complex)
-    axes = range(3 - grid.dim, 3)
-    for i, s in enumerate(f):
-        np.square(s.view(float), out=sq)  # re^2 and im^2, side by side
-        sq.sum(axis=1, out=rows[i])
-        m_z += sq.sum(axis=0)
-        for ax in axes:  # sum |psi_{i+1} - psi_i|^2, wrapping at the end (axis 0: the next slab)
-            if ax == 0:
-                np.subtract(f[(i + 1) % n0], s, out=g)
-            else:
-                head, tail, first, last = _shifts(ax - 1)
-                np.subtract(s[head], s[tail], out=g[tail])
-                np.subtract(s[first], s[last], out=g[last])
-            sums[ax] += np.vdot(g, g).real
-        if pi is not None:
-            sums[3] += np.vdot(pi[i], pi[i]).real
-    m_z, total, dv = m_z[0::2] + m_z[1::2], float(rows.sum()), grid.cell_volume
-    kinetic = sum(sums[ax] / (dx * dx) for ax, dx in zip(axes, grid.spacing))
+    f = np.ascontiguousarray(state.field)  # a C-ordered field, as the solvers return, is read in place
+    pi = np.ascontiguousarray(state.pi) if cfg.scheme == "leapfrog" else None
+    # sums: sum |psi_{i+1} - psi_i|^2 per axis, wrapping at the end, then |pi|^2; marginals: |psi|^2 per axis
+    if grid.dim == 1:  # one line, in whole-array calls
+        sq, g, (head, tail, first, last) = np.square(f.view(float)), np.empty_like(f), _shifts(0)
+        np.subtract(f[head], f[tail], out=g[tail])
+        np.subtract(f[first], f[last], out=g[last])
+        total, marginals = float(sq.sum()), (sq[0::2] + sq[1::2],)
+        sums = (np.vdot(g, g).real, 0.0 if pi is None else np.vdot(pi, pi).real)
+    else:  # slab by slab along axis 0, keeping no scratch larger than a slab
+        n0, n1, n2 = grid.points
+        rows, m_z, sums = np.empty((n0, n1)), np.zeros(2 * n2), np.zeros(4)
+        sq, g = np.empty((n1, 2 * n2)), np.empty((n1, n2), dtype=complex)
+        for i, s in enumerate(f):
+            np.square(s.view(float), out=sq)  # re^2 and im^2, side by side
+            sq.sum(axis=1, out=rows[i])
+            m_z += sq.sum(axis=0)
+            for ax in range(3):  # along axis 0, against the next slab (the first after the last)
+                if ax == 0:
+                    np.subtract(f[(i + 1) % n0], s, out=g)
+                else:
+                    head, tail, first, last = _shifts(ax - 1)
+                    np.subtract(s[head], s[tail], out=g[tail])
+                    np.subtract(s[first], s[last], out=g[last])
+                sums[ax] += np.vdot(g, g).real
+            if pi is not None:
+                sums[3] += np.vdot(pi[i], pi[i]).real
+        total, marginals = float(rows.sum()), (rows.sum(axis=1), rows.sum(axis=0), m_z[0::2] + m_z[1::2])
+    dv = grid.cell_volume
+    kinetic = sum(k / (dx * dx) for k, dx in zip(sums[:-1], grid.spacing))
     if pi is None:  # <psi, H psi>: on a periodic grid <psi, -lap psi> = kinetic, and u is of z alone
         coef = cfg.mass.hbar / (2.0 * cfg.mass.m * cfg.mass.c)
-        energy = coef * (kinetic + np.dot(cfg.potential_on(grid), m_z)) * dv
+        energy = coef * (kinetic + np.dot(cfg.potential_on(grid), marginals[-1])) * dv
     else:
         m_s = cfg.resolved_mass_scalar() if (cfg.mass or cfg.mass_scalar is not None) else 0.0
-        energy = 0.5 * (sums[3] + m_s * total + kinetic) * dv
+        energy = 0.5 * (sums[-1] + m_s * total + kinetic) * dv
 
     centroid, width = [], []
-    for ax, marginal in enumerate((m_z,) if grid.dim == 1 else (rows.sum(axis=1), rows.sum(axis=0), m_z)):
+    for ax, marginal in enumerate(marginals):
         if total == 0.0:
             centroid.append(0.0)
             width.append(0.0)
             continue
         w = marginal / marginal.sum()
-        mean = float(grid.coords[ax] @ w)
-        var = float((grid.coords[ax] - mean) ** 2 @ w)
+        mean = float(grid.coords[ax].dot(w))
+        var = float(((grid.coords[ax] - mean) ** 2).dot(w))
         centroid.append(mean)
-        width.append(float(np.sqrt(max(var, 0.0))))
-    return Observables(float(np.sqrt(total * dv)), float(energy), tuple(centroid), tuple(width))
+        width.append(math.sqrt(max(var, 0.0)))
+    return Observables(math.sqrt(total * dv), float(energy), tuple(centroid), tuple(width))
 
 
 def measure_dispersion(states: list[GridState], k: float) -> float:

@@ -358,12 +358,31 @@ def test_observables_localized_state():
 
 
 def test_observables_zero_field():
-    g = Grid((10.0,), (16,))
-    st = GridState(g, np.zeros(16, dtype=complex), np.zeros(16, dtype=complex))
-    obs = measure_observables(st, lf_config(0.01, 1, 1.0))
-    assert obs.norm == 0.0
-    assert obs.centroid == (0.0,)
-    assert obs.width == (0.0,)
+    for grid in (Grid((10.0,), (16,)), Grid((4.0, 5.0, 6.0), (8, 9, 10))):
+        st = GridState(grid, np.zeros(grid.points, dtype=complex), np.zeros(grid.points, dtype=complex))
+        for cfg in (lf_config(0.01, 1, 1.0), cn_config(0.01, 1, lambda x, y, z: np.cos(z))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                obs = measure_observables(st, cfg)
+            assert obs == Observables(0.0, 0.0, (0.0,) * grid.dim, (0.0,) * grid.dim)
+
+
+@pytest.mark.parametrize("scheme", ["crank_nicolson", "leapfrog"])
+def test_a_non_contiguous_state_observes_as_its_contiguous_copy(scheme):
+    rng = np.random.default_rng(5)
+    cfg = lf_config(0.01, 1, 1.5) if scheme == "leapfrog" else cn_config(0.01, 1, lambda x, y, z: np.cos(z))
+    line, grid3 = Grid((7.0,), (40,)), Grid((4.0, 5.0, 6.0), (8, 9, 10))
+    big = random_field(rng, 80)
+    cube = random_field(rng, (2,) + grid3.points[::-1])
+    views = [  # a strided line, a reversed line, and a transposed (Fortran-ordered) grid
+        GridState(line, big[::2], big[1::2]),
+        GridState(line, big[:40][::-1], big[40:][::-1]),
+        GridState(grid3, cube[0].T, cube[1].T),
+    ]
+    for st_ in views:
+        assert not st_.field.flags.c_contiguous
+        copy = GridState(st_.grid, np.ascontiguousarray(st_.field), np.ascontiguousarray(st_.pi))
+        assert measure_observables(st_, cfg) == measure_observables(copy, cfg)
 
 
 def test_dispersion_measure_validation():
@@ -958,6 +977,10 @@ def reference_observables(state, cfg):
     m_s=st.floats(0.0, 4.0),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(grid=Grid((8.0,), (8,)), scheme="leapfrog", m_s=1.0, seed=1)  # the smallest line
+@example(grid=Grid((8.0,), (8,)), scheme="crank_nicolson", m_s=1.0, seed=2)
+@example(grid=Grid((8.0 * np.pi,), (512,)), scheme="leapfrog", m_s=1.0, seed=3)  # the bench's monitored line
+@example(grid=Grid((8.0 * np.pi,), (512,)), scheme="crank_nicolson", m_s=2.0, seed=4)
 def test_observables_are_the_roll_formula_to_round_off(grid, scheme, m_s, seed):
     rng = np.random.default_rng(seed)
     st_ = GridState(grid, random_field(rng, grid.points), random_field(rng, grid.points))
