@@ -1,11 +1,17 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 a verification or evolution failed, 2 bad usage or
-configuration.  Every file-producing run writes a manifest.json next to its
-outputs recording the resolved configuration, input digests, seed,
-tolerances and library versions.  The manifest is the only file that
-carries a timestamp, so reruns with the same seed are byte-identical
-everywhere else.
+configuration.  A flag error is one ``config error:`` line, like a bad
+config.  Every exit-2 check comes before the first write, so such a run
+leaves nothing behind; a write that fails is itself an exit-2 error.
+
+One recorder per run is the only writer into ``--out``: it makes the
+directory at its first write and records each file's name.  A run that
+wrote anything gets a manifest.json for exactly those files, whatever its
+exit code, recording the resolved configuration, the digest of the spec
+bytes it parsed, seed, tolerances and library versions.  The manifest is
+the only file that carries a timestamp, so reruns with the same seed are
+byte-identical everywhere else.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .fields import FieldSpec, MassParameters, _check_spacing, load_spec
+from .fields import FieldSpec, MassParameters, _check_spacing, loads_spec
 from .kinematics import Event, LorentzBoost, boost_event, inverse_boost_event
 from .pde import (
     Grid,
@@ -59,7 +65,7 @@ class VerificationFailure(Exception):
 
 
 class _ConfigParser(argparse.ArgumentParser):
-    """The flag parser with every failure one ConfigError, for a config given as JSON."""
+    """The flag parser, with every failure one ConfigError, for flags and a JSON config alike."""
 
     def error(self, message):
         raise ConfigError(message)
@@ -100,7 +106,7 @@ class ExperimentConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        ap = _build_parser(_ConfigParser)
+        ap = _build_parser()
         commands = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction)).choices
         if not isinstance(self.command, str) or self.command not in commands:
             raise ConfigError(f"unknown command {self.command!r}")
@@ -149,55 +155,57 @@ def _fmt(v: float) -> str:
     return format(float(v), ".12g")
 
 
-def _sha256(path: str) -> str:
-    try:
-        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    except OSError as exc:  # the spec file went away after the command read it
-        raise ConfigError(f"cannot read spec file {path}: {exc}") from None
+class _Outputs:
+    """The run's one writer into --out: each file by name, the directory made at the first write.
 
+    ``inputs`` maps each spec path to the sha256 of the bytes parsed from it.
+    """
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+        self.names: set[str] = set()
+        self.inputs: dict[str, str] = {}
 
+    def write_bytes(self, name: str, data: bytes) -> None:
+        if not self.cfg.out:
+            raise ConfigError(f"command {self.cfg.command!r} needs an output directory (--out)")
+        path = Path(self.cfg.out, name)
+        try:
+            if not self.names:
+                path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(data)
+        except OSError as exc:  # a file in the way, a directory at the name, no permission
+            raise ConfigError(f"cannot write {path}: {exc}") from None
+        self.names.add(name)
 
-def _write_csv(path: Path, header: list[str], columns) -> None:
-    """One row per index of the columns: numbers as their float repr, str columns as given."""
-    cells = [col if isinstance(col[0], str) else map(repr, np.asarray(col, dtype=float).tolist()) for col in columns]
-    lines = [",".join(header)] + [",".join(row) for row in zip(*cells)]
-    with open(path, "w", newline="") as fh:  # the \r\n rows csv.writer wrote
-        fh.write("\r\n".join(lines) + "\r\n")
+    def write_json(self, name: str, obj) -> None:
+        self.write_bytes(name, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
 
+    def write_csv(self, name: str, header: list[str], columns) -> None:
+        """One row per index of the columns: numbers as their float repr, str columns as given."""
+        cells = [col if isinstance(col[0], str) else map(repr, np.asarray(col, dtype=float).tolist()) for col in columns]
+        lines = [",".join(header)] + [",".join(row) for row in zip(*cells)]
+        self.write_bytes(name, ("\r\n".join(lines) + "\r\n").encode())  # the \r\n rows csv.writer wrote
 
-def _emit_manifest(cfg: ExperimentConfig, out_dir: Path, outputs: list[str]) -> None:
-    import importlib.metadata  # read scipy's version without importing scipy
+    def close(self) -> None:
+        """Write the manifest for the files written, if there are any."""
+        if not self.names:
+            return
+        import importlib.metadata  # read scipy's version without importing scipy
 
-    manifest = {
-        "config": cfg.to_dict(),
-        "inputs": {},
-        "tolerances": _TOLERANCES,
-        "versions": {
-            "boostfield": __version__,
-            "numpy": np.__version__,
-            "scipy": importlib.metadata.version("scipy"),
-            "python": platform.python_version(),
-        },
-        "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "outputs": sorted(outputs),
-    }
-    if cfg.spec:
-        manifest["inputs"][cfg.spec] = _sha256(cfg.spec)
-    _write_json(out_dir / "manifest.json", manifest)
-
-
-def _out_dir(cfg: ExperimentConfig) -> Path:
-    if not cfg.out:
-        raise ConfigError(f"command {cfg.command!r} needs an output directory (--out)")
-    p = Path(cfg.out)
-    try:
-        p.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # a file in the way, no permission
-        raise ConfigError(f"cannot make output directory {cfg.out}: {exc}") from None
-    return p
+        self.write_json("manifest.json", {
+            "config": self.cfg.to_dict(),
+            "inputs": self.inputs,
+            "tolerances": _TOLERANCES,
+            "versions": {
+                "boostfield": __version__,
+                "numpy": np.__version__,
+                "scipy": importlib.metadata.version("scipy"),
+                "python": platform.python_version(),
+            },
+            "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+            "outputs": sorted(self.names),
+        })
 
 
 def _refuse_spec(cfg: ExperimentConfig, name: str) -> None:
@@ -206,17 +214,21 @@ def _refuse_spec(cfg: ExperimentConfig, name: str) -> None:
         raise ConfigError(f"{name} reads no field spec; drop --spec {cfg.spec}")
 
 
-def _load_spec_arg(cfg: ExperimentConfig) -> FieldSpec:
+def _load_spec_arg(cfg: ExperimentConfig, out: _Outputs) -> FieldSpec:
+    """The spec parsed from one read of --spec; the recorder keeps those bytes' digest."""
     if not cfg.spec:
         raise ConfigError(f"command {cfg.command!r} needs a field spec (--spec)")
     try:
-        return load_spec(cfg.spec)
+        data = Path(cfg.spec).read_bytes()
+        spec = loads_spec(data.decode())
     except FileNotFoundError:
         raise ConfigError(f"spec file not found: {cfg.spec}") from None
     except OSError as exc:  # a directory, no permission
         raise ConfigError(f"cannot read spec file {cfg.spec}: {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"bad spec file {cfg.spec}: {exc}") from None
+    out.inputs[cfg.spec] = hashlib.sha256(data).hexdigest()
+    return spec
 
 
 def _parse_floats(text: str, n: int | None = None) -> list[float]:
@@ -259,31 +271,29 @@ def _events_for(spec: FieldSpec, params: dict, n: int, seed: int):
 # -- command bodies ---------------------------------------------------------
 
 
-def _run_boost(cfg: ExperimentConfig) -> int:
+def _run_boost(cfg: ExperimentConfig, out: _Outputs) -> int:
     _refuse_spec(cfg, "boost")
     p = cfg.params
     b = LorentzBoost(p["beta"], p["c"])
     e = Event(*_parse_floats(p["event"], 4))
-    out = inverse_boost_event(e, b) if p.get("inverse") else boost_event(e, b)
-    line = ",".join(_fmt(v) for v in (out.x, out.y, out.z, out.tau))
+    moved = inverse_boost_event(e, b) if p.get("inverse") else boost_event(e, b)
+    line = ",".join(_fmt(v) for v in (moved.x, moved.y, moved.z, moved.tau))
     print(line)
     if cfg.out:
-        d = _out_dir(cfg)
-        _write_json(
-            d / "boost.json",
+        out.write_json(
+            "boost.json",
             {
                 "input": [e.x, e.y, e.z, e.tau],
                 "beta": b.beta,
                 "inverse": "inverse" in p,
-                "output": [out.x, out.y, out.z, out.tau],
+                "output": [moved.x, moved.y, moved.z, moved.tau],
             },
         )
-        _emit_manifest(cfg, d, ["boost.json"])
     return 0
 
 
-def _run_field(cfg: ExperimentConfig) -> int:
-    spec = _load_spec_arg(cfg)
+def _run_field(cfg: ExperimentConfig, out: _Outputs) -> int:
+    spec = _load_spec_arg(cfg, out)
     p = cfg.params
     if p.get("event"):  # the sampled path at one point
         e = Event(*_parse_floats(p["event"], 4))
@@ -299,17 +309,13 @@ def _run_field(cfg: ExperimentConfig) -> int:
     psi = sum(spec.harmonic_on_axis(k, z, tau) for k in ks)
     phi = sum(np.square(np.abs(spec.envelope_on_axis(k, z, tau))) for k in ks)
     if not p.get("event"):
-        d = _out_dir(cfg)
-        _write_csv(d / "field.csv", ["z", "re_psi", "im_psi", "phi"], [z, psi.real, psi.imag, phi])
-        _emit_manifest(cfg, d, ["field.csv"])
+        out.write_csv("field.csv", ["z", "re_psi", "im_psi", "phi"], [z, psi.real, psi.imag, phi])
         return 0
     psi, phi = complex(psi), float(phi)
     print(f"{_fmt(psi.real)},{_fmt(psi.imag)},{_fmt(phi)}")
     if cfg.out:
-        d = _out_dir(cfg)
         record = {"event": [e.x, e.y, e.z, e.tau], "psi": [psi.real, psi.imag], "scalar_density": phi}
-        _write_json(d / "field.json", record)
-        _emit_manifest(cfg, d, ["field.json"])
+        out.write_json("field.json", record)
     return 0
 
 
@@ -337,13 +343,13 @@ def _read_signal_csv(path: str) -> SampledSignal:
     return SampledSignal(re + 1j * im, float(dts[0]), float(t[0]))
 
 
-def _run_spectrum(cfg: ExperimentConfig) -> int:
+def _run_spectrum(cfg: ExperimentConfig, out: _Outputs) -> int:
     p = cfg.params
     if p.get("csv"):
         sig = _read_signal_csv(p["csv"])
-        spec = _load_spec_arg(cfg) if cfg.spec else None
+        spec = _load_spec_arg(cfg, out) if cfg.spec else None
     else:
-        spec = _load_spec_arg(cfg)
+        spec = _load_spec_arg(cfg, out)
         for key in ("t_max", "dt"):
             if key not in p:
                 raise ConfigError("synthesized spectrum needs t_max and dt")
@@ -359,11 +365,9 @@ def _run_spectrum(cfg: ExperimentConfig) -> int:
     window = p["window"]
     T = sig.max_symmetric_window() if window == "max" else float(window)
     est = scan_spectrum(sig, omegas, T)
-    d = _out_dir(cfg)
     rows = [(ent.omega, ent.q_hat.real, ent.q_hat.imag, abs(ent.q_hat), ent.window_T) for ent in est.entries]
-    _write_csv(d / "spectrum.csv", ["omega", "re_q", "im_q", "abs_q", "window_T"], zip(*rows))
-    _write_json(d / "spectrum.json", {"residual_rms": est.residual_rms, "window_T": T})
-    _emit_manifest(cfg, d, ["spectrum.csv", "spectrum.json"])
+    out.write_csv("spectrum.csv", ["omega", "re_q", "im_q", "abs_q", "window_T"], zip(*rows))
+    out.write_json("spectrum.json", {"residual_rms": est.residual_rms, "window_T": T})
     return 0
 
 
@@ -381,7 +385,7 @@ def _scan(p: dict):
     return neglected_term_scan(mass, betas)
 
 
-def _run_verify(cfg: ExperimentConfig) -> int:
+def _run_verify(cfg: ExperimentConfig, out: _Outputs) -> int:
     p = cfg.params
     check = p["check"]
     if "h" in p and check != "derivatives":
@@ -391,17 +395,14 @@ def _run_verify(cfg: ExperimentConfig) -> int:
         scan = _scan(p)
         lo, hi = _TOLERANCES["beta4_slope_band"]
         ok = lo <= scan.fitted_slope <= hi
-        report = {"check": check, "passed": bool(ok), "scan": scan.to_dict()}
-        d = _out_dir(cfg)
-        _write_json(d / "report.json", report)
-        _emit_manifest(cfg, d, ["report.json"])
+        out.write_json("report.json", {"check": check, "passed": bool(ok), "scan": scan.to_dict()})
         if not ok:
             raise VerificationFailure(
                 f"beta4 slope {scan.fitted_slope:.4f} outside [{lo}, {hi}]"
             )
         return 0
 
-    spec = _load_spec_arg(cfg)
+    spec = _load_spec_arg(cfg, out)
     k = _component(spec, p)
     events = _events_for(spec, p, p["events"], cfg.seed)
 
@@ -417,12 +418,10 @@ def _run_verify(cfg: ExperimentConfig) -> int:
             "slopes": {n: s for n, s in slopes.items()},
             "slope_band": [lo, hi],
         }
-        d = _out_dir(cfg)
-        _write_json(d / "report.json", report)
+        out.write_json("report.json", report)
         names = sorted(slopes)
         cells = ["" if slopes[n] is None else repr(slopes[n]) for n in names]
-        _write_csv(d / "derivative_slopes.csv", ["entry", "slope"], [names, cells])
-        _emit_manifest(cfg, d, ["report.json", "derivative_slopes.csv"])
+        out.write_csv("derivative_slopes.csv", ["entry", "slope"], [names, cells])
         if bad:
             raise VerificationFailure(f"derivative slopes out of band: {bad}")
         return 0
@@ -438,10 +437,7 @@ def _run_verify(cfg: ExperimentConfig) -> int:
         rep = _RESIDUAL_CHECKS[check](spec, k, events)
     tol = p.get("tolerance", default)
     ok = rep.max_abs <= tol
-    report = {"check": check, "passed": bool(ok), "tolerance": tol, "report": rep.to_dict()}
-    d = _out_dir(cfg)
-    _write_json(d / "report.json", report)
-    _emit_manifest(cfg, d, ["report.json"])
+    out.write_json("report.json", {"check": check, "passed": bool(ok), "tolerance": tol, "report": rep.to_dict()})
     if not ok:
         raise VerificationFailure(
             f"{check} residual max {rep.max_abs:.3e} above tolerance {tol:.3e}"
@@ -449,18 +445,17 @@ def _run_verify(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _write_snapshot(d: Path, state: GridState, index: int) -> list[str]:
-    if state.grid.dim == 1:
-        name = f"snap_{index:06d}.csv"
-        _write_csv(d / name, ["z", "re", "im"], [state.grid.axis(0), state.field.real, state.field.imag])
-        return [name]
+def _write_snapshot(out: _Outputs, state: GridState, index: int) -> None:
     base = f"snap_{index:06d}"
+    if state.grid.dim == 1:
+        out.write_csv(f"{base}.csv", ["z", "re", "im"], [state.grid.axis(0), state.field.real, state.field.imag])
+        return
     data = np.empty(state.field.shape + (2,), dtype="<f8")
     data[..., 0] = state.field.real
     data[..., 1] = state.field.imag
-    (d / f"{base}.bin").write_bytes(data.tobytes(order="C"))
-    _write_json(
-        d / f"{base}.json",
+    out.write_bytes(f"{base}.bin", data.tobytes(order="C"))
+    out.write_json(
+        f"{base}.json",
         {
             "shape": list(state.field.shape),
             "dtype": "<f8",
@@ -469,7 +464,6 @@ def _write_snapshot(d: Path, state: GridState, index: int) -> list[str]:
             "step": state.step_count,
         },
     )
-    return [f"{base}.bin", f"{base}.json"]
 
 
 # the flags each equation never reads; kgf reads --mass only without --mass-scalar
@@ -480,7 +474,7 @@ _UNREAD = {
 }
 
 
-def _run_evolve(cfg: ExperimentConfig) -> int:
+def _run_evolve(cfg: ExperimentConfig, out: _Outputs) -> int:
     p = cfg.params
     equation = p["equation"]
     for name in _UNREAD[equation]:
@@ -513,7 +507,7 @@ def _run_evolve(cfg: ExperimentConfig) -> int:
         field = cols[1] + 1j * cols[2]
         pi = cols[3] + 1j * cols[4] if second_order else None
     else:
-        spec = _load_spec_arg(cfg)
+        spec = _load_spec_arg(cfg, out)
         k = _component(spec, p)
         z = grid.axis(grid.dim - 1)
         if equation == "schrodinger":
@@ -568,17 +562,15 @@ def _run_evolve(cfg: ExperimentConfig) -> int:
             raise ConfigError("--dispersion-modes needs a constant potential; this one varies along z")
         continuum = lambda k: abs(mass.hbar / (2.0 * mass.m * mass.c) * (k * k + u[0]))
 
-    d = _out_dir(cfg)
     snap_every = p["snap_every"]
-    outputs: list[str] = []
     obs_rows = []
     coeffs: list[np.ndarray] = []
     times: list[float] = []
 
     def record(st: GridState) -> None:
-        if snap_every and st.step_count > 0 and st.step_count % snap_every == 0:
-            outputs.extend(_write_snapshot(d, st, st.step_count))
-        obs = measure_observables(st, sc)
+        obs = measure_observables(st, sc)  # resolves the potential, so its refusal comes before any write
+        if st.step_count == 0 or snap_every and st.step_count % snap_every == 0:
+            _write_snapshot(out, st, st.step_count)
         obs_rows.append(
             (st.t, obs.norm, obs.energy)
             + obs.centroid
@@ -588,7 +580,6 @@ def _run_evolve(cfg: ExperimentConfig) -> int:
             times.append(st.t)
             coeffs.append(project(st.field))
 
-    outputs.extend(_write_snapshot(d, state, 0))
     record(state)
 
     evolve = {
@@ -600,9 +591,8 @@ def _run_evolve(cfg: ExperimentConfig) -> int:
 
     axes = ["z"] if grid.dim == 1 else ["x", "y", "z"]
     header = ["t", "norm", "energy"] + [f"centroid_{a}" for a in axes] + [f"width_{a}" for a in axes]
-    _write_csv(d / "observables.csv", header, zip(*obs_rows))
-    outputs.append("observables.csv")
-    outputs.extend(_write_snapshot(d, final, final.step_count))
+    out.write_csv("observables.csv", header, zip(*obs_rows))
+    _write_snapshot(out, final, final.step_count)
 
     if modes:
         rows = []
@@ -610,23 +600,17 @@ def _run_evolve(cfg: ExperimentConfig) -> int:
         for m, k, series in zip(modes, ks, np.array(coeffs).T):
             try:
                 rows.append((k, _rotation_rate(t_arr, series), continuum(k)))
-            except ValueError as exc:  # a weak mode: fail with a manifest for what is written
-                _emit_manifest(cfg, d, sorted(set(outputs)))
+            except ValueError as exc:  # a weak mode
                 raise VerificationFailure(f"mode {m:g}: {exc}") from None
-        _write_csv(d / "dispersion.csv", ["k", "omega_measured", "omega_continuum"], zip(*rows))
-        outputs.append("dispersion.csv")
-
-    _emit_manifest(cfg, d, sorted(set(outputs)))
+        out.write_csv("dispersion.csv", ["k", "omega_measured", "omega_continuum"], zip(*rows))
     return 0
 
 
-def _run_limit_scan(cfg: ExperimentConfig) -> int:
+def _run_limit_scan(cfg: ExperimentConfig, out: _Outputs) -> int:
     _refuse_spec(cfg, "limit-scan")
     scan = _scan(cfg.params)
-    d = _out_dir(cfg)
-    _write_csv(d / "beta_term.csv", ["beta", "term"], zip(*scan.points))
-    _write_json(d / "scan.json", scan.to_dict())
-    _emit_manifest(cfg, d, ["beta_term.csv", "scan.json"])
+    out.write_csv("beta_term.csv", ["beta", "term"], zip(*scan.points))
+    out.write_json("scan.json", scan.to_dict())
     return 0
 
 
@@ -641,10 +625,18 @@ _RUNNERS = {
 
 
 def run(cfg: ExperimentConfig) -> int:
-    """Execute one configured command; returns the process exit code."""
+    """Execute one configured command; returns the process exit code.
+
+    The manifest for what the command wrote comes last, whatever the exit
+    code; a manifest that cannot be written makes the run exit 2.
+    """
+    out = _Outputs(cfg)
     with warnings.catch_warnings(record=True) as caught:  # each one line, not Python's two
         try:
-            return _RUNNERS[cfg.command](cfg)
+            try:
+                return _RUNNERS[cfg.command](cfg, out)
+            finally:
+                out.close()
         except VerificationFailure as exc:
             code, message = 1, f"FAIL: {exc}"
         except SolverError as exc:
@@ -661,9 +653,8 @@ def run(cfg: ExperimentConfig) -> int:
 # -- argument parsing --------------------------------------------------------
 
 
-def _build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
-    """The flag parser; its subparsers are of ``parser_class`` too."""
-    ap = parser_class(
+def _build_parser() -> _ConfigParser:
+    ap = _ConfigParser(
         prog="boostfield",
         description="Boosted almost-periodic fields: evaluate, extract, verify, evolve.",
     )
@@ -752,19 +743,17 @@ def _config_from_args(ns: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
-    ns = ap.parse_args(argv)
     try:
+        ns = _build_parser().parse_args(argv)
         if ns.config:
             try:
                 record = json.loads(Path(ns.config).read_text())
             except (OSError, ValueError) as exc:  # unreadable, not UTF-8, not JSON
                 raise ConfigError(f"cannot load config {ns.config}: {exc}") from None
             cfg = ExperimentConfig.from_dict(record)
+        elif ns.command is None:
+            raise ConfigError("name a command, or a config with --config")
         else:
-            if ns.command is None:
-                ap.print_usage(sys.stderr)
-                return 2
             cfg = _config_from_args(ns)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,12 +1,14 @@
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -33,13 +35,14 @@ from boostfield import (
     sample_events,
     save_spec,
 )
+from boostfield import cli
 from boostfield.cli import (
     ConfigError,
     ExperimentConfig,
     _build_parser,
     _config_from_args,
+    _Outputs,
     _read_signal_csv,
-    _write_csv,
     main,
 )
 
@@ -94,6 +97,11 @@ def assert_config_error(proc):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("config error:")
     assert len(proc.stderr.splitlines()) == 1
+
+
+def recorder_into(d) -> _Outputs:
+    """A run's output recorder whose --out is ``d``."""
+    return _Outputs(ExperimentConfig("limit-scan", None, {"mass": 1.0}, str(d), 0))
 
 
 def main_config_error(args, capsys) -> str:
@@ -207,6 +215,35 @@ def test_spec_naming_a_directory_is_config_error(tmp_path):
 def test_out_naming_a_file_is_config_error(tmp_path):
     (tmp_path / "afile").write_text("x")
     assert_config_error(run_boostfield(["boost", "--beta", "0.5", "--event", "0,0,1,0", "--out", "afile"], tmp_path))
+
+
+@pytest.mark.parametrize(
+    "args,blocked",
+    [
+        (["verify", "beta4", "--mass", "1"], "report.json"),  # the first write
+        (["limit-scan", "--mass", "1"], "manifest.json"),  # after two files
+    ],
+)
+def test_unwritable_output_is_config_error(args, blocked, tmp_path):
+    (tmp_path / "o" / blocked).mkdir(parents=True)
+    proc = run_boostfield(args + ["--out", "o"], tmp_path)
+    assert_config_error(proc)
+    assert f"cannot write {Path('o', blocked)}" in proc.stderr
+
+
+def test_manifest_digests_the_spec_bytes_the_run_parsed(gauss_spec, tmp_path, monkeypatch, capsys):
+    original = Path(gauss_spec).read_bytes()
+    pick = cli._component
+
+    def delete_spec_then_pick(spec, p):  # a runner step after the spec is parsed
+        os.remove(gauss_spec)
+        return pick(spec, p)
+
+    monkeypatch.setattr(cli, "_component", delete_spec_then_pick)
+    assert main(["verify", "envelope", "--spec", gauss_spec, "--events", "5", "--out", str(tmp_path / "o")]) == 0
+    assert not Path(gauss_spec).exists()
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["inputs"] == {gauss_spec: hashlib.sha256(original).hexdigest()}
 
 
 def test_config_file_not_utf8_is_config_error(tmp_path):
@@ -533,7 +570,7 @@ def test_csv_columns_are_written_as_csv_writer_writes_rows(tmp_path):
         w.writerow(["a", "b", "entry", "slope"])
         for a, b, n, s in zip(*nums, names, slopes):
             w.writerow([repr(float(a)), repr(float(b)), n, s])
-    _write_csv(tmp_path / "got.csv", ["a", "b", "entry", "slope"], nums + [names, slopes])
+    recorder_into(tmp_path).write_csv("got.csv", ["a", "b", "entry", "slope"], nums + [names, slopes])
     assert (tmp_path / "got.csv").read_bytes() == ref.read_bytes()
 
 
@@ -679,15 +716,43 @@ def test_verify_derivatives_uses_given_spacing(gauss_spec, tmp_path):
     assert json.loads((out / "report.json").read_text())["slopes"] == want
 
 
-def test_cli_rejects_bad_choice():
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "wibble", "--out", "x"])
-    assert exc.value.code == 2
+def test_cli_rejects_bad_choice(tmp_path, capsys):
+    assert "invalid choice: 'wibble'" in main_config_error(["verify", "wibble", "--out", str(tmp_path / "x")], capsys)
+    assert not (tmp_path / "x").exists()
 
 
 def test_cli_no_command_is_usage_error(capsys):
-    assert main([]) == 2
+    assert "name a command" in main_config_error([], capsys)
+    assert "unrecognized arguments: --wibble" in main_config_error(["--wibble"], capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
     capsys.readouterr()
+
+
+def _flag_errors(command: str) -> list[tuple[list[str], str]]:
+    """argv for ``command`` that must fail to parse, each with the flag its error names.
+
+    An unknown flag, and each flag with a type given "x", after the command's
+    required flags and positionals (a choice, or "1").
+    """
+    actions = _SUBPARSERS[command]._actions
+    base = []
+    for a in actions:
+        if a.required:
+            base += a.option_strings[:1] + [str(a.choices[0]) if a.choices else "1"]
+    typed = [a.option_strings[0] for a in actions if a.type is not None and a.option_strings]
+    return [([command, *base, "--wibble"], "--wibble")] + [([command, *base, flag, "x"], flag) for flag in typed]
+
+
+@pytest.mark.parametrize("command", sorted(_SUBPARSERS))
+def test_every_flag_error_is_one_config_error_line(command, tmp_path):
+    cases = _flag_errors(command)
+    with ThreadPoolExecutor(2) as pool:
+        procs = list(pool.map(lambda case: run_boostfield(case[0], tmp_path), cases))
+    for (argv, flag), proc in zip(cases, procs):
+        assert_config_error(proc)
+        assert flag in proc.stderr, (argv, proc.stderr)
 
 
 # -- evolve --------------------------------------------------------------------
@@ -898,7 +963,7 @@ def test_cli_dispersion_is_measure_dispersion_over_the_runs_states(equation, n, 
     extent, dt = float(n), 0.3  # dx = 1, inside the leapfrog Courant bound
     with tempfile.TemporaryDirectory() as d:
         init, out = Path(d, "init.csv"), Path(d, "o")
-        _write_csv(init, ["z", "re", "im", "pi_re", "pi_im"], [np.arange(n) * 1.0, *cols])
+        recorder_into(d).write_csv("init.csv", ["z", "re", "im", "pi_re", "pi_im"], [np.arange(n) * 1.0, *cols])
         rc, _, err = _run_quietly(
             ["evolve", equation, f"--init={init}", f"--grid={n}", f"--extent={extent!r}", f"--dt={dt!r}",
              f"--steps={steps}", "--snap-every=1", f"--dispersion-modes={m}", f"--out={out}", *_EQUATION_FLAGS[equation]]
@@ -1027,12 +1092,31 @@ def test_evolve_3d_binary_snapshot(gauss_spec, tmp_path):
 
 
 def test_evolve_courant_violation_exits_one(const_spec, tmp_path, capsys):
+    out = tmp_path / "run"
     rc = main(
         ["evolve", "kgf", "--spec", const_spec, "--grid", "64", "--extent", "8",
-         "--dt", "0.5", "--steps", "5", "--out", str(tmp_path / "run")]
+         "--dt", "0.5", "--steps", "5", "--out", str(out)]
     )
     assert rc == 1
     assert "Courant" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == sorted(f.name for f in out.iterdir() if f.name != "manifest.json")
+    assert manifest["outputs"] == ["snap_000000.csv"]
+
+
+def test_potential_refused_on_the_first_measure_leaves_no_output(tmp_path, capsys):
+    # u = q''/q of a table with a zero node is not finite; the first measure finds it
+    z = np.linspace(0.0, 8.0, 41)
+    profile = {"kind": "tabulated", "z": z.tolist(), "values": np.sin(np.pi * z / 8.0).tolist()}
+    spec = tmp_path / "node.json"
+    spec.write_text(json.dumps({"boost": {"beta": 0.0}, "components": [{"omega": 1.5, "profile": profile}]}))
+    rc, _, err = _run_quietly(
+        ["evolve", "schrodinger", "--spec", str(spec), "--grid", "64", "--extent", "8", "--dt", "0.001",
+         "--steps", "3", "--potential-from-spec", "--out", str(tmp_path / "o")]
+    )
+    assert rc == 2
+    assert err.splitlines()[-1] == "config error: potential evaluated to non-finite values on the grid"
+    assert not (tmp_path / "o").exists()
 
 
 # -- limit-scan and config files -------------------------------------------------
