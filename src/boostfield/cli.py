@@ -5,6 +5,13 @@ configuration.  A flag error is one ``config error:`` line, like a bad
 config.  Every exit-2 check comes before the first write, so such a run
 leaves nothing behind; a write that fails is itself an exit-2 error.
 
+Each command, and each check of ``verify`` and equation of ``evolve``, has
+its own parser, which declares exactly the flags that the run reads.  Flags
+follow the check or equation name, a flag that the mode does not read exits
+2, and ``--out`` is required except by ``boost`` and ``field --event``.  A
+config is read by the same parser, so one recorded by 0.1.0 that holds a
+default its mode does not read is refused.
+
 One recorder per run is the only writer into ``--out``: it makes the
 directory at its first write and records each file's name.  A run that
 wrote anything gets a manifest.json for exactly those files, whatever its
@@ -17,7 +24,9 @@ byte-identical everywhere else.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
+import io
 import json
 import platform
 import sys
@@ -65,7 +74,14 @@ class VerificationFailure(Exception):
 
 
 class _ConfigParser(argparse.ArgumentParser):
-    """The flag parser, with every failure one ConfigError, for flags and a JSON config alike."""
+    """The flag parser, with every failure one ConfigError, for flags and a JSON config alike.
+
+    A flag is read only by its full name, so a flag that a mode does not
+    declare is never taken for a prefix of one that it does.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ConfigError(message)
@@ -92,9 +108,10 @@ _RESIDUAL_CHECKS = {
 class ExperimentConfig:
     """One resolved run: command, inputs, parameters, output directory, seed.
 
-    The command's subparser reads the whole config, each value given as its
-    flag's text, so a config holds to the flags' types, choices, required
-    flags and defaults.  A null value, or false for a switch, leaves the flag
+    The parser of the command, or of the check or equation that ``params``
+    names, reads the whole config, each value given as its flag's text, so a
+    config holds to the flags' types, choices, required flags, alternatives
+    and defaults.  A null value, or false for a switch, leaves the flag
     unset.  The stored params are the parsed flags that are set, as a flag
     run stores them.
     """
@@ -106,32 +123,38 @@ class ExperimentConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        ap = _build_parser()
-        commands = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction)).choices
-        if not isinstance(self.command, str) or self.command not in commands:
+        parser = _modes(_build_parser()).choices.get(self.command) if isinstance(self.command, str) else None
+        if parser is None:
             raise ConfigError(f"unknown command {self.command!r}")
-        flags = {a.dest: a for a in commands[self.command]._actions}
-        unknown = set(self.params) - (set(flags) - {"help", "spec", "out", "seed"})
+        name, params, modes = self.command, dict(self.params), _modes(parser)
+        if modes:  # the check or equation is a parser's name, never argv, so never read as a flag
+            mode = params.pop(modes.dest, None)
+            if not isinstance(mode, str) or mode not in modes.choices:
+                choices = ", ".join(map(repr, modes.choices))
+                raise ConfigError(f"argument {modes.dest}: invalid choice: {mode!r} (choose from {choices})")
+            parser, name = modes.choices[mode], f"{name} {mode}"
+        flags = {a.dest: a for a in parser._actions}
+        unknown = (set(params) - set(flags)) | (set(params) & {"help", "spec", "out", "seed"})
+        if self.spec is not None and "spec" not in flags:
+            unknown.add("spec")
         if unknown:
-            raise ConfigError(
-                f"unknown parameters for {self.command}: {sorted(unknown)}"
-            )
-        argv, positional = [], []
-        for dest, value in dict(self.params, spec=self.spec, out=self.out, seed=self.seed).items():
-            flag = flags[dest].option_strings[:1]
+            raise ConfigError(f"unknown parameters for {name}: {sorted(unknown)}")
+        argv = []
+        for dest, value in dict(params, spec=self.spec, out=self.out, seed=self.seed).items():
             if value is None:
                 continue
-            if not flag:  # the check or equation, read as one even if it starts with "-"
-                positional = ["--", str(value)]
-            elif flags[dest].nargs != 0:
-                argv.append(f"{flag[0]}={value}")
+            flag = flags[dest].option_strings[0]
+            if flags[dest].nargs != 0:
+                argv.append(f"{flag}={value}")
             elif isinstance(value, bool):  # a store_true switch
-                argv += flag if value else []
+                argv += [flag] if value else []
             else:
-                raise ConfigError(f"{flag[0]} takes true or false, got {value!r}")
-        ns = vars(commands[self.command].parse_args(argv + positional))
-        for name in ("spec", "out", "seed"):
-            object.__setattr__(self, name, ns.pop(name))
+                raise ConfigError(f"{flag} takes true or false, got {value!r}")
+        ns = vars(parser.parse_args(argv))
+        for key in ("spec", "out", "seed"):
+            object.__setattr__(self, key, ns.pop(key, None))
+        if modes:
+            ns[modes.dest] = mode
         object.__setattr__(self, "params", {k: v for k, v in ns.items() if v is not None and v is not False})
 
     def to_dict(self) -> dict:
@@ -158,7 +181,7 @@ def _fmt(v: float) -> str:
 class _Outputs:
     """The run's one writer into --out: each file by name, the directory made at the first write.
 
-    ``inputs`` maps each spec path to the sha256 of the bytes parsed from it.
+    ``inputs`` maps each input file's path to the sha256 of the bytes read from it.
     """
 
     def __init__(self, cfg: ExperimentConfig):
@@ -166,9 +189,18 @@ class _Outputs:
         self.names: set[str] = set()
         self.inputs: dict[str, str] = {}
 
+    def read_input(self, path: str, what: str) -> bytes:
+        """The bytes of one input file, read once; the manifest records their digest."""
+        try:
+            data = Path(path).read_bytes()
+        except FileNotFoundError:
+            raise ConfigError(f"{what} not found: {path}") from None
+        except OSError as exc:  # a directory, no permission
+            raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+        self.inputs[path] = hashlib.sha256(data).hexdigest()
+        return data
+
     def write_bytes(self, name: str, data: bytes) -> None:
-        if not self.cfg.out:
-            raise ConfigError(f"command {self.cfg.command!r} needs an output directory (--out)")
         path = Path(self.cfg.out, name)
         try:
             if not self.names:
@@ -208,27 +240,12 @@ class _Outputs:
         })
 
 
-def _refuse_spec(cfg: ExperimentConfig, name: str) -> None:
-    """Refuse a --spec that the command never reads, before it writes anything."""
-    if cfg.spec is not None:
-        raise ConfigError(f"{name} reads no field spec; drop --spec {cfg.spec}")
-
-
 def _load_spec_arg(cfg: ExperimentConfig, out: _Outputs) -> FieldSpec:
-    """The spec parsed from one read of --spec; the recorder keeps those bytes' digest."""
-    if not cfg.spec:
-        raise ConfigError(f"command {cfg.command!r} needs a field spec (--spec)")
+    """The spec parsed from the one read of --spec."""
     try:
-        data = Path(cfg.spec).read_bytes()
-        spec = loads_spec(data.decode())
-    except FileNotFoundError:
-        raise ConfigError(f"spec file not found: {cfg.spec}") from None
-    except OSError as exc:  # a directory, no permission
-        raise ConfigError(f"cannot read spec file {cfg.spec}: {exc}") from None
+        return loads_spec(out.read_input(cfg.spec, "spec file").decode())
     except ValueError as exc:
         raise ConfigError(f"bad spec file {cfg.spec}: {exc}") from None
-    out.inputs[cfg.spec] = hashlib.sha256(data).hexdigest()
-    return spec
 
 
 def _parse_floats(text: str, n: int | None = None) -> list[float]:
@@ -255,24 +272,10 @@ def _component(spec: FieldSpec, p: dict) -> int:
     raise ConfigError("spec has no oscillating component")
 
 
-def _stencil_spacing(p: dict) -> float | None:
-    h = p.get("h")
-    if h is not None:
-        _check_spacing(h, "--h")
-    return h
-
-
-def _events_for(spec: FieldSpec, params: dict, n: int, seed: int):
-    box_z = tuple(_parse_floats(params["box_z"], 2)) if params.get("box_z") else (-1.0, 1.0)
-    box_tau = tuple(_parse_floats(params["box_tau"], 2)) if params.get("box_tau") else (-1.0, 1.0)
-    return sample_events(n, seed, z=box_z, tau=box_tau)
-
-
 # -- command bodies ---------------------------------------------------------
 
 
 def _run_boost(cfg: ExperimentConfig, out: _Outputs) -> int:
-    _refuse_spec(cfg, "boost")
     p = cfg.params
     b = LorentzBoost(p["beta"], p["c"])
     e = Event(*_parse_floats(p["event"], 4))
@@ -304,6 +307,8 @@ def _run_field(cfg: ExperimentConfig, out: _Outputs) -> int:
                 raise ConfigError("field sampling needs tau, z_min, z_max and n (or event)")
         if p["n"] < 2:
             raise ConfigError("need at least 2 sample points")
+        if not cfg.out:
+            raise ConfigError("field on a grid writes field.csv; it needs --out")
         z, tau = np.linspace(p["z_min"], p["z_max"], p["n"]), p["tau"]
     ks = [_component(spec, p)] if "component" in p else range(len(spec.components))
     psi = sum(spec.harmonic_on_axis(k, z, tau) for k in ks)
@@ -319,22 +324,23 @@ def _run_field(cfg: ExperimentConfig, out: _Outputs) -> int:
     return 0
 
 
-def _read_csv_columns(path: str, what: str, names: tuple[str, ...]) -> np.ndarray:
-    """The named columns of a csv file with a header row, one float array per name."""
+def _read_csv_columns(out: _Outputs, path: str, what: str, names: tuple[str, ...]) -> np.ndarray:
+    """The named columns of a csv input with a header row, one float array per name."""
+    data = out.read_input(path, f"{what} csv")
     try:
-        with open(path) as fh, warnings.catch_warnings():
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh, warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # the caller reports a file without rows
             header = [name.strip() for name in fh.readline().split(",")]
             if not set(names) <= set(header):
                 raise ConfigError(f"{what} csv needs columns {', '.join(names)}")
             cols = [header.index(name) for name in names]
             return np.loadtxt(fh, delimiter=",", usecols=cols, ndmin=2).T
-    except (OSError, ValueError) as exc:  # a missing file, a ragged row, a bad number
+    except ValueError as exc:  # not UTF-8, a ragged row, a bad number
         raise ConfigError(f"cannot read {what} csv {path}: {exc}") from None
 
 
-def _read_signal_csv(path: str) -> SampledSignal:
-    t, re, im = _read_csv_columns(path, "signal", ("t", "re", "im"))
+def _read_signal_csv(out: _Outputs, path: str) -> SampledSignal:
+    t, re, im = _read_csv_columns(out, path, "signal", ("t", "re", "im"))
     if t.size < 2:
         raise ConfigError("signal csv needs at least 2 rows")
     dts = np.diff(t)
@@ -345,23 +351,19 @@ def _read_signal_csv(path: str) -> SampledSignal:
 
 def _run_spectrum(cfg: ExperimentConfig, out: _Outputs) -> int:
     p = cfg.params
+    spec = _load_spec_arg(cfg, out) if cfg.spec else None
     if p.get("csv"):
-        sig = _read_signal_csv(p["csv"])
-        spec = _load_spec_arg(cfg, out) if cfg.spec else None
+        sig = _read_signal_csv(out, p["csv"])
+    elif spec is None or "t_max" not in p or "dt" not in p:
+        raise ConfigError("spectrum reads --csv, or synthesizes a signal from --spec, --t-max and --dt")
     else:
-        spec = _load_spec_arg(cfg, out)
-        for key in ("t_max", "dt"):
-            if key not in p:
-                raise ConfigError("synthesized spectrum needs t_max and dt")
         sig = sample_rest_signal(spec, p["z"], p["t_max"], p["dt"])
     if p.get("omegas_from_spec"):
         if spec is None:
             raise ConfigError("--omegas-from-spec needs --spec")
         omegas = [c.omega for c in spec.components]
-    elif p.get("omegas"):
-        omegas = _parse_floats(p["omegas"])
     else:
-        raise ConfigError("spectrum needs probe frequencies (--omegas or --omegas-from-spec)")
+        omegas = _parse_floats(p["omegas"])
     window = p["window"]
     T = sig.max_symmetric_window() if window == "max" else float(window)
     est = scan_spectrum(sig, omegas, T)
@@ -371,10 +373,14 @@ def _run_spectrum(cfg: ExperimentConfig, out: _Outputs) -> int:
     return 0
 
 
-def _mass_from_params(p: dict, fallback_m: float | None = None) -> MassParameters:
-    m = p.get("mass", fallback_m)
-    if m is None:
+def _mass_from_params(p: dict, omega: float | None = None) -> MassParameters:
+    """--mass, --hbar and --c; without --mass, the mass whose carrier m c / hbar is ``omega``."""
+    if "mass" in p:
+        m = p["mass"]
+    elif omega is None:
         raise ConfigError("need --mass (plus optional --hbar, --c)")
+    else:
+        m = omega * p["hbar"] / p["c"]
     return MassParameters(m, p["hbar"], p["c"])
 
 
@@ -388,10 +394,7 @@ def _scan(p: dict):
 def _run_verify(cfg: ExperimentConfig, out: _Outputs) -> int:
     p = cfg.params
     check = p["check"]
-    if "h" in p and check != "derivatives":
-        raise ConfigError(f"--h applies only to verify derivatives, not to verify {check}")
     if check == "beta4":
-        _refuse_spec(cfg, "verify beta4")
         scan = _scan(p)
         lo, hi = _TOLERANCES["beta4_slope_band"]
         ok = lo <= scan.fitted_slope <= hi
@@ -404,10 +407,13 @@ def _run_verify(cfg: ExperimentConfig, out: _Outputs) -> int:
 
     spec = _load_spec_arg(cfg, out)
     k = _component(spec, p)
-    events = _events_for(spec, p, p["events"], cfg.seed)
+    box = [tuple(_parse_floats(p[key], 2)) if p.get(key) else (-1.0, 1.0) for key in ("box_z", "box_tau")]
+    events = sample_events(p["events"], cfg.seed, z=box[0], tau=box[1])
 
     if check == "derivatives":
-        h = _stencil_spacing(p)
+        h = p.get("h")
+        if h is not None:
+            _check_spacing(h, "--h")
         hs = None if h is None else [h, h / 2.0, h / 4.0]
         slopes = derivative_slopes(spec, k, events[: min(len(events), 8)], hs=hs)
         lo, hi = _TOLERANCES["derivative_slope_band"]
@@ -428,7 +434,7 @@ def _run_verify(cfg: ExperimentConfig, out: _Outputs) -> int:
 
     default = _TOLERANCES[check]
     if check == "schrodinger":
-        mass = _mass_from_params(p, fallback_m=spec.components[k].omega)
+        mass = _mass_from_params(p, spec.components[k].omega)
         u = separable_potential(spec, k)
         rep = schrodinger_residual(spec, k, mass, u, events, gamma_mode=p["gamma_mode"])
         if p["gamma_mode"] == "unity":
@@ -466,22 +472,9 @@ def _write_snapshot(out: _Outputs, state: GridState, index: int) -> None:
     )
 
 
-# the flags each equation never reads; kgf reads --mass only without --mass-scalar
-_UNREAD = {
-    "wave": ("mass", "mass_scalar", "potential_from_spec"),
-    "schrodinger": ("mass_scalar",),
-    "kgf": ("potential_from_spec",),
-}
-
-
 def _run_evolve(cfg: ExperimentConfig, out: _Outputs) -> int:
     p = cfg.params
     equation = p["equation"]
-    for name in _UNREAD[equation]:
-        if name in p:
-            raise ConfigError(f"evolve {equation} reads no --{name.replace('_', '-')}; drop it")
-    if equation == "kgf" and "mass" in p and "mass_scalar" in p:
-        raise ConfigError("evolve kgf reads --mass only without --mass-scalar; drop one")
     if p["snap_every"] < 0:
         raise ConfigError(f"--snap-every must be >= 0, got {p['snap_every']}")
     pts = tuple(int(v) for v in _parse_floats(p["grid"]))
@@ -492,14 +485,13 @@ def _run_evolve(cfg: ExperimentConfig, out: _Outputs) -> int:
 
     second_order = equation in ("kgf", "wave")
     spec = None
-    if p.get("init"):
-        _refuse_spec(cfg, "evolve --init")
+    if "init" in p:
         if "component" in p:
             raise ConfigError("evolve --init reads no --component; drop it")
         if grid.dim != 1:
             raise ConfigError("--init supports 1-d csv snapshots with a z column")
         names = ("z", "re", "im") + (("pi_re", "pi_im") if second_order else ())
-        cols = _read_csv_columns(p["init"], "init", names)
+        cols = _read_csv_columns(out, p["init"], "init", names)
         if cols[0].size != grid.points[0]:
             raise ConfigError("init snapshot size does not match grid")
         if not np.all(np.isfinite(cols)):
@@ -518,31 +510,18 @@ def _run_evolve(cfg: ExperimentConfig, out: _Outputs) -> int:
 
     state = GridState(grid, field, pi)
 
-    mass = None
-    mass_scalar = None
+    # the parser gives --mass-scalar to kgf alone and --potential-from-spec to schrodinger alone
+    mass_scalar = 0.0 if equation == "wave" else p.get("mass_scalar")
+    mass = None if mass_scalar is not None else _mass_from_params(p, spec.components[k].omega if spec is not None else None)
     potential = None
-    if equation == "schrodinger":
-        fallback = spec.components[k].omega if spec is not None else None
-        mass = _mass_from_params(p, fallback_m=fallback)
-        if p.get("potential_from_spec"):
-            if spec is None:
-                raise ConfigError("--potential-from-spec needs --spec in place of --init")
-            potential = separable_potential(spec, k)
-        scheme = "crank_nicolson"
-    else:
-        scheme = "leapfrog"
-        if equation == "wave":
-            mass_scalar = 0.0
-        elif "mass_scalar" in p:
-            mass_scalar = p["mass_scalar"]
-        else:
-            # intrinsic default: the carrier frequency is m c / hbar
-            fallback = spec.components[k].omega if spec is not None else None
-            mass = _mass_from_params(p, fallback_m=fallback)
+    if p.get("potential_from_spec"):
+        if spec is None:
+            raise ConfigError("--potential-from-spec needs --spec in place of --init")
+        potential = separable_potential(spec, k)
     sc = SolverConfig(
         dt=p["dt"],
         steps=p["steps"],
-        scheme=scheme,
+        scheme="crank_nicolson" if equation == "schrodinger" else "leapfrog",
         mass=mass,
         mass_scalar=mass_scalar,
         potential=potential,
@@ -607,7 +586,6 @@ def _run_evolve(cfg: ExperimentConfig, out: _Outputs) -> int:
 
 
 def _run_limit_scan(cfg: ExperimentConfig, out: _Outputs) -> int:
-    _refuse_spec(cfg, "limit-scan")
     scan = _scan(cfg.params)
     out.write_csv("beta_term.csv", ["beta", "term"], zip(*scan.points))
     out.write_json("scan.json", scan.to_dict())
@@ -653,93 +631,108 @@ def run(cfg: ExperimentConfig) -> int:
 # -- argument parsing --------------------------------------------------------
 
 
+def _modes(parser: argparse.ArgumentParser) -> argparse._SubParsersAction | None:
+    """The parser's commands, checks or equations; None for a parser that reads only flags."""
+    return next((a for a in parser._actions if isinstance(a, argparse._SubParsersAction)), None)
+
+
+@functools.cache
 def _build_parser() -> _ConfigParser:
-    ap = _ConfigParser(
-        prog="boostfield",
-        description="Boosted almost-periodic fields: evaluate, extract, verify, evolve.",
-    )
+    """The one statement of the flags each command, check and equation reads; built once a process."""
+    ap = _ConfigParser(prog="boostfield", description="Boosted almost-periodic fields: evaluate, extract, verify, evolve.")
     ap.add_argument("--config", help="run a JSON ExperimentConfig instead of flags")
-    sub = ap.add_subparsers(dest="command")
+    commands = ap.add_subparsers(dest="command")
 
-    def common(sp, needs_spec=False):
-        sp.add_argument("--spec", required=needs_spec, help="field spec JSON")
-        sp.add_argument("--out", help="output directory")
+    def mode(sub, name, help=None, out_required=True):
+        sp = sub.add_parser(name, help=help)
+        sp.add_argument("--out", required=out_required, help="output directory")
         sp.add_argument("--seed", type=int, default=0)
+        return sp
 
-    sp = sub.add_parser("boost", help="apply the coordinate map to one event")
+    def mass(sp, required=False, alternatives=None):
+        (alternatives or sp).add_argument("--mass", type=float, required=required)
+        sp.add_argument("--hbar", type=float, default=1.0)
+        sp.add_argument("--c", type=float, default=1.0)
+
+    sp = mode(commands, "boost", "apply the coordinate map to one event", out_required=False)
     sp.add_argument("--beta", type=float, required=True)
     sp.add_argument("--c", type=float, default=1.0)
     sp.add_argument("--event", required=True, help="x,y,z,tau")
     sp.add_argument("--inverse", action="store_true")
-    common(sp)
 
-    sp = sub.add_parser("field", help="evaluate the lab field")
+    sp = mode(commands, "field", "evaluate the lab field at --event, or on a grid into --out", out_required=False)
+    sp.add_argument("--spec", required=True, help="field spec JSON")
     sp.add_argument("--event", help="x,y,z,tau")
     sp.add_argument("--component", type=int)
     sp.add_argument("--tau", type=float)
     sp.add_argument("--z-min", type=float, dest="z_min")
     sp.add_argument("--z-max", type=float, dest="z_max")
     sp.add_argument("--n", type=int)
-    common(sp, needs_spec=True)
 
-    sp = sub.add_parser("spectrum", help="boxcar harmonic extraction")
+    sp = mode(commands, "spectrum", "boxcar harmonic extraction")
+    sp.add_argument("--spec", help="field spec JSON")
     sp.add_argument("--csv", help="signal csv with t,re,im columns")
     sp.add_argument("--z", type=float, default=0.0)
     sp.add_argument("--t-max", type=float, dest="t_max")
     sp.add_argument("--dt", type=float)
-    sp.add_argument("--omegas", help="comma-separated probe frequencies")
-    sp.add_argument("--omegas-from-spec", action="store_true", dest="omegas_from_spec")
+    probes = sp.add_mutually_exclusive_group(required=True)
+    probes.add_argument("--omegas", help="comma-separated probe frequencies")
+    probes.add_argument("--omegas-from-spec", action="store_true", dest="omegas_from_spec")
     sp.add_argument("--window", default="max", help="half-width T or 'max'")
-    common(sp)
 
-    sp = sub.add_parser("verify", help="residual and convergence certification")
-    sp.add_argument(
-        "check",
-        choices=["envelope", "schrodinger", "klein-gordon", "scalar", "beta4", "derivatives"],
-    )
-    sp.add_argument("--component", type=int)
-    sp.add_argument("--events", type=int, default=100)
-    sp.add_argument("--h", type=float)
-    sp.add_argument("--gamma-mode", choices=["exact", "unity"], default="exact", dest="gamma_mode")
-    sp.add_argument("--mass", type=float)
-    sp.add_argument("--hbar", type=float, default=1.0)
-    sp.add_argument("--c", type=float, default=1.0)
-    sp.add_argument("--betas", help="comma-separated betas for beta4")
-    sp.add_argument("--tolerance", type=float)
-    sp.add_argument("--box-z", dest="box_z", help="zlo,zhi event box")
-    sp.add_argument("--box-tau", dest="box_tau", help="taulo,tauhi event box")
-    common(sp)
+    checks = commands.add_parser("verify", help="residual and convergence certification")
+    checks = checks.add_subparsers(dest="check", required=True)
+    for name in ("envelope", "schrodinger", "klein-gordon", "scalar", "beta4", "derivatives"):
+        sp = mode(checks, name)
+        if name == "beta4":
+            mass(sp, required=True)
+            sp.add_argument("--betas", help="comma-separated betas")
+            continue
+        sp.add_argument("--spec", required=True, help="field spec JSON")
+        sp.add_argument("--component", type=int)
+        sp.add_argument("--events", type=int, default=100)
+        sp.add_argument("--box-z", dest="box_z", help="zlo,zhi event box")
+        sp.add_argument("--box-tau", dest="box_tau", help="taulo,tauhi event box")
+        if name == "derivatives":
+            sp.add_argument("--h", type=float, help="finite-difference step")
+            continue
+        sp.add_argument("--tolerance", type=float)
+        if name == "schrodinger":
+            sp.add_argument("--gamma-mode", choices=["exact", "unity"], default="exact", dest="gamma_mode")
+            mass(sp)
 
-    sp = sub.add_parser("evolve", help="finite-difference evolution")
-    sp.add_argument("equation", choices=["schrodinger", "kgf", "wave"])
-    sp.add_argument("--component", type=int)
-    sp.add_argument("--init", help="1-d csv snapshot (z,re,im[,pi_re,pi_im])")
-    sp.add_argument("--grid", required=True, help="points per axis, e.g. 512 or 32,32,32")
-    sp.add_argument("--extent", required=True, help="domain length per axis")
-    sp.add_argument("--dt", type=float, required=True)
-    sp.add_argument("--steps", type=int, required=True)
-    sp.add_argument("--snap-every", type=int, default=0, dest="snap_every")
-    sp.add_argument("--mass-scalar", type=float, dest="mass_scalar")
-    sp.add_argument("--mass", type=float)
-    sp.add_argument("--hbar", type=float, default=1.0)
-    sp.add_argument("--c", type=float, default=1.0)
-    sp.add_argument("--potential-from-spec", action="store_true", dest="potential_from_spec")
-    sp.add_argument("--dispersion-modes", dest="dispersion_modes", help="integer mode numbers")
-    common(sp)
+    equations = commands.add_parser("evolve", help="finite-difference evolution")
+    equations = equations.add_subparsers(dest="equation", required=True)
+    for name in ("schrodinger", "kgf", "wave"):
+        sp = mode(equations, name)
+        start = sp.add_mutually_exclusive_group(required=True)
+        start.add_argument("--spec", help="field spec JSON")
+        start.add_argument("--init", help="1-d csv snapshot (z,re,im[,pi_re,pi_im])")
+        sp.add_argument("--component", type=int)
+        sp.add_argument("--grid", required=True, help="points per axis, e.g. 512 or 32,32,32")
+        sp.add_argument("--extent", required=True, help="domain length per axis")
+        sp.add_argument("--dt", type=float, required=True)
+        sp.add_argument("--steps", type=int, required=True)
+        sp.add_argument("--snap-every", type=int, default=0, dest="snap_every")
+        sp.add_argument("--dispersion-modes", dest="dispersion_modes", help="integer mode numbers")
+        if name == "schrodinger":
+            mass(sp)
+            sp.add_argument("--potential-from-spec", action="store_true", dest="potential_from_spec")
+        elif name == "kgf":
+            alternatives = sp.add_mutually_exclusive_group()
+            alternatives.add_argument("--mass-scalar", type=float, dest="mass_scalar")
+            mass(sp, alternatives=alternatives)
 
-    sp = sub.add_parser("limit-scan", help="rest-energy correction against beta")
-    sp.add_argument("--mass", type=float, required=True)
-    sp.add_argument("--hbar", type=float, default=1.0)
-    sp.add_argument("--c", type=float, default=1.0)
+    sp = mode(commands, "limit-scan", "rest-energy correction against beta")
+    mass(sp, required=True)
     sp.add_argument("--betas", help="comma-separated betas")
-    common(sp)
 
     return ap
 
 
 def _config_from_args(ns: argparse.Namespace) -> ExperimentConfig:
     params = {k: v for k, v in vars(ns).items() if k not in ("command", "config", "spec", "out", "seed")}
-    return ExperimentConfig(ns.command, ns.spec, params, ns.out, ns.seed)
+    return ExperimentConfig(ns.command, getattr(ns, "spec", None), params, ns.out, ns.seed)
 
 
 def main(argv=None) -> int:

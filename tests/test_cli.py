@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import csv
 import hashlib
@@ -8,7 +7,6 @@ import os
 import subprocess
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -141,8 +139,8 @@ def test_config_from_dict_requires_exact_keys():
 def test_config_params_are_read_by_the_flag_parser():
     cfg = ExperimentConfig("verify", "s.json", {"check": "envelope", "events": "40", "box_z": -2}, "out", "7")
     assert cfg.seed == 7
-    # the flags' types and defaults, as a flag run stores them
-    assert cfg.params == {"check": "envelope", "events": 40, "gamma_mode": "exact", "hbar": 1.0, "c": 1.0, "box_z": "-2"}
+    # the flags' types and defaults, as a flag run stores them; envelope declares no mass flags
+    assert cfg.params == {"check": "envelope", "events": 40, "box_z": "-2"}
     assert "inverse" not in ExperimentConfig("boost", None, {"beta": 0.5, "event": "0,0,1,0", "inverse": False}, None, 0).params
 
 
@@ -151,6 +149,13 @@ def test_flag_run_config_replays_as_it_is():
     cfg = _config_from_args(_build_parser().parse_args(argv))
     assert cfg.params["mass"] == 2.0 and cfg.params["gamma_mode"] == "unity" and cfg.seed == 4
     assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+def test_config_recorded_with_defaults_its_mode_does_not_read_is_refused():
+    # version 0.1.0 read every check with one parser, and recorded its mass defaults for each
+    params = {"check": "envelope", "events": 100, "gamma_mode": "exact", "hbar": 1.0, "c": 1.0}
+    with pytest.raises(ConfigError, match=r"^unknown parameters for verify envelope: \['c', 'gamma_mode', 'hbar'\]$"):
+        ExperimentConfig("verify", "s.json", params, "out", 0)
 
 
 @pytest.mark.parametrize("value", [1, "true", [True]])
@@ -246,12 +251,92 @@ def test_manifest_digests_the_spec_bytes_the_run_parsed(gauss_spec, tmp_path, mo
     assert manifest["inputs"] == {gauss_spec: hashlib.sha256(original).hexdigest()}
 
 
+def test_manifest_digests_every_input_file(gauss_spec, tmp_path):
+    signal, init = tmp_path / "signal.csv", tmp_path / "init.csv"
+    t = np.arange(-2.0, 2.0 + 1e-12, 0.05)
+    recorder_into(tmp_path).write_csv("signal.csv", ["t", "re", "im"], [t, np.cos(1.7 * t), np.sin(1.7 * t)])
+    recorder_into(tmp_path).write_csv("init.csv", ["z", "re", "im"], [0.5 * np.arange(16), np.ones(16), np.zeros(16)])
+    runs = {
+        "s": ["spectrum", "--csv", str(signal), "--spec", gauss_spec, "--omegas-from-spec"],
+        "e": ["evolve", "schrodinger", "--init", str(init), "--mass", "1", "--grid", "16", "--extent", "8",
+              "--dt", "0.1", "--steps", "2"],
+    }
+    for name, argv in runs.items():
+        assert main(argv + ["--out", str(tmp_path / name)]) == 0
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        files = [a for a in argv if a.endswith((".csv", ".json"))]
+        assert manifest["inputs"] == {f: hashlib.sha256(Path(f).read_bytes()).hexdigest() for f in files}
+
+
 def test_config_file_not_utf8_is_config_error(tmp_path):
     (tmp_path / "cfg.json").write_bytes(b'\xff\xfe{"command": "boost"}')
     assert_config_error(run_boostfield(["--config", "cfg.json"], tmp_path))
 
 
-# commands that never read a field spec; the manifest would record the digest of one given
+# every leaf parser, keyed by the argv words that select it: ("boost",), ("verify", "envelope"), ...
+def _leaves(parser, words=()):
+    modes = cli._modes(parser)
+    if modes is None:
+        return {words: parser}
+    return {key: leaf for name, sp in modes.choices.items() for key, leaf in _leaves(sp, words + (name,)).items()}
+
+
+_MODES = _leaves(_build_parser())
+# the params key that names verify's check and evolve's equation
+_MODE_KEY = {name: cli._modes(sp).dest for name, sp in cli._modes(_build_parser()).choices.items() if cli._modes(sp)}
+# every flag that some mode declares, with its action
+_FLAGS = {flag: a for sp in _MODES.values() for a in sp._actions if a.dest != "help" for flag in a.option_strings}
+
+
+def _flag_arg(action) -> str:
+    """The flag given once: a bare switch, or "--flag=1"."""
+    return action.option_strings[0] if action.nargs == 0 else f"{action.option_strings[0]}=1"
+
+
+def _base_argv(words) -> list[str]:
+    """argv that parses for the mode once --out is added: its required flags and the first flag of
+    each required alternative, each given its first choice or "1"."""
+    sp = _MODES[words]
+    needed = [a for a in sp._actions if a.required and a.dest != "out"]
+    needed += [g._group_actions[0] for g in sp._mutually_exclusive_groups if g.required]
+    argv = list(words)
+    for a in needed:
+        argv += [a.option_strings[0]] + ([] if a.nargs == 0 else [str(a.choices[0]) if a.choices else "1"])
+    return argv
+
+
+def refused_before_any_output(argv, extra, via, tmp_path, capsys) -> str:
+    """The one config error line of ``argv`` with the flags ``extra`` (each "--flag=value" or a bare switch).
+
+    Run as flags, or as the config that ``argv`` records with ``extra`` added
+    to it; either way the run's --out must not exist afterwards.
+    """
+    out = str(tmp_path / "o")
+    if via == "flags":
+        args = argv + extra + ["--out", out]
+    else:
+        record = _config_from_args(_build_parser().parse_args(argv + ["--out", out])).to_dict()
+        for item in extra:
+            flag, _, value = item.partition("=")
+            action = _FLAGS[flag]
+            if action.dest == "spec":
+                record["spec"] = value
+            else:
+                record["params"][action.dest] = True if action.nargs == 0 else value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(record))
+        args = ["--config", str(path)]
+    err = main_config_error(args, capsys)
+    assert not (tmp_path / "o").exists()
+    return err
+
+
+def names_the_flag(err: str, flag: str) -> bool:
+    """A refusal names the flag as argv gives it, or its params key as a config gives it."""
+    return flag in err or repr(_FLAGS[flag].dest) in err
+
+
+# named cases of commands that never read a field spec; the manifest would record the digest of one given
 _READS_NO_SPEC = {
     "boost": ["boost", "--beta", "0.5", "--event", "0,0,1,0"],
     "limit-scan": ["limit-scan", "--mass", "1"],
@@ -264,13 +349,8 @@ _READS_NO_SPEC = {
 @pytest.mark.parametrize("command", sorted(_READS_NO_SPEC))
 @pytest.mark.parametrize("via", ["flags", "config"])
 def test_unread_spec_is_refused_before_any_output(via, command, tmp_path, capsys):
-    args = _READS_NO_SPEC[command] + ["--spec", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o3")]
-    if via == "config":
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(_config_from_args(_build_parser().parse_args(args)).to_dict()))
-        args = ["--config", str(path)]
-    assert f"reads no field spec; drop --spec {tmp_path / 'nope.json'}" in main_config_error(args, capsys)
-    assert not (tmp_path / "o3").exists()
+    err = refused_before_any_output(_READS_NO_SPEC[command], [f"--spec={tmp_path / 'nope.json'}"], via, tmp_path, capsys)
+    assert names_the_flag(err, "--spec"), err
 
 
 @pytest.mark.parametrize("via", ["flags", "config"])
@@ -284,9 +364,8 @@ def test_init_refuses_component_before_any_output(via, tmp_path, capsys):
     assert not (tmp_path / "o3").exists()
 
 
-# every command's subparser dests, plus spec, out and seed, which are not params
-_SUBPARSERS = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
-_DESTS = {name: sorted({a.dest for a in sp._actions} - {"help"}) for name, sp in _SUBPARSERS.items()}
+# every mode's parser dests, plus spec, out and seed, which are not params
+_DESTS = {words: sorted({a.dest for a in sp._actions} - {"help"}) for words, sp in _MODES.items()}
 
 
 # a runnable base record for the commands the fuzz executes
@@ -300,10 +379,12 @@ def _mostly(draw, likely):
 
 @st.composite
 def config_records(draw):
-    command = _mostly(draw, st.sampled_from(sorted(_DESTS) + ["boost", "limit-scan", "frobnicate"]))
-    name = command if isinstance(command, str) else ""
-    redrawn = st.dictionaries(st.sampled_from(_DESTS.get(name, []) + ["zeta"]), JSON_VALUES, max_size=3)
-    params = _mostly(draw, redrawn.map(lambda r: dict(_RUNNABLE.get(name, {}), **r)))
+    words = draw(st.sampled_from(sorted(_MODES) + [("boost",), ("limit-scan",), ("frobnicate",)]))
+    command = _mostly(draw, st.just(words[0]))
+    base = dict(_RUNNABLE.get(words[0], {}), **({_MODE_KEY[words[0]]: words[1]} if len(words) == 2 else {}))
+    keys = _DESTS.get(words, []) + ["zeta"] + ([_MODE_KEY[words[0]]] if len(words) == 2 else [])
+    redrawn = st.dictionaries(st.sampled_from(keys), JSON_VALUES, max_size=3)
+    params = _mostly(draw, redrawn.map(lambda r: dict(base, **r)))
     # spec and out name entries of a scratch directory: none, missing, a directory, a file
     spec, out = (draw(st.sampled_from([None, "missing.json", "adir", "afile", "new"])) for _ in range(2))
     seed = _mostly(draw, st.integers(0, 2**32))
@@ -554,7 +635,7 @@ def test_signal_csv_columns_are_read_by_name_as_genfromtxt_reads_them(tmp_path):
         for row in zip(im, t, rng.standard_normal(300), re):
             w.writerow([repr(float(v)) for v in row])
     raw = np.genfromtxt(path, delimiter=",", names=True)
-    sig = _read_signal_csv(str(path))
+    sig = _read_signal_csv(recorder_into(tmp_path / "o"), str(path))
     assert np.array_equal(sig.samples, raw["re"] + 1j * raw["im"])
     assert sig.dt == float(np.diff(raw["t"])[0]) and sig.t0 == float(raw["t"][0])
 
@@ -633,10 +714,10 @@ def test_verify_beta4(tmp_path):
     assert report["scan"]["fitted_slope"] == pytest.approx(4.0, abs=0.05)
 
 
-def test_verify_needs_out(gauss_spec, capsys):
-    rc = main(["verify", "envelope", "--spec", gauss_spec])
-    assert rc == 2
-    assert "output directory" in capsys.readouterr().err
+def test_verify_needs_out(gauss_spec, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "sample_events", None)  # a call would raise TypeError out of main
+    err = main_config_error(["verify", "envelope", "--spec", gauss_spec, "--events", "200000"], capsys)
+    assert err == "config error: the following arguments are required: --out\n"
 
 
 def test_verify_missing_spec_file(tmp_path, capsys):
@@ -678,10 +759,9 @@ def test_out_of_range_component_is_config_error(args, gauss_spec, tmp_path, caps
 @pytest.mark.parametrize("check", ["envelope", "derivatives", "klein-gordon"])
 @pytest.mark.parametrize("h", ["0", "-1", "nan", "inf"])
 def test_bad_stencil_spacing_is_config_error(check, h, gauss_spec, tmp_path, capsys):
-    rc = main(["verify", check, "--spec", gauss_spec, "--h", h, "--out", str(tmp_path / "o")])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert err.startswith("config error: --h") and len(err.splitlines()) == 1
+    err = main_config_error(["verify", check, "--spec", gauss_spec, "--h", h, "--out", str(tmp_path / "o")], capsys)
+    # only derivatives reads --h: it refuses the value, the others the flag
+    assert err.startswith("config error: --h" if check == "derivatives" else f"config error: unrecognized arguments: --h {h}")
 
 
 @pytest.mark.parametrize(
@@ -693,18 +773,16 @@ def test_bad_component_and_spacing_subprocess(args, gauss_spec, tmp_path):
 
 
 @pytest.mark.parametrize("check", ["envelope", "klein-gordon", "scalar", "schrodinger", "beta4"])
-def test_spacing_outside_verify_derivatives_is_config_error(check, gauss_spec, tmp_path, capsys):
-    rc = main(["verify", check, "--spec", gauss_spec, "--h", "0.01", "--out", str(tmp_path / "o")])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert err == f"config error: --h applies only to verify derivatives, not to verify {check}\n"
+def test_spacing_outside_verify_derivatives_is_config_error(check, tmp_path, capsys):
+    argv = _base_argv(("verify", check)) + ["--h", "0.01", "--out", str(tmp_path / "o")]
+    assert main_config_error(argv, capsys) == "config error: unrecognized arguments: --h 0.01\n"
     assert not (tmp_path / "o").exists()
 
 
 def test_spacing_outside_verify_derivatives_subprocess(gauss_spec, tmp_path):
     proc = run_boostfield(["verify", "klein-gordon", "--h", "0.5", "--spec", gauss_spec, "--out", "o"], tmp_path)
     assert_config_error(proc)
-    assert "--h applies only to verify derivatives" in proc.stderr
+    assert "unrecognized arguments: --h 0.5" in proc.stderr
 
 
 def test_verify_derivatives_uses_given_spacing(gauss_spec, tmp_path):
@@ -730,29 +808,52 @@ def test_cli_no_command_is_usage_error(capsys):
     capsys.readouterr()
 
 
-def _flag_errors(command: str) -> list[tuple[list[str], str]]:
-    """argv for ``command`` that must fail to parse, each with the flag its error names.
+def _flag_errors(words) -> list[tuple[list[str], str]]:
+    """argv for a mode that must fail to parse, each with the flag its error names.
 
-    An unknown flag, and each flag with a type given "x", after the command's
-    required flags and positionals (a choice, or "1").
+    An unknown flag, and each flag with a type given "x", after the mode's
+    base argv and --out.
     """
-    actions = _SUBPARSERS[command]._actions
-    base = []
-    for a in actions:
-        if a.required:
-            base += a.option_strings[:1] + [str(a.choices[0]) if a.choices else "1"]
-    typed = [a.option_strings[0] for a in actions if a.type is not None and a.option_strings]
-    return [([command, *base, "--wibble"], "--wibble")] + [([command, *base, flag, "x"], flag) for flag in typed]
+    base = _base_argv(words) + ["--out", "o"]
+    typed = [a.option_strings[0] for a in _MODES[words]._actions if a.type is not None]
+    return [([*base, "--wibble"], "--wibble")] + [([*base, flag, "x"], flag) for flag in typed]
 
 
-@pytest.mark.parametrize("command", sorted(_SUBPARSERS))
-def test_every_flag_error_is_one_config_error_line(command, tmp_path):
-    cases = _flag_errors(command)
-    with ThreadPoolExecutor(2) as pool:
-        procs = list(pool.map(lambda case: run_boostfield(case[0], tmp_path), cases))
-    for (argv, flag), proc in zip(cases, procs):
-        assert_config_error(proc)
-        assert flag in proc.stderr, (argv, proc.stderr)
+@pytest.mark.parametrize("command", sorted({words[0] for words in _MODES}))
+def test_every_flag_error_is_one_config_error_line(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for words in (w for w in _MODES if w[0] == command):
+        for argv, flag in _flag_errors(words):
+            assert flag in main_config_error(argv, capsys), argv
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("words", sorted(_MODES), ids=" ".join)
+def test_a_mode_refuses_every_flag_it_does_not_read_before_any_output(words, tmp_path, capsys):
+    base = _base_argv(words)
+    declared = {flag for a in _MODES[words]._actions for flag in a.option_strings}
+    for flag in sorted(set(_FLAGS) - declared):  # each flag that a sibling mode or command declares
+        for via in ("flags", "config"):
+            err = refused_before_any_output(base, [_flag_arg(_FLAGS[flag])], via, tmp_path, capsys)
+            assert names_the_flag(err, flag), (flag, via, err)
+    for group in _MODES[words]._mutually_exclusive_groups:  # alternatives given together
+        extra = [_flag_arg(a) for a in group._group_actions if a.option_strings[0] not in base]
+        for via in ("flags", "config"):
+            assert "not allowed with argument" in refused_before_any_output(base, extra, via, tmp_path, capsys)
+    if any(a.required for a in _MODES[words]._actions if a.dest == "out"):
+        assert main_config_error(base, capsys) == "config error: the following arguments are required: --out\n"
+        record = _config_from_args(_build_parser().parse_args(base + ["--out", "o"])).to_dict()
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(record, out=None)))
+        assert main_config_error(["--config", str(path)], capsys).endswith("required: --out\n")
+
+
+@pytest.mark.parametrize("words", sorted(_MODES), ids=" ".join)
+def test_every_mode_prints_its_help(words, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*words, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: boostfield {' '.join(words)} ")
 
 
 # -- evolve --------------------------------------------------------------------
@@ -894,6 +995,23 @@ def test_evolve_kgf_dispersion(const_spec, tmp_path):
     assert meas == pytest.approx(1.25, rel=1e-2)
 
 
+def test_the_default_mass_keeps_the_spec_carrier_at_any_hbar_and_c(const_spec, plane_spec, tmp_path):
+    # without --mass, m = omega hbar / c, so the carrier m c / hbar is the component's omega
+    static = tmp_path / "static.json"
+    save_spec(FieldSpec((HarmonicComponent(1.5, GaussianProfile(1.0, 0.0, 1.0)),), LorentzBoost(0.0)), static)
+    for i, units in enumerate([["--hbar", "2"], ["--hbar", "2", "--c", "2"], ["--c", "3"]]):
+        assert main(["verify", "schrodinger", "--spec", str(static), *units, "--out", str(tmp_path / f"v{i}")]) == 0
+    ring = ["--grid", "128", "--extent", repr(8.0 * np.pi), "--hbar", "2"]
+    assert main(["evolve", "kgf", "--spec", const_spec, *ring, "--dt", "0.05", "--steps", "20",
+                 "--dispersion-modes=-3", "--out", str(tmp_path / "k")]) == 0
+    k, _, continuum = (float(v) for v in read_csv(tmp_path / "k" / "dispersion.csv")[1][0])
+    assert continuum == pytest.approx(np.sqrt(k * k + 1.0**2), rel=1e-12, abs=0.0)  # const_spec: omega = 1
+    assert main(["evolve", "schrodinger", "--spec", plane_spec, *ring, "--dt", "0.01", "--steps", "10",
+                 "--dispersion-modes=2", "--out", str(tmp_path / "s")]) == 0
+    k, _, continuum = (float(v) for v in read_csv(tmp_path / "s" / "dispersion.csv")[1][0])
+    assert continuum == pytest.approx(k * k / (2.0 * 2.0), rel=1e-14, abs=0.0)  # hbar / 2mc = 1 / 2 omega; omega = 2
+
+
 def test_evolve_kgf_weak_mode_fails(const_spec, tmp_path, capsys):
     out = tmp_path / "run"
     rc = main(
@@ -1012,6 +1130,7 @@ def test_evolve_refusals_come_before_any_output(dim, n, mode, steps, snap_every)
             assert rc == 0 or (rc == 1 and "too weak" in err), err
 
 
+# named cases of flags an equation never reads, each with its rule; the parser-walking test covers every pair
 _UNREAD_FLAGS = [
     ("wave", ["--mass=1"], "evolve wave reads no --mass; drop it"),
     ("wave", ["--mass-scalar=1"], "evolve wave reads no --mass-scalar; drop it"),
@@ -1022,19 +1141,14 @@ _UNREAD_FLAGS = [
 ]
 
 
-@pytest.mark.parametrize("equation,flags,message", _UNREAD_FLAGS)
+@pytest.mark.parametrize("equation,flags,rule", _UNREAD_FLAGS)
 @pytest.mark.parametrize("via", ["flags", "config"])
 def test_flags_an_equation_never_reads_are_refused_before_any_output(
-    equation, flags, message, via, const_spec, tmp_path, capsys
+    equation, flags, rule, via, const_spec, tmp_path, capsys
 ):
-    args = ["evolve", equation, "--spec", const_spec, "--grid", "16", "--extent", "8", "--dt", "0.05",
-            "--steps", "3", *flags, "--out", str(tmp_path / "o")]
-    if via == "config":
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(_config_from_args(_build_parser().parse_args(args)).to_dict()))
-        args = ["--config", str(path)]
-    assert main_config_error(args, capsys) == f"config error: {message}\n"
-    assert not (tmp_path / "o").exists()
+    args = ["evolve", equation, "--spec", const_spec, "--grid", "16", "--extent", "8", "--dt", "0.05", "--steps", "3"]
+    err = refused_before_any_output(args, flags, via, tmp_path, capsys)
+    assert names_the_flag(err, flags[-1].partition("=")[0]), err
 
 
 def test_negative_snap_every_is_refused_before_any_output(const_spec, tmp_path, capsys):
