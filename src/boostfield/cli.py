@@ -8,9 +8,12 @@ leaves nothing behind; a write that fails is itself an exit-2 error.
 Each command, and each check of ``verify`` and equation of ``evolve``, has
 its own parser, which declares exactly the flags that the run reads.  Flags
 follow the check or equation name, a flag that the mode does not read exits
-2, and ``--out`` is required except by ``boost`` and ``field --event``.  A
-config is read by the same parser, so one recorded by 0.1.0 that holds a
-default its mode does not read is refused.
+2, and ``--out`` is required except by ``boost`` and ``field --event``.
+Within one parser, ``field --event`` refuses the grid flags, ``spectrum
+--csv`` refuses ``--t-max`` and ``--dt``, and ``evolve --init`` refuses
+``--component``.  A config is read by the same parser, so one recorded by
+0.1.0 that holds a default its mode does not read is refused; ``--config``
+with a command beside it is refused too.
 
 One recorder per run is the only writer into ``--out``: it makes the
 directory at its first write and records each file's name.  A run that
@@ -258,6 +261,13 @@ def _parse_floats(text: str, n: int | None = None) -> list[float]:
     return vals
 
 
+def _refuse_unread(p: dict, mode: str, keys: tuple[str, ...]) -> None:
+    """Refuse the flags among ``keys`` that ``p`` sets: ``mode`` reads none of them."""
+    given = ["--" + key.replace("_", "-") for key in keys if key in p]
+    if given:
+        raise ConfigError(f"{mode} reads no {', '.join(given)}; drop {'it' if len(given) == 1 else 'them'}")
+
+
 def _component(spec: FieldSpec, p: dict) -> int:
     """The --component index, checked against the spec; the first oscillating one if absent."""
     n = len(spec.components)
@@ -296,9 +306,9 @@ def _run_boost(cfg: ExperimentConfig, out: _Outputs) -> int:
 
 
 def _run_field(cfg: ExperimentConfig, out: _Outputs) -> int:
-    spec = _load_spec_arg(cfg, out)
     p = cfg.params
     if p.get("event"):  # the sampled path at one point
+        _refuse_unread(p, "field --event", ("tau", "z_min", "z_max", "n"))
         e = Event(*_parse_floats(p["event"], 4))
         z, tau = e.z, e.tau
     else:
@@ -310,6 +320,7 @@ def _run_field(cfg: ExperimentConfig, out: _Outputs) -> int:
         if not cfg.out:
             raise ConfigError("field on a grid writes field.csv; it needs --out")
         z, tau = np.linspace(p["z_min"], p["z_max"], p["n"]), p["tau"]
+    spec = _load_spec_arg(cfg, out)
     ks = [_component(spec, p)] if "component" in p else range(len(spec.components))
     psi = sum(spec.harmonic_on_axis(k, z, tau) for k in ks)
     phi = sum(np.square(np.abs(spec.envelope_on_axis(k, z, tau))) for k in ks)
@@ -351,6 +362,8 @@ def _read_signal_csv(out: _Outputs, path: str) -> SampledSignal:
 
 def _run_spectrum(cfg: ExperimentConfig, out: _Outputs) -> int:
     p = cfg.params
+    if p.get("csv"):
+        _refuse_unread(p, "spectrum --csv", ("t_max", "dt"))
     spec = _load_spec_arg(cfg, out) if cfg.spec else None
     if p.get("csv"):
         sig = _read_signal_csv(out, p["csv"])
@@ -486,8 +499,7 @@ def _run_evolve(cfg: ExperimentConfig, out: _Outputs) -> int:
     second_order = equation in ("kgf", "wave")
     spec = None
     if "init" in p:
-        if "component" in p:
-            raise ConfigError("evolve --init reads no --component; drop it")
+        _refuse_unread(p, "evolve --init", ("component",))
         if grid.dim != 1:
             raise ConfigError("--init supports 1-d csv snapshots with a z column")
         names = ("z", "re", "im") + (("pi_re", "pi_im") if second_order else ())
@@ -739,6 +751,8 @@ def main(argv=None) -> int:
     try:
         ns = _build_parser().parse_args(argv)
         if ns.config:
+            if ns.command is not None:
+                raise ConfigError(f"--config replays the run it records; drop the {ns.command} command beside it")
             try:
                 record = json.loads(Path(ns.config).read_text())
             except (OSError, ValueError) as exc:  # unreadable, not UTF-8, not JSON

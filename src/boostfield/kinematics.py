@@ -28,6 +28,7 @@ exp(i*omega*tau) does not already account for: eta + tau = tau'.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -59,6 +60,11 @@ class LorentzBoost:
         object.__setattr__(self, "gamma", gamma)
 
     def inverse(self) -> "LorentzBoost":
+        return self._inverse
+
+    @functools.cached_property
+    def _inverse(self) -> "LorentzBoost":
+        """The boost at -beta, built at the first call of inverse() and kept."""
         return LorentzBoost(-self.beta, self.c)
 
     def apply(self, z, tau):
@@ -80,10 +86,10 @@ class Event:
     tau: float
 
     def __post_init__(self) -> None:
-        for name in ("x", "y", "z", "tau"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite event coordinate {name}={v!r}")
+        finite = math.isfinite
+        if not (finite(self.x) and finite(self.y) and finite(self.z) and finite(self.tau)):
+            name = next(n for n in ("x", "y", "z", "tau") if not finite(getattr(self, n)))
+            raise ValueError(f"non-finite event coordinate {name}={getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,15 @@ Every catalog profile is a complex function of the rest-frame longitudinal
 coordinate alone and is constant across the transverse directions.  Each one
 exposes closed-form first and second longitudinal derivatives; the residual
 checks downstream lean on those, so the derivative methods are part of the
-contract, not a convenience.  The tabulated profile interpolates with a cubic
-spline and differentiates the spline itself, which keeps values and
-derivatives mutually consistent even though they are not closed forms.
+contract, not a convenience.  The tabulated profile interpolates with a
+not-a-knot cubic spline, solved in numpy, and differentiates the spline
+itself, which keeps values and derivatives mutually consistent even though
+they are not closed forms.
+
+Every method takes a float or an array of any shape.  One number, be it a
+Python float, an np.float64 or a 0-d array, is read as a Python float, so a
+call at one point pays for its own arithmetic and not for numpy's 0-d
+machinery, and it returns that point's element of the array call bit for bit.
 
 Profiles serialize to plain dicts (JSON-friendly).  A catalog profile's
 record is its dataclass fields plus its kind: complex numbers are stored as
@@ -17,6 +23,7 @@ real numbers and int fields as integers.
 from __future__ import annotations
 
 import abc
+import bisect
 from dataclasses import dataclass, fields
 from typing import ClassVar
 
@@ -58,6 +65,17 @@ def _read_field(type_name: str, name: str, v):
     return x
 
 
+def _points(z):
+    """One number as a Python float (np.float64 and 0-d arrays included), else a float array.
+
+    Python floats round as numpy's do, so numpy is called on one point only for exp and hermval.
+    """
+    if isinstance(z, float):
+        return float(z)
+    z = np.asarray(z, dtype=float)
+    return float(z) if z.ndim == 0 else z
+
+
 # numpy's vectorized complex loops may fuse multiply-adds, and it divides a
 # complex array by a real number through a reciprocal, so an array's last bit
 # can differ from a scalar's and depend on the CPU.  Written in real arithmetic,
@@ -78,9 +96,13 @@ def _cmul(a, b):
 
 
 def _cdiv(a, d: float):
-    """a / d for a real d, divided part by part as a scalar is."""
+    """a / d for a real d, divided part by part on one point as on an array.
+
+    Python's complex division by a float does not: it takes the sign of a
+    zero part from a.real + a.imag * 0.
+    """
     if not isinstance(a, np.ndarray):
-        return a / d
+        return complex(a.real / d, a.imag / d)
     out = np.empty(a.shape, dtype=complex)
     np.divide(a.real, d, out=out.real)
     np.divide(a.imag, d, out=out.imag)
@@ -131,8 +153,12 @@ class AmplitudeProfile(abc.ABC):
         """d2q/dz2."""
 
     def curvature_ratio(self, z):
-        """lap q / q in the rest frame; overridden where a closed form avoids nodes."""
-        return self.dzz(z) / self.value(z)
+        """lap q / q in the rest frame; overridden where a closed form avoids nodes.
+
+        np.divide rounds one point as it rounds each element of an array;
+        Python's complex division does not.
+        """
+        return np.divide(self.dzz(z), self.value(z))
 
     @property
     @abc.abstractmethod
@@ -165,21 +191,18 @@ class ConstantProfile(AmplitudeProfile):
     kind: ClassVar[str] = "constant"
 
     def value(self, z):
-        z = np.asarray(z, dtype=float)
-        out = np.full(z.shape, self.amplitude, dtype=complex)
-        return out if out.shape else out[()]
+        z = _points(z)
+        return self.amplitude if isinstance(z, float) else np.full(z.shape, self.amplitude)
 
     def dz(self, z):
-        z = np.asarray(z, dtype=float)
-        out = np.zeros(z.shape, dtype=complex)
-        return out if out.shape else out[()]
+        z = _points(z)
+        return 0j if isinstance(z, float) else np.zeros(z.shape, dtype=complex)
 
     dzz = dz
 
     def curvature_ratio(self, z):
-        z = np.asarray(z, dtype=float)
-        out = np.zeros(z.shape)
-        return out if out.shape else 0.0
+        z = _points(z)
+        return 0.0 if isinstance(z, float) else np.zeros(z.shape)
 
     @property
     def characteristic_length(self) -> float:
@@ -195,7 +218,7 @@ class PlaneWaveProfile(AmplitudeProfile):
     kind: ClassVar[str] = "plane_wave"
 
     def value(self, z):
-        return _cmul(self.amplitude, np.exp(1j * self.wavenumber * np.asarray(z, dtype=float)))
+        return _cmul(self.amplitude, np.exp(1j * self.wavenumber * _points(z)))
 
     def dz(self, z):
         return 1j * self.wavenumber * self.value(z)
@@ -204,9 +227,8 @@ class PlaneWaveProfile(AmplitudeProfile):
         return -(self.wavenumber**2) * self.value(z)
 
     def curvature_ratio(self, z):
-        z = np.asarray(z, dtype=float)
-        out = np.full(z.shape, -(self.wavenumber**2))
-        return out if out.shape else float(out)
+        z, ratio = _points(z), -(self.wavenumber**2)
+        return ratio if isinstance(z, float) else np.full(z.shape, ratio)
 
     @property
     def characteristic_length(self) -> float:
@@ -231,22 +253,26 @@ class GaussianProfile(AmplitudeProfile):
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma!r}")
 
-    def value(self, z):
-        u = (np.asarray(z, dtype=float) - self.center) / self.sigma
+    def _u(self, z):
+        return (_points(z) - self.center) / self.sigma
+
+    def _value(self, u):
         return self.amplitude * np.exp(-0.5 * u * u)
 
+    def value(self, z):
+        return self._value(self._u(z))
+
     def dz(self, z):
-        u = (np.asarray(z, dtype=float) - self.center) / self.sigma
-        return -(u / self.sigma) * self.value(z)
+        u = self._u(z)
+        return -(u / self.sigma) * self._value(u)
 
     def dzz(self, z):
-        u = (np.asarray(z, dtype=float) - self.center) / self.sigma
-        return ((u * u - 1.0) / self.sigma**2) * self.value(z)
+        u = self._u(z)
+        return ((u * u - 1.0) / self.sigma**2) * self._value(u)
 
     def curvature_ratio(self, z):
-        u = (np.asarray(z, dtype=float) - self.center) / self.sigma
-        out = (u * u - 1.0) / self.sigma**2
-        return out if out.shape else float(out)
+        u = self._u(z)
+        return (u * u - 1.0) / self.sigma**2
 
     @property
     def characteristic_length(self) -> float:
@@ -274,53 +300,103 @@ class GaussHermiteProfile(AmplitudeProfile):
             raise ValueError(f"order must be a non-negative integer, got {self.order!r}")
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma!r}")
+        # Hermite-series coefficients of H_n and H_{n-1} (H_{-1} = 0), built once
+        n = self.order
+        object.__setattr__(self, "_h_n", np.eye(1, n + 1, n)[0])
+        object.__setattr__(self, "_h_prev", np.eye(1, max(n, 1), n - 1)[0])
 
     def _u(self, z):
-        return (np.asarray(z, dtype=float) - self.center) / self.sigma
+        return (_points(z) - self.center) / self.sigma
 
-    def _hermite(self, u, n: int):
-        if n < 0:
-            return np.zeros_like(np.asarray(u, dtype=float))
-        coefs = np.zeros(n + 1)
-        coefs[n] = 1.0
-        return hermite.hermval(u, coefs)
+    def _value(self, u):
+        return self.amplitude * hermite.hermval(u, self._h_n) * np.exp(-0.5 * u * u)
 
     def value(self, z):
-        u = self._u(z)
-        return self.amplitude * self._hermite(u, self.order) * np.exp(-0.5 * u * u)
+        return self._value(self._u(z))
 
     def dz(self, z):
         # d/du [H_n e^{-u^2/2}] = (2n H_{n-1} - u H_n) e^{-u^2/2}
         u = self._u(z)
         n = self.order
-        core = 2.0 * n * self._hermite(u, n - 1) - u * self._hermite(u, n)
+        core = 2.0 * n * hermite.hermval(u, self._h_prev) - u * hermite.hermval(u, self._h_n)
         return _cdiv(self.amplitude * core * np.exp(-0.5 * u * u), self.sigma)
 
     def dzz(self, z):
         # d2/du2 [H_n e^{-u^2/2}] = (u^2 - 2n - 1) H_n e^{-u^2/2}
         u = self._u(z)
         well = u * u - 2.0 * self.order - 1.0
-        return _cdiv(self.value(z) * well, self.sigma**2)
+        return _cdiv(self._value(u) * well, self.sigma**2)
 
     def curvature_ratio(self, z):
         # the quadratic well, finite at the Hermite nodes
         u = self._u(z)
-        out = (u * u - 2.0 * self.order - 1.0) / self.sigma**2
-        return out if out.shape else float(out)
+        return (u * u - 2.0 * self.order - 1.0) / self.sigma**2
 
     @property
     def characteristic_length(self) -> float:
         return self.sigma
 
 
+def _not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients (c3, c2, c1, c0) of the not-a-knot cubic through (x, y) on each interval.
+
+    y holds one row per real series.  The slopes s at the nodes solve the
+    tridiagonal system that scipy's CubicSpline builds, by Gaussian
+    elimination without pivoting (de Boor, A Practical Guide to Splines,
+    ch. IV); on [x_i, x_i+1] the cubic is c3 t^3 + c2 t^2 + c1 t + c0 with
+    t = z - x_i.  A spacing too small for the divided differences leaves a
+    non-finite coefficient or a zero pivot; the caller refuses both.
+    """
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    # row i: lower[i] s[i-1] + diag[i] s[i] + upper[i] s[i+1] = rhs[:, i]
+    lower = np.concatenate(([0.0], dx[1:], [d1])).tolist()
+    diag = np.concatenate(([dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]])).tolist()
+    upper = np.concatenate(([d0], dx[:-1], [0.0])).tolist()
+    rhs = np.empty_like(y)
+    rhs[:, 0] = ((dx[0] + 2.0 * d0) * dx[1] * slope[:, 0] + dx[0] ** 2 * slope[:, 1]) / d0
+    rhs[:, 1:-1] = 3.0 * (dx[1:] * slope[:, :-1] + dx[:-1] * slope[:, 1:])
+    rhs[:, -1] = (dx[-1] ** 2 * slope[:, -2] + (2.0 * d1 + dx[-1]) * dx[-2] * slope[:, -1]) / d1
+    s = []
+    for r in rhs.tolist():
+        pivot = diag[:]
+        for i in range(1, len(r)):
+            w = lower[i] / pivot[i - 1]
+            pivot[i] -= w * upper[i - 1]
+            r[i] -= w * r[i - 1]
+        r[-1] /= pivot[-1]
+        for i in range(len(r) - 2, -1, -1):
+            r[i] = (r[i] - upper[i] * r[i + 1]) / pivot[i]
+        s.append(r)
+    s = np.array(s)
+    t = (s[:, :-1] + s[:, 1:] - 2.0 * slope) / dx
+    return np.array((t / dx, (slope - s[:, :-1]) / dx - t, s[:, :-1], y[:, :-1]))
+
+
+def _horner(coefs, i, t):
+    """sum_k coefs[k][i] t^(m-k) for interval i, on floats and lists or arrays alike."""
+    acc = coefs[0][i]
+    for c in coefs[1:]:
+        acc *= t
+        acc += c[i]
+    return acc
+
+
 class TabulatedProfile(AmplitudeProfile):
-    """Profile given by samples on a grid, evaluated via a cubic spline.
+    """Profile given by samples on a grid, evaluated via a not-a-knot cubic spline.
 
     The declared support is the sampled interval; evaluation outside it
     raises rather than extrapolating.  Derivatives come from the spline,
     so they agree with the interpolated values but are only as smooth as
     a cubic allows: do not expect clean second-order stencil convergence
     against them near the knots.
+
+    The spline is scipy's CubicSpline with its default not-a-knot ends, to
+    round-off, built in numpy from one tridiagonal solve.  A point is
+    evaluated by interval lookup and Horner on the real and imaginary parts
+    apart, in the same operations for one point as for each element of an
+    array, so the two agree bit for bit.
     """
 
     kind: ClassVar[str] = "tabulated"
@@ -338,45 +414,52 @@ class TabulatedProfile(AmplitudeProfile):
             raise ValueError("nodes must be strictly increasing")
         self.z_nodes = z
         self.values_at_nodes = v
-        from scipy.interpolate import CubicSpline  # scipy only loads for tabulated profiles
-
         with np.errstate(all="ignore"):  # a spline that cannot be represented raises below
             try:
-                self._spline = CubicSpline(z, v)
-            except (ValueError, np.linalg.LinAlgError):  # nodes too close for its divided differences
-                self._spline = None
-        if self._spline is None or not np.all(np.isfinite(self._spline.c)):
+                c3, c2, c1, c0 = _not_a_knot(z, np.array([v.real, v.imag]))
+            except ZeroDivisionError:  # a pivot underflowed to zero
+                c3 = c2 = c1 = c0 = np.nan
+            orders = ((c3, c2, c1, c0), (3.0 * c3, 2.0 * c2, c1), (6.0 * c3, 2.0 * c2))
+        if not all(np.all(np.isfinite(c)) for cs in orders for c in cs):
             raise ValueError("nodes too close together for a finite cubic spline")
+        # value, dz and dzz: the real part's Horner coefficients, then the imaginary part's
+        self._coefs = [tuple(zip(*cs)) for cs in orders]
+        self._coef_lists = [[[c.tolist() for c in part] for part in cs] for cs in self._coefs]
+        self._node_list = z.tolist()
         self._lo = z[0]
         self._hi = z[-1]
         slack = 1e-9 * (self._hi - self._lo)
         self._support = (float(self._lo - slack), float(self._hi + slack))
 
-    def _check_support(self, z):
+    def _spline(self, z, order: int):
+        """Derivative ``order`` of the spline at z; a float reads Python lists, an array numpy's."""
+        z = _points(z)
         lo, hi = self._support
-        if isinstance(z, float) and not (z < lo or z > hi):  # one point inside, or NaN: no arrays
-            return z
-        z = np.asarray(z, dtype=float)
-        if np.any(z < lo) or np.any(z > hi):
-            raise ValueError(
-                f"evaluation outside tabulated support [{self._lo}, {self._hi}]"
-            )
-        return z
+        one = isinstance(z, float)
+        if (z < lo or z > hi) if one else (np.any(z < lo) or np.any(z > hi)):  # NaN passes
+            raise ValueError(f"evaluation outside tabulated support [{self._lo}, {self._hi}]")
+        # the interval whose left node is the last one at or below z, the end ones extended
+        if one:
+            nodes = self._node_list
+            i = bisect.bisect_right(nodes, z, 1, len(nodes) - 1) - 1
+            re, im = self._coef_lists[order]
+            t = z - nodes[i]
+            return complex(_horner(re, i, t), _horner(im, i, t))
+        i = np.clip(np.searchsorted(self.z_nodes, z, side="right") - 1, 0, self.z_nodes.size - 2)
+        t = z - self.z_nodes[i]
+        out = np.empty(z.shape, dtype=complex)
+        for view, part in zip((out.real, out.imag), self._coefs[order]):
+            view[...] = _horner(part, i, t)
+        return out
 
     def value(self, z):
-        z = self._check_support(z)
-        out = self._spline(z)
-        return out if out.shape else complex(out)
+        return self._spline(z, 0)
 
     def dz(self, z):
-        z = self._check_support(z)
-        out = self._spline(z, 1)
-        return out if out.shape else complex(out)
+        return self._spline(z, 1)
 
     def dzz(self, z):
-        z = self._check_support(z)
-        out = self._spline(z, 2)
-        return out if out.shape else complex(out)
+        return self._spline(z, 2)
 
     @property
     def characteristic_length(self) -> float:

@@ -364,6 +364,37 @@ def test_init_refuses_component_before_any_output(via, tmp_path, capsys):
     assert not (tmp_path / "o3").exists()
 
 
+# a flag-selected mode refuses the flags of the other one, before it reads any input
+_EVENT = ["field", "--spec", "missing.json", "--event", "0,0,0.3,0"]
+_CSV = ["spectrum", "--csv", "missing.csv", "--omegas", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv,extra,message",
+    [
+        (_EVENT, ["--n=9"], "field --event reads no --n; drop it"),
+        (_EVENT, ["--n=9", "--tau=1", "--z-min=5", "--z-max=7"],
+         "field --event reads no --tau, --z-min, --z-max, --n; drop them"),
+        (_CSV, ["--t-max=4"], "spectrum --csv reads no --t-max; drop it"),
+        (_CSV, ["--t-max=4", "--dt=9"], "spectrum --csv reads no --t-max, --dt; drop them"),
+    ],
+    ids=["event-n", "event-grid", "csv-t-max", "csv-t-max-dt"],
+)
+@pytest.mark.parametrize("via", ["flags", "config"])
+def test_event_and_csv_runs_refuse_the_other_modes_flags_before_any_work(via, argv, extra, message, tmp_path, capsys):
+    assert refused_before_any_output(argv, extra, via, tmp_path, capsys) == f"config error: {message}\n"
+
+
+def test_config_beside_a_command_is_refused(tmp_path, capsys):
+    record = {"command": "boost", "spec": None, "params": {"beta": 0.5, "event": "0,0,1,0"}, "out": None, "seed": 0}
+    (tmp_path / "cfg.json").write_text(json.dumps(record))
+    out = tmp_path / "d"
+    err = main_config_error(["--config", str(tmp_path / "cfg.json"), "limit-scan", "--mass", "3", "--out", str(out)], capsys)
+    assert err == "config error: --config replays the run it records; drop the limit-scan command beside it\n"
+    assert not out.exists()
+    assert main(["--config", str(tmp_path / "cfg.json")]) == 0  # alone, the config runs
+
+
 # every mode's parser dests, plus spec, out and seed, which are not params
 _DESTS = {words: sorted({a.dest for a in sp._actions} - {"help"}) for words, sp in _MODES.items()}
 
@@ -550,13 +581,25 @@ def test_field_event_is_the_sampled_row_at_its_point(kinds, beta, x, z, tau, pic
 
 
 def test_import_leaves_scipy_unloaded(tmp_path, capsys):
+    # importing, a tabulated profile built and evaluated, and field --event on a tabulated spec
+    save_spec(FieldSpec((HarmonicComponent(1.0, catalog_profiles()["tabulated"]),), LorentzBoost(0.6)), tmp_path / "tab.json")
     code = (
-        "import sys, boostfield, boostfield.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "import sys, numpy as np, boostfield, boostfield.cli; "
+        "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+        "print(scipy()); "
+        "p = boostfield.TabulatedProfile(np.linspace(-2, 2, 9), np.cos(np.linspace(-2, 2, 9)) + 1j); "
+        "[f(x) for f in (p.value, p.dz, p.dzz, p.curvature_ratio) for x in (0.3, np.linspace(-1, 1, 5))]; "
+        "print(scipy()); "
+        "rc = boostfield.cli.main(['field', '--spec', sys.argv[1], '--event', '0,0,0.3,0.1']); "
+        "print(rc, scipy())"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(boostfield.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0 and proc.stdout.strip() == "[]"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "tab.json")], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == proc.stdout.splitlines()[1] == "[]"
+    assert proc.stdout.splitlines()[3] == "0 []"  # after the event's row
     # the manifest still names the installed scipy
     import scipy
 

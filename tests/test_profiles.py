@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 from conftest import JSON_VALUES, PROFILES, catalog_profiles, tabulated_profile
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -241,3 +241,62 @@ def test_constructor_validation():
         PlaneWaveProfile(np.inf, 1.0)
     with pytest.raises(ValueError, match="finite"):
         ConstantProfile(np.nan)
+
+
+# -- one point rounds as its element of the array call --------------------------
+
+_CATALOG = catalog_profiles()
+_METHODS = ("value", "dz", "dzz", "curvature_ratio")
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=complex).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_CATALOG)), st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8), st.data())
+def test_a_point_rounds_as_its_element_of_the_array_call(name, zs, data):
+    p = _CATALOG[name]
+    if name == "tabulated":  # inside the support [-20, 20]
+        zs = [z / 50.0 for z in zs]
+    k = data.draw(st.integers(0, len(zs) - 1))
+    for method in _METHODS:
+        f = getattr(p, method)
+        want = np.asarray(f(np.array(zs)))[k]
+        for point in (zs[k], np.float64(zs[k]), np.array(zs[k])):
+            got = f(point)
+            assert np.shape(got) == (), (method, type(point))
+            assert _bits(got) == _bits(want), (method, type(point), got, want)
+
+
+# -- the numpy spline is scipy's CubicSpline to round-off ------------------------
+
+# the largest difference from CubicSpline, relative to CubicSpline's largest modulus on the
+# points, for value, dz and dzz; node spacings vary up to 20-fold within a table, and the
+# table's scale from 1e-3 to 1e3
+_SPLINE_RTOL = 1e-12
+
+
+@st.composite
+def _spline_tables(draw):
+    n = draw(st.integers(4, 40))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=n - 1, max_size=n - 1))
+    z = draw(st.floats(-10.0, 10.0)) + scale * np.concatenate(([0.0], np.cumsum(gaps)))
+    assume(np.all(np.diff(z) > 0))
+    parts = st.integers(-(10**6), 10**6).map(lambda k: k / 1e6)
+    values = draw(st.lists(st.builds(complex, parts, parts), min_size=n, max_size=n))
+    return z, values
+
+
+@settings(max_examples=200, deadline=None)
+@given(_spline_tables())
+def test_spline_matches_scipy_cubic_spline(table):
+    from scipy.interpolate import CubicSpline
+
+    z, values = table
+    p, ref = TabulatedProfile(z, values), CubicSpline(z, values)
+    points = np.linspace(z[0], z[-1], 257)
+    for order, f in enumerate((p.value, p.dz, p.dzz)):
+        want = ref(points, order)
+        assert np.max(np.abs(f(points) - want)) <= _SPLINE_RTOL * np.max(np.abs(want)), order
