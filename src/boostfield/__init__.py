@@ -64,11 +64,8 @@ from .verify import (
     DerivativeBundle,
     ResidualReport,
     ScanResult,
-    analytic_envelope_derivatives,
     derivative_slopes,
     envelope_equation_residual,
-    fd_envelope_bundle,
-    fd_partial,
     fit_loglog_slope,
     klein_gordon_residual,
     neglected_term,
@@ -79,7 +76,7 @@ from .verify import (
     separable_potential,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "AmplitudeProfile",
@@ -105,7 +102,6 @@ __all__ = [
     "SpectrumEntry",
     "SpectrumEstimate",
     "TabulatedProfile",
-    "analytic_envelope_derivatives",
     "boost_event",
     "comoving_coords",
     "compose_boosts",
@@ -116,8 +112,6 @@ __all__ = [
     "evolve_schrodinger",
     "evolve_wave",
     "extract_harmonic",
-    "fd_envelope_bundle",
-    "fd_partial",
     "fit_loglog_slope",
     "interval",
     "inverse_boost_event",

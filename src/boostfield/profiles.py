@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import abc
 import bisect
+import math
 from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
-from numpy.polynomial import hermite
 
 
 def _real(name: str, v) -> float:
@@ -68,7 +68,7 @@ def _read_field(type_name: str, name: str, v):
 def _points(z):
     """One number as a Python float (np.float64 and 0-d arrays included), else a float array.
 
-    Python floats round as numpy's do, so numpy is called on one point only for exp and hermval.
+    Python floats round as numpy's do, so numpy is called on one point only for exp.
     """
     if isinstance(z, float):
         return float(z)
@@ -286,6 +286,11 @@ class GaussHermiteProfile(AmplitudeProfile):
     This is the n-th harmonic-oscillator eigenfunction shape: its
     curvature ratio dzz/value is the quadratic well (u^2 - 2n - 1)/sigma^2,
     which makes it the natural stationary test profile.
+
+    H_n e^{-u^2/2} is sqrt(2^n n!) psi_n, and psi_k = H_k e^{-u^2/2} / sqrt(2^k k!)
+    follows the recurrence psi_{k+1} = sqrt(2/(k+1)) u psi_k - sqrt(k/(k+1)) psi_{k-1}
+    (DLMF 18.9.1) from psi_0 = e^{-u^2/2}: no psi_k exceeds 1.09 (Cramer's bound),
+    so only an order whose sqrt(2^n n!) overflows a float is out of reach.
     """
 
     amplitude: complex
@@ -296,30 +301,53 @@ class GaussHermiteProfile(AmplitudeProfile):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.order < 0:
-            raise ValueError(f"order must be a non-negative integer, got {self.order!r}")
+        n = self.order
+        if n < 0:
+            raise ValueError(f"order must be a non-negative integer, got {n!r}")
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma!r}")
-        # Hermite-series coefficients of H_n and H_{n-1} (H_{-1} = 0), built once
-        n = self.order
-        object.__setattr__(self, "_h_n", np.eye(1, n + 1, n)[0])
-        object.__setattr__(self, "_h_prev", np.eye(1, max(n, 1), n - 1)[0])
+        if n > 267:  # the last n whose sqrt(2^n n!) is a float; checked before the factorial of a huge n
+            raise ValueError(f"order {n} is too high: its peak, about sqrt(2^n n!), overflows a float")
+        m = math.factorial(n) << n  # sqrt(2^n n!) from its top 110 bits, rounded once
+        e = max(m.bit_length() - 110, 0) & ~1
+        object.__setattr__(self, "_amp", self.amplitude * math.ldexp(math.sqrt(m >> e), e // 2))
+        steps = tuple((math.sqrt(2.0 / (k + 1)), math.sqrt(k / (k + 1))) for k in range(1, n))
+        object.__setattr__(self, "_steps", steps)  # (a, b) of psi_{k+1} = a u psi_k - b psi_{k-1}
 
     def _u(self, z):
         return (_points(z) - self.center) / self.sigma
 
+    def _psi(self, u):
+        """psi_{n-1} and psi_n at u (psi_{-1} = 0); in place, so an array step makes two temporaries."""
+        prev = np.exp(-0.5 * u * u)
+        if isinstance(u, float):
+            prev = float(prev)
+        if self.order == 0:
+            return 0.0, prev
+        cur = math.sqrt(2.0) * u
+        cur *= prev
+        for a, b in self._steps:
+            nxt = a * u
+            nxt *= cur
+            nxt -= b * prev
+            prev, cur = cur, nxt
+        return prev, cur
+
     def _value(self, u):
-        return self.amplitude * hermite.hermval(u, self._h_n) * np.exp(-0.5 * u * u)
+        return self._amp * self._psi(u)[1]
 
     def value(self, z):
         return self._value(self._u(z))
 
     def dz(self, z):
-        # d/du [H_n e^{-u^2/2}] = (2n H_{n-1} - u H_n) e^{-u^2/2}
+        # d/du [H_n e^{-u^2/2}] = sqrt(2^n n!) (sqrt(2n) psi_{n-1} - u psi_n)
         u = self._u(z)
-        n = self.order
-        core = 2.0 * n * hermite.hermval(u, self._h_prev) - u * hermite.hermval(u, self._h_n)
-        return _cdiv(self.amplitude * core * np.exp(-0.5 * u * u), self.sigma)
+        prev, cur = self._psi(u)
+        prev *= math.sqrt(2.0 * self.order)
+        cur *= u
+        prev -= cur
+        del u, cur  # two arrays fewer alive beside the two complex ones below
+        return _cdiv(self._amp * prev, self.sigma)
 
     def dzz(self, z):
         # d2/du2 [H_n e^{-u^2/2}] = (u^2 - 2n - 1) H_n e^{-u^2/2}

@@ -23,18 +23,19 @@ Transverse derivatives vanish for the profile catalog, so the bundle carries
 these four and b_zz is the lab Laplacian.  Central-difference stencils of
 first and second order provide the independent cross-check.
 
-Every residual check is one call of one pipeline, ``_certify``: it keeps the
-events where the envelope is not negligible, evaluates the bundle above at
-all of them at once as coordinate arrays, sums the check's terms into the
-normalized residual and writes the report.  The envelope and Schrodinger
-checks share the four terms of one identity.  The stencils evaluate the
-envelope on shifted arrays; the per-event entry points are batches of one.
+Every residual check is one call of one pipeline, ``_certify``: it turns the
+events into one coordinate array, evaluates the bundle above over all of it
+at once, keeps the events where the envelope is not negligible, sums the
+check's terms into the normalized residual and writes the report.  The
+envelope and Schrodinger checks share the four terms of one identity.  The
+stencils evaluate the envelope on shifted copies of the same array.  An
+error that names an event rebuilds it from its column of that array.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
@@ -43,8 +44,6 @@ from .fields import FieldSpec, MassParameters, _check_spacing
 from .kinematics import Event, LorentzBoost
 from .profiles import _cdiv, _cmul
 
-Axis = Literal["x", "y", "z", "tau"]
-
 _AXES = ("x", "y", "z", "tau")
 
 
@@ -52,7 +51,7 @@ _AXES = ("x", "y", "z", "tau")
 class DerivativeBundle:
     """First and second partial derivatives of a complex field along tau and z.
 
-    Entries are complex numbers at one event, or arrays over a batch of events.
+    Entries are complex arrays over a batch of events, one element per event.
     """
 
     d_tau: complex
@@ -117,31 +116,24 @@ def _coords(events) -> np.ndarray:
     return np.array(cols, dtype=float)
 
 
+def _event(X: np.ndarray, i: int) -> Event:
+    """Column i of a (4, n) coordinate array as an Event of plain floats, for a message."""
+    return Event(*X[:, i].tolist())
+
+
 def _abs(a) -> np.ndarray:
     """Complex modulus as Python's abs rounds it (numpy's vectorized one may not)."""
     return np.hypot(a.real, a.imag)
 
 
-def _central(up, mid, dn, order: int, h: float):
-    """The central difference: order 1 (up - dn) / 2h, order 2 (up - 2 mid + dn) / h^2."""
-    if order == 1:
-        return _cdiv(up - dn, 2.0 * h)
-    return _cdiv(up - 2.0 * mid + dn, h * h)
-
-
-def _require_finite(events, values) -> None:
-    """Raise naming the first event (one per column of values) with a non-finite value."""
-    bad = ~np.isfinite(values).reshape(-1, len(events)).all(axis=0)
-    if bad.any():
-        raise ValueError(f"stencil produced non-finite value at {events[int(np.argmax(bad))]!r}")
-
-
-def _stencils(field: Callable, X: np.ndarray, axes, h: float, events) -> dict:
-    """First and second central differences of an array field along each axis.
+def _stencils(field: Callable, X: np.ndarray, axes, h: float) -> dict:
+    """First and second central differences, (up - dn) / 2h and (up - 2 mid + dn) / h^2,
+    of an array field along each axis.
 
     ``field`` maps a (4, n) coordinate array to n values; it is called once, on
     the events and all their shifted copies.  The result maps each axis name to
-    its (first, second) difference arrays.
+    its (first, second) difference arrays.  A non-finite difference raises,
+    naming the first event it belongs to.
     """
     _check_spacing(h, "stencil")
     shifts = np.zeros((4, 1 + 2 * len(axes)))
@@ -150,31 +142,11 @@ def _stencils(field: Callable, X: np.ndarray, axes, h: float, events) -> dict:
     vals = field((X[:, None, :] + shifts[:, :, None]).reshape(4, -1)).reshape(len(shifts[0]), -1)
     up, mid, dn = vals[1::2], vals[0], vals[2::2]
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result raises below
-        first, second = _central(up, mid, dn, 1, h), _central(up, mid, dn, 2, h)
-    _require_finite(events, np.stack([first, second]))
+        first, second = _cdiv(up - dn, 2.0 * h), _cdiv(up - 2.0 * mid + dn, h * h)
+    bad = ~(np.isfinite(first) & np.isfinite(second)).all(axis=0)
+    if bad.any():
+        raise ValueError(f"stencil produced non-finite value at {_event(X, int(np.argmax(bad)))!r}")
     return {axis: (first[j], second[j]) for j, axis in enumerate(axes)}
-
-
-def _pick(bun: DerivativeBundle, i: int) -> DerivativeBundle:
-    """Event i of a batched bundle, as complex numbers."""
-    return DerivativeBundle(*(complex(v[i]) for v in vars(bun).values()))
-
-
-def fd_partial(field: Callable[[Event], complex], e: Event, axis: Axis, order: int, h: float) -> complex:
-    """Central-difference partial of a scalar field along one coordinate axis.
-
-    order 1: (f(+h) - f(-h)) / 2h;  order 2: (f(+h) - 2 f + f(-h)) / h^2.
-    """
-    if axis not in _AXES:
-        raise ValueError(f"axis must be one of {_AXES}, got {axis!r}")
-    if order not in (1, 2):
-        raise ValueError(f"stencil order must be 1 or 2, got {order!r}")
-    _check_spacing(h, "stencil")
-    up = field(replace(e, **{axis: getattr(e, axis) + h}))
-    dn = field(replace(e, **{axis: getattr(e, axis) - h}))
-    out = complex(_central(up, field(e) if order == 2 else None, dn, order, h))
-    _require_finite([e], out)
-    return out
 
 
 def _closed_form(spec: FieldSpec, k: int, X: np.ndarray):
@@ -202,20 +174,10 @@ def _closed_form(spec: FieldSpec, k: int, X: np.ndarray):
     return q, qzz, ph, bundle
 
 
-def _fd_bundle(spec: FieldSpec, k: int, X: np.ndarray, h: float, events) -> DerivativeBundle:
+def _fd_bundle(spec: FieldSpec, k: int, X: np.ndarray, h: float) -> DerivativeBundle:
     """Stencil derivative bundle of envelope k over a (4, n) batch of events."""
-    st = _stencils(lambda Y: spec.envelope_on_axis(k, Y[2], Y[3]), X, ("tau", "z"), h, events)
+    st = _stencils(lambda Y: spec.envelope_on_axis(k, Y[2], Y[3]), X, ("tau", "z"), h)
     return DerivativeBundle(st["tau"][0], st["z"][0], st["tau"][1], st["z"][1])
-
-
-def analytic_envelope_derivatives(spec: FieldSpec, k: int, e: Event) -> DerivativeBundle:
-    """Closed-form derivative bundle of envelope k at a lab event."""
-    return _pick(_closed_form(spec, k, _coords([e]))[3], 0)
-
-
-def fd_envelope_bundle(spec: FieldSpec, k: int, e: Event, h: float) -> DerivativeBundle:
-    """Stencil derivative bundle of envelope k, for cross-checking."""
-    return _pick(_fd_bundle(spec, k, _coords([e]), h, [e]), 0)
 
 
 _SCALE_FLOOR = 1e-30
@@ -223,34 +185,37 @@ _SLOPE_FLOOR = 1e-12  # derivative_slopes' degeneracy floor, relative to 1 + |en
 
 
 def _normalized(*terms) -> np.ndarray:
-    """|sum of terms| / (sum of |each term| + floor), event by event."""
+    """|sum of terms| / (sum of |each term| + floor), event by event; NaN where a term is not finite."""
     total, scale = terms[0], _abs(terms[0])
     for t in terms[1:]:
         total = total + t
         scale = scale + _abs(t)
-    return _abs(total) / (scale + _SCALE_FLOOR)
-
-
-def _sample(spec: FieldSpec, k: int, events: list[Event], eps_q: float) -> tuple[list[Event], np.ndarray]:
-    """The events, and their coordinates, where the envelope modulus is not negligible."""
-    X = _coords(events)
-    xi, _ = spec.boost.apply(X[2], X[3])
-    mods = _abs(np.asarray(spec.components[k].profile.value(xi), dtype=complex))
-    qmax = float(np.max(mods)) if mods.size else 0.0
-    if qmax == 0.0:
-        raise ValueError("envelope vanishes on the whole event sample")
-    keep = mods > eps_q * qmax
-    if not keep.any():
-        raise ValueError("no events with envelope modulus above threshold")
-    return [events[i] for i in np.flatnonzero(keep)], X[:, keep]
+    return np.where(np.isfinite(scale), _abs(total) / (scale + _SCALE_FLOOR), np.nan)
 
 
 def _certify(equation_id: str, spec: FieldSpec, k: int, events, eps_q: float, terms, h=None, **metadata):
-    """The one pipeline of every residual check: keep the events, evaluate the closed
-    forms there once, and report the normalized residual of the equation terms that
-    ``terms(kept, X, q, qzz, ph, bundle)`` returns, with the check's own ``metadata``."""
-    kept, X = _sample(spec, k, events, eps_q)
-    residuals = _normalized(*terms(kept, X, *_closed_form(spec, k, X)))
+    """The one pipeline of every residual check: evaluate the closed forms once over
+    the events, keep those where the envelope modulus exceeds ``eps_q`` times its
+    largest, and report the normalized residual of the equation terms that
+    ``terms(X, q, qzz, ph, bundle)`` returns there, with the check's own ``metadata``."""
+    X = _coords(events)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual raises below
+        q, qzz, ph, bundle = _closed_form(spec, k, X)
+        mods = _abs(q)
+        qmax = float(np.max(mods)) if mods.size else 0.0
+        if qmax == 0.0:
+            raise ValueError("envelope vanishes on the whole event sample")
+        keep = mods > eps_q * qmax
+        if not keep.any():
+            raise ValueError("no events with envelope modulus above threshold")
+        if not keep.all():
+            X, q, qzz, ph = X[:, keep], q[keep], qzz[keep], ph[keep]
+            bundle = DerivativeBundle(*(v[keep] for v in vars(bundle).values()))
+        residuals = _normalized(*terms(X, q, qzz, ph, bundle))
+    bad = ~np.isfinite(residuals)
+    if bad.any():
+        e = _event(X, int(np.argmax(bad)))
+        raise ValueError(f"residual is not finite at {e!r}: an equation term is inf or nan there")
     comp, max_abs = spec.components[k], float(residuals.max())
     md = {"beta": spec.boost.beta, "omega": comp.omega, "profile": comp.profile.kind,
           "normalization": "local_term_scale", "eps_q": eps_q, "events_given": len(events), **metadata}
@@ -297,13 +262,13 @@ def envelope_equation_residual(
     elif derivatives == "fd":
         h = comp.profile.characteristic_length / 100.0
 
-    def terms(kept, X, q, qzz, ph, bun):
+    def terms(X, q, qzz, ph, bun):
         if derivatives == "analytic":
             lap_q = g * g * qzz  # transverse parts vanish
         else:
-            bun = _fd_bundle(spec, k, X, h, kept)
+            bun = _fd_bundle(spec, k, X, h)
             prof_field = lambda Y: comp.profile.value(spec.boost.apply(Y[2], Y[3])[0])
-            lap_q = _stencils(prof_field, X, ("z",), h, kept)["z"][1]  # transverse parts vanish
+            lap_q = _stencils(prof_field, X, ("z",), h)["z"][1]  # transverse parts vanish
         return _envelope_terms(bun, _cmul(q, ph), _cmul(lap_q, ph), g, w)
 
     fd_h = h if derivatives == "fd" else None
@@ -344,7 +309,7 @@ def schrodinger_residual(
     if abs(w - mass.omega) > 1e-9 * max(w, mass.omega):
         raise ValueError(f"component omega {w} is not the carrier m c / hbar = {mass.omega}")
 
-    def terms(kept, X, q, qzz, ph, bun):
+    def terms(X, q, qzz, ph, bun):
         with np.errstate(divide="ignore", invalid="ignore"):
             lap_ratio = np.where(q != 0, g * g * qzz / q, 0j)
         u = np.broadcast_to(np.asarray(potential(X[0], X[1], X[2]), dtype=complex), q.shape)
@@ -353,7 +318,7 @@ def schrodinger_residual(
             i = int(np.argmax(bad))
             raise ValueError(
                 "potential is not the profile's curvature ratio at "
-                f"{kept[i]!r}: u={complex(u[i])!r} vs lap q / q={complex(lap_ratio[i])!r}; "
+                f"{_event(X, i)!r}: u={complex(u[i])!r} vs lap q / q={complex(lap_ratio[i])!r}; "
                 "the profile does not separate in time under this boost"
             )
         psi_b = _cmul(q, ph)
@@ -385,7 +350,7 @@ def klein_gordon_residual(
     if w == 0.0:
         raise ValueError("mean component has no envelope equation")
 
-    def terms(kept, X, q, qzz, ph, bun):
+    def terms(X, q, qzz, ph, bun):
         carrier = np.exp(1j * w * X[3])
         psi_b = _cmul(q, ph)
         psi = _cmul(psi_b, carrier)
@@ -412,7 +377,7 @@ def scalar_invariance_check(
     round-off the implementation keeps them.
     """
     g, v = spec.boost.gamma, spec.boost.beta
-    terms = lambda kept, X, q, qzz, ph, bun: ((g * g * qzz - v * v * g * g * qzz) / q, -(qzz / q))
+    terms = lambda X, q, qzz, ph, bun: ((g * g * qzz - v * v * g * g * qzz) / q, -(qzz / q))
     return _certify("scalar_invariance", spec, k, events, eps_q, terms)
 
 
@@ -482,7 +447,7 @@ def derivative_slopes(
     X = _coords(events)
     q, _, ph, bundle = _closed_form(spec, k, X)
     b_scale = float(np.max(_abs(_cmul(q, ph))))
-    fds = [_fd_bundle(spec, k, X, h, events) for h in hs]  # once per spacing, all entries
+    fds = [_fd_bundle(spec, k, X, h) for h in hs]  # once per spacing, all entries
     eps = float(np.finfo(float).eps)
     out: dict[str, float | None] = {}
     for name, exact in vars(bundle).items():

@@ -28,6 +28,7 @@ from boostfield import (
     LorentzBoost,
     PlaneWaveProfile,
     derivative_slopes,
+    dumps_spec,
     load_spec,
     measure_dispersion,
     sample_events,
@@ -779,6 +780,25 @@ def test_verify_that_exits_2_makes_no_out_directory(tmp_path, capsys):
         assert not (tmp_path / "o").exists()
 
 
+def test_verify_with_overflowing_terms_exits_2_in_one_line(tmp_path):
+    # a valid spec whose derivative terms overflow: no numpy warnings and no nan report
+    spec = FieldSpec((HarmonicComponent(2.0, GaussianProfile(1e308, 0.0, 0.8)),), LorentzBoost(0.6))
+    save_spec(spec, tmp_path / "big.json")
+    proc = run_boostfield(["verify", "envelope", "--spec", "big.json", "--out", "o"], tmp_path)
+    assert_config_error(proc)
+    assert len(proc.stderr.splitlines()) == 1 and "residual is not finite at Event(x=" in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_gauss_hermite_order_that_overflows_is_one_config_error(tmp_path):
+    spec = FieldSpec((HarmonicComponent(2.0, GaussHermiteProfile(1.0, 3, 0.0, 1.2)),), LorentzBoost(0.4))
+    (tmp_path / "gh.json").write_text(dumps_spec(spec).replace('"order": 3', '"order": 300'))
+    proc = run_boostfield(["verify", "envelope", "--spec", "gh.json", "--out", "o"], tmp_path)
+    assert_config_error(proc)
+    assert len(proc.stderr.splitlines()) == 1 and "order 300" in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -1093,11 +1113,11 @@ def test_spacings_and_boxes_out_of_float_range_are_config_errors(args, gauss_spe
 
 
 def test_every_command_prints_a_warning_as_one_line(tmp_path):
-    # numpy warns as a Gauss-Hermite profile is evaluated at z = -inf; the run then exits 2
-    spec = FieldSpec((HarmonicComponent(1.7, GaussHermiteProfile(1.0, 3, 0.0, 1.2)),), LorentzBoost(0.4))
-    save_spec(spec, tmp_path / "gh.json")
+    # numpy warns as a plane-wave profile is evaluated at z = inf; the run then exits 2
+    spec = FieldSpec((HarmonicComponent(1.7, PlaneWaveProfile(1.0, 1.3)),), LorentzBoost(0.4))
+    save_spec(spec, tmp_path / "pw.json")
     proc = run_boostfield(
-        ["spectrum", "--spec", "gh.json", "--z=-inf", "--t-max=10", "--dt=0.1", "--omegas-from-spec", "--out", "o"],
+        ["spectrum", "--spec", "pw.json", "--z=inf", "--t-max=10", "--dt=0.1", "--omegas-from-spec", "--out", "o"],
         tmp_path,
     )
     *warned, last = proc.stderr.splitlines()

@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -161,6 +163,51 @@ def test_hermite_order_zero_is_gaussian():
     assert_allclose(gh.dz(z), g.dz(z), rtol=0, atol=1e-13)
 
 
+# the largest error of value, dz and dzz against mpmath, relative to the order's factor
+# sqrt(2^n n!) (which bounds |H_n(u) exp(-u^2/2)| up to 1.09) times the size of the
+# derivative's own factor: sqrt(2n) + |u| for dz, 1 + |u^2 - 2n - 1| for dzz
+_HERMITE_RTOL = 1e-13
+
+
+@pytest.mark.parametrize("order", [40, 100, 200])
+def test_gauss_hermite_matches_mpmath(order):
+    mpmath = pytest.importorskip("mpmath")
+    amp, center, sigma = 0.9 - 0.4j, 0.3, 1.7
+    p = GaussHermiteProfile(amp, order, center, sigma)
+    us = np.concatenate((np.linspace(-40.0, 40.0, 161), [-0.37, 0.011, 2.5, 19.9]))
+    with mpmath.workdps(40):
+        scale = float(mpmath.sqrt(2**order * mpmath.factorial(order)))
+        for u in us:
+            z = center + sigma * u
+            x = mpmath.mpf(float(u))
+            e = mpmath.exp(-x * x / 2)
+            h_n, h_prev = mpmath.hermite(order, x) * e, mpmath.hermite(order - 1, x) * e
+            well = x * x - 2 * order - 1
+            want = [h_n, (2 * order * h_prev - x * h_n) / sigma, h_n * well / sigma**2]
+            sizes = [1.0, (math.sqrt(2.0 * order) + abs(u)) / sigma, (1.0 + abs(float(well))) / sigma**2]
+            for f, w, size in zip((p.value, p.dz, p.dzz), want, sizes):
+                got = complex(f(z)) / amp
+                err = abs(got - complex(w)) / (scale * size)
+                assert err <= _HERMITE_RTOL, (order, f.__name__, u, err)
+
+
+def test_gauss_hermite_is_finite_and_quiet_far_out():
+    # H_200(40) alone overflows; the normalized recurrence does not
+    p = GaussHermiteProfile(1.0, 200, 0.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (p.value, p.dz, p.dzz):
+            assert np.isfinite(f(40.0)) and np.all(np.isfinite(f(np.linspace(-40.0, 40.0, 101))))
+
+
+def test_gauss_hermite_order_whose_peak_overflows_is_refused():
+    GaussHermiteProfile(1.0, 267, 0.0, 1.0)
+    for order in (268, 300):
+        with pytest.raises(ValueError, match=f"order {order} is too high") as exc:
+            GaussHermiteProfile(1.0, order, 0.0, 1.0)
+        assert "\n" not in str(exc.value)
+
+
 def test_is_real_rules():
     assert PlaneWaveProfile(1.0, 0.0).is_real()
     assert not PlaneWaveProfile(1.0, 0.1).is_real()
@@ -267,6 +314,15 @@ def test_a_point_rounds_as_its_element_of_the_array_call(name, zs, data):
             got = f(point)
             assert np.shape(got) == (), (method, type(point))
             assert _bits(got) == _bits(want), (method, type(point), got, want)
+
+
+@pytest.mark.parametrize("order", [0, 1, 5, 60])
+def test_gauss_hermite_point_rounds_as_its_array_element_at_any_order(order):
+    # orders 0 and 1 skip the recurrence's loop; far out, psi_0 underflows
+    p = GaussHermiteProfile(0.9 - 0.4j, order, 0.3, 1.7)
+    zs = np.linspace(-70.0, 70.0, 141)
+    for f in (p.value, p.dz, p.dzz):
+        assert _bits(f(zs)) == b"".join(_bits(f(float(z))) for z in zs), f.__name__
 
 
 # -- the numpy spline is scipy's CubicSpline to round-off ------------------------

@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,11 +26,8 @@ from boostfield import (
     PlaneWaveProfile,
     ResidualReport,
     ScanResult,
-    analytic_envelope_derivatives,
     derivative_slopes,
     envelope_equation_residual,
-    fd_envelope_bundle,
-    fd_partial,
     fit_loglog_slope,
     klein_gordon_residual,
     neglected_term,
@@ -40,7 +39,8 @@ from boostfield import (
     schrodinger_residual,
     separable_potential,
 )
-from boostfield.verify import _coords, _fd_bundle, _sample
+from boostfield import verify
+from boostfield.verify import _closed_form, _coords, _fd_bundle
 
 BETAS = (0.0, 0.3, 0.6, 0.9)
 
@@ -48,37 +48,14 @@ BETAS = (0.0, 0.3, 0.6, 0.9)
 # -- stencils ----------------------------------------------------------------
 
 
-def test_fd_partial_on_known_function():
-    f = lambda e: np.sin(e.z) * np.cos(e.tau) + 0j
-    e = Event(0.0, 0.0, 0.7, 0.4)
-    h = 1e-4
-    assert fd_partial(f, e, "z", 1, h) == pytest.approx(
-        np.cos(0.7) * np.cos(0.4), abs=1e-8
-    )
-    assert fd_partial(f, e, "tau", 2, h) == pytest.approx(
-        -np.sin(0.7) * np.cos(0.4), abs=1e-6
-    )
-    assert fd_partial(f, e, "x", 1, h) == 0.0
-
-
-def test_fd_partial_validation():
-    f = lambda e: 0j
-    e = Event(0, 0, 0, 0)
-    with pytest.raises(ValueError, match="axis"):
-        fd_partial(f, e, "w", 1, 0.1)
-    with pytest.raises(ValueError, match="order"):
-        fd_partial(f, e, "z", 3, 0.1)
-    with pytest.raises(ValueError, match="spacing"):
-        fd_partial(f, e, "z", 1, 0.0)
-
-
 def test_analytic_bundle_agrees_with_stencils():
     spec = spec_for(GaussianProfile(1.0, 0.2, 0.8), 0.6)
-    e = Event(0.3, -0.2, 0.4, 0.1)
-    a = analytic_envelope_derivatives(spec, 0, e)
-    f = fd_envelope_bundle(spec, 0, e, 1e-4)
+    X = _coords([Event(0.3, -0.2, 0.4, 0.1)])
+    a = _closed_form(spec, 0, X)[3]
+    f = _fd_bundle(spec, 0, X, 1e-4)
     for name in ("d_tau", "d_z", "d2_tau", "d2_z"):
-        assert getattr(a, name) == pytest.approx(getattr(f, name), rel=1e-6, abs=1e-7)
+        assert getattr(a, name).shape == getattr(f, name).shape == (1,)
+        assert complex(getattr(a, name)[0]) == pytest.approx(complex(getattr(f, name)[0]), rel=1e-6, abs=1e-7)
     assert list(vars(a)) == list(vars(f)) == ["d_tau", "d_z", "d2_tau", "d2_z"]
 
 
@@ -94,7 +71,7 @@ def test_stencils_run_along_tau_and_z_only():
     spec = spec_for(GaussianProfile(1.0, 0.2, 0.8), 0.6)
     events = sample_events(7, 3)
     sizes = _count_points(spec, "envelope_on_axis")
-    _fd_bundle(spec, 0, _coords(events), 1e-3, events)
+    _fd_bundle(spec, 0, _coords(events), 1e-3)
     assert sizes == [5 * len(events)]  # the events, then one step either way along tau and z
 
 
@@ -409,8 +386,10 @@ def test_scan_result_needs_three_points():
 # -- batched checks against a per-event reference ---------------------------------
 #
 # The reference is the per-event loop: the eps_q filter event by event, and each
-# identity's terms assembled in Python complex arithmetic from the per-event
-# bundles.  The batched checks must agree with it on every event sample.
+# identity's terms assembled in Python complex arithmetic from per-event bundles,
+# built from the profile's q, q' and q'' by the module docstring's closed forms,
+# or by stencils that shift one Event.  The batched checks must agree with it on
+# every event sample.
 
 _TABULATED = tabulated_profile()
 
@@ -433,6 +412,26 @@ def _reference_kept(spec, events, eps_q):
     return [e for e, m in zip(events, mods) if m > eps_q * max(mods)]
 
 
+def _partial(field, e, axis, order, h):
+    """Central-difference partial of a per-event field along one axis of e."""
+    up, dn = field(replace(e, **{axis: getattr(e, axis) + h})), field(replace(e, **{axis: getattr(e, axis) - h}))
+    return (up - dn) / (2 * h) if order == 1 else (up - 2 * field(e) + dn) / (h * h)
+
+
+def _reference_bundle(spec, e):
+    """(b_tau, b_tautau, b_zz) at one event, from q, q' and q'' at xi."""
+    comp, b = spec.components[0], spec.boost
+    g, v, w = b.gamma, b.beta, comp.omega
+    cc = comoving_coords(e, b)
+    q, qz, qzz = (complex(f(cc.xi)) for f in (comp.profile.value, comp.profile.dz, comp.profile.dzz))
+    ph = complex(np.exp(1j * w * cc.eta))
+    return (
+        (-g * v * qz + 1j * w * (g - 1) * q) * ph,
+        (g * g * v * v * qzz - 2j * g * (g - 1) * w * v * qz - w * w * (g - 1) ** 2 * q) * ph,
+        (g * g * qzz - g * g * w * w * v * v * q - 2j * g * g * w * v * qz) * ph,
+    )
+
+
 def _reference(spec, check, events, eps_q, mass=None, u=None, geff=None):
     """Normalized residuals of one check, event by event."""
     comp, b = spec.components[0], spec.boost
@@ -443,21 +442,22 @@ def _reference(spec, check, events, eps_q, mass=None, u=None, geff=None):
         cc = comoving_coords(e, b)
         q, qzz = complex(comp.profile.value(cc.xi)), complex(comp.profile.dzz(cc.xi))
         ph = complex(np.exp(1j * w * cc.eta))
-        bun = analytic_envelope_derivatives(spec, 0, e)
+        d_tau, d2_tau, d2_z = _reference_bundle(spec, e)
         if check == "envelope":
-            terms = [-1j * g * bun.d_tau, bun.d2_z / (2 * w), -(g * g * qzz * ph) / (2 * w)]
+            terms = [-1j * g * d_tau, d2_z / (2 * w), -(g * g * qzz * ph) / (2 * w)]
             terms.append(-(w / 2) * (g - 1) ** 2 * q * ph)
         elif check == "fd":
-            bun = fd_envelope_bundle(spec, 0, e, h)
+            env = lambda ev: complex(spec.envelope(0, ev))
+            d_tau, d2_z = _partial(env, e, "tau", 1, h), _partial(env, e, "z", 2, h)
             prof = lambda ev: complex(comp.profile.value(comoving_coords(ev, b).xi))
-            lap_q = sum(fd_partial(prof, e, axis, 2, h) for axis in "xyz")
-            terms = [-1j * g * bun.d_tau, bun.d2_z / (2 * w), -(lap_q * ph) / (2 * w)]
+            lap_q = sum(_partial(prof, e, axis, 2, h) for axis in "xyz")
+            terms = [-1j * g * d_tau, d2_z / (2 * w), -(lap_q * ph) / (2 * w)]
             terms.append(-(w / 2) * (g - 1) ** 2 * q * ph)
         elif check == "klein_gordon":
             carrier = complex(np.exp(1j * w * e.tau))
-            psi_tt = (bun.d2_tau + 2j * w * bun.d_tau - w * w * q * ph) * carrier
+            psi_tt = (d2_tau + 2j * w * d_tau - w * w * q * ph) * carrier
             bracket = (g * g * qzz - v * v * g * g * qzz) * ph * carrier + w * w * q * ph * carrier
-            terms = [psi_tt, -bun.d2_z * carrier, bracket]
+            terms = [psi_tt, -d2_z * carrier, bracket]
         elif check == "scalar":
             rest_z = boost_event(e, b).z
             rest = complex(comp.profile.dzz(rest_z)) / complex(comp.profile.value(rest_z))
@@ -465,8 +465,8 @@ def _reference(spec, check, events, eps_q, mass=None, u=None, geff=None):
         else:  # schrodinger
             hbar, m, c = mass.hbar, mass.m, mass.c
             terms = [
-                -1j * hbar * c * geff * bun.d_tau,
-                (hbar * hbar / (2 * m)) * bun.d2_z,
+                -1j * hbar * c * geff * d_tau,
+                (hbar * hbar / (2 * m)) * d2_z,
                 -(hbar * hbar / (2 * m)) * complex(u(e.x, e.y, e.z)) * q * ph,
                 -(m * c * c * (geff - 1) ** 2 / 2) * q * ph,
             ]
@@ -510,8 +510,10 @@ def test_batched_checks_match_per_event_reference(
 ):
     spec = FieldSpec((HarmonicComponent(omega, _profile(kind, amp, shape, center, order)),), LorentzBoost(beta))
     events = sample_events(n, seed, z=(z0, z0 + width), tau=(tau0, tau0 + width))
-    kept, _ = _sample(spec, 0, events, eps_q)
-    assert kept == _reference_kept(spec, events, eps_q)
+    # _certify hands terms() the coordinates of exactly the events the reference keeps
+    seen = []
+    verify._certify("probe", spec, 0, events, eps_q, lambda X, q, *_: seen.append(X) or (q,))
+    assert np.array_equal(seen[0], _coords(_reference_kept(spec, events, eps_q)))
     _assert_matches(envelope_equation_residual(spec, 0, events, eps_q), _reference(spec, "envelope", events, eps_q))
     _assert_matches(
         envelope_equation_residual(spec, 0, events, eps_q, derivatives="fd"), _reference(spec, "fd", events, eps_q)
@@ -598,6 +600,39 @@ def test_potential_mismatch_message_prints_plain_floats():
     with pytest.raises(ValueError, match="does not separate") as exc:
         schrodinger_residual(spec, 0, MassParameters(2.0, 1.0), lambda x, y, z: 0.0, sample_events(10, 3))
     assert "Event(x=" in str(exc.value) and "np.float64(" not in str(exc.value)
+
+
+def test_stencil_failure_message_prints_plain_floats():
+    # 2 b overflows near the centre, so the second difference is not finite there
+    spec = spec_for(GaussianProfile(1.5e308, 5.0, 1.0), 0.0, omega=2.0)
+    events = [Event(0.0, 0.0, 4.9, 0.0)]
+    with pytest.raises(ValueError, match="stencil produced non-finite value") as exc:
+        envelope_equation_residual(spec, 0, events, eps_q=0.0, derivatives="fd")
+    assert f"at {events[0]!r}" in str(exc.value)
+    assert "Event(x=" in str(exc.value) and "np.float64(" not in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "check, amplitude, beta",
+    [
+        (envelope_equation_residual, 1e308, 0.6),
+        (klein_gordon_residual, 1e308, 0.6),
+        (scalar_invariance_check, 1e308, 0.6),
+        # every term is finite, but the sum of their moduli overflows: that reads as a residual of 0
+        (klein_gordon_residual, 3e307, 0.0),
+    ],
+)
+def test_overflowing_terms_raise_one_error_naming_the_event(check, amplitude, beta):
+    # a valid spec whose terms overflow: one error, no warnings, no nan or vacuous report
+    spec = spec_for(GaussianProfile(amplitude, 0.0, 0.8), beta)
+    events = sample_events(20, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="residual is not finite at") as exc:
+            check(spec, 0, events)
+    assert "Event(x=" in str(exc.value) and "np.float64(" not in str(exc.value)
+    named = str(exc.value).split(" at ", 1)[1].split(":", 1)[0]
+    assert named in {repr(e) for e in events}
 
 
 def test_report_of_equal_residuals_keeps_rms_within_max():
