@@ -156,9 +156,11 @@ class AmplitudeProfile(abc.ABC):
         """lap q / q in the rest frame; overridden where a closed form avoids nodes.
 
         np.divide rounds one point as it rounds each element of an array;
-        Python's complex division does not.
+        Python's complex division does not.  At a node of q the ratio is
+        inf or nan, without a warning; callers refuse non-finite values.
         """
-        return np.divide(self.dzz(z), self.value(z))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.divide(self.dzz(z), self.value(z))
 
     @property
     @abc.abstractmethod

@@ -445,8 +445,13 @@ def derivative_slopes(
     for h in hs:
         _check_spacing(h, "stencil")
     X = _coords(events)
-    q, _, ph, bundle = _closed_form(spec, k, X)
-    b_scale = float(np.max(_abs(_cmul(q, ph))))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite closed form raises below
+        q, _, ph, bundle = _closed_form(spec, k, X)
+        b = _cmul(q, ph)
+    bad = ~np.isfinite([b, *vars(bundle).values()]).all(axis=0)
+    if bad.any():
+        raise ValueError(f"closed form is not finite at {_event(X, int(np.argmax(bad)))!r}")
+    b_scale = float(np.max(_abs(b)))
     fds = [_fd_bundle(spec, k, X, h) for h in hs]  # once per spacing, all entries
     eps = float(np.finfo(float).eps)
     out: dict[str, float | None] = {}

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -710,6 +711,16 @@ def test_spectrum_missing_spec_file_is_config_error(tmp_path):
     assert "missing.json" in proc.stderr
 
 
+def test_spectrum_probe_whose_phase_overflows_is_one_config_error(tmp_path):
+    t = np.linspace(-10.0, 10.0, 2001)
+    rows = "".join(f"{ti!r},{math.cos(ti)!r},{math.sin(ti)!r}\n" for ti in t.tolist())
+    (tmp_path / "wide.csv").write_text("t,re,im\n" + rows)
+    proc = run_boostfield(["spectrum", "--csv", "wide.csv", "--omegas=1e308,1", "--window=max", "--out", "o"], tmp_path)
+    assert_config_error(proc)
+    assert "omega 1e+308 overflows" in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
 # -- verify --------------------------------------------------------------------
 
 
@@ -787,6 +798,15 @@ def test_verify_with_overflowing_terms_exits_2_in_one_line(tmp_path):
     proc = run_boostfield(["verify", "envelope", "--spec", "big.json", "--out", "o"], tmp_path)
     assert_config_error(proc)
     assert len(proc.stderr.splitlines()) == 1 and "residual is not finite at Event(x=" in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_verify_derivatives_with_an_overflowing_closed_form_exits_2_in_one_line(tmp_path):
+    spec = FieldSpec((HarmonicComponent(2.0, GaussianProfile(1e308, 0.0, 0.8)),), LorentzBoost(0.6))
+    save_spec(spec, tmp_path / "big.json")
+    proc = run_boostfield(["verify", "derivatives", "--spec", "big.json", "--out", "o"], tmp_path)
+    assert_config_error(proc)
+    assert "closed form is not finite at Event(x=" in proc.stderr
     assert not (tmp_path / "o").exists()
 
 

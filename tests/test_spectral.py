@@ -274,6 +274,52 @@ def test_reconstruct_matches_direct_sum(m, t_start, step, omegas, seed, jitter):
     assert_allclose(got, direct, rtol=0, atol=1e-13 * scale * (1 + np.abs(q).sum()))
 
 
+@st.composite
+def table_layout(draw):
+    """m, t_start and dt over the ranges signal_and_window gives a window's interior."""
+    m = draw(st.integers(0, 400))
+    dt = draw(st.floats(1e-3, 2.0))
+    lead = draw(st.integers(0, max(m - 2, 0))) + draw(st.floats(1e-3, 1.0 - 1e-3))
+    return m, -lead * dt, dt
+
+
+@settings(max_examples=200, deadline=None)
+@given(table_layout(), probe_lists)
+def test_product_built_phasors_match_direct_exponentials(layout, omegas):
+    m, t_start, dt = layout
+    omegas = np.array(omegas, dtype=float)
+    inner, outer = spectral._phasors(omegas, t_start, dt, m)
+    width = inner.shape[1]
+    assert outer.shape == (omegas.size, -(-m // width)) and width * width >= m
+    j = np.arange(m)
+    t = t_start + dt * j
+    got = outer[:, j // width] * inner[:, j % width]
+    direct = np.exp(-1j * np.multiply.outer(omegas, t))
+    eps = np.finfo(float).eps
+    reach = float(np.abs(t).max(initial=0.0))
+    # c = 64: four table phases and the reference's, each a few roundings of |w| max|t|
+    bound = 64.0 * eps * (1.0 + np.abs(omegas)[:, None] * reach)
+    assert np.all(np.abs(got - direct) <= bound)
+
+
+@settings(max_examples=200, deadline=None)
+@given(signal_and_window(), st.integers(0, 2**32 - 1), st.sampled_from(["sample", "between", "ends"]))
+def test_locate_is_searchsorted_on_the_sample_times(case, seed, kind):
+    sig, _ = case
+    times = sig.times
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(times.size))
+    if kind == "sample":
+        ts = [times[k]]
+    elif kind == "between":
+        ts = [times[k] + sig.dt * rng.uniform(0.0, 1.0), np.nextafter(times[k], np.inf), np.nextafter(times[k], -np.inf)]
+    else:
+        ts = [sig.t0, sig.t_end, times[-1], sig.t0 - 0.5 * sig.dt, sig.t_end + 0.5 * sig.dt]
+    for t in map(float, ts):
+        for side in ("left", "right"):
+            assert spectral._locate(sig, t, side) == np.searchsorted(times, t, side)
+
+
 def test_reconstruct_takes_the_factored_path_on_sample_times():
     sig = sample_rest_signal(spec_for(ConstantProfile(1.0), 0.0), 0.0, 800.0, 0.01)
     assert spectral._uniform_grid(sig.times) == (sig.t0, pytest.approx(sig.dt, rel=1e-12))
@@ -291,6 +337,30 @@ def test_nonfinite_probe_named_as_scalar():
         scan_spectrum(sig, np.array([1.0, np.inf]), 4.0)
     with pytest.raises(ValueError, match=r"^omega must be finite, got -inf$"):
         extract_harmonic(sig, np.float64(-np.inf), 4.0)
+
+
+def test_strided_samples_give_the_results_of_a_copy():
+    # one probe reads the samples as (re, im) float pairs, so a strided view is copied on entry
+    rec = harmonic_signal([0.8 - 0.3j, 0.2j], [1.3, 2.9], t_max=20.0, dt=5e-3)
+    strided = SampledSignal(rec.samples[::2], 2 * rec.dt, rec.t0)
+    copied = SampledSignal(rec.samples[::2].copy(), 2 * rec.dt, rec.t0)
+    for T in (19.0, 0.5):
+        assert extract_harmonic(strided, 1.3, T) == extract_harmonic(copied, 1.3, T)
+        assert scan_spectrum(strided, [1.3, 2.9], T) == scan_spectrum(copied, [1.3, 2.9], T)
+
+
+def test_probe_whose_phase_overflows_is_refused():
+    sig = harmonic_signal([1.0], [1.0], t_max=10.0, dt=1e-2)
+    msg = r"^omega -?1e\+308 overflows the phase omega \* t for \|t\| up to 10\.0$"
+    with pytest.raises(ValueError, match=msg):
+        scan_spectrum(sig, [1.0, 1e308], 10.0)
+    with pytest.raises(ValueError, match=msg):
+        extract_harmonic(sig, -1e308, 1.0)
+    est = SpectrumEstimate((SpectrumEntry(1.0, 1.0, 1.0), SpectrumEntry(1e308, 1.0, 1.0)), 0.0)
+    for times in (sig.times, [0.0, 10.0, -3.0]):  # evenly spaced and not
+        with pytest.raises(ValueError, match=msg):
+            reconstruct(est, times)
+    assert np.isfinite(extract_harmonic(sig, 1e300, 10.0))
 
 
 def test_scan_window_errors():

@@ -316,6 +316,13 @@ def test_derivative_slopes_gaussian():
         assert 1.9 <= slopes[name] <= 2.1, (name, slopes[name])
 
 
+def test_derivative_slopes_refuse_an_overflowing_closed_form():
+    # the closed forms overflow where q is near 1e308: refused, not read as a degenerate None
+    spec = spec_for(GaussianProfile(1e308, 0.0, 0.8), 0.6)
+    with pytest.raises(ValueError, match=r"^closed form is not finite at Event\(x="):
+        derivative_slopes(spec, 0, sample_events(4, 43))
+
+
 def test_derivative_slopes_static_constant_all_degenerate():
     # beta = 0 plus a constant profile: the envelope is a constant function
     spec = spec_for(ConstantProfile(1.0), 0.0)
