@@ -22,50 +22,36 @@ exit code, recording the resolved configuration, the digest of the spec
 bytes it parsed, seed, tolerances and library versions.  The manifest is
 the only file that carries a timestamp, so reruns with the same seed are
 byte-identical everywhere else.
+
+A call loads only what its command runs.  At import this module loads
+kinematics and no numeric module; each command imports its modules when it
+runs, so ``--help``, a flag error, a config that its parser refuses and
+``boost`` load no numpy.  The manifest reads the numpy and scipy versions
+from their installed METADATA, importing neither.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
+import importlib.util
 import io
 import json
-import platform
 import sys
 import warnings
 from dataclasses import asdict, dataclass
-from datetime import datetime, timezone
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .fields import FieldSpec, MassParameters, _check_spacing, loads_spec
 from .kinematics import Event, LorentzBoost, boost_event, inverse_boost_event
-from .pde import (
-    Grid,
-    GridState,
-    SolverConfig,
-    SolverError,
-    _mode_projector,
-    _rotation_rate,
-    evolve_kgf,
-    evolve_schrodinger,
-    evolve_wave,
-    measure_observables,
-)
-from .spectral import SampledSignal, sample_rest_signal, scan_spectrum
-from .verify import (
-    derivative_slopes,
-    envelope_equation_residual,
-    klein_gordon_residual,
-    neglected_term_scan,
-    sample_events,
-    scalar_invariance_check,
-    schrodinger_residual,
-    separable_potential,
-)
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .fields import FieldSpec, MassParameters
+    from .pde import GridState
+    from .spectral import SampledSignal
 
 
 class ConfigError(Exception):
@@ -99,11 +85,11 @@ _TOLERANCES = {
     "beta4_slope_band": [3.8, 4.2],
 }
 
-# the residual checks that take only the spec, component and events
+# the residual checks that take only the spec, component and events, by their name in verify
 _RESIDUAL_CHECKS = {
-    "envelope": envelope_equation_residual,
-    "klein-gordon": klein_gordon_residual,
-    "scalar": scalar_invariance_check,
+    "envelope": "envelope_equation_residual",
+    "klein-gordon": "klein_gordon_residual",
+    "scalar": "scalar_invariance_check",
 }
 
 
@@ -194,6 +180,8 @@ class _Outputs:
 
     def read_input(self, path: str, what: str) -> bytes:
         """The bytes of one input file, read once; the manifest records their digest."""
+        import hashlib
+
         try:
             data = Path(path).read_bytes()
         except FileNotFoundError:
@@ -218,6 +206,8 @@ class _Outputs:
 
     def write_csv(self, name: str, header: list[str], columns) -> None:
         """One row per index of the columns: numbers as their float repr, str columns as given."""
+        import numpy as np
+
         cells = [col if isinstance(col[0], str) else map(repr, np.asarray(col, dtype=float).tolist()) for col in columns]
         lines = [",".join(header)] + [",".join(row) for row in zip(*cells)]
         self.write_bytes(name, ("\r\n".join(lines) + "\r\n").encode())  # the \r\n rows csv.writer wrote
@@ -226,7 +216,8 @@ class _Outputs:
         """Write the manifest for the files written, if there are any."""
         if not self.names:
             return
-        import importlib.metadata  # read scipy's version without importing scipy
+        import platform
+        from datetime import datetime, timezone
 
         self.write_json("manifest.json", {
             "config": self.cfg.to_dict(),
@@ -234,8 +225,8 @@ class _Outputs:
             "tolerances": _TOLERANCES,
             "versions": {
                 "boostfield": __version__,
-                "numpy": np.__version__,
-                "scipy": importlib.metadata.version("scipy"),
+                "numpy": _installed_version("numpy"),
+                "scipy": _installed_version("scipy"),
                 "python": platform.python_version(),
             },
             "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
@@ -243,8 +234,26 @@ class _Outputs:
         })
 
 
+def _installed_version(package: str) -> str | None:
+    """``importlib.metadata.version(package)`` without importing either: the Version header of
+    the METADATA in the ``<package>-*.dist-info`` beside the package; None if there is none."""
+    spec = importlib.util.find_spec(package)
+    if spec is None or spec.origin is None:
+        return None
+    for metadata in sorted(Path(spec.origin).parent.parent.glob(f"{package}-*.dist-info/METADATA")):
+        with metadata.open(encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("Version:"):
+                    return line.removeprefix("Version:").strip()
+                if not line.strip():  # the end of the headers
+                    break
+    return None
+
+
 def _load_spec_arg(cfg: ExperimentConfig, out: _Outputs) -> FieldSpec:
     """The spec parsed from the one read of --spec."""
+    from .fields import loads_spec
+
     try:
         return loads_spec(out.read_input(cfg.spec, "spec file").decode())
     except ValueError as exc:
@@ -306,6 +315,8 @@ def _run_boost(cfg: ExperimentConfig, out: _Outputs) -> int:
 
 
 def _run_field(cfg: ExperimentConfig, out: _Outputs) -> int:
+    import numpy as np
+
     p = cfg.params
     if p.get("event"):  # the sampled path at one point
         _refuse_unread(p, "field --event", ("tau", "z_min", "z_max", "n"))
@@ -337,6 +348,8 @@ def _run_field(cfg: ExperimentConfig, out: _Outputs) -> int:
 
 def _read_csv_columns(out: _Outputs, path: str, what: str, names: tuple[str, ...]) -> np.ndarray:
     """The named columns of a csv input with a header row, one float array per name."""
+    import numpy as np
+
     data = out.read_input(path, f"{what} csv")
     try:
         with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh, warnings.catch_warnings():
@@ -351,6 +364,10 @@ def _read_csv_columns(out: _Outputs, path: str, what: str, names: tuple[str, ...
 
 
 def _read_signal_csv(out: _Outputs, path: str) -> SampledSignal:
+    import numpy as np
+
+    from .spectral import SampledSignal
+
     t, re, im = _read_csv_columns(out, path, "signal", ("t", "re", "im"))
     if t.size < 2:
         raise ConfigError("signal csv needs at least 2 rows")
@@ -361,6 +378,8 @@ def _read_signal_csv(out: _Outputs, path: str) -> SampledSignal:
 
 
 def _run_spectrum(cfg: ExperimentConfig, out: _Outputs) -> int:
+    from .spectral import sample_rest_signal, scan_spectrum
+
     p = cfg.params
     if p.get("csv"):
         _refuse_unread(p, "spectrum --csv", ("t_max", "dt"))
@@ -388,6 +407,8 @@ def _run_spectrum(cfg: ExperimentConfig, out: _Outputs) -> int:
 
 def _mass_from_params(p: dict, omega: float | None = None) -> MassParameters:
     """--mass, --hbar and --c; without --mass, the mass whose carrier m c / hbar is ``omega``."""
+    from .fields import MassParameters
+
     if "mass" in p:
         m = p["mass"]
     elif omega is None:
@@ -399,12 +420,17 @@ def _mass_from_params(p: dict, omega: float | None = None) -> MassParameters:
 
 def _scan(p: dict):
     """The rest-energy correction scan that verify beta4 and limit-scan both run."""
+    from .verify import neglected_term_scan
+
     mass = _mass_from_params(p)
     betas = _parse_floats(p["betas"]) if p.get("betas") else [0.01, 0.02, 0.04, 0.08]
     return neglected_term_scan(mass, betas)
 
 
 def _run_verify(cfg: ExperimentConfig, out: _Outputs) -> int:
+    from . import verify
+    from .fields import _check_spacing
+
     p = cfg.params
     check = p["check"]
     if check == "beta4":
@@ -421,14 +447,14 @@ def _run_verify(cfg: ExperimentConfig, out: _Outputs) -> int:
     spec = _load_spec_arg(cfg, out)
     k = _component(spec, p)
     box = [tuple(_parse_floats(p[key], 2)) if p.get(key) else (-1.0, 1.0) for key in ("box_z", "box_tau")]
-    events = sample_events(p["events"], cfg.seed, z=box[0], tau=box[1])
+    events = verify.sample_events(p["events"], cfg.seed, z=box[0], tau=box[1])
 
     if check == "derivatives":
         h = p.get("h")
         if h is not None:
             _check_spacing(h, "--h")
         hs = None if h is None else [h, h / 2.0, h / 4.0]
-        slopes = derivative_slopes(spec, k, events[: min(len(events), 8)], hs=hs)
+        slopes = verify.derivative_slopes(spec, k, events[: min(len(events), 8)], hs=hs)
         lo, hi = _TOLERANCES["derivative_slope_band"]
         bad = {n: s for n, s in slopes.items() if s is not None and not (lo <= s <= hi)}
         report = {
@@ -448,12 +474,12 @@ def _run_verify(cfg: ExperimentConfig, out: _Outputs) -> int:
     default = _TOLERANCES[check]
     if check == "schrodinger":
         mass = _mass_from_params(p, spec.components[k].omega)
-        u = separable_potential(spec, k)
-        rep = schrodinger_residual(spec, k, mass, u, events, gamma_mode=p["gamma_mode"])
+        u = verify.separable_potential(spec, k)
+        rep = verify.schrodinger_residual(spec, k, mass, u, events, gamma_mode=p["gamma_mode"])
         if p["gamma_mode"] == "unity":
             default = float("inf")
     else:
-        rep = _RESIDUAL_CHECKS[check](spec, k, events)
+        rep = getattr(verify, _RESIDUAL_CHECKS[check])(spec, k, events)
     tol = p.get("tolerance", default)
     ok = rep.max_abs <= tol
     out.write_json("report.json", {"check": check, "passed": bool(ok), "tolerance": tol, "report": rep.to_dict()})
@@ -465,6 +491,8 @@ def _run_verify(cfg: ExperimentConfig, out: _Outputs) -> int:
 
 
 def _write_snapshot(out: _Outputs, state: GridState, index: int) -> None:
+    import numpy as np
+
     base = f"snap_{index:06d}"
     if state.grid.dim == 1:
         out.write_csv(f"{base}.csv", ["z", "re", "im"], [state.grid.axis(0), state.field.real, state.field.imag])
@@ -486,6 +514,10 @@ def _write_snapshot(out: _Outputs, state: GridState, index: int) -> None:
 
 
 def _run_evolve(cfg: ExperimentConfig, out: _Outputs) -> int:
+    import numpy as np
+
+    from . import pde
+
     p = cfg.params
     equation = p["equation"]
     if p["snap_every"] < 0:
@@ -494,7 +526,7 @@ def _run_evolve(cfg: ExperimentConfig, out: _Outputs) -> int:
     ext = tuple(_parse_floats(p["extent"]))
     if len(ext) == 1 and len(pts) > 1:
         ext = ext * len(pts)
-    grid = Grid(ext, pts)
+    grid = pde.Grid(ext, pts)
 
     second_order = equation in ("kgf", "wave")
     spec = None
@@ -520,7 +552,7 @@ def _run_evolve(cfg: ExperimentConfig, out: _Outputs) -> int:
             lines = spec.harmonic_on_axis(k, z, 0.0), spec.harmonic_dtau_on_axis(k, z, 0.0)
         field, pi = (None if a is None else np.broadcast_to(a, grid.points).copy() for a in lines)
 
-    state = GridState(grid, field, pi)
+    state = pde.GridState(grid, field, pi)
 
     # the parser gives --mass-scalar to kgf alone and --potential-from-spec to schrodinger alone
     mass_scalar = 0.0 if equation == "wave" else p.get("mass_scalar")
@@ -529,8 +561,10 @@ def _run_evolve(cfg: ExperimentConfig, out: _Outputs) -> int:
     if p.get("potential_from_spec"):
         if spec is None:
             raise ConfigError("--potential-from-spec needs --spec in place of --init")
+        from .verify import separable_potential
+
         potential = separable_potential(spec, k)
-    sc = SolverConfig(
+    sc = pde.SolverConfig(
         dt=p["dt"],
         steps=p["steps"],
         scheme="crank_nicolson" if equation == "schrodinger" else "leapfrog",
@@ -545,7 +579,7 @@ def _run_evolve(cfg: ExperimentConfig, out: _Outputs) -> int:
     if modes and sc.steps < 2:
         raise ConfigError("--dispersion-modes needs at least 2 steps to fit a rotation rate")
     ks = [2.0 * np.pi * m / grid.extents[-1] for m in modes]
-    project = _mode_projector(grid, ks)  # ValueError, so exit 2, on a 3-d grid or an aliased mode
+    project = pde._mode_projector(grid, ks)  # ValueError, so exit 2, on a 3-d grid or an aliased mode
     continuum = lambda k: float(np.sqrt(k * k + sc.resolved_mass_scalar()))
     if modes and equation == "schrodinger":  # exp(ikz) under psi_t = i (hbar / 2mc)(-lap + u) psi, u constant
         u = sc.potential_on(grid)
@@ -559,7 +593,7 @@ def _run_evolve(cfg: ExperimentConfig, out: _Outputs) -> int:
     times: list[float] = []
 
     def record(st: GridState) -> None:
-        obs = measure_observables(st, sc)  # resolves the potential, so its refusal comes before any write
+        obs = pde.measure_observables(st, sc)  # resolves the potential, so its refusal comes before any write
         if st.step_count == 0 or snap_every and st.step_count % snap_every == 0:
             _write_snapshot(out, st, st.step_count)
         obs_rows.append(
@@ -573,12 +607,7 @@ def _run_evolve(cfg: ExperimentConfig, out: _Outputs) -> int:
 
     record(state)
 
-    evolve = {
-        "schrodinger": evolve_schrodinger,
-        "kgf": evolve_kgf,
-        "wave": evolve_wave,
-    }[equation]
-    final = evolve(state, sc, monitor=record)
+    final = getattr(pde, f"evolve_{equation}")(state, sc, monitor=record)
 
     axes = ["z"] if grid.dim == 1 else ["x", "y", "z"]
     header = ["t", "norm", "energy"] + [f"centroid_{a}" for a in axes] + [f"width_{a}" for a in axes]
@@ -590,7 +619,7 @@ def _run_evolve(cfg: ExperimentConfig, out: _Outputs) -> int:
         t_arr = np.asarray(times)
         for m, k, series in zip(modes, ks, np.array(coeffs).T):
             try:
-                rows.append((k, _rotation_rate(t_arr, series), continuum(k)))
+                rows.append((k, pde._rotation_rate(t_arr, series), continuum(k)))
             except ValueError as exc:  # a weak mode
                 raise VerificationFailure(f"mode {m:g}: {exc}") from None
         out.write_csv("dispersion.csv", ["k", "omega_measured", "omega_continuum"], zip(*rows))
@@ -614,6 +643,12 @@ _RUNNERS = {
 }
 
 
+def _solver_error() -> tuple[type[Exception], ...]:
+    """pde's SolverError once pde is loaded; nothing before, as a run that never loaded pde raises none."""
+    pde = sys.modules.get(f"{__package__}.pde")
+    return (pde.SolverError,) if pde is not None else ()
+
+
 def run(cfg: ExperimentConfig) -> int:
     """Execute one configured command; returns the process exit code.
 
@@ -629,7 +664,7 @@ def run(cfg: ExperimentConfig) -> int:
                 out.close()
         except VerificationFailure as exc:
             code, message = 1, f"FAIL: {exc}"
-        except SolverError as exc:
+        except _solver_error() as exc:
             code, message = 1, f"solver error: {exc}"
         except (ConfigError, ValueError) as exc:
             code, message = 2, f"config error: {exc}"

@@ -300,6 +300,8 @@ def scan_spectrum(sig: SampledSignal, omegas, T: float) -> SpectrumEstimate:
 def reconstruct(est: SpectrumEstimate, times) -> np.ndarray:
     """Sum of the estimated harmonics q_hat * exp(i omega t) at given times."""
     times = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
     omegas = _probes([ent.omega for ent in est.entries], float(np.abs(times).max(initial=0.0)))
     coeffs = np.array([ent.q_hat for ent in est.entries], dtype=complex)
     grid = _uniform_grid(times)

@@ -35,7 +35,7 @@ from boostfield import (
     sample_events,
     save_spec,
 )
-from boostfield import cli
+from boostfield import cli, verify
 from boostfield.cli import (
     ConfigError,
     ExperimentConfig,
@@ -609,6 +609,70 @@ def test_import_leaves_scipy_unloaded(tmp_path, capsys):
     capsys.readouterr()
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["versions"]["scipy"] == scipy.__version__
+    assert manifest["versions"]["numpy"] == np.__version__
+
+
+_STARTUP = {"boostfield", "boostfield.cli", "boostfield.kinematics"}
+_FIELDS = {"boostfield.fields", "boostfield.profiles"}
+
+
+@pytest.mark.parametrize("argv, code, loads", [
+    pytest.param(["--help"], 0, set(), id="help"),
+    pytest.param(["boost", "--beta", "0.5"], 2, set(), id="flag-error"),
+    pytest.param(["verify", "envelope", "--spec", "{spec}"], 2, set(), id="verify-without-out"),
+    pytest.param(["--config", "{tmp}/none.json"], 2, set(), id="missing-config"),
+    pytest.param(["--config", "{tmp}/refused.json"], 2, set(), id="refused-config"),
+    pytest.param(["boost", "--beta", "0.5", "--event", "0,0,1,2"], 0, set(), id="boost"),
+    pytest.param(["boost", "--beta", "0.5", "--event", "0,0,1,2", "--out", "{tmp}/o"], 0, set(), id="boost-out"),
+    pytest.param(["boost", "--beta", "0.5", "--event", "1,2"], 2, set(), id="boost-bad-event"),
+    pytest.param(
+        ["field", "--spec", "{spec}", "--tau", "0.1", "--z-min", "-1", "--z-max", "1", "--n", "5", "--out", "{tmp}/o"],
+        0, {"numpy"} | _FIELDS, id="field",
+    ),
+    pytest.param(
+        ["spectrum", "--csv", "{tmp}/signal.csv", "--omegas", "1", "--out", "{tmp}/o"],
+        0, {"numpy", "boostfield.spectral"}, id="spectrum-csv",
+    ),
+    pytest.param(
+        ["verify", "envelope", "--spec", "{spec}", "--events", "5", "--out", "{tmp}/o"],
+        0, {"numpy", "boostfield.verify"} | _FIELDS, id="verify-envelope",
+    ),
+    pytest.param(
+        ["verify", "beta4", "--mass", "1", "--out", "{tmp}/o"], 0, {"numpy", "boostfield.verify"} | _FIELDS, id="beta4",
+    ),
+    pytest.param(
+        ["evolve", "kgf", "--spec", "{spec}", "--grid", "16", "--extent", "8", "--dt", "0.1", "--steps", "2",
+         "--out", "{tmp}/o"],
+        0, {"numpy", "boostfield.pde"} | _FIELDS, id="evolve-kgf",
+    ),
+    pytest.param(
+        ["evolve", "schrodinger", "--spec", "{spec}", "--grid", "8,8,8", "--extent", "8", "--dt", "0.1", "--steps", "2",
+         "--out", "{tmp}/o"],
+        0, {"numpy", "boostfield.pde"} | _FIELDS, id="evolve-schrodinger-3d",
+    ),
+])
+def test_each_command_loads_only_its_own_modules(argv, code, loads, gauss_spec, tmp_path):
+    # a fresh interpreter per command: numpy, scipy, importlib.metadata and boostfield's modules after main
+    t = 0.1 * np.arange(-50, 51)
+    np.savetxt(tmp_path / "signal.csv", np.column_stack([t, np.cos(t), np.sin(t)]), delimiter=",", header="t,re,im",
+               comments="")
+    refused = {"command": "verify", "spec": None, "params": {"check": "envelope"}, "out": None, "seed": 0}
+    (tmp_path / "refused.json").write_text(json.dumps(refused))  # no --spec
+    script = (
+        "import contextlib, io, json, sys; from boostfield import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    try:\n"
+        "        code = cli.main(sys.argv[1:])\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'boostfield'\n"
+        "                  or m in ('numpy', 'scipy', 'importlib.metadata'))]))"
+    )
+    args = [a.format(spec=gauss_spec, tmp=tmp_path) for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(Path(boostfield.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [code, sorted(_STARTUP | loads)]
 
 
 # -- spectrum ------------------------------------------------------------------
@@ -770,7 +834,7 @@ def test_verify_beta4(tmp_path):
 
 
 def test_verify_needs_out(gauss_spec, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "sample_events", None)  # a call would raise TypeError out of main
+    monkeypatch.setattr(verify, "sample_events", None)  # a call would raise TypeError out of main
     err = main_config_error(["verify", "envelope", "--spec", gauss_spec, "--events", "200000"], capsys)
     assert err == "config error: the following arguments are required: --out\n"
 
@@ -1107,6 +1171,14 @@ def test_evolve_kgf_weak_mode_fails(const_spec, tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["outputs"] == sorted(f.name for f in out.iterdir() if f.name != "manifest.json")
     assert manifest["outputs"] == ["observables.csv", "snap_000000.csv", "snap_000005.csv"]
+
+
+def test_evolve_solver_error_exits_1(const_spec, tmp_path, capsys):
+    rc = main(["evolve", "kgf", "--spec", const_spec, "--grid", "64", "--extent", "8", "--dt", "1",
+               "--steps", "5", "--out", str(tmp_path / "run")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: Courant violation") and len(err.splitlines()) == 1
 
 
 def test_evolve_prints_the_coarse_dt_warning_as_one_line(gauss_spec, tmp_path):

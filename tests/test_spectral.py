@@ -363,6 +363,16 @@ def test_probe_whose_phase_overflows_is_refused():
     assert np.isfinite(extract_harmonic(sig, 1e300, 10.0))
 
 
+def test_reconstruct_refuses_non_finite_times():
+    # refused as times, before any probe's reach or the grid test reads them
+    entries = (SpectrumEntry(1.0, 0.5 + 0.5j, 1.0),)
+    for est in (SpectrumEstimate((), 0.0), SpectrumEstimate(entries, 0.0)):
+        for bad in (np.inf, -np.inf, np.nan):
+            for times in ([0.0, 1.0, bad], [bad]):
+                with pytest.raises(ValueError, match="^times must be finite$"):
+                    reconstruct(est, times)
+
+
 def test_scan_window_errors():
     sig = harmonic_signal([1.0], [1.0], t_max=5.0, dt=1e-2)
     for omegas in ([], [1.0]):
