@@ -10,10 +10,11 @@ its own parser, which declares exactly the flags that the run reads.  Flags
 follow the check or equation name, a flag that the mode does not read exits
 2, and ``--out`` is required except by ``boost`` and ``field --event``.
 Within one parser, ``field --event`` refuses the grid flags, ``spectrum
---csv`` refuses ``--t-max`` and ``--dt``, and ``evolve --init`` refuses
-``--component``.  A config is read by the same parser, so one recorded by
-0.1.0 that holds a default its mode does not read is refused; ``--config``
-with a command beside it is refused too.
+--csv`` refuses ``--z``, ``--t-max``, ``--dt`` and a ``--spec`` without
+``--omegas-from-spec``, and ``evolve --init`` refuses ``--component``.  A
+config is read by the same parser, so one recorded by 0.1.0 that holds a
+default its mode does not read is refused; ``--config`` with a command
+beside it is refused too.
 
 One recorder per run is the only writer into ``--out``: it makes the
 directory at its first write and records each file's name.  A run that
@@ -270,6 +271,14 @@ def _parse_floats(text: str, n: int | None = None) -> list[float]:
     return vals
 
 
+def _parse_ints(p: dict, key: str) -> list[int]:
+    """The comma-separated integers of a flag, refused with one line if any is not one; [] if unset."""
+    vals = _parse_floats(p[key]) if p.get(key) else []
+    if not all(v.is_integer() for v in vals):
+        raise ConfigError(f"--{key.replace('_', '-')} takes integers, got {p[key]!r}")
+    return [int(v) for v in vals]
+
+
 def _refuse_unread(p: dict, mode: str, keys: tuple[str, ...]) -> None:
     """Refuse the flags among ``keys`` that ``p`` sets: ``mode`` reads none of them."""
     given = ["--" + key.replace("_", "-") for key in keys if key in p]
@@ -296,7 +305,7 @@ def _component(spec: FieldSpec, p: dict) -> int:
 
 def _run_boost(cfg: ExperimentConfig, out: _Outputs) -> int:
     p = cfg.params
-    b = LorentzBoost(p["beta"], p["c"])
+    b = LorentzBoost(p["beta"])
     e = Event(*_parse_floats(p["event"], 4))
     moved = inverse_boost_event(e, b) if p.get("inverse") else boost_event(e, b)
     line = ",".join(_fmt(v) for v in (moved.x, moved.y, moved.z, moved.tau))
@@ -382,14 +391,16 @@ def _run_spectrum(cfg: ExperimentConfig, out: _Outputs) -> int:
 
     p = cfg.params
     if p.get("csv"):
-        _refuse_unread(p, "spectrum --csv", ("t_max", "dt"))
+        _refuse_unread(p, "spectrum --csv", ("z", "t_max", "dt"))
+        if cfg.spec and not p.get("omegas_from_spec"):
+            raise ConfigError("spectrum --csv reads --spec only for --omegas-from-spec; drop it")
     spec = _load_spec_arg(cfg, out) if cfg.spec else None
     if p.get("csv"):
         sig = _read_signal_csv(out, p["csv"])
     elif spec is None or "t_max" not in p or "dt" not in p:
         raise ConfigError("spectrum reads --csv, or synthesizes a signal from --spec, --t-max and --dt")
     else:
-        sig = sample_rest_signal(spec, p["z"], p["t_max"], p["dt"])
+        sig = sample_rest_signal(spec, p.get("z", 0.0), p["t_max"], p["dt"])
     if p.get("omegas_from_spec"):
         if spec is None:
             raise ConfigError("--omegas-from-spec needs --spec")
@@ -419,12 +430,12 @@ def _mass_from_params(p: dict, omega: float | None = None) -> MassParameters:
 
 
 def _scan(p: dict):
-    """The rest-energy correction scan that verify beta4 and limit-scan both run."""
+    """The rest-energy scan of verify beta4 and limit-scan; m c^2 (gamma - 1)^2 / 2 reads no hbar, so 1 stands in."""
+    from .fields import MassParameters
     from .verify import neglected_term_scan
 
-    mass = _mass_from_params(p)
     betas = _parse_floats(p["betas"]) if p.get("betas") else [0.01, 0.02, 0.04, 0.08]
-    return neglected_term_scan(mass, betas)
+    return neglected_term_scan(MassParameters(p["mass"], 1.0, p["c"]), betas)
 
 
 def _run_verify(cfg: ExperimentConfig, out: _Outputs) -> int:
@@ -522,7 +533,7 @@ def _run_evolve(cfg: ExperimentConfig, out: _Outputs) -> int:
     equation = p["equation"]
     if p["snap_every"] < 0:
         raise ConfigError(f"--snap-every must be >= 0, got {p['snap_every']}")
-    pts = tuple(int(v) for v in _parse_floats(p["grid"]))
+    pts = tuple(_parse_ints(p, "grid"))
     ext = tuple(_parse_floats(p["extent"]))
     if len(ext) == 1 and len(pts) > 1:
         ext = ext * len(pts)
@@ -540,6 +551,9 @@ def _run_evolve(cfg: ExperimentConfig, out: _Outputs) -> int:
             raise ConfigError("init snapshot size does not match grid")
         if not np.all(np.isfinite(cols)):
             raise ConfigError(f"init csv {p['init']} holds non-finite values")
+        dz = grid.spacing[0]
+        if np.max(np.abs(cols[0] - grid.coords[0])) > 1e-9 * dz:
+            raise ConfigError(f"init csv {p['init']} z column is not the grid's axis j * {dz!r}, j < {grid.points[0]}")
         field = cols[1] + 1j * cols[2]
         pi = cols[3] + 1j * cols[4] if second_order else None
     else:
@@ -573,9 +587,7 @@ def _run_evolve(cfg: ExperimentConfig, out: _Outputs) -> int:
         potential=potential,
     )
 
-    modes = _parse_floats(p["dispersion_modes"]) if p.get("dispersion_modes") else []
-    if not all(m.is_integer() for m in modes):
-        raise ConfigError(f"--dispersion-modes takes integers, got {p['dispersion_modes']!r}")
+    modes = _parse_ints(p, "dispersion_modes")
     if modes and sc.steps < 2:
         raise ConfigError("--dispersion-modes needs at least 2 steps to fit a rotation rate")
     ks = [2.0 * np.pi * m / grid.extents[-1] for m in modes]
@@ -696,14 +708,17 @@ def _build_parser() -> _ConfigParser:
         sp.add_argument("--seed", type=int, default=0)
         return sp
 
-    def mass(sp, required=False, alternatives=None):
-        (alternatives or sp).add_argument("--mass", type=float, required=required)
+    def mass(sp, alternatives=None):
+        (alternatives or sp).add_argument("--mass", type=float)
         sp.add_argument("--hbar", type=float, default=1.0)
+        sp.add_argument("--c", type=float, default=1.0)
+
+    def rest_mass(sp):  # see _scan
+        sp.add_argument("--mass", type=float, required=True)
         sp.add_argument("--c", type=float, default=1.0)
 
     sp = mode(commands, "boost", "apply the coordinate map to one event", out_required=False)
     sp.add_argument("--beta", type=float, required=True)
-    sp.add_argument("--c", type=float, default=1.0)
     sp.add_argument("--event", required=True, help="x,y,z,tau")
     sp.add_argument("--inverse", action="store_true")
 
@@ -719,7 +734,7 @@ def _build_parser() -> _ConfigParser:
     sp = mode(commands, "spectrum", "boxcar harmonic extraction")
     sp.add_argument("--spec", help="field spec JSON")
     sp.add_argument("--csv", help="signal csv with t,re,im columns")
-    sp.add_argument("--z", type=float, default=0.0)
+    sp.add_argument("--z", type=float, help="rest-frame z of a synthesized signal (default 0)")
     sp.add_argument("--t-max", type=float, dest="t_max")
     sp.add_argument("--dt", type=float)
     probes = sp.add_mutually_exclusive_group(required=True)
@@ -732,7 +747,7 @@ def _build_parser() -> _ConfigParser:
     for name in ("envelope", "schrodinger", "klein-gordon", "scalar", "beta4", "derivatives"):
         sp = mode(checks, name)
         if name == "beta4":
-            mass(sp, required=True)
+            rest_mass(sp)
             sp.add_argument("--betas", help="comma-separated betas")
             continue
         sp.add_argument("--spec", required=True, help="field spec JSON")
@@ -771,7 +786,7 @@ def _build_parser() -> _ConfigParser:
             mass(sp, alternatives=alternatives)
 
     sp = mode(commands, "limit-scan", "rest-energy correction against beta")
-    mass(sp, required=True)
+    rest_mass(sp)
     sp.add_argument("--betas", help="comma-separated betas")
 
     return ap

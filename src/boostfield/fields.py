@@ -137,7 +137,7 @@ class FieldSpec:
 
     def to_dict(self) -> dict:
         return {
-            "boost": {"beta": self.boost.beta, "c": self.boost.c},
+            "boost": {"beta": self.boost.beta},
             "components": [
                 {"omega": c.omega, "profile": c.profile.to_dict()}
                 for c in self.components
@@ -147,8 +147,7 @@ class FieldSpec:
 
 def spec_from_dict(d: dict) -> FieldSpec:
     d = _require_keys(d, "field-spec", ("boost", "components"))
-    braw = _require_keys(d["boost"], "boost", ("beta",), optional=("c",))
-    boost = LorentzBoost(_real("beta", braw["beta"]), _real("c", braw.get("c", 1.0)))
+    boost = LorentzBoost(_real("beta", _require_keys(d["boost"], "boost", ("beta",))["beta"]))
     if not isinstance(d["components"], list):
         raise ValueError(f"components must be a list, got {d['components']!r}")
     comps = []

@@ -38,13 +38,12 @@ class LorentzBoost:
     """Boost tying the lab frame to the rest frame.
 
     ``beta`` is the frame velocity in units of c and must satisfy
-    |beta| < 1.  ``gamma`` is derived.  ``c`` is carried along purely as a
-    unit scale for callers working in physical units; the coordinate maps
-    never use it because tau is already a length.
+    |beta| < 1.  ``gamma`` is derived.  The map is dimensionless, as tau is
+    a length, so a boost holds no speed of light; the one physical c is the
+    carrier's, ``MassParameters.c``.
     """
 
     beta: float
-    c: float = 1.0
     gamma: float = field(init=False)
 
     def __post_init__(self) -> None:
@@ -52,8 +51,6 @@ class LorentzBoost:
             raise ValueError(
                 f"superluminal boost: beta={self.beta!r}, need |beta| < 1"
             )
-        if not (math.isfinite(self.c) and self.c > 0.0):
-            raise ValueError(f"speed constant must be positive, got {self.c!r}")
         # factored form stays accurate as |beta| -> 1, where 1 - beta**2
         # cancels catastrophically
         gamma = 1.0 / math.sqrt((1.0 - self.beta) * (1.0 + self.beta))
@@ -65,7 +62,7 @@ class LorentzBoost:
     @functools.cached_property
     def _inverse(self) -> "LorentzBoost":
         """The boost at -beta, built at the first call of inverse() and kept."""
-        return LorentzBoost(-self.beta, self.c)
+        return LorentzBoost(-self.beta)
 
     def apply(self, z, tau):
         """(gamma (z - beta tau), gamma (tau - beta z)) for floats or broadcastable arrays.
@@ -118,9 +115,7 @@ def comoving_coords(e: Event, b: LorentzBoost) -> ComovingCoords:
 
 def compose_boosts(b1: LorentzBoost, b2: LorentzBoost) -> LorentzBoost:
     """Boost equivalent to applying b1 and then b2 (relativistic velocity sum)."""
-    if b1.c != b2.c:
-        raise ValueError("cannot compose boosts with different unit scales")
-    return LorentzBoost((b1.beta + b2.beta) / (1.0 + b1.beta * b2.beta), b1.c)
+    return LorentzBoost((b1.beta + b2.beta) / (1.0 + b1.beta * b2.beta))
 
 
 def interval(e: Event) -> float:

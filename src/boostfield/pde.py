@@ -54,7 +54,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Literal
 
 import numpy as np
@@ -139,13 +139,7 @@ class GridState:
             self.pi = p
 
     def copy(self) -> "GridState":
-        return GridState(
-            self.grid,
-            self.field.copy(),
-            None if self.pi is None else self.pi.copy(),
-            self.t,
-            self.step_count,
-        )
+        return replace(self, field=self.field.copy(), pi=None if self.pi is None else self.pi.copy())
 
 
 @dataclass(frozen=True)

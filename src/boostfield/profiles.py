@@ -109,15 +109,21 @@ def _cdiv(a, d: float):
     return out
 
 
+def _refuse_overflow(profile, *bounds: float) -> None:
+    """Refuse ``profile`` unless each bound on |q|, |q'|, |q''| and on the factors they are built from is finite."""
+    if not all(map(math.isfinite, bounds)):
+        raise ValueError(f"{profile!r}: q, q' or q'' would overflow a float")
+
+
 def _dump_complex(a: complex) -> list[float]:
     return [float(a.real), float(a.imag)]
 
 
-def _require_keys(v, name: str, keys: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
-    """v as a mapping with every one of ``keys`` and nothing beyond them and ``optional``."""
+def _require_keys(v, name: str, keys: tuple[str, ...]) -> dict:
+    """v as a mapping with every one of ``keys`` and nothing beyond them."""
     if not isinstance(v, dict):
         raise ValueError(f"{name} record must be a mapping, got {v!r}")
-    unknown = set(v) - set(keys) - set(optional)
+    unknown = set(v) - set(keys)
     if unknown:
         raise ValueError(f"unknown {name} keys {sorted(unknown)}")
     missing = [key for key in keys if key not in v]
@@ -219,6 +225,11 @@ class PlaneWaveProfile(AmplitudeProfile):
     wavenumber: float
     kind: ClassVar[str] = "plane_wave"
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        k = max(1.0, abs(self.wavenumber))
+        _refuse_overflow(self, max(abs(self.amplitude), 1.0) * k * k)  # dzz forms k^2 first
+
     def value(self, z):
         return _cmul(self.amplitude, np.exp(1j * self.wavenumber * _points(z)))
 
@@ -254,6 +265,10 @@ class GaussianProfile(AmplitudeProfile):
         super().__post_init__()
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma!r}")
+        # |q| <= |A|, |q'| <= |A| / sigma, |q''| <= |A| / sigma^2; dzz forms sigma^2 and (u^2 - 1) / sigma^2
+        # before exp(-u^2/2), so both must be finite, out to |u| = 60, past the |u| < 38.6 where exp is not 0
+        r = max(1.0, 1.0 / self.sigma)
+        _refuse_overflow(self, max(abs(self.amplitude), 3600.0) * r * r, self.sigma * self.sigma)
 
     def _u(self, z):
         return (_points(z) - self.center) / self.sigma
@@ -292,7 +307,10 @@ class GaussHermiteProfile(AmplitudeProfile):
     H_n e^{-u^2/2} is sqrt(2^n n!) psi_n, and psi_k = H_k e^{-u^2/2} / sqrt(2^k k!)
     follows the recurrence psi_{k+1} = sqrt(2/(k+1)) u psi_k - sqrt(k/(k+1)) psi_{k-1}
     (DLMF 18.9.1) from psi_0 = e^{-u^2/2}: no psi_k exceeds 1.09 (Cramer's bound),
-    so only an order whose sqrt(2^n n!) overflows a float is out of reach.
+    so only an order whose sqrt(2^n n!) overflows a float is out of reach.  The
+    derivatives psi_n' and psi_n (u^2 - 2n - 1) stay below 1.09 (4n + 2), so a
+    profile is refused unless sigma^2 and |A| sqrt(2^n n!) 1.09 (4n + 2) max(1, 1/sigma^2),
+    which bounds |q|, |q'|, |q''| and their products before the division by sigma, are floats.
     """
 
     amplitude: complex
@@ -312,7 +330,10 @@ class GaussHermiteProfile(AmplitudeProfile):
             raise ValueError(f"order {n} is too high: its peak, about sqrt(2^n n!), overflows a float")
         m = math.factorial(n) << n  # sqrt(2^n n!) from its top 110 bits, rounded once
         e = max(m.bit_length() - 110, 0) & ~1
-        object.__setattr__(self, "_amp", self.amplitude * math.ldexp(math.sqrt(m >> e), e // 2))
+        peak = math.ldexp(math.sqrt(m >> e), e // 2)
+        r = max(1.0, 1.0 / self.sigma)
+        _refuse_overflow(self, abs(self.amplitude) * peak * 1.09 * (4 * n + 2) * r * r, self.sigma * self.sigma)
+        object.__setattr__(self, "_amp", self.amplitude * peak)
         steps = tuple((math.sqrt(2.0 / (k + 1)), math.sqrt(k / (k + 1))) for k in range(1, n))
         object.__setattr__(self, "_steps", steps)  # (a, b) of psi_{k+1} = a u psi_k - b psi_{k-1}
 

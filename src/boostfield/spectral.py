@@ -312,13 +312,12 @@ def reconstruct(est: SpectrumEstimate, times) -> np.ndarray:
 
 
 def sample_rest_signal(spec, z: float, T: float, dt: float, pad: float = 0.0) -> SampledSignal:
-    """Sample a field spec's rest-frame psi at fixed z over t in [-T-pad, T+pad]."""
+    """A spec's rest-frame psi at fixed z and t = j dt in [-T-pad, T+pad], from the tables `reconstruct` uses."""
     if not (np.isfinite(T) and T > 0 and np.isfinite(dt) and dt > 0):
         raise ValueError("need positive T and dt")
     half = T + pad
     n = int(np.floor(half / dt))
-    times = dt * np.arange(-n, n + 1)
-    total = np.zeros(times.size, dtype=complex)
-    for comp in spec.components:
-        total += comp.profile.value(z) * np.exp(1j * comp.omega * times)
-    return SampledSignal(total, dt, float(times[0]))
+    omegas = _probes([comp.omega for comp in spec.components], half)
+    coeffs = np.array([comp.profile.value(z) for comp in spec.components], dtype=complex)
+    inner, outer = _phasors(omegas, dt * -n, dt, 2 * n + 1)
+    return SampledSignal(_synthesize(coeffs, inner, outer, slice(None))[: 2 * n + 1], dt, dt * -n)

@@ -35,7 +35,7 @@ error that names an event rebuilds it from its column of that array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Literal
 
 import numpy as np
@@ -80,14 +80,7 @@ class ResidualReport:
             raise ValueError("report needs at least one sample")
 
     def to_dict(self) -> dict:
-        return {
-            "equation_id": self.equation_id,
-            "sample_count": self.sample_count,
-            "max_abs": self.max_abs,
-            "rms": self.rms,
-            "stencil_spacing": self.stencil_spacing,
-            "metadata": self.metadata,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -103,11 +96,7 @@ class ScanResult:
             raise ValueError("need at least 3 points for a slope fit")
 
     def to_dict(self) -> dict:
-        return {
-            "points": [[b, v] for b, v in self.points],
-            "fitted_slope": self.fitted_slope,
-            "fit_range": list(self.fit_range),
-        }
+        return asdict(self)  # tuples, written as JSON lists
 
 
 def _coords(events) -> np.ndarray:
@@ -248,8 +237,10 @@ def envelope_equation_residual(
 
     where lap is the lab Laplacian and q the profile evaluated at xi.  The
     residual is evaluated multiplied through by q (the curvature term uses
-    lap q * e^{i w eta} directly), so profile nodes cost nothing.  A given
-    stencil spacing ``h`` must be positive and finite in either mode.
+    lap q * e^{i w eta} directly), so profile nodes cost nothing.  ``h`` is
+    the stencil spacing of ``derivatives="fd"``, the profile's
+    characteristic length over 100 by default; the analytic residual reads
+    none and refuses one.
     """
     comp = spec.components[k]
     g, w = spec.boost.gamma, comp.omega
@@ -257,9 +248,9 @@ def envelope_equation_residual(
         raise ValueError("mean component has no envelope equation")
     if derivatives not in ("analytic", "fd"):
         raise ValueError(f"derivatives must be 'analytic' or 'fd', got {derivatives!r}")
-    if h is not None:
-        _check_spacing(h, "stencil")
-    elif derivatives == "fd":
+    if derivatives == "analytic" and h is not None:
+        raise ValueError(f"the analytic residual reads no stencil spacing; drop h={h!r} or take derivatives='fd'")
+    if derivatives == "fd" and h is None:
         h = comp.profile.characteristic_length / 100.0
 
     def terms(X, q, qzz, ph, bun):
@@ -271,8 +262,7 @@ def envelope_equation_residual(
             lap_q = _stencils(prof_field, X, ("z",), h)["z"][1]  # transverse parts vanish
         return _envelope_terms(bun, _cmul(q, ph), _cmul(lap_q, ph), g, w)
 
-    fd_h = h if derivatives == "fd" else None
-    return _certify("envelope", spec, k, events, eps_q, terms, fd_h, derivatives=derivatives)
+    return _certify("envelope", spec, k, events, eps_q, terms, h, derivatives=derivatives)
 
 
 def schrodinger_residual(
@@ -373,11 +363,14 @@ def scalar_invariance_check(
 
     Compares (lap q - v^2 q_zz)/q evaluated with lab derivatives against
     the rest-frame Laplacian ratio lap' q' / q' at the boosted event, whose
-    z' is xi.  The two are the same number; the report shows how close to
-    round-off the implementation keeps them.
+    z' is xi, read from the profile's closed-form ``curvature_ratio``.  The
+    two are the same number, so the check fails when q'' and that closed
+    form disagree; the report shows how close to round-off they agree.
     """
-    g, v = spec.boost.gamma, spec.boost.beta
-    terms = lambda X, q, qzz, ph, bun: ((g * g * qzz - v * v * g * g * qzz) / q, -(qzz / q))
+    b, prof = spec.boost, spec.components[k].profile
+    g, v = b.gamma, b.beta
+    rest = lambda X: prof.curvature_ratio(b.apply(X[2], X[3])[0])  # at z' = xi
+    terms = lambda X, q, qzz, ph, bun: ((g * g * qzz - v * v * g * g * qzz) / q, -rest(X))
     return _certify("scalar_invariance", spec, k, events, eps_q, terms)
 
 
@@ -442,8 +435,6 @@ def derivative_slopes(
     hs = [float(h) for h in hs]
     if len(hs) < 3 or any(h2 >= h1 for h1, h2 in zip(hs, hs[1:])):
         raise ValueError("need at least 3 strictly decreasing spacings")
-    for h in hs:
-        _check_spacing(h, "stencil")
     X = _coords(events)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite closed form raises below
         q, _, ph, bundle = _closed_form(spec, k, X)

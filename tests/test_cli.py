@@ -379,12 +379,43 @@ _CSV = ["spectrum", "--csv", "missing.csv", "--omegas", "1"]
          "field --event reads no --tau, --z-min, --z-max, --n; drop them"),
         (_CSV, ["--t-max=4"], "spectrum --csv reads no --t-max; drop it"),
         (_CSV, ["--t-max=4", "--dt=9"], "spectrum --csv reads no --t-max, --dt; drop them"),
+        (_CSV, ["--z=5"], "spectrum --csv reads no --z; drop it"),
+        (_CSV, ["--spec=s.json"], "spectrum --csv reads --spec only for --omegas-from-spec; drop it"),
     ],
-    ids=["event-n", "event-grid", "csv-t-max", "csv-t-max-dt"],
+    ids=["event-n", "event-grid", "csv-t-max", "csv-t-max-dt", "csv-z", "csv-spec"],
 )
 @pytest.mark.parametrize("via", ["flags", "config"])
 def test_event_and_csv_runs_refuse_the_other_modes_flags_before_any_work(via, argv, extra, message, tmp_path, capsys):
     assert refused_before_any_output(argv, extra, via, tmp_path, capsys) == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("command,flag", [("boost", "--c"), ("limit-scan", "--hbar"), ("beta4", "--hbar")])
+@pytest.mark.parametrize("via", ["flags", "config"])
+def test_a_unit_the_mode_never_reads_is_refused(via, command, flag, tmp_path, capsys):
+    # the boost map is dimensionless, and the rest-energy term m c^2 (gamma - 1)^2 / 2 reads no hbar
+    err = refused_before_any_output(_READS_NO_SPEC[command], [f"{flag}=2"], via, tmp_path, capsys)
+    assert names_the_flag(err, flag), err
+
+
+@pytest.mark.parametrize("via", ["flags", "config"])
+def test_a_spec_holding_a_boost_c_is_refused(via, tmp_path, capsys):
+    spec = tmp_path / "old.json"
+    spec.write_text(json.dumps({"boost": {"beta": 0.4, "c": 1.0},
+                                "components": [{"omega": 1.7, "profile": {"kind": "constant", "amplitude": 1.0}}]}))
+    err = refused_before_any_output(["field", "--spec", str(spec), "--event", "0,0,0.3,0"], [], via, tmp_path, capsys)
+    assert err == f"config error: bad spec file {spec}: unknown boost keys ['c']\n"
+
+
+def test_spectrum_records_z_only_where_it_reads_it(gauss_spec, tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("t,re,im\n-0.1,1.0,0.0\n0.0,1.0,0.0\n0.1,1.0,0.0\n")
+    assert main(["spectrum", "--csv", str(path), "--omegas", "1.0", "--out", str(tmp_path / "c")]) == 0
+    synth = ["spectrum", "--spec", gauss_spec, "--t-max", "4", "--dt", "0.1", "--omegas-from-spec"]
+    assert main(synth + ["--out", str(tmp_path / "s")]) == 0
+    assert main(synth + ["--z", "0", "--out", str(tmp_path / "z")]) == 0
+    params = [json.loads((tmp_path / d / "manifest.json").read_text())["config"]["params"] for d in "csz"]
+    assert ["z" in ps for ps in params] == [False, False, True]
+    assert (tmp_path / "s" / "spectrum.csv").read_bytes() == (tmp_path / "z" / "spectrum.csv").read_bytes()
 
 
 def test_config_beside_a_command_is_refused(tmp_path, capsys):
@@ -768,7 +799,7 @@ def test_spectrum_missing_spec_file_is_config_error(tmp_path):
     path = tmp_path / "s.csv"
     path.write_text("t,re,im\n-0.1,1.0,0.0\n0.0,1.0,0.0\n0.1,1.0,0.0\n")
     proc = run_boostfield(
-        ["spectrum", "--csv", str(path), "--spec", "missing.json", "--omegas", "1.0", "--out", "o"],
+        ["spectrum", "--csv", str(path), "--spec", "missing.json", "--omegas-from-spec", "--out", "o"],
         tmp_path,
     )
     assert_config_error(proc)
@@ -871,6 +902,18 @@ def test_verify_derivatives_with_an_overflowing_closed_form_exits_2_in_one_line(
     proc = run_boostfield(["verify", "derivatives", "--spec", "big.json", "--out", "o"], tmp_path)
     assert_config_error(proc)
     assert "closed form is not finite at Event(x=" in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_spec_whose_profile_overflows_is_one_config_error(tmp_path):
+    # sigma^2 underflows to 0: q'' cannot be finite, so the spec is refused as it loads
+    profile = {"kind": "gaussian", "amplitude": 1.0, "center": 0.0, "sigma": 1e-200}
+    (tmp_path / "thin.json").write_text(json.dumps({"boost": {"beta": 0.0}, "components": [{"omega": 1.0, "profile": profile}]}))
+    proc = run_boostfield(["evolve", "kgf", "--spec", "thin.json", "--grid", "16", "--extent", "8", "--dt", "0.1",
+                           "--steps", "2", "--out", "o"], tmp_path)
+    assert_config_error(proc)
+    assert proc.stderr == ("config error: bad spec file thin.json: GaussianProfile(amplitude=(1+0j), center=0.0, "
+                           "sigma=1e-200): q, q' or q'' would overflow a float\n")
     assert not (tmp_path / "o").exists()
 
 
@@ -1089,6 +1132,32 @@ def test_evolve_wave_from_init_csv(tmp_path):
     _, rows = read_csv(out / "observables.csv")
     energies = [float(r[2]) for r in rows]
     assert max(energies) - min(energies) < 1e-3 * abs(energies[0])
+
+
+@pytest.mark.parametrize("grid", ["64.7", "32,32,32.5", "1e400", "nan"])
+@pytest.mark.parametrize("via", ["flags", "config"])
+def test_evolve_refuses_a_grid_that_is_not_integers(via, grid, tmp_path, capsys):
+    argv = ["evolve", "kgf", "--spec", "missing.json", "--grid", "64", "--extent", "8", "--dt", "0.1", "--steps", "2"]
+    err = refused_before_any_output(argv, [f"--grid={grid}"], via, tmp_path, capsys)
+    assert err == f"config error: --grid takes integers, got {grid!r}\n"
+
+
+def test_evolve_init_refuses_a_z_column_off_the_grid(gauss_spec, tmp_path, capsys):
+    run = ["--grid", "16", "--dt", "0.1", "--steps", "2", "--mass", "1"]
+    assert main(["evolve", "schrodinger", "--spec", gauss_spec, "--extent", "8", *run, "--out", str(tmp_path / "a")]) == 0
+    snap = str(tmp_path / "a" / "snap_000000.csv")
+    # the snapshot's own grid replays it: the z column is written with repr
+    assert main(["evolve", "schrodinger", "--init", snap, "--extent", "8", *run, "--out", str(tmp_path / "b")]) == 0
+    err = main_config_error(["evolve", "schrodinger", "--init", snap, "--extent", "20", *run, "--out", str(tmp_path / "c")], capsys)
+    assert err == f"config error: init csv {snap} z column is not the grid's axis j * 1.25, j < 16\n"
+    assert not (tmp_path / "c").exists()
+    header, rows = read_csv(snap)
+    for shift, rc in ((1e-10, 0), (1e-8, 2)):  # within and beyond 1e-9 of the spacing 0.5
+        moved = tmp_path / f"moved{rc}.csv"
+        lines = [",".join(header)] + [",".join([repr(float(r[0]) + shift), *r[1:]]) for r in rows]
+        moved.write_text("\n".join(lines) + "\n")
+        assert main(["evolve", "schrodinger", "--init", str(moved), "--extent", "8", *run, "--out", str(tmp_path / f"m{rc}")]) == rc
+        capsys.readouterr()
 
 
 def test_evolve_missing_init_is_config_error(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -105,11 +106,10 @@ def test_compose_with_inverse_is_identity():
     assert compose_boosts(b, b.inverse()).beta == pytest.approx(0.0, abs=1e-16)
 
 
-def test_inverse_flips_sign_keeps_c():
-    b = LorentzBoost(0.4, c=2.0)
+def test_inverse_flips_sign_keeps_gamma():
+    b = LorentzBoost(0.4)
     inv = b.inverse()
     assert inv.beta == -0.4
-    assert inv.c == 2.0
     assert inv.gamma == b.gamma
 
 
@@ -119,14 +119,13 @@ def test_superluminal_rejected(beta):
         LorentzBoost(beta)
 
 
-def test_nonpositive_c_rejected():
-    with pytest.raises(ValueError):
-        LorentzBoost(0.5, c=0.0)
-
-
-def test_compose_mismatched_c_rejected():
-    with pytest.raises(ValueError, match="unit scales"):
-        compose_boosts(LorentzBoost(0.1, c=1.0), LorentzBoost(0.1, c=2.0))
+def test_boost_takes_no_speed_of_light():
+    # the map is dimensionless: the one c is the carrier's, MassParameters.c
+    with pytest.raises(TypeError):
+        LorentzBoost(0.5, 2.0)
+    with pytest.raises(TypeError):
+        LorentzBoost(0.5, c=1.0)
+    assert [f.name for f in dataclasses.fields(LorentzBoost)] == ["beta", "gamma"]
 
 
 def test_event_rejects_non_finite():

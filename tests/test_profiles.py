@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -201,11 +202,74 @@ def test_gauss_hermite_is_finite_and_quiet_far_out():
 
 
 def test_gauss_hermite_order_whose_peak_overflows_is_refused():
-    GaussHermiteProfile(1.0, 267, 0.0, 1.0)
+    GaussHermiteProfile(0.01, 267, 0.0, 1.0)  # the last order; its q'' reaches about 500 |A| sqrt(2^n n!)
     for order in (268, 300):
         with pytest.raises(ValueError, match=f"order {order} is too high") as exc:
             GaussHermiteProfile(1.0, order, 0.0, 1.0)
         assert "\n" not in str(exc.value)
+
+
+_LOG_MAX = math.log(sys.float_info.max)
+
+
+@st.composite
+def near_the_float_edge(draw):
+    """(class, args, width, center) of a profile whose refusal bound is within a factor 8 of the float range."""
+    kind = draw(st.sampled_from(["gaussian", "gauss_hermite", "plane_wave"]))
+    center = draw(st.floats(-1.0, 1.0))
+    if kind == "plane_wave":
+        width, k = 1.0, 10.0 ** draw(st.one_of(st.floats(-3.0, 160.0), st.floats(153.8, 154.5)))
+        log_top = 2.0 * math.log(max(1.0, k))
+    else:
+        # some sigmas near 60 / sqrt(max float), where the Gaussian's (u^2 - 1) / sigma^2 reaches the edge,
+        # and near sqrt(max float), where sigma^2 does
+        log_width = st.one_of(st.floats(-156.0, 160.0), st.floats(-152.5, -152.2), st.floats(153.8, 154.5))
+        width = 10.0 ** draw(log_width)
+        log_top = 2.0 * math.log(max(1.0, 1.0 / width))
+        if kind == "gauss_hermite":
+            n = draw(st.integers(0, 267))
+            log_top += 0.5 * (n * math.log(2.0) + math.lgamma(n + 1)) + math.log(1.09 * (4 * n + 2))
+    log_modulus = _LOG_MAX - log_top + draw(st.floats(-3.0, 3.0)) * math.log(2.0)
+    phase = draw(st.floats(0.0, 2.0 * math.pi))
+    amp = math.exp(min(log_modulus, _LOG_MAX - 2.0)) * complex(math.cos(phase), math.sin(phase))
+    if kind == "plane_wave":
+        return PlaneWaveProfile, (amp, k), width, center
+    if kind == "gaussian":
+        return GaussianProfile, (amp, center, width), width, center
+    return GaussHermiteProfile, (amp, n, center, width), width, center
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_the_float_edge(), st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=4))
+def test_every_accepted_profile_is_finite_out_to_60_widths(case, us):
+    cls, args, width, center = case
+    try:
+        p = cls(*args)
+    except ValueError as exc:
+        assert "would overflow a float" in str(exc) and "\n" not in str(exc)
+        return
+    z = center + width * np.concatenate([np.linspace(-60.0, 60.0, 241), us])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (p.value, p.dz, p.dzz):
+            assert np.all(np.isfinite(f(z))), (p, f.__name__)
+            assert all(np.isfinite(f(zi)) for zi in z[-len(us):].tolist()), (p, f.__name__)
+
+
+def test_profiles_whose_derivatives_overflow_are_refused():
+    big = sys.float_info.max / 2.0
+    GaussianProfile(big, 0.0, 1.0)
+    for args in [(1.0, 0.0, 1e-200), (1.0, 0.0, 1e-153), (big, 0.0, 0.5)]:  # 1/sigma^2, 60^2/sigma^2, |A|/sigma^2
+        with pytest.raises(ValueError, match="would overflow a float"):
+            GaussianProfile(*args)
+    with pytest.raises(ValueError, match=r"^GaussHermiteProfile\(amplitude=\(0\.9\+0\.1j\), order=267, .*would overflow"):
+        GaussHermiteProfile(0.9 + 0.1j, 267, 0.1, 1.1)
+    PlaneWaveProfile(big, 1.0)
+    for args in [(1.0, 1e160), (1e-300, 1e155)]:  # |A| k^2, and k^2 alone
+        with pytest.raises(ValueError, match="would overflow a float"):
+            PlaneWaveProfile(*args)
+    with pytest.raises(ValueError, match="would overflow a float"):
+        GaussianProfile(1.0, 0.0, 1e155)  # sigma^2
 
 
 def test_is_real_rules():

@@ -150,6 +150,25 @@ def test_sample_rest_signal_matches_field():
     assert_allclose(sig.samples, truth, rtol=1e-12)
 
 
+def test_sample_rest_signal_on_a_long_record_is_the_direct_sum():
+    # 160,001 samples from the phasor tables against one exp per component and sample
+    comps = [HarmonicComponent(0.0, ConstantProfile(0.4))]
+    comps += [HarmonicComponent(w, GaussianProfile(0.8 - 0.3j, 0.1, 1.5)) for w in (1.1, 2.3, 3.2, 4.6, 5.9)]
+    spec = FieldSpec(tuple(comps), LorentzBoost(0.5))
+    sig = sample_rest_signal(spec, 0.2, 800.0, 0.01)
+    assert sig.samples.size == 160_001 and sig.t0 == 0.01 * -80_000
+    truth = sum(c.profile.value(0.2) * np.exp(1j * c.omega * sig.times) for c in comps)
+    # each side rounds its phases w t to about eps |w t|, at most 5.9 * 800 here
+    tol = 2.0 * np.finfo(float).eps * 5.9 * 800.0
+    assert np.max(np.abs(sig.samples - truth)) <= tol * np.max(np.abs(truth))
+
+
+def test_sample_rest_signal_refuses_a_phase_that_overflows():
+    spec = spec_for(ConstantProfile(1.0), 0.0, omega=1e308)
+    with pytest.raises(ValueError, match="omega 1e\\+308 overflows the phase"):
+        sample_rest_signal(spec, 0.0, 10.0, 0.1)
+
+
 def test_sample_rest_signal_pad_extends_coverage():
     spec = spec_for(ConstantProfile(1.0), 0.0, omega=2.0)
     sig = sample_rest_signal(spec, 0.0, 2.0, 0.1, pad=1.0)

@@ -110,9 +110,19 @@ def test_envelope_identity_fd_mode():
 @pytest.mark.parametrize("h", [0.0, -1.0, float("nan"), float("inf")])
 @pytest.mark.parametrize("derivatives", ["analytic", "fd"])
 def test_envelope_residual_rejects_bad_spacing(derivatives, h):
+    # the fd stencil refuses a bad spacing; the analytic residual refuses any spacing
     spec = spec_for(GaussianProfile(1.0, 0.2, 0.8), 0.6)
-    with pytest.raises(ValueError, match="spacing must be positive"):
+    match = "spacing must be positive" if derivatives == "fd" else "analytic residual reads no stencil spacing"
+    with pytest.raises(ValueError, match=match):
         envelope_equation_residual(spec, 0, sample_events(5, 1), derivatives=derivatives, h=h)
+
+
+def test_analytic_envelope_residual_refuses_a_spacing():
+    spec = spec_for(GaussianProfile(1.0, 0.2, 0.8), 0.6)
+    with pytest.raises(ValueError, match=r"^the analytic residual reads no stencil spacing; drop h=0\.01") as exc:
+        envelope_equation_residual(spec, 0, sample_events(5, 1), h=0.01)
+    assert "\n" not in str(exc.value)
+    assert envelope_equation_residual(spec, 0, sample_events(5, 1)).stencil_spacing is None
 
 
 def test_mean_component_has_no_envelope_equation():
@@ -174,6 +184,20 @@ def test_scalar_invariance(name):
     spec = spec_for(catalog_profiles()[name], 0.8)
     rep = scalar_invariance_check(spec, 0, sample_events(60, 31))
     assert rep.max_abs < 1e-13, (name, rep.max_abs)
+
+
+def test_scalar_invariance_fails_when_q2_is_not_the_closed_form(monkeypatch):
+    # a planted fault in the Gaussian's q'': u^2 - 1.1 in place of u^2 - 1
+    spec = spec_for(GaussianProfile(1.0, 0.2, 0.8), 0.6)
+    events = sample_events(100, 7)
+    assert scalar_invariance_check(spec, 0, events).max_abs < 1e-13
+
+    def faulty_dzz(self, z):
+        u = self._u(z)
+        return ((u * u - 1.1) / self.sigma**2) * self._value(u)
+
+    monkeypatch.setattr(GaussianProfile, "dzz", faulty_dzz)
+    assert scalar_invariance_check(spec, 0, events).max_abs > 0.5
 
 
 # -- Schrodinger form ---------------------------------------------------------
@@ -467,7 +491,7 @@ def _reference(spec, check, events, eps_q, mass=None, u=None, geff=None):
             terms = [psi_tt, -d2_z * carrier, bracket]
         elif check == "scalar":
             rest_z = boost_event(e, b).z
-            rest = complex(comp.profile.dzz(rest_z)) / complex(comp.profile.value(rest_z))
+            rest = complex(comp.profile.curvature_ratio(rest_z))
             terms = [(g * g * qzz - v * v * g * g * qzz) / q, -rest]
         else:  # schrodinger
             hbar, m, c = mass.hbar, mass.m, mass.c
