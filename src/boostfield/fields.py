@@ -75,6 +75,10 @@ class MassParameters:
             if not (np.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
         object.__setattr__(self, "omega", self.m * self.c / self.hbar)
+        rest, scalar = self.m * (self.c * self.c), self.omega * self.omega  # where ** would raise, * gives inf
+        for name, v in (("rest energy m c^2", rest), ("mass scalar (m c / hbar)^2", scalar)):
+            if not math.isfinite(v):
+                raise ValueError(f"{name} overflows: m={self.m!r}, hbar={self.hbar!r}, c={self.c!r}")
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,11 @@ as each mode's one multiplier is finite (for CN of modulus 1).
   run and replayed each step.  With no monitor each Fourier mode takes the
   N-th power of its 2x2 step matrix (repeated squaring) in one go.
 
+A 3-d state uniform across x and y, every (x, y) line of psi and pi equal to the (0, 0)
+line bit for bit (``_uniform``), is that line repeated.  An unmonitored run of one steps the
+line alone, in the branch its grid selects, after the grid's dt warning, Courant refusal, input
+check and potential, and broadcasts the result; ``measure_observables`` reads it as a line.
+
 ``measure_observables`` reads a 1-d line in a handful of whole-array calls, and
 a 3-d grid slab by slab along axis 0, keeping no scratch larger than a slab; both
 paths then share the energy, centroid and width arithmetic.  One kinetic sum
@@ -51,10 +56,11 @@ not as an FFT of the whole run.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Literal
 
 import numpy as np
@@ -139,7 +145,7 @@ class GridState:
             self.pi = p
 
     def copy(self) -> "GridState":
-        return replace(self, field=self.field.copy(), pi=None if self.pi is None else self.pi.copy())
+        return GridState(self.grid, self.field.copy(), None if self.pi is None else self.pi.copy(), self.t, self.step_count)
 
 
 @dataclass(frozen=True)
@@ -256,6 +262,33 @@ def _potential_on_grid(grid: Grid, potential: Callable | None) -> np.ndarray:
     return vals[(0,) * (grid.dim - 1)].copy()
 
 
+def _uniform(*arrays: np.ndarray | None) -> bool:
+    """True if every array given is 3-d and each of its (x, y) lines equals its (0, 0) line bit for bit, so
+    a -0.0 line is not a +0.0 one.  Read slab by slab, up to the first slab that differs; no scratch beyond a slab."""
+    bits = lambda a: np.ascontiguousarray(a).view(np.int64)
+    return all(a.ndim == 3 and all((bits(s) == bits(a[0, 0])).all() for s in a) for a in arrays if a is not None)
+
+
+def _working_copy(initial: GridState, cfg: SolverConfig, monitor: Callable | None, symbol: np.ndarray):
+    """``initial`` checked finite, then the state a run steps and the part of ``symbol`` it steps with: a copy of
+    ``initial``, or, unmonitored and uniform across x and y (``_uniform``), a copy of its (0, 0) z-line alone, arrays
+    and symbol shaped (1, 1, n)."""
+    _check_finite(initial)
+    if monitor is not None or cfg.steps == 0 or not _uniform(initial.field, initial.pi):
+        return initial.copy(), symbol
+    line = copy.copy(initial)  # the constructor refuses arrays of another shape than the grid's
+    line.field, line.pi = (None if a is None else a[:1, :1].copy() for a in (initial.field, initial.pi))
+    return line, symbol[:1, :1]
+
+
+def _spread(state: GridState) -> GridState:
+    """``state`` on its whole grid: a z-line from ``_working_copy`` broadcast into fresh arrays."""
+    if state.field.shape == state.grid.points:
+        return state
+    full = lambda a: None if a is None else np.broadcast_to(a, state.grid.points).copy()
+    return GridState(state.grid, full(state.field), full(state.pi), state.t, state.step_count)
+
+
 def _check_finite(state: GridState) -> None:
     # a finite sum of |f|^2 proves every element finite, and BLAS raises no floating-point
     # warnings when it overflows; scan the elements only when it is not finite
@@ -308,9 +341,7 @@ def evolve_schrodinger(
     coef = cfg.mass.hbar / (2.0 * cfg.mass.m * cfg.mass.c)
     half = 0.5j * cfg.dt
     u = cfg.potential_on(grid)
-    sym = laplacian_symbol(grid)
-    state = initial.copy()
-    _check_finite(state)
+    state, sym = _working_copy(initial, cfg, monitor, laplacian_symbol(grid))
 
     # each branch maps psi to the basis it steps in (forward), advances one step there, and
     # maps back (inverse); where H is diagonal in that basis, x is dt H / 2 per mode
@@ -347,7 +378,7 @@ def evolve_schrodinger(
         # V grows as nz^2 (32 GB at 8 x 8 x 65536).  SuperLU's panels and relaxed
         # supernodes gain nothing on such sparse lines but workspace, so 3-d goes without;
         # 1-d keeps the defaults, and so its old bits
-        axes, shape, size = tuple(range(grid.dim - 1)), grid.points, state.field.size
+        axes, shape, size = tuple(range(grid.dim - 1)), state.field.shape, state.field.size
         hz = coef * (-_periodic_lap_matrix(nz, grid.spacing[-1]) + sp.diags(u))
         H = sp.kron(sp.identity(size // nz), hz) - sp.diags(coef * np.repeat(sym[..., 0], nz))
         eye = sp.identity(size, dtype=complex, format="csr")
@@ -377,16 +408,16 @@ def evolve_schrodinger(
             _check_finite(state)  # the monitor may have written into the live state
     if spectral:
         state.field = inverse(state.field)
-    return state
+    return _spread(state)
 
 
 def _unobserved_steps_taken(state: GridState, cfg: SolverConfig) -> GridState:
-    """``state`` after cfg.steps steps taken at once: its clock advanced and its values checked."""
+    """``state`` after cfg.steps steps taken at once: its clock advanced, its values checked, a line spread."""
     for _ in range(cfg.steps):  # the loop's own sum, so t stays bit-equal
         state.t += cfg.dt
     state.step_count += cfg.steps
     _check_finite(state)
-    return state
+    return _spread(state)
 
 
 def _verlet_power(w2: np.ndarray, dt: float, n: int) -> list[np.ndarray]:
@@ -418,12 +449,11 @@ def _leapfrog(
             f"Courant violation: dt*omega_max/2 = {courant:.6g} > 1 "
             f"(dt={cfg.dt}, dx={grid.spacing}, m_s={m_s})"
         )
-    state = initial.copy()
-    _check_finite(state)
+    state, w2 = _working_copy(initial, cfg, monitor, w2)
     psi, pi = state.field, state.pi
     if monitor is None and cfg.steps > 0:  # nobody sees the steps in between: M^N per mode
         m = _verlet_power(w2, cfg.dt, cfg.steps)
-        fold = [np.minimum(np.arange(n), n - np.arange(n)) for n in grid.points]
+        fold = [np.minimum(np.arange(n), n - np.arange(n)) for n in psi.shape]
         for ax in range(grid.dim > 1, grid.dim):  # unfold all but axis 0 of a 3-d grid once
             m = [e.take(fold[ax], axis=ax) for e in m]
         psi, pi = (np.fft.fftn(f, out=f) for f in (psi, pi))
@@ -504,12 +534,18 @@ def measure_observables(state: GridState, cfg: SolverConfig) -> Observables:
     f = np.ascontiguousarray(state.field)  # a C-ordered field, as the solvers return, is read in place
     pi = np.ascontiguousarray(state.pi) if cfg.scheme == "leapfrog" else None
     # sums: sum |psi_{i+1} - psi_i|^2 per axis, wrapping at the end, then |pi|^2; marginals: |psi|^2 per axis
-    if grid.dim == 1:  # one line, in whole-array calls
+    copies = f.size // grid.points[-1]
+    if copies == 1 or _uniform(f, pi):  # one line, in whole-array calls: a 1-d grid, or a 3-d one's (0, 0) line
+        f, pi = (None if a is None else a.reshape(copies, -1)[0] for a in (f, pi))
         sq, g, (head, tail, first, last) = np.square(f.view(float)), np.empty_like(f), _shifts(0)
         np.subtract(f[head], f[tail], out=g[tail])
         np.subtract(f[first], f[last], out=g[last])
         total, marginals = float(sq.sum()), (sq[0::2] + sq[1::2],)
         sums = (np.vdot(g, g).real, 0.0 if pi is None else np.vdot(pi, pi).real)
+        if copies > 1:  # the line copied n0 n1 times, none differing from the next across x or y
+            (n0, n1, _), line = grid.points, total
+            total, marginals = copies * line, (np.full(n0, n1 * line), np.full(n1, n0 * line), copies * marginals[0])
+            sums = (0.0, 0.0, copies * sums[0], copies * sums[1])
     else:  # slab by slab along axis 0, keeping no scratch larger than a slab
         n0, n1, n2 = grid.points
         rows, m_z, sums = np.empty((n0, n1)), np.zeros(2 * n2), np.zeros(4)

@@ -495,7 +495,10 @@ def separable_potential(spec: FieldSpec, k: int) -> Callable:
     if kind == "constant":
         return lambda x, y, z: np.zeros_like(np.asarray(z, dtype=float))
     if kind == "plane_wave":
-        val = -((g * comp.profile.wavenumber) ** 2)
+        gk = g * comp.profile.wavenumber
+        if not math.isfinite(gk * gk):
+            raise ValueError(f"plane-wave potential (gamma k)^2 overflows: gamma={g!r}, k={comp.profile.wavenumber!r}")
+        val = -(gk**2)
         return lambda x, y, z: np.full_like(np.asarray(z, dtype=float), val)
     if b.beta != 0.0:
         raise ValueError(

@@ -188,6 +188,24 @@ def test_bad_config_values_are_config_errors(command, params, seed, message, tmp
     assert message in main_config_error(["--config", str(path)], capsys)
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["limit-scan", "--mass", "1", "--c", "1e200"], "rest energy m c^2 overflows"),
+        (
+            ["evolve", "kgf", "--grid", "16", "--extent", "8", "--dt", "0.1", "--steps", "2", "--mass", "1e200"],
+            "mass scalar (m c / hbar)^2 overflows",
+        ),
+    ],
+)
+def test_an_overflowing_mass_quantity_is_one_config_error(argv, message, gauss_spec, tmp_path, capsys):
+    # Python's float ** raises OverflowError where * gives inf; the mass refuses the quantity first
+    spec = ["--spec", gauss_spec] if argv[0] == "evolve" else []
+    out = tmp_path / "o"
+    assert message in main_config_error(argv + spec + ["--out", str(out)], capsys)
+    assert not out.exists()
+
+
 _SPEC_RECORD = {
     "boost": {"beta": 0.3},
     "components": [{"omega": 1.0, "profile": {"kind": "gaussian", "amplitude": 1.0, "center": 0.0, "sigma": 1.0}}],

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -247,3 +248,21 @@ def test_mass_parameters():
         MassParameters(-1.0, 1.0)
     with pytest.raises(ValueError, match="positive"):
         MassParameters(1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "m,hbar,c,quantity",
+    [
+        (1.0, 1.0, 1e200, "rest energy"),  # c^2 overflows
+        (1e-300, 1.0, 1e200, "rest energy"),  # m c^2 is finite, yet c^2 alone overflows
+        (1e300, 1.0, 1e10, "rest energy"),  # c^2 is finite, m c^2 is not
+        (1e200, 1.0, 1.0, "mass scalar"),  # (m c / hbar)^2 overflows
+        (1.0, 1e-300, 1.0, "mass scalar"),
+        (1e200, 1e-200, 1.0, "mass scalar"),  # m c / hbar itself overflows
+    ],
+)
+def test_mass_parameters_refuse_an_overflowing_quantity(m, hbar, c, quantity):
+    with pytest.raises(ValueError, match=f"{quantity} .* overflows"):
+        MassParameters(m, hbar, c)
+    edge = MassParameters(1.0, 1.0, 1e154)  # c^2 = 1e308 and the scalar stay finite
+    assert math.isfinite(edge.m * edge.c**2) and math.isfinite(edge.omega**2)

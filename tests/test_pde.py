@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1012,18 +1016,26 @@ def energy_scale(state, cfg):
 
 @pytest.mark.parametrize("scheme", ["crank_nicolson", "leapfrog"])
 def test_observation_allocates_no_full_grid_array(scheme):
+    # nor does a uniform state's observation, nor the uniformity check an unmonitored run makes first
     grid = Grid((6.0, 7.0, 5.0), (32, 32, 24))
     rng = np.random.default_rng(3)
     st_ = GridState(grid, random_field(rng, grid.points), random_field(rng, grid.points))
+    flat = uniform_state(rng, grid)
     cfg = lf_config(0.01, 1, 1.5) if scheme == "leapfrog" else cn_config(0.01, 1, lambda x, y, z: np.cos(z))
     measure_observables(st_, cfg)  # evaluates the potential on the grid, once per config
-    tracemalloc.start()
-    try:
-        measure_observables(st_, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < st_.field.nbytes / 4
+    for call, want in [
+        (lambda: measure_observables(st_, cfg), None),
+        (lambda: measure_observables(flat, cfg), None),
+        (lambda: pde._uniform(flat.field, flat.pi), True),
+        (lambda: pde._uniform(st_.field, st_.pi), False),
+    ]:
+        tracemalloc.start()
+        try:
+            got = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < st_.field.nbytes / 4 and (want is None or got is want)
 
 
 def test_potential_is_evaluated_once_per_config_and_grid():
@@ -1043,3 +1055,157 @@ def test_potential_is_evaluated_once_per_config_and_grid():
     measure_observables(GridState(g3, np.ones(g3.points)), cfg)  # another grid: evaluated anew
     assert calls == [(32,), (8, 8, 16)] and measure_observables(st_, cfg) == before
     assert np.array_equal(u, _potential_on_grid(g, pot))
+
+
+# -- states uniform across x and y: run and observed on their (0, 0) z-line ----------
+
+
+def uniform_state(rng, grid, second_order=True):
+    """A 3-d state each of whose (x, y) lines is one random z-line, for psi and for pi."""
+    line = lambda: np.broadcast_to(random_field(rng, grid.points[-1]), grid.points).copy()
+    return GridState(grid, line(), line() if second_order else None, t=0.25, step_count=3)
+
+
+def full_grid(fn, *args, **kwargs):
+    """``fn`` with every state taken as not uniform: the full-grid path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pde, "_uniform", lambda *arrays: False)
+        return fn(*args, **kwargs)
+
+
+def uniform_seen(mp) -> list:
+    """The verdicts ``_uniform`` returns from here on."""
+    seen, real = [], pde._uniform
+    mp.setattr(pde, "_uniform", lambda *arrays: seen.append(real(*arrays)) or seen[-1])
+    return seen
+
+
+def same_bits(a, b):
+    return a is b is None or (a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64)))
+
+
+def line_config(run, grid, steps, table=None):
+    """The evolve function and config of a run kind: leapfrog, or CN with a zero, constant or z-only u."""
+    if run in ("kgf", "wave"):  # at 0.9 of the Courant bound
+        m_s = 1.3 if run == "kgf" else 0.0
+        dt = 1.8 / np.sqrt(m_s - laplacian_symbol(grid).min())
+        return (evolve_kgf if run == "kgf" else evolve_wave), lf_config(dt, steps, m_s)
+    pot = (lambda x, y, z: np.broadcast_to(table, np.shape(z))) if run == "cn_z_only" else POTENTIALS[run[3:]]
+    return evolve_schrodinger, cn_config(0.5 * min(grid.spacing) ** 2, steps, potential=pot)
+
+
+@pytest.mark.parametrize("points", [(8, 8, 16), (16, 8, 32), (32, 32, 32), (64, 64, 64)])
+@pytest.mark.parametrize("run", ["kgf", "wave", "cn_zero", "cn_constant"])
+def test_a_uniform_run_is_the_full_grid_run_bit_for_bit(points, run, monkeypatch):
+    # on power-of-two grids a leapfrog or Fourier CN line run is the full-grid run's (0, 0) line
+    grid = Grid((6.0, 7.0, 8.0), points)
+    st_ = uniform_state(np.random.default_rng(sum(points)), grid)
+    evolve, cfg = line_config(run, grid, 9)
+    want = full_grid(evolve, st_, cfg)
+    seen = uniform_seen(monkeypatch)
+    got = evolve(st_, cfg)
+    assert seen == [True] and same_bits(got.field, want.field) and same_bits(got.pi, want.pi)
+    assert (got.t, got.step_count) == (want.t, want.step_count) and got.step_count == 12
+    for a in (got.field, got.pi):  # fresh, writable, C-ordered
+        assert a.flags.c_contiguous and a.flags.writeable and a.flags.owndata
+    assert not np.shares_memory(got.field, got.pi)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    points=st.tuples(*[st.integers(8, 20)] * 3),
+    extents=st.tuples(*[st.floats(0.5, 20.0)] * 3),
+    run=st.sampled_from(["kgf", "cn_zero", "cn_constant", "cn_z_only"]),
+    steps=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(points=(8, 8, 80), extents=(6.0, 7.0, 8.0), run="cn_z_only", steps=5, seed=1)  # nz > nx ny: the z-line LU
+def test_a_uniform_run_agrees_with_the_full_grid_run(points, extents, run, steps, seed):
+    # any grid size and any branch: a line's transforms and basis change round differently from the
+    # grid's, so the bound is set beforehand at 1e-12 relative
+    grid = Grid(extents, points)
+    rng = np.random.default_rng(seed)
+    st_ = uniform_state(rng, grid)
+    evolve, cfg = line_config(run, grid, steps, table=rng.uniform(-2.0, 2.0, points[-1]))
+    line = st_.field[0, 0].copy()
+    got, want = evolve(st_, cfg), full_grid(evolve, st_, cfg)
+    assert rel_l2(got.field, want.field) <= 1e-12 and rel_l2(got.pi, want.pi) <= 1e-12
+    assert (got.t, got.step_count) == (want.t, want.step_count)
+    assert np.array_equal(st_.field, np.broadcast_to(line, points))  # the input is untouched
+
+
+@pytest.mark.parametrize("where", ["field", "pi"])
+@pytest.mark.parametrize("change", ["one_cell", "negative_zero_line"])
+@pytest.mark.parametrize("run", ["kgf", "cn_z_only"])
+def test_a_state_uniform_only_as_numbers_takes_the_full_grid_path(where, change, run, monkeypatch):
+    grid = Grid((6.0, 7.0, 8.0), (8, 8, 16))
+    st_ = uniform_state(np.random.default_rng(11), grid)
+    a = getattr(st_, where)
+    if change == "one_cell":
+        a.real[5, 3, 7] = np.nextafter(a.real[5, 3, 7], np.inf)
+    else:  # +0.0 everywhere but one line of -0.0: equal as numbers, not as bits
+        a[...] = 0.0
+        a.imag[2, 6] = -0.0
+    evolve, cfg = line_config(run, grid, 6, table=np.cos(np.arange(16)))
+    seen = uniform_seen(monkeypatch)
+    got, obs = evolve(st_, cfg), measure_observables(st_, cfg)
+    on_line = where == "pi" and run != "kgf"  # CN observables read no pi: its uniform field is observed on the line
+    assert seen == [False, on_line]
+    monkeypatch.undo()
+    want = full_grid(evolve, st_, cfg)
+    assert same_bits(got.field, want.field) and same_bits(got.pi, want.pi)
+    assert on_line or obs == full_grid(measure_observables, st_, cfg)
+
+
+@pytest.mark.parametrize("points", [(8, 8, 16), (9, 11, 13), (32, 32, 24)])
+@pytest.mark.parametrize("scheme", ["crank_nicolson", "leapfrog"])
+def test_a_uniform_state_observes_as_the_slab_pass(points, scheme, monkeypatch):
+    grid = Grid((6.0, 7.0, 5.0), points)
+    st_ = uniform_state(np.random.default_rng(5), grid)
+    cfg = lf_config(0.01, 1, 1.5) if scheme == "leapfrog" else cn_config(0.01, 1, lambda x, y, z: 0.3 + np.cos(z))
+    want = full_grid(measure_observables, st_, cfg)
+    seen = uniform_seen(monkeypatch)
+    got = measure_observables(st_, cfg)
+    tol = 64 * np.finfo(float).eps  # as for the roll formula: the sums run in another order
+    assert seen == [True] and abs(got.norm - want.norm) <= tol * want.norm
+    assert abs(got.energy - want.energy) <= tol * energy_scale(st_, cfg)
+    for c, c0, w, w0, L in zip(got.centroid, want.centroid, got.width, want.width, grid.extents):
+        assert abs(c - c0) <= tol * L and abs(w - w0) <= tol * L
+    zero = GridState(grid, np.zeros(points, dtype=complex), np.zeros(points, dtype=complex))
+    assert measure_observables(zero, cfg) == Observables(0.0, 0.0, (0.0,) * 3, (0.0,) * 3) and seen[-1] is True
+
+
+def test_an_unmonitored_uniform_z_only_potential_run_leaves_scipy_unloaded():
+    # the line takes the eigenbasis branch its 3-d grid selects, never the 1-d sparse LU
+    code = (
+        "import sys, numpy as np; from boostfield import pde; "
+        "g = pde.Grid((8.0,) * 3, (16, 16, 16)); z = g.axis(2); "
+        "st = pde.GridState(g, np.broadcast_to(np.exp(-(z - 4.0) ** 2), g.points)); "
+        "mass, u = pde.MassParameters(1.0, 1.0), lambda x, y, z: np.cos(z); "
+        "cfg = pde.SolverConfig(0.02, 5, 'crank_nicolson', mass, potential=u); "
+        "seen, real = [], pde._uniform; pde._uniform = lambda *a: seen.append(real(*a)) or seen[-1]; "
+        "fin = pde.evolve_schrodinger(st, cfg); pde.measure_observables(fin, cfg); "
+        "print(seen, fin.field.shape, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(pde.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[True, True] (16, 16, 16) []\n"
+
+
+def test_a_uniform_run_warns_and_refuses_as_its_grid_does():
+    # dx = dy = 1 and dz = 0.5: the line alone would warn from dt > dz^2 = 0.25 and bound the leapfrog's
+    # dt at 2 dz = 1; the grid warns only from dt > 1 and bounds dt at 2 / sqrt(24), about 0.41
+    grid = Grid((8.0, 8.0, 8.0), (8, 8, 16))
+    st_ = uniform_state(np.random.default_rng(2), grid)
+    for dt, warned in ((0.5, 0), (1.5, 1)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            evolve_schrodinger(st_, cn_config(dt, 4, potential=POTENTIALS["z_only"]))
+        assert len(caught) == warned and all("accuracy" in str(w.message) for w in caught)
+    with pytest.raises(SolverError, match="Courant violation"):
+        evolve_kgf(st_, lf_config(0.45, 4, 0.0))
+    evolve_kgf(st_, lf_config(0.4, 4, 0.0))
+    bad = GridState(grid, np.full(grid.points, np.inf + 0j), st_.pi)
+    with pytest.raises(SolverError, match="non-finite field values at step 0"):
+        evolve_kgf(bad, lf_config(0.4, 4, 0.0))

@@ -264,6 +264,14 @@ def test_separable_potential_constant_and_plane_wave():
     assert u(0.0, 0.0, 0.4) == pytest.approx(-((g * 1.3) ** 2), rel=1e-14)
 
 
+def test_plane_wave_potential_refuses_an_overflowing_square():
+    spec = spec_for(PlaneWaveProfile(1.0, 1e150), 1.0 - 1e-15)  # gamma k ~ 2e157: (gamma k)^2 overflows
+    with pytest.raises(ValueError, match=r"\(gamma k\)\^2 overflows"):
+        separable_potential(spec, 0)
+    finite = spec_for(PlaneWaveProfile(1.0, 1e150), 0.6)
+    assert separable_potential(finite, 0)(0.0, 0.0, 0.0) == -((finite.boost.gamma * 1e150) ** 2)
+
+
 def test_separable_potential_static_profiles():
     # order-1 eigenfunction shape: the well is (u^2 - 3) / sigma^2
     spec = spec_for(GaussHermiteProfile(1.0, 1, 0.0, 1.2), 0.0)
