@@ -33,22 +33,28 @@ as each mode's one multiplier is finite (for CN of modulus 1).
   in 1-d that is the unit Courant number, where every Fourier mode advances
   with exact phase speed and a full periodic transit returns the state to
   round-off.  A monitored run steps the stencil in real space, where real
-  and imaginary parts never mix, by a plan: the step's ufunc calls, every
-  slice and view of the stencil (``_stencil``) among them, are built once per
-  run and replayed each step.  With no monitor each Fourier mode takes the
-  N-th power of its 2x2 step matrix (repeated squaring) in one go.
+  and imaginary parts never mix, by a plan: the step's ufunc calls over
+  fixed views, built once per run and replayed each step.  psi and pi live
+  in one buffer, so one sum checks both for finite values.  On a line psi
+  carries a ghost cell at each end, copied after each drift, and the stencil
+  is four calls over shifted views; in 3-d it is ``_stencil``'s blocks.
+  Multiplies by a real scalar run on float views, and a monitor's rebound
+  arrays are copied into the buffer.  With no monitor each Fourier mode takes
+  the N-th power of its 2x2 step matrix (repeated squaring) in one go.
 
 A 3-d state uniform across x and y, every (x, y) line of psi and pi equal to the (0, 0)
 line bit for bit (``_uniform``), is that line repeated.  An unmonitored run of one steps the
 line alone, in the branch its grid selects, after the grid's dt warning, Courant refusal, input
 check and potential, and broadcasts the result; ``measure_observables`` reads it as a line.
 
-``measure_observables`` reads a 1-d line in a handful of whole-array calls, and
-a 3-d grid slab by slab along axis 0, keeping no scratch larger than a slab; both
-paths then share the energy, centroid and width arithmetic.  One kinetic sum
-K = sum over axes of |psi_{i+1} - psi_i|^2 / dx^2 serves both energies: the
-leapfrog's (|pi|^2 + m_s |psi|^2 + K) / 2, and by summation by parts the CN
-<psi, H psi> = coef (K + u . m_z), m_z being |psi|^2 summed over x and y.
+``measure_observables`` reads a line, 1-d or a uniform 3-d state's, in about ten
+whole-array calls, and a 3-d grid slab by slab along axis 0, keeping no scratch
+larger than a slab; both paths then share the energy, centroid and width
+arithmetic, each width in two passes: the mean, then the spread about it.  One
+kinetic sum K = sum over axes of |psi_{i+1} - psi_i|^2 / dx^2 serves both
+energies: the leapfrog's (|pi|^2 + m_s |psi|^2 + K) / 2, and by summation by
+parts the CN <psi, H psi> = coef (K + u . m_z), m_z being |psi|^2 summed over
+x and y.
 ``measure_dispersion`` reads one Fourier mode of each state as a projection on
 that mode's phasor, built once per call (an FFT per state above 2^21 points),
 not as an FFT of the whole run.
@@ -235,8 +241,8 @@ def _stencil(f: np.ndarray, grid: Grid, out: np.ndarray) -> list[tuple]:
 
 
 def _run(calls: list[tuple]) -> None:
-    for fn, a, b, out in calls:
-        fn(a, b, out=out)
+    for fn, a, b, c in calls:  # a ufunc's two inputs and out, or np.copyto's dst, src and casting
+        fn(a, b, c)
 
 
 def periodic_laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
@@ -289,10 +295,11 @@ def _spread(state: GridState) -> GridState:
     return GridState(state.grid, full(state.field), full(state.pi), state.t, state.step_count)
 
 
-def _check_finite(state: GridState) -> None:
+def _check_finite(state: GridState, *arrays: np.ndarray) -> None:
     # a finite sum of |f|^2 proves every element finite, and BLAS raises no floating-point
-    # warnings when it overflows; scan the elements only when it is not finite
-    for f in (state.field, state.pi):
+    # warnings when it overflows; scan the elements only when it is not finite.  ``arrays``,
+    # the state's psi and pi by default, may be one buffer that holds both
+    for f in arrays or (state.field, state.pi):
         if f is not None and not math.isfinite(np.vdot(f, f).real) and not np.isfinite(f).all():
             raise SolverError(f"non-finite field values at step {state.step_count}")
 
@@ -466,25 +473,38 @@ def _leapfrog(
         psi, pi = (np.fft.ifftn(f, out=f) for f in (psi, pi))
         return _unobserved_steps_taken(state, cfg)
 
+    # psi and pi in one buffer, so one vdot checks both.  A line's psi sits between two ghost cells, copied
+    # after each drift: ext[0] takes ext[n], psi[n - 1], and ext[n + 1] takes ext[1], psi[0]
+    n, gh = psi.size, int(grid.dim == 1)  # ghost cells at each end: one on a line
+    buf = np.empty(2 * (n + gh), dtype=complex)
+    ext = buf[: n + 2 * gh]
+    psi, pi = ext[gh : n + gh].reshape(psi.shape), buf[n + 2 * gh :].reshape(psi.shape)
+    psi[...], pi[...] = state.field, state.pi
+    state.field, state.pi = psi, pi
     accel, tmp = np.empty_like(psi), np.empty_like(psi)
-
-    def plan(psi: np.ndarray, pi: np.ndarray) -> tuple[list, list]:  # force, then kick drift force kick
-        force = _stencil(psi, grid, accel) + [(np.multiply, m_s, psi, tmp), (np.subtract, accel, tmp, accel)]
-        kick = [(np.multiply, 0.5 * cfg.dt, accel, tmp), (np.add, pi, tmp, pi)]
-        return force, kick + [(np.multiply, cfg.dt, pi, tmp), (np.add, psi, tmp, psi)] + force + kick
-
-    force, step = plan(psi, pi)
+    floats = lambda a: a.view(float)  # a real scalar times each part of each element, in one call
+    if gh:  # (psi[i+1] - 2 psi) + psi[i-1], times 1 / dx^2, as _stencil rounds it, over shifted views
+        ghosts, inv = [(np.copyto, ext[:: n + 1], ext[n:0:1 - n], "no")], 1.0 / (grid.spacing[0] * grid.spacing[0])
+        lap = [(np.multiply, 2.0, floats(psi), floats(accel)), (np.subtract, ext[2:], accel, accel)]
+        lap += [(np.add, accel, ext[:-2], accel), (np.multiply, floats(accel), inv, floats(accel))]
+    else:
+        ghosts, lap = [], _stencil(psi, grid, accel)
+    # the force, then its half kick dt / 2 accel, left in tmp for this step's last kick and the next one's first
+    force = ghosts + lap + [(np.multiply, m_s, floats(psi), floats(tmp)), (np.subtract, accel, tmp, accel)]
+    force += [(np.multiply, 0.5 * cfg.dt, floats(accel), floats(tmp))]
+    kick = [(np.add, pi, tmp, pi)]
+    step = kick + [(np.multiply, cfg.dt, floats(pi), floats(tmp)), (np.add, psi, tmp, psi)] + force + kick
     _run(force)
     for _ in range(cfg.steps):
         _run(step)
         state.t += cfg.dt
         state.step_count += 1
-        _check_finite(state)
+        _check_finite(state, buf)
         monitor(state)  # only a monitored run reaches a step here
-        if state.field is not psi or state.pi is not pi:  # rebound: step the new arrays, accel as it is
-            psi, pi = state.field, state.pi
-            step = plan(psi, pi)[1]
-    _check_finite(state)  # a step checks what the monitor wrote before it; this checks the last call
+        if state.field is not psi or state.pi is not pi:  # rebound: the next step starts from the new values
+            psi[...], pi[...] = state.field, state.pi
+            state.field, state.pi = psi, pi
+    _check_finite(state, buf)  # a step checks what the monitor wrote before it; this checks the last call
     return state
 
 
@@ -533,19 +553,19 @@ def measure_observables(state: GridState, cfg: SolverConfig) -> Observables:
         raise ValueError("second-order observables need pi")
     f = np.ascontiguousarray(state.field)  # a C-ordered field, as the solvers return, is read in place
     pi = np.ascontiguousarray(state.pi) if cfg.scheme == "leapfrog" else None
-    # sums: sum |psi_{i+1} - psi_i|^2 per axis, wrapping at the end, then |pi|^2; marginals: |psi|^2 per axis
+    # kinetic: sum |psi_{i+1} - psi_i|^2 / dx^2 over each axis, wrapping at the end; marginals: |psi|^2 per axis
     copies = f.size // grid.points[-1]
     if copies == 1 or _uniform(f, pi):  # one line, in whole-array calls: a 1-d grid, or a 3-d one's (0, 0) line
-        f, pi = (None if a is None else a.reshape(copies, -1)[0] for a in (f, pi))
-        sq, g, (head, tail, first, last) = np.square(f.view(float)), np.empty_like(f), _shifts(0)
-        np.subtract(f[head], f[tail], out=g[tail])
-        np.subtract(f[first], f[last], out=g[last])
-        total, marginals = float(sq.sum()), (sq[0::2] + sq[1::2],)
-        sums = (np.vdot(g, g).real, 0.0 if pi is None else np.vdot(pi, pi).real)
+        if copies > 1:
+            f, pi = (None if a is None else a.reshape(copies, -1)[0] for a in (f, pi))
+        sq, g, wrap = np.square(f.view(float)), np.subtract(f[1:], f[:-1]), f.item(0) - f.item(-1)
+        total, marginals, dz = float(sq.sum()), (sq[0::2] + sq[1::2],), grid.spacing[-1]
+        kinetic = (np.vdot(g, g).real + wrap.real**2 + wrap.imag**2) / (dz * dz)
+        pi_sq = 0.0 if pi is None else np.vdot(pi, pi).real
         if copies > 1:  # the line copied n0 n1 times, none differing from the next across x or y
             (n0, n1, _), line = grid.points, total
             total, marginals = copies * line, (np.full(n0, n1 * line), np.full(n1, n0 * line), copies * marginals[0])
-            sums = (0.0, 0.0, copies * sums[0], copies * sums[1])
+            kinetic, pi_sq = copies * kinetic, copies * pi_sq
     else:  # slab by slab along axis 0, keeping no scratch larger than a slab
         n0, n1, n2 = grid.points
         rows, m_z, sums = np.empty((n0, n1)), np.zeros(2 * n2), np.zeros(4)
@@ -565,26 +585,21 @@ def measure_observables(state: GridState, cfg: SolverConfig) -> Observables:
             if pi is not None:
                 sums[3] += np.vdot(pi[i], pi[i]).real
         total, marginals = float(rows.sum()), (rows.sum(axis=1), rows.sum(axis=0), m_z[0::2] + m_z[1::2])
+        kinetic, pi_sq = sum(k / (dx * dx) for k, dx in zip(sums[:3], grid.spacing)), sums[3]
     dv = grid.cell_volume
-    kinetic = sum(k / (dx * dx) for k, dx in zip(sums[:-1], grid.spacing))
     if pi is None:  # <psi, H psi>: on a periodic grid <psi, -lap psi> = kinetic, and u is of z alone
         coef = cfg.mass.hbar / (2.0 * cfg.mass.m * cfg.mass.c)
         energy = coef * (kinetic + np.dot(cfg.potential_on(grid), marginals[-1])) * dv
     else:
         m_s = cfg.resolved_mass_scalar() if (cfg.mass or cfg.mass_scalar is not None) else 0.0
-        energy = 0.5 * (sums[-1] + m_s * total + kinetic) * dv
+        energy = 0.5 * (pi_sq + m_s * total + kinetic) * dv
 
-    centroid, width = [], []
-    for ax, marginal in enumerate(marginals):
-        if total == 0.0:
-            centroid.append(0.0)
-            width.append(0.0)
-            continue
-        w = marginal / marginal.sum()
-        mean = float(grid.coords[ax].dot(w))
-        var = float(((grid.coords[ax] - mean) ** 2).dot(w))
-        centroid.append(mean)
-        width.append(math.sqrt(max(var, 0.0)))
+    centroid, width = [0.0] * grid.dim, [0.0] * grid.dim
+    for ax, (x, m) in enumerate(zip(grid.coords, marginals)):
+        if total:  # two passes: the mean, then the spread about it; each marginal sums to total
+            centroid[ax] = mean = float(x.dot(m) / total)
+            r = x - mean
+            width[ax] = math.sqrt(r.dot(r * m) / total)
     return Observables(math.sqrt(total * dv), float(energy), tuple(centroid), tuple(width))
 
 
