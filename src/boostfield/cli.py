@@ -564,7 +564,7 @@ def _run_evolve(cfg: ExperimentConfig, out: _Outputs) -> int:
             lines = spec.envelope_on_axis(k, z, 0.0), None
         else:
             lines = spec.harmonic_on_axis(k, z, 0.0), spec.harmonic_dtau_on_axis(k, z, 0.0)
-        field, pi = (None if a is None else np.broadcast_to(a, grid.points).copy() for a in lines)
+        field, pi = (None if a is None else np.broadcast_to(a, grid.points) for a in lines)
 
     state = pde.GridState(grid, field, pi)
 

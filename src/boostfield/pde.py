@@ -7,6 +7,13 @@ non-finite value, checked after every step of a monitored run; an unobserved
 Fourier or eigenbasis CN run, or leapfrog run, checks only its input and result,
 as each mode's one multiplier is finite (for CN of modulus 1).
 
+A 3-d state is one z-line repeated across x and y, as every profile is a
+function of xi = gamma (z - beta tau) alone: ``GridState`` refuses any other,
+keeps the line and shows it read-only.  Every run, watched or not, steps the
+line, whose x and y differences vanish: it takes the kx = ky = 0 modes of the
+grid's symbol.  The 3-d grid still sets the dt warning, the Courant bound,
+the refusal of a potential that varies across x or y, and the CN branch.
+
 * Crank-Nicolson for the first-order-in-time equation
 
       -i hbar c psi_t + (hbar^2 / 2m) lap psi = (hbar^2 u / 2m) psi
@@ -15,13 +22,10 @@ as each mode's one multiplier is finite (for CN of modulus 1).
   The Cayley form (1 - i dt H / 2) psi+ = (1 + i dt H / 2) psi is exactly
   unitary in the discrete L2 norm, so norm drift measures round-off, not
   physics.  The potential depends on z alone, as the static potential
-  u = lap q / q of a profile q(z) does: on a 3-d grid a u that varies across
-  x or y is refused.  A constant u makes a step a Cayley multiplier in
-  Fourier space.  Any other makes H one real symmetric z-line matrix per
-  transverse Fourier mode, shifted by that mode's transverse symbol: on a 3-d
-  grid with nz <= nx ny one eigendecomposition of the line diagonalizes them
-  all, and a step is again a Cayley multiplier, in that eigenbasis; in 1-d
-  and on longer lines one prefactorized sparse LU solves them.
+  u = lap q / q of a profile q(z) does.  A constant u makes a step a Cayley
+  multiplier in Fourier space.  Any other makes H a real symmetric z-line
+  matrix: on a 3-d grid with nz <= nx ny a step is a Cayley multiplier in its
+  eigenbasis; in 1-d and on longer lines a prefactorized sparse LU solves it.
 
 * Velocity-Verlet leapfrog for the second-order equation
 
@@ -35,26 +39,18 @@ as each mode's one multiplier is finite (for CN of modulus 1).
   round-off.  A monitored run steps the stencil in real space, where real
   and imaginary parts never mix, by a plan: the step's ufunc calls over
   fixed views, built once per run and replayed each step.  psi and pi live
-  in one buffer, so one sum checks both for finite values.  On a line psi
-  carries a ghost cell at each end, copied after each drift, and the stencil
-  is four calls over shifted views; in 3-d it is ``_stencil``'s blocks.
-  Multiplies by a real scalar run on float views, and a monitor's rebound
-  arrays are copied into the buffer.  With no monitor each Fourier mode takes
-  the N-th power of its 2x2 step matrix (repeated squaring) in one go.
+  in one buffer, so one sum checks both for finite values; psi carries a
+  ghost cell at each end, copied after each drift, and the stencil is four
+  calls over shifted views.  Multiplies by a real scalar run on float views,
+  and a monitor's rebound arrays are copied into the buffer.  With no monitor
+  each Fourier mode takes the N-th power of its 2x2 step matrix (repeated
+  squaring) in one go.
 
-A 3-d state uniform across x and y, every (x, y) line of psi and pi equal to the (0, 0)
-line bit for bit (``_uniform``), is that line repeated.  An unmonitored run of one steps the
-line alone, in the branch its grid selects, after the grid's dt warning, Courant refusal, input
-check and potential, and broadcasts the result; ``measure_observables`` reads it as a line.
-
-``measure_observables`` reads a line, 1-d or a uniform 3-d state's, in about ten
-whole-array calls, and a 3-d grid slab by slab along axis 0, keeping no scratch
-larger than a slab; both paths then share the energy, centroid and width
-arithmetic, each width in two passes: the mean, then the spread about it.  One
-kinetic sum K = sum over axes of |psi_{i+1} - psi_i|^2 / dx^2 serves both
-energies: the leapfrog's (|pi|^2 + m_s |psi|^2 + K) / 2, and by summation by
-parts the CN <psi, H psi> = coef (K + u . m_z), m_z being |psi|^2 summed over
-x and y.
+``measure_observables`` reads the line in about ten whole-array calls, each
+width in two passes: the mean, then the spread about it.  One kinetic sum
+K = sum of |psi_{i+1} - psi_i|^2 / dz^2 serves both energies: the leapfrog's
+(|pi|^2 + m_s |psi|^2 + K) / 2, and by summation by parts the CN
+<psi, H psi> = coef (K + u . m_z), m_z being |psi|^2 summed over x and y.
 ``measure_dispersion`` reads one Fourier mode of each state as a projection on
 that mode's phasor, built once per call (an FFT per state above 2^21 points),
 not as an FFT of the whole run.
@@ -62,7 +58,6 @@ not as an FFT of the whole run.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 import warnings
@@ -125,13 +120,16 @@ class Grid:
     def axis(self, i: int) -> np.ndarray:
         return self.coords[i].copy()
 
-    def meshes(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.meshgrid(*self.coords, indexing="ij"))
-
 
 @dataclass
 class GridState:
-    """Field (and for second-order equations its time derivative) on a grid."""
+    """Field (and for second-order equations its time derivative) on a grid.
+
+    On a 3-d grid every (x, y) line of each array must equal the (0, 0) line bit for bit (a
+    -0.0 is not a +0.0), else ValueError naming the first that differs, in the constructor
+    and at every later assignment.  The state keeps that line and shows it as a read-only
+    view of the grid's shape, so a monitor that writes into it raises.
+    """
 
     grid: Grid
     field: np.ndarray
@@ -139,26 +137,50 @@ class GridState:
     t: float = 0.0
     step_count: int = 0
 
-    def __post_init__(self) -> None:
-        f = np.asarray(self.field, dtype=complex)
-        if f.shape != self.grid.points:
-            raise ValueError(f"field shape {f.shape} != grid {self.grid.points}")
-        self.field = f
-        if self.pi is not None:
-            p = np.asarray(self.pi, dtype=complex)
-            if p.shape != self.grid.points:
-                raise ValueError(f"pi shape {p.shape} != grid {self.grid.points}")
-            self.pi = p
+    def __setattr__(self, name: str, value) -> None:
+        if name in ("field", "pi") and (value is not None or name == "field"):
+            value = _show(self.grid, _grid_line(self.grid, np.asarray(value, dtype=complex), name))
+        object.__setattr__(self, name, value)
 
     def copy(self) -> "GridState":
-        return GridState(self.grid, self.field.copy(), None if self.pi is None else self.pi.copy(), self.t, self.step_count)
+        """A state with copies of this one's arrays, a 3-d state's line alone, which need no check anew."""
+        new, fresh = object.__new__(GridState), lambda a: None if a is None else _show(self.grid, _line(a).copy())
+        new.__dict__.update(vars(self), field=fresh(self.field), pi=fresh(self.pi))
+        return new
+
+
+def _grid_line(grid: Grid, a: np.ndarray, name: str) -> np.ndarray:
+    """The line of ``a`` (float or complex) on ``grid``: ``a`` itself in 1-d; in 3-d its (0, 0) z-line, a
+    copy unless every line is that line's memory.  ValueError unless ``a`` has the grid's shape and, in 3-d,
+    every (x, y) line equals line (0, 0) bit for bit; read slab by slab, no scratch beyond a slab."""
+    if a.shape != grid.points:
+        raise ValueError(f"{name} shape {a.shape} != grid {grid.points}")
+    if grid.dim == 1 or a.strides[:2] == (0, 0):
+        return a if grid.dim == 1 else a[0, 0]
+    bits = lambda s: np.ascontiguousarray(s).view(np.int64)
+    line = bits(a[0, 0])
+    for i, s in enumerate(a):
+        same = (bits(s) == line).all(axis=-1)
+        if not same.all():
+            raise ValueError(f"{name} is not uniform across x and y: line ({i}, {same.argmin()}) differs from (0, 0)")
+    return a[0, 0].copy()
+
+
+def _line(a: np.ndarray | None) -> np.ndarray | None:
+    """The line a state's array shows: a 1-d array itself, a 3-d view's (0, 0) z-line."""
+    return a if a is None or a.ndim == 1 else a[0, 0]
+
+
+def _show(grid: Grid, line: np.ndarray | None) -> np.ndarray | None:
+    """``line`` as a state on ``grid`` holds it: itself in 1-d, a read-only view of the grid's shape in 3-d."""
+    return line if line is None or grid.dim == 1 else np.broadcast_to(line, grid.points)
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Time step, step count and the physics of one evolution run.
 
-    ``potential``, u(x, y, z) called on coordinate arrays, must depend on z alone.
+    ``potential``, u(x, y, z) called on coordinate arrays that broadcast to the grid, must depend on z alone.
     """
 
     dt: float
@@ -206,38 +228,22 @@ def laplacian_symbol(grid: Grid, folded: bool = False) -> np.ndarray:
     return sum(np.meshgrid(*parts, indexing="ij", sparse=True))
 
 
-@functools.lru_cache(maxsize=3)
-def _shifts(ax: int) -> tuple[tuple[slice, ...], ...]:
-    """Slices i+1 and i along a periodic axis, then the wrap-around pair 0 and n-1."""
-    pre = (slice(None),) * ax
-    return pre + (slice(1, None),), pre + (slice(None, -1),), pre + (slice(0, 1),), pre + (slice(-1, None),)
+def _floats(a: np.ndarray) -> np.ndarray:
+    return a.view(float)  # a real scalar times each part of each element, in one call
 
 
-def _stencil(f: np.ndarray, grid: Grid, out: np.ndarray) -> list[tuple]:
-    # the ufunc calls (fn, a, b, out), views built once, writing (next - 2 f + previous) * (1 / dx^2), which
-    # numpy rounds as the division, summed over the axes; a 256 KB block of slabs along axis 0 at a time stays
-    # in cache (64^3, 2-vCPU Xeon: 4.6 ms; whole arrays 6.5, slabs 6.3).  A block's axis-0 neighbours are
-    # slices of f: in 1-d f[j] is a scalar, copied when the list is built, where a replay must read f anew
-    inv, n0 = [1.0 / (dx * dx) for dx in grid.spacing], len(f)
-    size = max(1, (1 << 18) * n0 // f.nbytes)
-    tmp = np.empty_like(out[:size]) if grid.dim > 1 else None
-    calls = []
-    for i0 in range(0, n0, size):
-        i1 = min(i0 + size, n0)
-        s, o = f[i0:i1], out[i0:i1]
-        for ax in range(grid.dim):
-            head, tail, first, last = _shifts(ax)
-            term = o if ax == 0 else tmp[: i1 - i0]
-            nxt, prv = (f[i1 % n0 : i1 % n0 + 1], f[i0 - 1 : i0 or None]) if ax == 0 else (s[first], s[last])
-            calls += [
-                (np.multiply, 2.0, s, term),
-                (np.subtract, s[head], term[tail], term[tail]),
-                (np.subtract, nxt, term[last], term[last]),
-                (np.add, term[head], s[tail], term[head]),
-                (np.add, term[first], prv, term[first]),
-                (np.multiply, term, inv[ax], term),
-            ] + ([(np.add, o, term, o)] if ax else [])
-    return calls
+def _stencil(ext: np.ndarray, dz: float, out: np.ndarray) -> list[tuple]:
+    """The ufunc calls (fn, a, b, out) that write the stencil of the line ext[1:-1] into ``out``: first
+    ext[0] takes ext[n], line[n - 1], and ext[n + 1] takes ext[1], line[0]; then ((line[i+1] - 2 line) +
+    line[i-1]) * (1 / dz^2) over shifted views, which numpy rounds as the division."""
+    n = out.size
+    return [
+        (np.copyto, ext[:: n + 1], ext[n:0 : 1 - n], "no"),
+        (np.multiply, 2.0, _floats(ext[1:-1]), _floats(out)),
+        (np.subtract, ext[2:], out, out),
+        (np.add, out, ext[:-2], out),
+        (np.multiply, _floats(out), 1.0 / (dz * dz), _floats(out)),
+    ]
 
 
 def _run(calls: list[tuple]) -> None:
@@ -246,8 +252,14 @@ def _run(calls: list[tuple]) -> None:
 
 
 def periodic_laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
-    _run(_stencil(f, grid, out := np.empty_like(f)))
-    return out
+    """The periodic stencil of ``f``, a fresh array of the grid's shape.  A 3-d ``f`` must be uniform
+    across x and y, as a ``GridState``'s arrays are (ValueError otherwise); its stencil is its line's."""
+    f = np.asarray(f)
+    f = np.asarray(f, dtype=np.result_type(f.dtype, float))
+    line = _grid_line(grid, f, "field")
+    ext = np.pad(line, 1, mode="wrap")  # the line between its ghost cells
+    _run(_stencil(ext, grid.spacing[-1], out := np.empty_like(line)))
+    return out if grid.dim == 1 else np.broadcast_to(out, grid.points).copy()
 
 
 def _potential_on_grid(grid: Grid, potential: Callable | None) -> np.ndarray:
@@ -257,9 +269,10 @@ def _potential_on_grid(grid: Grid, potential: Callable | None) -> np.ndarray:
         z = grid.axis(0)
         vals = potential(np.zeros_like(z), np.zeros_like(z), z)
     else:
-        vals = potential(*grid.meshes())
-    vals = np.broadcast_to(np.asarray(vals, dtype=float), grid.points)
-    if not np.all(np.isfinite(vals)):
+        vals = potential(*np.meshgrid(*grid.coords, indexing="ij", sparse=True))
+    u = np.asarray(vals, dtype=float)
+    vals = np.broadcast_to(u, grid.points)
+    if not np.all(np.isfinite(u)):
         raise ValueError("potential evaluated to non-finite values on the grid")
     spread = [np.ptp(vals, axis=ax).max() for ax in range(grid.dim - 1)]
     across = " and ".join(f"{a} by up to {s:.3g}" for a, s in zip("xy", spread) if s)
@@ -268,54 +281,13 @@ def _potential_on_grid(grid: Grid, potential: Callable | None) -> np.ndarray:
     return vals[(0,) * (grid.dim - 1)].copy()
 
 
-def _uniform(*arrays: np.ndarray | None) -> bool:
-    """True if every array given is 3-d and each of its (x, y) lines equals its (0, 0) line bit for bit, so
-    a -0.0 line is not a +0.0 one.  Read slab by slab, up to the first slab that differs; no scratch beyond a slab."""
-    bits = lambda a: np.ascontiguousarray(a).view(np.int64)
-    return all(a.ndim == 3 and all((bits(s) == bits(a[0, 0])).all() for s in a) for a in arrays if a is not None)
-
-
-def _working_copy(initial: GridState, cfg: SolverConfig, monitor: Callable | None, symbol: np.ndarray):
-    """``initial`` checked finite, then the state a run steps and the part of ``symbol`` it steps with: a copy of
-    ``initial``, or, unmonitored and uniform across x and y (``_uniform``), a copy of its (0, 0) z-line alone, arrays
-    and symbol shaped (1, 1, n)."""
-    _check_finite(initial)
-    if monitor is not None or cfg.steps == 0 or not _uniform(initial.field, initial.pi):
-        return initial.copy(), symbol
-    line = copy.copy(initial)  # the constructor refuses arrays of another shape than the grid's
-    line.field, line.pi = (None if a is None else a[:1, :1].copy() for a in (initial.field, initial.pi))
-    return line, symbol[:1, :1]
-
-
-def _spread(state: GridState) -> GridState:
-    """``state`` on its whole grid: a z-line from ``_working_copy`` broadcast into fresh arrays."""
-    if state.field.shape == state.grid.points:
-        return state
-    full = lambda a: None if a is None else np.broadcast_to(a, state.grid.points).copy()
-    return GridState(state.grid, full(state.field), full(state.pi), state.t, state.step_count)
-
-
 def _check_finite(state: GridState, *arrays: np.ndarray) -> None:
     # a finite sum of |f|^2 proves every element finite, and BLAS raises no floating-point
     # warnings when it overflows; scan the elements only when it is not finite.  ``arrays``,
-    # the state's psi and pi by default, may be one buffer that holds both
-    for f in arrays or (state.field, state.pi):
+    # the state's psi and pi lines by default, may be one buffer that holds both
+    for f in arrays or (_line(state.field), _line(state.pi)):
         if f is not None and not math.isfinite(np.vdot(f, f).real) and not np.isfinite(f).all():
             raise SolverError(f"non-finite field values at step {state.step_count}")
-
-
-def _periodic_lap_matrix(n: int, dx: float):
-    import scipy.sparse as sp
-
-    m = sp.diags([1.0, 1.0, -2.0, 1.0, 1.0], [1 - n, -1, 0, 1, n - 1], shape=(n, n), format="csr")
-    return m / (dx * dx)
-
-
-def _ffts(axes: tuple[int, ...]) -> tuple[Callable, Callable]:
-    """FFT and inverse FFT over ``axes``, in place; the identity over no axes."""
-    if not axes:
-        return (lambda f: f), (lambda f: f)
-    return (lambda f: np.fft.fftn(f, axes=axes, out=f)), (lambda f: np.fft.ifftn(f, axes=axes, out=f))
 
 
 def evolve_schrodinger(
@@ -346,85 +318,71 @@ def evolve_schrodinger(
             stacklevel=2,
         )
     coef = cfg.mass.hbar / (2.0 * cfg.mass.m * cfg.mass.c)
-    half = 0.5j * cfg.dt
     u = cfg.potential_on(grid)
-    state, sym = _working_copy(initial, cfg, monitor, laplacian_symbol(grid))
+    _check_finite(initial)
+    psi = _line(initial.field).copy()
 
     # each branch maps psi to the basis it steps in (forward), advances one step there, and
     # maps back (inverse); where H is diagonal in that basis, x is dt H / 2 per mode
-    nz, x = grid.points[-1], None
+    nz, dz, x = grid.points[-1], grid.spacing[-1], None
     if np.all(u == u[0]):
-        x, (forward, inverse) = 0.5 * cfg.dt * coef * (u[0] - sym), _ffts(tuple(range(grid.dim)))
+        sym = laplacian_symbol(grid)[(0,) * (grid.dim - 1)]  # kx = ky = 0
+        x = 0.5 * cfg.dt * coef * (u[0] - sym)
+        forward, inverse = (lambda f: np.fft.fftn(f, out=f)), (lambda f: np.fft.ifftn(f, out=f))
     elif grid.dim == 3 and nz <= grid.points[0] * grid.points[1]:
-        # in each transverse Fourier mode (kx, ky) H is one real symmetric z-line matrix Hz,
-        # shifted by -coef times the transverse symbol, so Hz = V diag(lam) V^T diagonalizes
-        # them all.  With nz <= nx ny, eigh costs no more than one basis change and V holds no
-        # more numbers than one field
-        eye, dz = np.eye(nz), grid.spacing[-1]
+        # chosen by the grid, as when each transverse mode stepped a z-line of its own, so the
+        # runs that load scipy stay the same: the line's eigenbasis, on numpy alone
+        eye = np.eye(nz)
         lap_z = (np.roll(eye, 1, axis=1) - 2.0 * eye + np.roll(eye, -1, axis=1)) / (dz * dz)
         lam, V = np.linalg.eigh(coef * (np.diag(u) - lap_z))
-        x, (fft_xy, ifft_xy) = 0.5 * cfg.dt * (lam - coef * sym[..., :1]), _ffts((0, 1))
-        psi, coeffs = state.field, np.empty_like(state.field)
-
-        def forward(f: np.ndarray) -> np.ndarray:
-            np.matmul(fft_xy(f).reshape(-1, nz), V, out=coeffs.reshape(-1, nz))
-            return coeffs
-
-        def inverse(c: np.ndarray) -> np.ndarray:
-            np.matmul(c.reshape(-1, nz), V.T, out=psi.reshape(-1, nz))
-            return ifft_xy(psi)
-
+        x, coeffs, line = 0.5 * cfg.dt * lam, np.empty_like(psi), psi
+        forward = lambda f: np.matmul(f, V, out=coeffs)
+        inverse = lambda c: np.matmul(c, V.T, out=line)
     else:
         import scipy.sparse as sp
         import scipy.sparse.linalg as spla
 
-        # 1-d, and 3-d lines longer than nx ny: the same z-lines as above, solved by one sparse
-        # LU.  A basis change costs O(nz) per point, a sparse solve O(1), so past nz ~ nx ny the
-        # eigenbasis stops paying: timed on 2 CPUs, a monitored run's two changes per step
-        # overtake the LU at nz of 1 to 4 nx ny, an unmonitored run's eigh at 4 to 8 nx ny, and
-        # V grows as nz^2 (32 GB at 8 x 8 x 65536).  SuperLU's panels and relaxed
-        # supernodes gain nothing on such sparse lines but workspace, so 3-d goes without;
-        # 1-d keeps the defaults, and so its old bits
-        axes, shape, size = tuple(range(grid.dim - 1)), state.field.shape, state.field.size
-        hz = coef * (-_periodic_lap_matrix(nz, grid.spacing[-1]) + sp.diags(u))
-        H = sp.kron(sp.identity(size // nz), hz) - sp.diags(coef * np.repeat(sym[..., 0], nz))
-        eye = sp.identity(size, dtype=complex, format="csr")
-        lu = spla.splu((eye - half * H).tocsc(), **({"panel_size": 1, "relax": 1} if axes else {}))
-        B = (eye + half * H).tocsr()
-        forward, inverse = _ffts(axes)
-        advance = lambda c: lu.solve(B @ c.ravel()).reshape(shape)
+        # 1-d, and 3-d lines longer than nx ny: one sparse LU.  The only path for long lines,
+        # where the eigenbasis's V grows as nz^2 (32 GB at 8 x 8 x 65536)
+        lap_z = sp.diags([1.0, 1.0, -2.0, 1.0, 1.0], [1 - nz, -1, 0, 1, nz - 1], shape=(nz, nz), format="csr")
+        H = coef * (-lap_z / (dz * dz) + sp.diags(u))
+        eye = sp.identity(nz, dtype=complex, format="csr")
+        lu, B = spla.splu((eye - 0.5j * cfg.dt * H).tocsc()), (eye + 0.5j * cfg.dt * H).tocsr()
+        forward = inverse = lambda f: f
+        advance = lambda c: lu.solve(B @ c)
 
-    spectral = monitor is None and cfg.steps > 0  # unobserved steps stay in the stepping basis
     if x is not None:  # N steps that nobody sees are one of tan(N arctan x): numpy's float tan is
-        x = np.tan(cfg.steps * np.arctan(x)) if spectral else x  # vectorized, its complex exp is not
+        spectral = monitor is None and cfg.steps > 0  # vectorized, its complex exp is not
+        x = np.tan(cfg.steps * np.arctan(x)) if spectral else x
         cayley = (1.0 + 1j * x) / (1.0 - 1j * x)
         advance = lambda c: np.multiply(c, cayley, out=c)
         if spectral:
-            state.field = inverse(advance(forward(state.field)))
-            return _unobserved_steps_taken(state, cfg)
-    if spectral:
-        state.field = forward(state.field)
+            return _unobserved_steps_taken(initial, cfg, inverse(advance(forward(psi))))
+    state = GridState(grid, _show(grid, psi), None, initial.t, initial.step_count)
     for _ in range(cfg.steps):
-        # a monitor sees psi after every step
-        state.field = advance(state.field) if spectral else inverse(advance(forward(state.field)))
+        psi = inverse(advance(forward(psi)))
         state.t += cfg.dt
         state.step_count += 1
-        _check_finite(state)
-        if monitor is not None:
+        _check_finite(state, psi)
+        if monitor is not None:  # a monitor sees psi after every step
+            state.field = _show(grid, psi)
+            shown = state.field
             monitor(state)
-            _check_finite(state)  # the monitor may have written into the live state
-    if spectral:
-        state.field = inverse(state.field)
-    return _spread(state)
+            if state.field is not shown:  # rebound: the next step starts from its values
+                psi[...] = _line(state.field)
+            _check_finite(state, psi)  # the monitor may have written into the live state
+    state.field = _show(grid, psi)
+    return state
 
 
-def _unobserved_steps_taken(state: GridState, cfg: SolverConfig) -> GridState:
-    """``state`` after cfg.steps steps taken at once: its clock advanced, its values checked, a line spread."""
+def _unobserved_steps_taken(initial: GridState, cfg: SolverConfig, psi: np.ndarray, pi=None) -> GridState:
+    """The state of lines psi and pi, cfg.steps steps taken at once after ``initial``, its values checked."""
+    grid, t = initial.grid, initial.t
     for _ in range(cfg.steps):  # the loop's own sum, so t stays bit-equal
-        state.t += cfg.dt
-    state.step_count += cfg.steps
+        t += cfg.dt
+    state = GridState(grid, _show(grid, psi), _show(grid, pi), t, initial.step_count + cfg.steps)
     _check_finite(state)
-    return _spread(state)
+    return state
 
 
 def _verlet_power(w2: np.ndarray, dt: float, n: int) -> list[np.ndarray]:
@@ -456,44 +414,29 @@ def _leapfrog(
             f"Courant violation: dt*omega_max/2 = {courant:.6g} > 1 "
             f"(dt={cfg.dt}, dx={grid.spacing}, m_s={m_s})"
         )
-    state, w2 = _working_copy(initial, cfg, monitor, w2)
-    psi, pi = state.field, state.pi
+    _check_finite(initial)
+    n = grid.points[-1]
     if monitor is None and cfg.steps > 0:  # nobody sees the steps in between: M^N per mode
-        m = _verlet_power(w2, cfg.dt, cfg.steps)
-        fold = [np.minimum(np.arange(n), n - np.arange(n)) for n in psi.shape]
-        for ax in range(grid.dim > 1, grid.dim):  # unfold all but axis 0 of a 3-d grid once
-            m = [e.take(fold[ax], axis=ax) for e in m]
-        psi, pi = (np.fft.fftn(f, out=f) for f in (psi, pi))
-        s1, s2 = np.empty((2,) + psi.shape[grid.dim > 1:], dtype=complex)
-        for i, j in [(..., ...)] if grid.dim == 1 else enumerate(fold[0]):  # slab by slab, in place
-            (a, b, c, d), p, q = (e[j] for e in m), psi[i], pi[i]
-            np.add(np.multiply(a, p, out=s1), np.multiply(b, q, out=s2), out=s1)  # a p + b q
-            np.add(np.multiply(d, q, out=q), np.multiply(c, p, out=s2), out=q)  # d q + c p, as c p + d q
-            p[...] = s1
-        psi, pi = (np.fft.ifftn(f, out=f) for f in (psi, pi))
-        return _unobserved_steps_taken(state, cfg)
+        fold = np.minimum(np.arange(n), n - np.arange(n))
+        a, b, c, d = (e[fold] for e in _verlet_power(w2[(0,) * (grid.dim - 1)], cfg.dt, cfg.steps))
+        p, q = (np.fft.fftn(_line(f)) for f in (initial.field, initial.pi))
+        p, q = a * p + b * q, c * p + d * q
+        return _unobserved_steps_taken(initial, cfg, np.fft.ifftn(p, out=p), np.fft.ifftn(q, out=q))
 
-    # psi and pi in one buffer, so one vdot checks both.  A line's psi sits between two ghost cells, copied
-    # after each drift: ext[0] takes ext[n], psi[n - 1], and ext[n + 1] takes ext[1], psi[0]
-    n, gh = psi.size, int(grid.dim == 1)  # ghost cells at each end: one on a line
-    buf = np.empty(2 * (n + gh), dtype=complex)
-    ext = buf[: n + 2 * gh]
-    psi, pi = ext[gh : n + gh].reshape(psi.shape), buf[n + 2 * gh :].reshape(psi.shape)
-    psi[...], pi[...] = state.field, state.pi
-    state.field, state.pi = psi, pi
+    # psi and pi in one buffer, so one vdot checks both; psi sits between its two ghost cells
+    buf = np.empty(2 * n + 2, dtype=complex)
+    ext, pi = buf[: n + 2], buf[n + 2 :]
+    psi = ext[1:-1]
+    psi[...], pi[...] = _line(initial.field), _line(initial.pi)
     accel, tmp = np.empty_like(psi), np.empty_like(psi)
-    floats = lambda a: a.view(float)  # a real scalar times each part of each element, in one call
-    if gh:  # (psi[i+1] - 2 psi) + psi[i-1], times 1 / dx^2, as _stencil rounds it, over shifted views
-        ghosts, inv = [(np.copyto, ext[:: n + 1], ext[n:0:1 - n], "no")], 1.0 / (grid.spacing[0] * grid.spacing[0])
-        lap = [(np.multiply, 2.0, floats(psi), floats(accel)), (np.subtract, ext[2:], accel, accel)]
-        lap += [(np.add, accel, ext[:-2], accel), (np.multiply, floats(accel), inv, floats(accel))]
-    else:
-        ghosts, lap = [], _stencil(psi, grid, accel)
     # the force, then its half kick dt / 2 accel, left in tmp for this step's last kick and the next one's first
-    force = ghosts + lap + [(np.multiply, m_s, floats(psi), floats(tmp)), (np.subtract, accel, tmp, accel)]
-    force += [(np.multiply, 0.5 * cfg.dt, floats(accel), floats(tmp))]
+    force = _stencil(ext, grid.spacing[-1], accel)
+    force += [(np.multiply, m_s, _floats(psi), _floats(tmp)), (np.subtract, accel, tmp, accel)]
+    force += [(np.multiply, 0.5 * cfg.dt, _floats(accel), _floats(tmp))]
     kick = [(np.add, pi, tmp, pi)]
-    step = kick + [(np.multiply, cfg.dt, floats(pi), floats(tmp)), (np.add, psi, tmp, psi)] + force + kick
+    step = kick + [(np.multiply, cfg.dt, _floats(pi), _floats(tmp)), (np.add, psi, tmp, psi)] + force + kick
+    state = GridState(grid, _show(grid, psi), _show(grid, pi), initial.t, initial.step_count)
+    shown = state.field, state.pi
     _run(force)
     for _ in range(cfg.steps):
         _run(step)
@@ -501,9 +444,10 @@ def _leapfrog(
         state.step_count += 1
         _check_finite(state, buf)
         monitor(state)  # only a monitored run reaches a step here
-        if state.field is not psi or state.pi is not pi:  # rebound: the next step starts from the new values
-            psi[...], pi[...] = state.field, state.pi
-            state.field, state.pi = psi, pi
+        if state.field is not shown[0] or state.pi is not shown[1]:  # rebound: the next step starts from its values
+            psi[...], pi[...] = _line(state.field), _line(state.pi)
+            state.field, state.pi = _show(grid, psi), _show(grid, pi)
+            shown = state.field, state.pi
     _check_finite(state, buf)  # a step checks what the monitor wrote before it; this checks the last call
     return state
 
@@ -551,41 +495,17 @@ def measure_observables(state: GridState, cfg: SolverConfig) -> Observables:
         raise ValueError("Schrodinger observables need mass parameters")
     if cfg.scheme == "leapfrog" and state.pi is None:
         raise ValueError("second-order observables need pi")
-    f = np.ascontiguousarray(state.field)  # a C-ordered field, as the solvers return, is read in place
-    pi = np.ascontiguousarray(state.pi) if cfg.scheme == "leapfrog" else None
-    # kinetic: sum |psi_{i+1} - psi_i|^2 / dx^2 over each axis, wrapping at the end; marginals: |psi|^2 per axis
-    copies = f.size // grid.points[-1]
-    if copies == 1 or _uniform(f, pi):  # one line, in whole-array calls: a 1-d grid, or a 3-d one's (0, 0) line
-        if copies > 1:
-            f, pi = (None if a is None else a.reshape(copies, -1)[0] for a in (f, pi))
-        sq, g, wrap = np.square(f.view(float)), np.subtract(f[1:], f[:-1]), f.item(0) - f.item(-1)
-        total, marginals, dz = float(sq.sum()), (sq[0::2] + sq[1::2],), grid.spacing[-1]
-        kinetic = (np.vdot(g, g).real + wrap.real**2 + wrap.imag**2) / (dz * dz)
-        pi_sq = 0.0 if pi is None else np.vdot(pi, pi).real
-        if copies > 1:  # the line copied n0 n1 times, none differing from the next across x or y
-            (n0, n1, _), line = grid.points, total
-            total, marginals = copies * line, (np.full(n0, n1 * line), np.full(n1, n0 * line), copies * marginals[0])
-            kinetic, pi_sq = copies * kinetic, copies * pi_sq
-    else:  # slab by slab along axis 0, keeping no scratch larger than a slab
-        n0, n1, n2 = grid.points
-        rows, m_z, sums = np.empty((n0, n1)), np.zeros(2 * n2), np.zeros(4)
-        sq, g = np.empty((n1, 2 * n2)), np.empty((n1, n2), dtype=complex)
-        for i, s in enumerate(f):
-            np.square(s.view(float), out=sq)  # re^2 and im^2, side by side
-            sq.sum(axis=1, out=rows[i])
-            m_z += sq.sum(axis=0)
-            for ax in range(3):  # along axis 0, against the next slab (the first after the last)
-                if ax == 0:
-                    np.subtract(f[(i + 1) % n0], s, out=g)
-                else:
-                    head, tail, first, last = _shifts(ax - 1)
-                    np.subtract(s[head], s[tail], out=g[tail])
-                    np.subtract(s[first], s[last], out=g[last])
-                sums[ax] += np.vdot(g, g).real
-            if pi is not None:
-                sums[3] += np.vdot(pi[i], pi[i]).real
-        total, marginals = float(rows.sum()), (rows.sum(axis=1), rows.sum(axis=0), m_z[0::2] + m_z[1::2])
-        kinetic, pi_sq = sum(k / (dx * dx) for k, dx in zip(sums[:3], grid.spacing)), sums[3]
+    f = np.ascontiguousarray(_line(state.field))  # a C-ordered line, as the solvers keep, is read in place
+    pi = np.ascontiguousarray(_line(state.pi)) if cfg.scheme == "leapfrog" else None
+    # kinetic: sum |psi_{i+1} - psi_i|^2 / dz^2 along the line, wrapping at the end; marginals: |psi|^2 per axis
+    sq, g, wrap = np.square(f.view(float)), np.subtract(f[1:], f[:-1]), f.item(0) - f.item(-1)
+    total, marginals, dz = float(sq.sum()), (sq[0::2] + sq[1::2],), grid.spacing[-1]
+    kinetic = (np.vdot(g, g).real + wrap.real**2 + wrap.imag**2) / (dz * dz)
+    pi_sq = 0.0 if pi is None else np.vdot(pi, pi).real
+    if grid.dim == 3:  # the line repeated across the box, whose x and y differences are exactly 0
+        (n0, n1, _), line = grid.points, total
+        total, marginals = n0 * n1 * line, (np.full(n0, n1 * line), np.full(n1, n0 * line), n0 * n1 * marginals[0])
+        kinetic, pi_sq = n0 * n1 * kinetic, n0 * n1 * pi_sq
     dv = grid.cell_volume
     if pi is None:  # <psi, H psi>: on a periodic grid <psi, -lap psi> = kinetic, and u is of z alone
         coef = cfg.mass.hbar / (2.0 * cfg.mass.m * cfg.mass.c)

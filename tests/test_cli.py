@@ -1447,6 +1447,19 @@ def test_evolve_3d_binary_snapshot(gauss_spec, tmp_path):
     assert norm == pytest.approx(float(rows[-1][1]), rel=1e-12)
 
 
+@pytest.mark.parametrize("equation", ["kgf", "wave", "schrodinger"])
+def test_a_3d_run_writes_its_z_line_run_broadcast(equation, gauss_spec, tmp_path):
+    # a 3-d state is its z-line: on a power-of-two grid each 3-d snapshot is the --grid nz run's, bit for bit
+    run = ["evolve", equation, "--spec", gauss_spec, "--extent", "8", "--dt", "0.01", "--steps", "6"]
+    for grid in ("8,16,32", "32"):
+        assert main([*run, "--grid", grid, "--snap-every", "3", "--out", str(tmp_path / grid)]) == 0
+    for step in (0, 3, 6):
+        _, rows = read_csv(tmp_path / "32" / f"snap_{step:06d}.csv")
+        line = np.array([[float(re), float(im)] for _, re, im in rows])
+        box = np.frombuffer((tmp_path / "8,16,32" / f"snap_{step:06d}.bin").read_bytes(), dtype="<f8")
+        assert np.array_equal(box.view(np.int64), np.broadcast_to(line, (8, 16, 32, 2)).ravel().view(np.int64))
+
+
 def test_evolve_courant_violation_exits_one(const_spec, tmp_path, capsys):
     out = tmp_path / "run"
     rc = main(
