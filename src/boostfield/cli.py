@@ -24,6 +24,10 @@ bytes it parsed, seed, tolerances and library versions.  The manifest is
 the only file that carries a timestamp, so reruns with the same seed are
 byte-identical everywhere else.
 
+Every ``evolve`` snapshot is one ``snap_NNNNNN.npz`` of the state's z-line:
+``z``, ``psi``, ``pi`` for ``kgf`` and ``wave``, ``t`` and ``step``.  ``evolve
+--init`` reads exactly that file, on a 1-d or 3-d grid with its z axis.
+
 A call loads only what its command runs.  At import this module loads
 kinematics and no numeric module; each command imports its modules when it
 runs, so ``--help``, a flag error, a config that its parser refuses and
@@ -355,29 +359,23 @@ def _run_field(cfg: ExperimentConfig, out: _Outputs) -> int:
     return 0
 
 
-def _read_csv_columns(out: _Outputs, path: str, what: str, names: tuple[str, ...]) -> np.ndarray:
-    """The named columns of a csv input with a header row, one float array per name."""
-    import numpy as np
-
-    data = out.read_input(path, f"{what} csv")
-    try:
-        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh, warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # the caller reports a file without rows
-            header = [name.strip() for name in fh.readline().split(",")]
-            if not set(names) <= set(header):
-                raise ConfigError(f"{what} csv needs columns {', '.join(names)}")
-            cols = [header.index(name) for name in names]
-            return np.loadtxt(fh, delimiter=",", usecols=cols, ndmin=2).T
-    except ValueError as exc:  # not UTF-8, a ragged row, a bad number
-        raise ConfigError(f"cannot read {what} csv {path}: {exc}") from None
-
-
 def _read_signal_csv(out: _Outputs, path: str) -> SampledSignal:
+    """The t, re and im columns, read by name, of a signal csv with a header row."""
     import numpy as np
 
     from .spectral import SampledSignal
 
-    t, re, im = _read_csv_columns(out, path, "signal", ("t", "re", "im"))
+    data = out.read_input(path, "signal csv")
+    names = ("t", "re", "im")
+    try:
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a file without rows is refused below
+            header = [name.strip() for name in fh.readline().split(",")]
+            if not set(names) <= set(header):
+                raise ConfigError(f"signal csv needs columns {', '.join(names)}")
+            t, re, im = np.loadtxt(fh, delimiter=",", usecols=[header.index(n) for n in names], ndmin=2).T
+    except ValueError as exc:  # not UTF-8, a ragged row, a bad number
+        raise ConfigError(f"cannot read signal csv {path}: {exc}") from None
     if t.size < 2:
         raise ConfigError("signal csv needs at least 2 rows")
     dts = np.diff(t)
@@ -501,30 +499,22 @@ def _run_verify(cfg: ExperimentConfig, out: _Outputs) -> int:
     return 0
 
 
-def _write_snapshot(out: _Outputs, state: GridState, index: int) -> None:
+def _write_snapshot(out: _Outputs, state: GridState) -> None:
+    """snap_NNNNNN.npz of the state's z-line: arrays z, psi, pi where the state has one, t and step."""
     import numpy as np
 
-    base = f"snap_{index:06d}"
-    if state.grid.dim == 1:
-        out.write_csv(f"{base}.csv", ["z", "re", "im"], [state.grid.axis(0), state.field.real, state.field.imag])
-        return
-    data = np.empty(state.field.shape + (2,), dtype="<f8")
-    data[..., 0] = state.field.real
-    data[..., 1] = state.field.imag
-    out.write_bytes(f"{base}.bin", data.tobytes(order="C"))
-    out.write_json(
-        f"{base}.json",
-        {
-            "shape": list(state.field.shape),
-            "dtype": "<f8",
-            "layout": "C-order, innermost axis interleaves re,im",
-            "t": state.t,
-            "step": state.step_count,
-        },
-    )
+    from .pde import _line
+
+    arrays = {"z": state.grid.coords[-1], "psi": _line(state.field), "pi": _line(state.pi), "t": state.t,
+              "step": state.step_count}
+    buf = io.BytesIO()
+    np.savez(buf, **{k: v for k, v in arrays.items() if v is not None})  # each entry dated 1980: bytes repeat
+    out.write_bytes(f"snap_{state.step_count:06d}.npz", buf.getvalue())
 
 
 def _run_evolve(cfg: ExperimentConfig, out: _Outputs) -> int:
+    import zipfile
+
     import numpy as np
 
     from . import pde
@@ -539,34 +529,38 @@ def _run_evolve(cfg: ExperimentConfig, out: _Outputs) -> int:
         ext = ext * len(pts)
     grid = pde.Grid(ext, pts)
 
-    second_order = equation in ("kgf", "wave")
     spec = None
     if "init" in p:
         _refuse_unread(p, "evolve --init", ("component",))
-        if grid.dim != 1:
-            raise ConfigError("--init supports 1-d csv snapshots with a z column")
-        names = ("z", "re", "im") + (("pi_re", "pi_im") if second_order else ())
-        cols = _read_csv_columns(out, p["init"], "init", names)
-        if cols[0].size != grid.points[0]:
-            raise ConfigError("init snapshot size does not match grid")
-        if not np.all(np.isfinite(cols)):
-            raise ConfigError(f"init csv {p['init']} holds non-finite values")
-        dz = grid.spacing[0]
-        if np.max(np.abs(cols[0] - grid.coords[0])) > 1e-9 * dz:
-            raise ConfigError(f"init csv {p['init']} z column is not the grid's axis j * {dz!r}, j < {grid.points[0]}")
-        field = cols[1] + 1j * cols[2]
-        pi = cols[3] + 1j * cols[4] if second_order else None
+        path = p["init"]
+        names = ("z", "psi") if equation == "schrodinger" else ("z", "psi", "pi")
+        try:
+            snap = np.load(io.BytesIO(out.read_input(path, "init snapshot")), allow_pickle=False)
+            if not isinstance(snap, np.lib.npyio.NpzFile):  # a .npy
+                raise ValueError
+            missing = [name for name in names if name not in snap]
+            if missing:
+                raise ConfigError(f"init snapshot {path} holds no {', '.join(missing)}")
+            z, *lines = (snap[name] for name in names)  # ValueError for an object array
+        except (OSError, ValueError, EOFError, zipfile.BadZipFile):  # numpy takes what is neither for a pickle
+            raise ConfigError(f"init {path} is not an evolve .npz snapshot") from None
+        nz, dz = grid.points[-1], grid.spacing[-1]
+        for name, a in zip(names, [z, *lines]):
+            if a.shape != (nz,) or a.dtype.kind not in "fc":
+                raise ConfigError(f"init snapshot {path} {name} is {a.dtype} of shape {a.shape}, not {nz} numbers")
+            if not np.isfinite(a).all():
+                raise ConfigError(f"init snapshot {path} holds non-finite values")
+        if np.max(np.abs(z - grid.coords[-1])) > 1e-9 * dz:
+            raise ConfigError(f"init snapshot {path} z is not the grid's z axis j * {dz!r}, j < {nz}")
     else:
         spec = _load_spec_arg(cfg, out)
         k = _component(spec, p)
         z = grid.axis(grid.dim - 1)
         if equation == "schrodinger":
-            lines = spec.envelope_on_axis(k, z, 0.0), None
+            lines = (spec.envelope_on_axis(k, z, 0.0),)
         else:
             lines = spec.harmonic_on_axis(k, z, 0.0), spec.harmonic_dtau_on_axis(k, z, 0.0)
-        field, pi = (None if a is None else np.broadcast_to(a, grid.points) for a in lines)
-
-    state = pde.GridState(grid, field, pi)
+    state = pde.GridState(grid, *(np.broadcast_to(a, grid.points) for a in lines))  # psi, and pi if second order
 
     # the parser gives --mass-scalar to kgf alone and --potential-from-spec to schrodinger alone
     mass_scalar = 0.0 if equation == "wave" else p.get("mass_scalar")
@@ -606,8 +600,8 @@ def _run_evolve(cfg: ExperimentConfig, out: _Outputs) -> int:
 
     def record(st: GridState) -> None:
         obs = pde.measure_observables(st, sc)  # resolves the potential, so its refusal comes before any write
-        if st.step_count == 0 or snap_every and st.step_count % snap_every == 0:
-            _write_snapshot(out, st, st.step_count)
+        if st.step_count in (0, sc.steps) or snap_every and st.step_count % snap_every == 0:
+            _write_snapshot(out, st)
         obs_rows.append(
             (st.t, obs.norm, obs.energy)
             + obs.centroid
@@ -619,12 +613,11 @@ def _run_evolve(cfg: ExperimentConfig, out: _Outputs) -> int:
 
     record(state)
 
-    final = getattr(pde, f"evolve_{equation}")(state, sc, monitor=record)
+    getattr(pde, f"evolve_{equation}")(state, sc, monitor=record)
 
     axes = ["z"] if grid.dim == 1 else ["x", "y", "z"]
     header = ["t", "norm", "energy"] + [f"centroid_{a}" for a in axes] + [f"width_{a}" for a in axes]
     out.write_csv("observables.csv", header, zip(*obs_rows))
-    _write_snapshot(out, final, final.step_count)
 
     if modes:
         rows = []
@@ -769,7 +762,7 @@ def _build_parser() -> _ConfigParser:
         sp = mode(equations, name)
         start = sp.add_mutually_exclusive_group(required=True)
         start.add_argument("--spec", help="field spec JSON")
-        start.add_argument("--init", help="1-d csv snapshot (z,re,im[,pi_re,pi_im])")
+        start.add_argument("--init", help="an evolve snap_NNNNNN.npz whose z is the grid's z axis")
         sp.add_argument("--component", type=int)
         sp.add_argument("--grid", required=True, help="points per axis, e.g. 512 or 32,32,32")
         sp.add_argument("--extent", required=True, help="domain length per axis")

@@ -2,7 +2,7 @@
 
 Two integrators, second order in space and time, on uniform periodic grids
 in 1 or 3 dimensions.  The periodic second-order stencil is diagonal in
-Fourier space; one symbol, ``laplacian_symbol``, serves both.  Both abort on a
+Fourier space; one symbol, the sum of each axis's, serves both.  Both abort on a
 non-finite value, checked after every step of a monitored run; an unobserved
 Fourier or eigenbasis CN run, or leapfrog run, checks only its input and result,
 as each mode's one multiplier is finite (for CN of modulus 1).
@@ -219,13 +219,11 @@ class SolverConfig:
         return self._potential_memo[1]
 
 
-def laplacian_symbol(grid: Grid, folded: bool = False) -> np.ndarray:
-    """Eigenvalues -sum_i (4 / dx_i^2) sin^2(k_i dx_i / 2) of the stencil, in fftn order."""
-    parts = [  # indices j and n - j agree bit for bit, so ``folded`` keeps the first n // 2 + 1
-        -4.0 / dx**2 * np.sin(np.pi * np.fft.fftfreq(n)[: n // 2 + 1 if folded else n]) ** 2
-        for n, dx in zip(grid.points, grid.spacing)
-    ]
-    return sum(np.meshgrid(*parts, indexing="ij", sparse=True))
+def _axis_symbol(n: int, dx: float) -> np.ndarray:
+    """Eigenvalues -(4 / dx^2) sin^2(pi j / n) of one axis's stencil, in fft order; j and n - j agree bit
+    for bit.  The grid's symbol is the sum over its axes, so its kx = ky = 0 line is the z axis's, the
+    zero at j = 0 a +0.0 as in a sum started from 0."""
+    return 0.0 + -4.0 / dx**2 * np.sin(np.pi * np.fft.fftfreq(n)) ** 2
 
 
 def _floats(a: np.ndarray) -> np.ndarray:
@@ -326,8 +324,7 @@ def evolve_schrodinger(
     # maps back (inverse); where H is diagonal in that basis, x is dt H / 2 per mode
     nz, dz, x = grid.points[-1], grid.spacing[-1], None
     if np.all(u == u[0]):
-        sym = laplacian_symbol(grid)[(0,) * (grid.dim - 1)]  # kx = ky = 0
-        x = 0.5 * cfg.dt * coef * (u[0] - sym)
+        x = 0.5 * cfg.dt * coef * (u[0] - _axis_symbol(nz, dz))  # kx = ky = 0
         forward, inverse = (lambda f: np.fft.fftn(f, out=f)), (lambda f: np.fft.ifftn(f, out=f))
     elif grid.dim == 3 and nz <= grid.points[0] * grid.points[1]:
         # chosen by the grid, as when each transverse mode stepped a z-line of its own, so the
@@ -407,8 +404,10 @@ def _leapfrog(
     grid = initial.grid
     if initial.pi is None:
         raise ValueError("second-order evolution needs an initial pi = psi_t")
-    w2 = m_s - laplacian_symbol(grid, folded=True)  # each mode's squared frequency
-    courant = 0.5 * cfg.dt * np.sqrt(w2.max())  # velocity Verlet
+    syms = [_axis_symbol(n, dx) for n, dx in zip(grid.points, grid.spacing)]
+    # the largest squared frequency m_s - symbol: rounding is monotone, so the sum of the axes' minima
+    # is the grid symbol's minimum bit for bit
+    courant = 0.5 * cfg.dt * np.sqrt(m_s - sum(s.min() for s in syms))  # velocity Verlet
     if courant > 1.0 + 1e-12:
         raise SolverError(
             f"Courant violation: dt*omega_max/2 = {courant:.6g} > 1 "
@@ -417,8 +416,8 @@ def _leapfrog(
     _check_finite(initial)
     n = grid.points[-1]
     if monitor is None and cfg.steps > 0:  # nobody sees the steps in between: M^N per mode
-        fold = np.minimum(np.arange(n), n - np.arange(n))
-        a, b, c, d = (e[fold] for e in _verlet_power(w2[(0,) * (grid.dim - 1)], cfg.dt, cfg.steps))
+        fold = np.minimum(np.arange(n), n - np.arange(n))  # modes j and n - j share their frequency
+        a, b, c, d = (e[fold] for e in _verlet_power(m_s - syms[-1][: n // 2 + 1], cfg.dt, cfg.steps))
         p, q = (np.fft.fftn(_line(f)) for f in (initial.field, initial.pi))
         p, q = a * p + b * q, c * p + d * q
         return _unobserved_steps_taken(initial, cfg, np.fft.ifftn(p, out=p), np.fft.ifftn(q, out=q))

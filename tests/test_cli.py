@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ from boostfield import (
     sample_events,
     save_spec,
 )
-from boostfield import cli, verify
+from boostfield import cli, pde, verify
 from boostfield.cli import (
     ConfigError,
     ExperimentConfig,
@@ -97,6 +98,16 @@ def assert_config_error(proc):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("config error:")
     assert len(proc.stderr.splitlines()) == 1
+
+
+def write_snapshot(path, z, psi, pi=None):
+    """An evolve snapshot at ``path``: arrays z, psi and, where given, pi, at t = 0 and step 0."""
+    np.savez(path, **{k: v for k, v in dict(z=z, psi=psi, pi=pi, t=0.0, step=0).items() if v is not None})
+
+
+def load_snapshot(path) -> dict:
+    with np.load(path, allow_pickle=False) as snap:
+        return {name: snap[name] for name in snap.files}
 
 
 def recorder_into(d) -> _Outputs:
@@ -272,10 +283,10 @@ def test_manifest_digests_the_spec_bytes_the_run_parsed(gauss_spec, tmp_path, mo
 
 
 def test_manifest_digests_every_input_file(gauss_spec, tmp_path):
-    signal, init = tmp_path / "signal.csv", tmp_path / "init.csv"
+    signal, init = tmp_path / "signal.csv", tmp_path / "init.npz"
     t = np.arange(-2.0, 2.0 + 1e-12, 0.05)
     recorder_into(tmp_path).write_csv("signal.csv", ["t", "re", "im"], [t, np.cos(1.7 * t), np.sin(1.7 * t)])
-    recorder_into(tmp_path).write_csv("init.csv", ["z", "re", "im"], [0.5 * np.arange(16), np.ones(16), np.zeros(16)])
+    write_snapshot(init, 0.5 * np.arange(16), np.ones(16, dtype=complex))
     runs = {
         "s": ["spectrum", "--csv", str(signal), "--spec", gauss_spec, "--omegas-from-spec"],
         "e": ["evolve", "schrodinger", "--init", str(init), "--mass", "1", "--grid", "16", "--extent", "8",
@@ -284,7 +295,7 @@ def test_manifest_digests_every_input_file(gauss_spec, tmp_path):
     for name, argv in runs.items():
         assert main(argv + ["--out", str(tmp_path / name)]) == 0
         manifest = json.loads((tmp_path / name / "manifest.json").read_text())
-        files = [a for a in argv if a.endswith((".csv", ".json"))]
+        files = [a for a in argv if a.endswith((".csv", ".json", ".npz"))]
         assert manifest["inputs"] == {f: hashlib.sha256(Path(f).read_bytes()).hexdigest() for f in files}
 
 
@@ -361,7 +372,7 @@ _READS_NO_SPEC = {
     "boost": ["boost", "--beta", "0.5", "--event", "0,0,1,0"],
     "limit-scan": ["limit-scan", "--mass", "1"],
     "beta4": ["verify", "beta4", "--mass", "1"],
-    "evolve-init": ["evolve", "schrodinger", "--init", "init.csv", "--grid", "64", "--extent", "16",
+    "evolve-init": ["evolve", "schrodinger", "--init", "init.npz", "--grid", "64", "--extent", "16",
                     "--dt", "0.01", "--steps", "3", "--mass", "1"],
 }
 
@@ -1075,7 +1086,7 @@ def test_evolve_schrodinger_1d(gauss_spec, tmp_path):
          "--out", str(out)]
     )
     assert rc == 0
-    for name in ("snap_000000.csv", "snap_000010.csv", "snap_000020.csv", "observables.csv"):
+    for name in ("snap_000000.npz", "snap_000010.npz", "snap_000020.npz", "observables.csv"):
         assert (out / name).exists()
     header, rows = read_csv(out / "observables.csv")
     assert header == ["t", "norm", "energy", "centroid_z", "width_z"]
@@ -1129,18 +1140,14 @@ def test_3d_potential_run_leaves_scipy_unloaded(tmp_path):
     assert proc.stdout.split("\n")[:2] == ["0 []", "0"]
 
 
-def test_evolve_wave_from_init_csv(tmp_path):
+def test_evolve_wave_from_init_snapshot(tmp_path):
     n, L = 64, 16.0
     z = np.arange(n) * (L / n)
     s = 0.8
     f = np.exp(-((z - 8.0) ** 2) / (2 * s * s))
     fp = -(z - 8.0) / (s * s) * f
-    init = tmp_path / "init.csv"
-    with open(init, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["z", "re", "im", "pi_re", "pi_im"])
-        for row in zip(z, f, np.zeros(n), -fp, np.zeros(n)):
-            w.writerow([repr(float(v)) for v in row])
+    init = tmp_path / "init.npz"
+    write_snapshot(init, z, f + 0j, -fp + 0j)
     out = tmp_path / "run"
     rc = main(
         ["evolve", "wave", "--init", str(init), "--grid", "64", "--extent", "16",
@@ -1161,51 +1168,72 @@ def test_evolve_refuses_a_grid_that_is_not_integers(via, grid, tmp_path, capsys)
 
 
 def test_evolve_init_refuses_a_z_column_off_the_grid(gauss_spec, tmp_path, capsys):
-    run = ["--grid", "16", "--dt", "0.1", "--steps", "2", "--mass", "1"]
-    assert main(["evolve", "schrodinger", "--spec", gauss_spec, "--extent", "8", *run, "--out", str(tmp_path / "a")]) == 0
-    snap = str(tmp_path / "a" / "snap_000000.csv")
-    # the snapshot's own grid replays it: the z column is written with repr
-    assert main(["evolve", "schrodinger", "--init", snap, "--extent", "8", *run, "--out", str(tmp_path / "b")]) == 0
-    err = main_config_error(["evolve", "schrodinger", "--init", snap, "--extent", "20", *run, "--out", str(tmp_path / "c")], capsys)
-    assert err == f"config error: init csv {snap} z column is not the grid's axis j * 1.25, j < 16\n"
+    run = ["--dt", "0.1", "--steps", "2", "--mass", "1"]
+    assert main(["evolve", "schrodinger", "--spec", gauss_spec, "--grid", "16", "--extent", "8", *run,
+                 "--out", str(tmp_path / "a")]) == 0
+    snap = str(tmp_path / "a" / "snap_000000.npz")
+    # the snapshot replays on its own grid and on any grid whose z axis it lies on
+    for grid in ("16", "8,9,16"):
+        assert main(["evolve", "schrodinger", "--init", snap, "--grid", grid, "--extent", "8", *run,
+                     "--out", str(tmp_path / grid)]) == 0
+    err = main_config_error(["evolve", "schrodinger", "--init", snap, "--grid", "16", "--extent", "20", *run,
+                             "--out", str(tmp_path / "c")], capsys)
+    assert err == f"config error: init snapshot {snap} z is not the grid's z axis j * 1.25, j < 16\n"
     assert not (tmp_path / "c").exists()
-    header, rows = read_csv(snap)
-    for shift, rc in ((1e-10, 0), (1e-8, 2)):  # within and beyond 1e-9 of the spacing 0.5
-        moved = tmp_path / f"moved{rc}.csv"
-        lines = [",".join(header)] + [",".join([repr(float(r[0]) + shift), *r[1:]]) for r in rows]
-        moved.write_text("\n".join(lines) + "\n")
-        assert main(["evolve", "schrodinger", "--init", str(moved), "--extent", "8", *run, "--out", str(tmp_path / f"m{rc}")]) == rc
-        capsys.readouterr()
 
 
 def test_evolve_missing_init_is_config_error(tmp_path):
     proc = run_boostfield(
-        ["evolve", "kgf", "--init", "missing.csv", "--grid", "16", "--extent", "8",
+        ["evolve", "kgf", "--init", "missing.npz", "--grid", "16", "--extent", "8",
          "--dt", "0.1", "--steps", "2", "--out", "o"],
         tmp_path,
     )
     assert_config_error(proc)
-    assert "missing.csv" in proc.stderr
+    assert "missing.npz" in proc.stderr
 
 
-@pytest.mark.parametrize("row", ["1.0,0.5", "1.0,abc,0.0", "1.0,nan,0.0"])
-def test_evolve_ragged_or_non_numeric_init_is_config_error(tmp_path, row):
-    lines = ["z,re,im"] + [f"{0.5 * i!r},1.0,0.0" for i in range(16)]
-    lines[3] = row
-    (tmp_path / "init.csv").write_text("\n".join(lines) + "\n")
-    proc = run_boostfield(
-        ["evolve", "schrodinger", "--init", "init.csv", "--mass", "1", "--grid", "16", "--extent", "8",
-         "--dt", "0.1", "--steps", "2", "--out", "o"],
-        tmp_path,
-    )
-    assert_config_error(proc)
-    assert "init.csv" in proc.stderr
+def _init_line(n=16):
+    return np.exp(-((0.5 * np.arange(n) - 4.0) ** 2)) + 0.5j
+
+
+# named init files on a 16-point grid of spacing 0.5, each with the refusal it meets; None is accepted
+_INITS = {
+    "csv-of-0.5.0": (lambda p: p.write_text("z,re,im\n" + "".join(f"{0.5 * i!r},1.0,0.0\n" for i in range(16))),
+                     "is not an evolve .npz snapshot"),
+    "npy": (lambda p: np.save(p, _init_line()), "is not an evolve .npz snapshot"),
+    "object-array": (lambda p: write_snapshot(p, 0.5 * np.arange(16), _init_line().astype(object), _init_line()),
+                     "is not an evolve .npz snapshot"),
+    "no-pi": (lambda p: write_snapshot(p, 0.5 * np.arange(16), _init_line()), "holds no pi"),
+    "wrong-length": (lambda p: write_snapshot(p, 0.5 * np.arange(15), _init_line(15), _init_line(15)),
+                     "z is float64 of shape (15,), not 16 numbers"),
+    "z-off-by-1e-10": (lambda p: write_snapshot(p, 0.5 * np.arange(16) + 1e-10, _init_line(), _init_line()), None),
+    "z-off-by-1e-8": (lambda p: write_snapshot(p, 0.5 * np.arange(16) + 1e-8, _init_line(), _init_line()),
+                      "z is not the grid's z axis j * 0.5, j < 16"),
+    "non-finite": (lambda p: write_snapshot(p, 0.5 * np.arange(16), _init_line(), np.where(np.arange(16) == 5, np.nan, _init_line())),
+                   "holds non-finite values"),
+    "missing": (lambda p: None, "init snapshot not found"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INITS))
+@pytest.mark.parametrize("via", ["flags", "config"])
+def test_an_init_that_is_not_an_evolve_snapshot_of_the_grid_is_refused(via, case, tmp_path, capsys):
+    # within 1e-9 of the spacing, z is the grid's axis; beyond it, or a file evolve did not write, is exit 2
+    write, message = _INITS[case]
+    init = tmp_path / ("init.csv" if case.startswith("csv") else "init.npy" if case == "npy" else "init.npz")
+    write(init)
+    argv = ["evolve", "kgf", f"--init={init}", "--grid=16", "--extent=8", "--dt=0.1", "--steps=2", "--mass-scalar=1"]
+    if message is None:
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 0
+        return
+    err = refused_before_any_output(argv, [], via, tmp_path, capsys)
+    assert str(init) in err and message in err, err
 
 
 def test_potential_from_spec_with_init_names_the_conflict(tmp_path, capsys):
     # --init reads no spec and refuses one, so the potential cannot come from a spec
-    init = tmp_path / "init.csv"
-    init.write_text("z,re,im\n" + "".join(f"{0.5 * i!r},1.0,0.0\n" for i in range(16)))
+    init = tmp_path / "init.npz"
+    write_snapshot(init, 0.5 * np.arange(16), np.ones(16, dtype=complex))
     args = ["evolve", "schrodinger", "--init", str(init), "--mass", "1", "--grid", "16", "--extent", "8",
             "--dt", "0.1", "--steps", "2", "--potential-from-spec", "--out", str(tmp_path / "o")]
     assert "needs --spec in place of --init" in main_config_error(args, capsys)
@@ -1257,7 +1285,7 @@ def test_evolve_kgf_weak_mode_fails(const_spec, tmp_path, capsys):
     assert "too weak" in capsys.readouterr().err
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["outputs"] == sorted(f.name for f in out.iterdir() if f.name != "manifest.json")
-    assert manifest["outputs"] == ["observables.csv", "snap_000000.csv", "snap_000005.csv"]
+    assert manifest["outputs"] == ["observables.csv", "snap_000000.npz", "snap_000005.npz"]
 
 
 def test_evolve_solver_error_exits_1(const_spec, tmp_path, capsys):
@@ -1322,16 +1350,15 @@ def test_cli_dispersion_is_measure_dispersion_over_the_runs_states(equation, n, 
     cols = rng.standard_normal((4, n))
     extent, dt = float(n), 0.3  # dx = 1, inside the leapfrog Courant bound
     with tempfile.TemporaryDirectory() as d:
-        init, out = Path(d, "init.csv"), Path(d, "o")
-        recorder_into(d).write_csv("init.csv", ["z", "re", "im", "pi_re", "pi_im"], [np.arange(n) * 1.0, *cols])
+        init, out = Path(d, "init.npz"), Path(d, "o")
+        write_snapshot(init, np.arange(n) * 1.0, cols[0] + 1j * cols[1], cols[2] + 1j * cols[3])
         rc, _, err = _run_quietly(
             ["evolve", equation, f"--init={init}", f"--grid={n}", f"--extent={extent!r}", f"--dt={dt!r}",
              f"--steps={steps}", "--snap-every=1", f"--dispersion-modes={m}", f"--out={out}", *_EQUATION_FLAGS[equation]]
         )
         states, t = [], 0.0
         for i in range(steps + 1):
-            _, rows = read_csv(out / f"snap_{i:06d}.csv")
-            field = np.array([complex(float(r[1]), float(r[2])) for r in rows])
+            field = load_snapshot(out / f"snap_{i:06d}.npz")["psi"]
             states.append(GridState(Grid((extent,), (n,)), field, None, t=t))
             t += dt  # the solver's own sum of steps
         k = 2.0 * np.pi * m / extent
@@ -1434,15 +1461,11 @@ def test_evolve_3d_binary_snapshot(gauss_spec, tmp_path):
          "--out", str(out)]
     )
     assert rc == 0
-    head = json.loads((out / "snap_000002.json").read_text())
-    assert head["shape"] == [8, 8, 8]
-    assert head["dtype"] == "<f8"
-    assert head["step"] == 2
-    raw = np.frombuffer((out / "snap_000002.bin").read_bytes(), dtype="<f8")
-    field = raw.reshape(8, 8, 8, 2)
-    psi = field[..., 0] + 1j * field[..., 1]
+    snap = load_snapshot(out / "snap_000002.npz")
+    assert snap["step"] == 2 and snap["psi"].shape == (8,) and snap["psi"].dtype == complex
+    assert np.array_equal(snap["z"], 0.5 * np.arange(8))
     dv = (4.0 / 8) ** 3
-    norm = float(np.sqrt(np.sum(np.abs(psi) ** 2) * dv))
+    norm = float(np.sqrt(8 * 8 * np.sum(np.abs(snap["psi"]) ** 2) * dv))  # the line repeated across x and y
     _, rows = read_csv(out / "observables.csv")
     assert norm == pytest.approx(float(rows[-1][1]), rel=1e-12)
 
@@ -1454,10 +1477,108 @@ def test_a_3d_run_writes_its_z_line_run_broadcast(equation, gauss_spec, tmp_path
     for grid in ("8,16,32", "32"):
         assert main([*run, "--grid", grid, "--snap-every", "3", "--out", str(tmp_path / grid)]) == 0
     for step in (0, 3, 6):
-        _, rows = read_csv(tmp_path / "32" / f"snap_{step:06d}.csv")
-        line = np.array([[float(re), float(im)] for _, re, im in rows])
-        box = np.frombuffer((tmp_path / "8,16,32" / f"snap_{step:06d}.bin").read_bytes(), dtype="<f8")
-        assert np.array_equal(box.view(np.int64), np.broadcast_to(line, (8, 16, 32, 2)).ravel().view(np.int64))
+        box, line = (load_snapshot(tmp_path / grid / f"snap_{step:06d}.npz") for grid in ("8,16,32", "32"))
+        assert box.keys() == line.keys()
+        assert all(np.array_equal(np.atleast_1d(box[k]).view(np.int64), np.atleast_1d(line[k]).view(np.int64)) for k in box)
+
+
+_SNAP_KEYS = {"kgf": ["pi", "psi", "step", "t", "z"], "wave": ["pi", "psi", "step", "t", "z"],
+              "schrodinger": ["psi", "step", "t", "z"]}
+
+
+@pytest.mark.parametrize("grid", ["16", "8,8,16"])
+@pytest.mark.parametrize("equation", sorted(_SNAP_KEYS))
+def test_a_snapshot_holds_exactly_the_states_line_and_no_clock(equation, grid, tmp_path):
+    # each snapshot is the state that a library run's monitor sees at its step, bit for bit, in entries
+    # that carry zipfile's fixed 1980 date, so a rerun writes the same bytes
+    pts = tuple(int(n) for n in grid.split(","))
+    rng = np.random.default_rng(len(pts))
+    psi, pi = (rng.standard_normal(16) + 1j * rng.standard_normal(16) for _ in range(2))
+    pi = None if equation == "schrodinger" else pi
+    write_snapshot(tmp_path / "init.npz", 0.5 * np.arange(16), psi, pi)
+    flags = {"kgf": ["--mass-scalar", "0.7"], "wave": [], "schrodinger": ["--mass", "1"]}[equation]
+    argv = ["evolve", equation, "--init", str(tmp_path / "init.npz"), "--grid", grid, "--extent", "8",
+            "--dt", "0.1", "--steps", "7", "--snap-every", "3", *flags, "--out", str(tmp_path / "o")]
+    assert main(argv) == 0
+    seen = {}
+    if pi is None:
+        cfg = pde.SolverConfig(0.1, 7, "crank_nicolson", mass=pde.MassParameters(1.0, 1.0))
+    else:
+        cfg = pde.SolverConfig(0.1, 7, "leapfrog", mass_scalar=0.7 if equation == "kgf" else 0.0)
+    g = Grid((8.0,) * len(pts), pts)
+    start = GridState(g, *(None if a is None else np.broadcast_to(a, pts) for a in (psi, pi)))
+    getattr(pde, f"evolve_{equation}")(start, cfg, monitor=lambda st_: seen.setdefault(st_.step_count, st_.copy()))
+    seen[0] = start
+    for step in (0, 3, 6, 7):
+        path = tmp_path / "o" / f"snap_{step:06d}.npz"
+        with zipfile.ZipFile(path) as zf:
+            assert {info.date_time for info in zf.infolist()} == {(1980, 1, 1, 0, 0, 0)}
+        snap = load_snapshot(path)
+        assert sorted(snap) == _SNAP_KEYS[equation] and snap["step"] == step and snap["t"] == seen[step].t
+        for name, a in (("psi", seen[step].field), ("pi", seen[step].pi)):
+            assert a is None or np.array_equal(snap[name].view(np.int64), pde._line(a).view(np.int64))
+
+
+@pytest.mark.parametrize("steps,snap_every,written", [(20, 10, (0, 10, 20)), (0, 0, (0,)), (0, 5, (0,)), (7, 3, (0, 3, 6, 7))])
+def test_each_snapshot_is_written_once(steps, snap_every, written, const_spec, tmp_path, monkeypatch):
+    calls, write = [], _Outputs.write_bytes
+
+    def counted(self, name, data):
+        calls.append(name)
+        write(self, name, data)
+
+    monkeypatch.setattr(_Outputs, "write_bytes", counted)
+    assert main(["evolve", "kgf", "--spec", const_spec, "--grid", "16", "--extent", "8", "--dt", "0.05",
+                 f"--steps={steps}", f"--snap-every={snap_every}", "--out", str(tmp_path / "o")]) == 0
+    assert sorted(calls) == sorted({*calls}) == sorted(["observables.csv", "manifest.json"] + [f"snap_{i:06d}.npz" for i in written])
+
+
+# equations by the branch their runs take: (equation, flags, whether u is a z-only line)
+_RESUMED = {
+    "kgf": ("kgf", ["--mass-scalar=0.7"], False),
+    "wave": ("wave", [], False),
+    "schrodinger-free": ("schrodinger", ["--mass=1"], False),
+    "schrodinger-eigenbasis": ("schrodinger", ["--mass=1"], True),  # a 3-d grid with nz <= nx ny
+    "schrodinger-lu": ("schrodinger", ["--mass=1"], True),  # 1-d, or nz > nx ny
+}
+
+
+@st.composite
+def resumed_runs(draw):
+    case = draw(st.sampled_from(sorted(_RESUMED)))
+    dim = 3 if case == "schrodinger-eigenbasis" else draw(st.sampled_from([1, 3]))
+    nz = draw(st.integers(65, 72) if case == "schrodinger-lu" and dim == 3 else st.integers(8, 24))
+    return case, (8, 8, nz)[3 - dim:], draw(st.integers(0, 5)), draw(st.integers(0, 5)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(resumed_runs())
+def test_a_run_resumed_from_its_snapshot_is_the_whole_run_bit_for_bit(drawn):
+    # N + M steps equal N steps, then --init of snap_N, then M steps, in psi and pi
+    case, pts, n, m, seed = drawn
+    equation, flags, z_only = _RESUMED[case]
+    nz, extent = pts[-1], 0.5 * pts[-1]
+    rng = np.random.default_rng(seed)
+    psi, pi = (rng.standard_normal(nz) + 1j * rng.standard_normal(nz) for _ in range(2))
+    u = 0.4 + np.cos(2.0 * np.pi * np.arange(nz) / nz)
+    u.flags.writeable = False
+    with tempfile.TemporaryDirectory() as d, pytest.MonkeyPatch.context() as mp:
+        if z_only:  # the run's potential: an --init run takes none from a spec
+            mp.setattr(pde.SolverConfig, "potential_on", lambda self, grid: u)
+        write_snapshot(Path(d, "init.npz"), 0.5 * np.arange(nz), psi, None if equation == "schrodinger" else pi)
+
+        def run(init, steps, out):
+            argv = ["evolve", equation, f"--init={init}", "--grid=" + ",".join(map(str, pts)), f"--extent={extent!r}",
+                    "--dt=0.1", f"--steps={steps}", f"--out={Path(d, out)}", *flags]
+            assert main(argv) == 0
+            return load_snapshot(Path(d, out, f"snap_{steps:06d}.npz"))
+
+        whole = run(Path(d, "init.npz"), n + m, "whole")
+        run(Path(d, "init.npz"), n, "first")
+        resumed = run(Path(d, "first", f"snap_{n:06d}.npz"), m, "rest")
+    assert whole.keys() == resumed.keys()
+    for name in ("psi", "pi") if equation != "schrodinger" else ("psi",):
+        assert np.array_equal(whole[name].view(np.int64), resumed[name].view(np.int64))
 
 
 def test_evolve_courant_violation_exits_one(const_spec, tmp_path, capsys):
@@ -1470,7 +1591,7 @@ def test_evolve_courant_violation_exits_one(const_spec, tmp_path, capsys):
     assert "Courant" in capsys.readouterr().err
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["outputs"] == sorted(f.name for f in out.iterdir() if f.name != "manifest.json")
-    assert manifest["outputs"] == ["snap_000000.csv"]
+    assert manifest["outputs"] == ["snap_000000.npz"]
 
 
 def test_potential_refused_on_the_first_measure_leaves_no_output(tmp_path, capsys):

@@ -26,7 +26,7 @@ from boostfield import (
     measure_observables,
     periodic_laplacian,
 )
-from boostfield.pde import Observables, _check_finite, _mode_index, _potential_on_grid, laplacian_symbol
+from boostfield.pde import Observables, _check_finite, _mode_index, _potential_on_grid
 
 MASS = MassParameters(1.0, 1.0)
 
@@ -39,6 +39,12 @@ def cn_config(dt, steps, potential=None):
 
 def lf_config(dt, steps, m_s):
     return SolverConfig(dt=dt, steps=steps, scheme="leapfrog", mass_scalar=m_s)
+
+
+def laplacian_symbol(grid):
+    """Eigenvalues -sum_i (4 / dx_i^2) sin^2(k_i dx_i / 2) of the stencil on the whole grid, in fftn order."""
+    parts = [-4.0 / dx**2 * np.sin(np.pi * np.fft.fftfreq(n)) ** 2 for n, dx in zip(grid.points, grid.spacing)]
+    return sum(np.meshgrid(*parts, indexing="ij", sparse=True))
 
 
 # -- grids and states ----------------------------------------------------------
@@ -535,6 +541,42 @@ def test_courant_bound_comes_from_the_symbol():
     evolve_wave(st_, lf_config(2.0 / omega_max, 1, 0.0))
     with pytest.raises(SolverError, match="Courant"):
         evolve_wave(st_, lf_config(2.0 / omega_max * (1.0 + 1e-9), 1, 0.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=st.one_of(grids_1d, grids_3d), m_s=st.sampled_from([0.0, 1.3, 1e-300]), ulps=st.integers(-2, 2))
+def test_the_solvers_read_the_grid_symbol_off_its_axes(grid, m_s, ulps):
+    # the z axis's symbol is the grid symbol's kx = ky = 0 line, its k = 0 zero a +0.0, and the Courant
+    # bound refuses a dt exactly when the whole grid's largest m_s - symbol does
+    full = laplacian_symbol(grid)
+    assert same_bits(pde._axis_symbol(grid.points[-1], grid.spacing[-1]), full[(0,) * (grid.dim - 1)])
+    dt = 2.0 * (1.0 + 1e-12) / np.sqrt((m_s - full).max())
+    for _ in range(abs(ulps)):
+        dt = np.nextafter(dt, np.sign(ulps) * np.inf)
+    refused = 0.5 * dt * np.sqrt((m_s - full).max()) > 1.0 + 1e-12
+    st_ = uniform_state(np.random.default_rng(0), grid)
+    try:
+        evolve_kgf(st_, lf_config(dt, 0, m_s))
+    except SolverError:
+        assert refused
+    else:
+        assert not refused
+
+
+@pytest.mark.parametrize("run", ["cn_zero", "kgf"])
+def test_an_unobserved_64_cube_run_builds_no_grid_sized_symbol(run):
+    # a 64^3 grid symbol is 2 MB; the run reads its z line and each axis's minimum
+    grid = Grid((6.0, 7.0, 8.0), (64, 64, 64))
+    st_ = uniform_state(np.random.default_rng(4), grid, second_order=run == "kgf")
+    evolve, cfg = line_config(run, grid, 20)
+    evolve(st_, cfg)  # numpy's fft caches its plan for 64 points
+    tracemalloc.start()
+    try:
+        evolve(st_, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
 
 
 POTENTIALS = {
