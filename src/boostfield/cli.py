@@ -312,18 +312,9 @@ def _run_boost(cfg: ExperimentConfig, out: _Outputs) -> int:
     b = LorentzBoost(p["beta"])
     e = Event(*_parse_floats(p["event"], 4))
     moved = inverse_boost_event(e, b) if p.get("inverse") else boost_event(e, b)
-    line = ",".join(_fmt(v) for v in (moved.x, moved.y, moved.z, moved.tau))
-    print(line)
+    print(",".join(map(_fmt, moved)))
     if cfg.out:
-        out.write_json(
-            "boost.json",
-            {
-                "input": [e.x, e.y, e.z, e.tau],
-                "beta": b.beta,
-                "inverse": "inverse" in p,
-                "output": [moved.x, moved.y, moved.z, moved.tau],
-            },
-        )
+        out.write_json("boost.json", {"input": list(e), "beta": b.beta, "inverse": "inverse" in p, "output": list(moved)})
     return 0
 
 
@@ -354,8 +345,7 @@ def _run_field(cfg: ExperimentConfig, out: _Outputs) -> int:
     psi, phi = complex(psi), float(phi)
     print(f"{_fmt(psi.real)},{_fmt(psi.imag)},{_fmt(phi)}")
     if cfg.out:
-        record = {"event": [e.x, e.y, e.z, e.tau], "psi": [psi.real, psi.imag], "scalar_density": phi}
-        out.write_json("field.json", record)
+        out.write_json("field.json", {"event": list(e), "psi": [psi.real, psi.imag], "scalar_density": phi})
     return 0
 
 

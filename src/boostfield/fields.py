@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .kinematics import Event, LorentzBoost
-from .profiles import AmplitudeProfile, _cmul, _real, _require_keys, profile_from_dict
+from .profiles import AmplitudeProfile, _cexp, _cmul, _real, _require_keys, profile_from_dict
 
 
 @dataclass(frozen=True)
@@ -103,11 +103,11 @@ class FieldSpec:
         """Envelope q_k(xi) * exp(i omega_k eta) of harmonic k; constant in x and y."""
         comp = self.components[k]
         xi, tp = self.boost.apply(z, tau)
-        return _cmul(comp.profile.value(xi), np.exp(1j * comp.omega * (tp - tau)))
+        return _cmul(comp.profile.value(xi), _cexp(1j * comp.omega * (tp - tau)))
 
     def harmonic_on_axis(self, k: int, z, tau):
         """Harmonic k at lab (z, tau): the envelope times the carrier exp(i omega_k tau)."""
-        return _cmul(self.envelope_on_axis(k, z, tau), np.exp(1j * self.components[k].omega * tau))
+        return _cmul(self.envelope_on_axis(k, z, tau), _cexp(1j * self.components[k].omega * tau))
 
     def psi_lab_on_axis(self, z, tau):
         """Complex field at lab (z, tau): the sum of the harmonics."""
@@ -122,7 +122,7 @@ class FieldSpec:
         b = self.boost
         xi, tp = b.apply(z, tau)
         d = -b.gamma * b.beta * comp.profile.dz(xi) + 1j * comp.omega * b.gamma * comp.profile.value(xi)
-        return _cmul(_cmul(d, np.exp(1j * comp.omega * (tp - tau))), np.exp(1j * comp.omega * tau))
+        return _cmul(_cmul(d, _cexp(1j * comp.omega * (tp - tau))), _cexp(1j * comp.omega * tau))
 
     def envelope(self, k: int, e: Event) -> complex:
         """Envelope of harmonic k at a lab event."""

@@ -15,7 +15,9 @@ with ``gamma = 1 / sqrt(1 - beta**2)``.  ``beta > 0`` means the lab frame
 moves along +z relative to the rest frame; equivalently, an object at rest
 in the primed frame drifts toward +z in the lab at speed ``beta``.  The
 inverse transformation is the same map with ``-beta``.  ``LorentzBoost.apply``
-computes the map, on floats or arrays; every function here calls it.
+computes the map, on floats or arrays; every function here calls it.  ``Event``
+and ``ComovingCoords`` are named tuples of Python floats, each built as one
+tuple; an event refuses a non-finite coordinate, so an overflowing boost raises.
 
 For a lab event (z, tau) the comoving coordinates are
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 
@@ -73,33 +76,29 @@ class LorentzBoost:
         return self.gamma * (z - self.beta * tau), self.gamma * (tau - self.beta * z)
 
 
-@dataclass(frozen=True)
-class Event:
-    """Spacetime point (x, y, z, tau); tau in length units."""
+class Event(namedtuple("Event", "x y z tau")):
+    """Spacetime point (x, y, z, tau); tau in length units.  Its ``_replace`` checks as ``Event(...)`` does."""
 
-    x: float
-    y: float
-    z: float
-    tau: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, x, y, z, tau):
         finite = math.isfinite
-        if not (finite(self.x) and finite(self.y) and finite(self.z) and finite(self.tau)):
-            name = next(n for n in ("x", "y", "z", "tau") if not finite(getattr(self, n)))
-            raise ValueError(f"non-finite event coordinate {name}={getattr(self, name)!r}")
+        if not (finite(x) and finite(y) and finite(z) and finite(tau)):
+            name, v = next((n, v) for n, v in zip(cls._fields, (x, y, z, tau)) if not finite(v))
+            raise ValueError(f"non-finite event coordinate {name}={v!r}")
+        return tuple.__new__(cls, (x, y, z, tau))
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # what _replace builds with
 
 
-@dataclass(frozen=True)
-class ComovingCoords:
-    """Longitudinal rest coordinate xi and phase-lag coordinate eta."""
-
-    xi: float
-    eta: float
+ComovingCoords = namedtuple("ComovingCoords", "xi eta")
+ComovingCoords.__doc__ = "Longitudinal rest coordinate xi and phase-lag coordinate eta."
 
 
 def boost_event(e: Event, b: LorentzBoost) -> Event:
     """Map a lab-frame event to its rest-frame coordinates."""
-    return Event(e.x, e.y, *b.apply(e.z, e.tau))
+    x, y, z, tau = e
+    return Event(x, y, *b.apply(z, tau))
 
 
 def inverse_boost_event(e: Event, b: LorentzBoost) -> Event:
@@ -109,8 +108,9 @@ def inverse_boost_event(e: Event, b: LorentzBoost) -> Event:
 
 def comoving_coords(e: Event, b: LorentzBoost) -> ComovingCoords:
     """Comoving coordinates of a lab event: xi = z', eta = tau' - tau."""
-    zp, tp = b.apply(e.z, e.tau)
-    return ComovingCoords(zp, tp - e.tau)
+    _, _, z, tau = e
+    zp, tp = b.apply(z, tau)
+    return tuple.__new__(ComovingCoords, (zp, tp - tau))  # the named tuple's own __new__ adds a Python call
 
 
 def compose_boosts(b1: LorentzBoost, b2: LorentzBoost) -> LorentzBoost:

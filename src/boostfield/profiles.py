@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import abc
 import bisect
+import cmath
 import math
 from dataclasses import dataclass, fields
 from typing import ClassVar
@@ -93,6 +94,15 @@ def _cmul(a, b):
     np.multiply(a.real, b.imag, out=im)
     im += a.imag * b.real
     return out
+
+
+def _cexp(w):
+    """exp(w): cmath on one finite Python complex with Re w <= 700, where it rounds as numpy's
+    complex exp does (numpy rescales from Re w ~ 708.4 on); otherwise numpy, which keeps its
+    value and RuntimeWarning on an infinite, NaN or overflowing phase, where cmath raises or is silent."""
+    if type(w) is complex and w.real <= 700.0 and cmath.isfinite(w):
+        return cmath.exp(w)
+    return np.exp(w)
 
 
 def _cdiv(a, d: float):
@@ -231,7 +241,7 @@ class PlaneWaveProfile(AmplitudeProfile):
         _refuse_overflow(self, max(abs(self.amplitude), 1.0) * k * k)  # dzz forms k^2 first
 
     def value(self, z):
-        return _cmul(self.amplitude, np.exp(1j * self.wavenumber * _points(z)))
+        return _cmul(self.amplitude, _cexp(1j * self.wavenumber * _points(z)))
 
     def dz(self, z):
         return 1j * self.wavenumber * self.value(z)

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from itertools import chain
 from typing import Callable, Literal
 
 import numpy as np
@@ -101,8 +102,7 @@ class ScanResult:
 
 def _coords(events) -> np.ndarray:
     """Lab coordinates of a list of events as a (4, n) array, rows x, y, z, tau."""
-    cols = ([e.x for e in events], [e.y for e in events], [e.z for e in events], [e.tau for e in events])
-    return np.array(cols, dtype=float)
+    return np.fromiter(chain.from_iterable(events), float, 4 * len(events)).reshape(-1, 4).T.copy()
 
 
 def _event(X: np.ndarray, i: int) -> Event:

@@ -1,9 +1,14 @@
 import dataclasses
 import math
+import operator
+import pickle
+import re
 
 import numpy as np
 import pytest
 from conftest import COMPOSED_BETA_06_06, GAMMA_TABLE
+from hypothesis import given
+from hypothesis import strategies as st
 
 from boostfield import (
     ComovingCoords,
@@ -41,6 +46,7 @@ def test_transverse_coordinates_untouched():
 
 def test_comoving_example():
     cc = comoving_coords(Event(0.0, 0.0, 1.0, 2.0), LorentzBoost(0.6))
+    assert type(cc) is ComovingCoords
     assert cc.xi == pytest.approx(-0.25, abs=1e-15)
     assert cc.eta == pytest.approx(-0.25, abs=1e-15)
 
@@ -135,6 +141,49 @@ def test_event_rejects_non_finite():
         Event(0.0, math.nan, 0.0, 0.0)
 
 
-def test_coords_dataclass_fields():
+def test_coords_are_a_named_pair():
     cc = ComovingCoords(1.0, -2.0)
-    assert (cc.xi, cc.eta) == (1.0, -2.0)
+    assert (cc.xi, cc.eta) == tuple(cc) == (1.0, -2.0)
+    assert ComovingCoords._fields == ("xi", "eta")
+    assert repr(cc) == "ComovingCoords(xi=1.0, eta=-2.0)"
+
+
+# -- Event is a named 4-tuple that refuses a non-finite coordinate ----------------
+
+_NAMES = ("x", "y", "z", "tau")
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_EVENTS = st.tuples(_FINITE, _FINITE, _FINITE, _FINITE)
+
+
+@given(_EVENTS)
+def test_an_event_is_its_four_coordinates(coords):
+    e = Event(*coords)
+    x, y, z, tau = e
+    assert all(map(operator.is_, (x, y, z, tau), coords))
+    assert (e.x, e.y, e.z, e.tau) == e == coords
+    assert repr(e) == "Event(x={!r}, y={!r}, z={!r}, tau={!r})".format(*coords)
+    again = pickle.loads(pickle.dumps(e))
+    assert type(again) is Event and repr(again) == repr(e)
+    for name in _NAMES:
+        with pytest.raises(AttributeError):
+            setattr(e, name, 0.0)
+    assert e._replace(z=0.5) == (x, y, 0.5, tau)
+
+
+@given(_EVENTS, st.sampled_from(range(4)), st.sampled_from([math.inf, -math.inf, math.nan]))
+def test_a_non_finite_coordinate_is_refused_by_name(coords, i, bad):
+    message = rf"^non-finite event coordinate {_NAMES[i]}={re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=message):
+        Event(*coords[:i], bad, *coords[i + 1 :])
+    with pytest.raises(ValueError, match=message):  # _replace checks as the constructor does
+        Event(*coords)._replace(**{_NAMES[i]: bad})
+
+
+@given(st.floats(1.2e308, 1.7e308), st.floats(0.5, 0.99), st.sampled_from([1.0, -1.0]))
+def test_a_boost_whose_output_overflows_raises(s, beta, sign):
+    # z' is gamma s (1 + beta) either way, more than the largest float
+    b = LorentzBoost(sign * beta)
+    with pytest.raises(ValueError, match=r"^non-finite event coordinate z=inf$"):
+        boost_event(Event(0.0, 0.0, s, -sign * s), b)
+    with pytest.raises(ValueError, match=r"^non-finite event coordinate z=inf$"):
+        inverse_boost_event(Event(0.0, 0.0, s, sign * s), b)

@@ -18,6 +18,7 @@ from boostfield import (
     TabulatedProfile,
     profile_from_dict,
 )
+from boostfield.profiles import _cexp
 
 
 def central_d1(f, z, h):
@@ -387,6 +388,45 @@ def test_gauss_hermite_point_rounds_as_its_array_element_at_any_order(order):
     zs = np.linspace(-70.0, 70.0, 141)
     for f in (p.value, p.dz, p.dzz):
         assert _bits(f(zs)) == b"".join(_bits(f(float(z))) for z in zs), f.__name__
+
+
+# -- one phasor: cmath where it rounds as numpy does, numpy elsewhere ---------------
+
+# numpy's complex exp rescales from Re w = log(DBL_MAX / 4) ~ 708.4 on and cmath.exp only
+# above log(DBL_MAX) ~ 709.78, so that band is where cmath alone would differ in the last bits
+_REAL_PARTS = st.one_of(st.floats(-760.0, 700.0), st.floats(700.0, 709.78))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.builds(complex, _REAL_PARTS, st.floats(-1e300, 1e300)))
+def test_cexp_of_one_finite_phase_is_numpys_bit_for_bit(w):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _cexp(w)
+    assert type(got) is complex or w.real > 700.0
+    assert _bits(got) == _bits(np.exp(np.array([w]))[0]), (w, got)
+
+
+_ANY = st.floats(allow_nan=True, allow_infinity=True)
+_NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.builds(complex, _NON_FINITE, _ANY),
+        st.builds(complex, _ANY, _NON_FINITE),
+        st.builds(complex, st.floats(709.79, 1e308), st.floats(-1e3, 1e3)),  # exp(Re w) overflows
+    )
+)
+def test_cexp_of_a_non_finite_or_overflowing_phase_is_numpys_with_its_warning(w):
+    def run(f):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = f()
+        return _bits(out), [(m.category, str(m.message)) for m in caught]
+
+    assert run(lambda: _cexp(w)) == run(lambda: np.exp(np.array([w]))[0])
 
 
 # -- the numpy spline is scipy's CubicSpline to round-off ------------------------

@@ -1,6 +1,5 @@
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -453,7 +452,7 @@ def _reference_kept(spec, events, eps_q):
 
 def _partial(field, e, axis, order, h):
     """Central-difference partial of a per-event field along one axis of e."""
-    up, dn = field(replace(e, **{axis: getattr(e, axis) + h})), field(replace(e, **{axis: getattr(e, axis) - h}))
+    up, dn = field(e._replace(**{axis: getattr(e, axis) + h})), field(e._replace(**{axis: getattr(e, axis) - h}))
     return (up - dn) / (2 * h) if order == 1 else (up - 2 * field(e) + dn) / (h * h)
 
 
