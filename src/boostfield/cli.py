@@ -585,7 +585,7 @@ def _run_evolve(cfg: ExperimentConfig, out: _Outputs) -> int:
 
     snap_every = p["snap_every"]
     obs_rows = []
-    coeffs: list[np.ndarray] = []
+    coeffs: list[np.ndarray] = []  # one column per step
     times: list[float] = []
 
     def record(st: GridState) -> None:
@@ -599,7 +599,7 @@ def _run_evolve(cfg: ExperimentConfig, out: _Outputs) -> int:
         )
         if modes:  # each coefficient as measure_dispersion takes it
             times.append(st.t)
-            coeffs.append(project(st.field))
+            coeffs.append(project([st.field]))
 
     record(state)
 
@@ -612,7 +612,7 @@ def _run_evolve(cfg: ExperimentConfig, out: _Outputs) -> int:
     if modes:
         rows = []
         t_arr = np.asarray(times)
-        for m, k, series in zip(modes, ks, np.array(coeffs).T):
+        for m, k, series in zip(modes, ks, np.hstack(coeffs) / grid.points[-1]):
             try:
                 rows.append((k, pde._rotation_rate(t_arr, series), continuum(k)))
             except ValueError as exc:  # a weak mode

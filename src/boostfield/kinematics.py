@@ -17,7 +17,8 @@ in the primed frame drifts toward +z in the lab at speed ``beta``.  The
 inverse transformation is the same map with ``-beta``.  ``LorentzBoost.apply``
 computes the map, on floats or arrays; every function here calls it.  ``Event``
 and ``ComovingCoords`` are named tuples of Python floats, each built as one
-tuple; an event refuses a non-finite coordinate, so an overflowing boost raises.
+tuple; an event refuses a non-finite coordinate, so an overflowing boost raises, as
+``comoving_coords`` does.
 
 For a lab event (z, tau) the comoving coordinates are
 
@@ -107,10 +108,13 @@ def inverse_boost_event(e: Event, b: LorentzBoost) -> Event:
 
 
 def comoving_coords(e: Event, b: LorentzBoost) -> ComovingCoords:
-    """Comoving coordinates of a lab event: xi = z', eta = tau' - tau."""
+    """Comoving coordinates of a lab event: xi = z', eta = tau' - tau; ValueError naming one that overflows."""
     _, _, z, tau = e
-    zp, tp = b.apply(z, tau)
-    return tuple.__new__(ComovingCoords, (zp, tp - tau))  # the named tuple's own __new__ adds a Python call
+    xi, tp = b.apply(z, tau)
+    if not (math.isfinite(xi) and math.isfinite(eta := tp - tau)):
+        name, v = ("xi", xi) if not math.isfinite(xi) else ("eta", eta)
+        raise ValueError(f"non-finite comoving coordinate {name}={v!r}")
+    return tuple.__new__(ComovingCoords, (xi, eta))  # the named tuple's own __new__ adds a Python call
 
 
 def compose_boosts(b1: LorentzBoost, b2: LorentzBoost) -> LorentzBoost:

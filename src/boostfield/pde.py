@@ -46,14 +46,13 @@ the refusal of a potential that varies across x or y, and the CN branch.
   each Fourier mode takes the N-th power of its 2x2 step matrix (repeated
   squaring) in one go.
 
-``measure_observables`` reads the line in about ten whole-array calls, each
-width in two passes: the mean, then the spread about it.  One kinetic sum
+``measure_observables`` reads the line in eight whole-array calls, the width
+in two passes: the mean, then the spread about it.  One kinetic sum
 K = sum of |psi_{i+1} - psi_i|^2 / dz^2 serves both energies: the leapfrog's
 (|pi|^2 + m_s |psi|^2 + K) / 2, and by summation by parts the CN
-<psi, H psi> = coef (K + u . m_z), m_z being |psi|^2 summed over x and y.
-``measure_dispersion`` reads one Fourier mode of each state as a projection on
-that mode's phasor, built once per call (an FFT per state above 2^21 points),
-not as an FFT of the whole run.
+<psi, H psi> = coef (K + u . |psi|^2).  ``measure_dispersion`` reads one
+Fourier mode of each state as a dot with that mode's phasor, built once per
+call (an FFT per state above 2^21 points), and divides them all by n at once.
 """
 
 from __future__ import annotations
@@ -62,11 +61,12 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Literal
+from typing import Callable, Literal, NamedTuple
 
 import numpy as np
 
 from .fields import MassParameters, _check_spacing
+from .profiles import _read_field, _real
 
 
 class SolverError(RuntimeError):
@@ -117,6 +117,14 @@ class Grid:
             a.flags.writeable = False
         return axes
 
+    @functools.cached_property  # read on every observation: computed once per grid, read-only
+    def _line_weights(self) -> tuple[np.ndarray, float]:
+        """Rows 1 and z, each value twice, to weigh a z-line's squared real and imaginary parts; and the
+        volume one line cell stands for, nx ny cells in 3-d."""
+        w = np.repeat([np.ones(self.points[-1]), self.coords[-1]], 2, axis=1)
+        w.flags.writeable = False
+        return w, self.cell_volume * math.prod(self.points[:-1])
+
     def axis(self, i: int) -> np.ndarray:
         return self.coords[i].copy()
 
@@ -144,8 +152,11 @@ class GridState:
 
     def copy(self) -> "GridState":
         """A state with copies of this one's arrays, a 3-d state's line alone, which need no check anew."""
-        new, fresh = object.__new__(GridState), lambda a: None if a is None else _show(self.grid, _line(a).copy())
-        new.__dict__.update(vars(self), field=fresh(self.field), pi=fresh(self.pi))
+        new = object.__new__(GridState)
+        (d := new.__dict__).update(self.__dict__)
+        for name in ("field", "pi"):
+            if (a := d[name]) is not None:
+                d[name] = a.copy() if a.ndim == 1 else _show(self.grid, a[0, 0].copy())
         return new
 
 
@@ -192,8 +203,9 @@ class SolverConfig:
     _potential_memo: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.dt) and self.dt > 0):
+        if not (math.isfinite(dt := _real("dt", self.dt)) and dt > 0):  # _real refuses a bool
             raise ValueError(f"dt must be positive, got {self.dt!r}")
+        object.__setattr__(self, "steps", _read_field("int", "steps", self.steps))  # 3.0 reads as 3
         if self.steps < 0:
             raise ValueError(f"steps must be >= 0, got {self.steps!r}")
         if self.scheme not in ("crank_nicolson", "leapfrog"):
@@ -356,14 +368,14 @@ def evolve_schrodinger(
         if spectral:
             return _unobserved_steps_taken(initial, cfg, inverse(advance(forward(psi))))
     state = GridState(grid, _show(grid, psi), None, initial.t, initial.step_count)
+    live = state.__dict__  # the loop writes what needs no check past __setattr__: t, step_count, psi's line
     for _ in range(cfg.steps):
         psi = inverse(advance(forward(psi)))
-        state.t += cfg.dt
-        state.step_count += 1
+        live["t"] += cfg.dt
+        live["step_count"] += 1
         _check_finite(state, psi)
         if monitor is not None:  # a monitor sees psi after every step
-            state.field = _show(grid, psi)
-            shown = state.field
+            live["field"] = shown = _show(grid, psi)
             monitor(state)
             if state.field is not shown:  # rebound: the next step starts from its values
                 psi[...] = _line(state.field)
@@ -422,7 +434,7 @@ def _leapfrog(
         p, q = a * p + b * q, c * p + d * q
         return _unobserved_steps_taken(initial, cfg, np.fft.ifftn(p, out=p), np.fft.ifftn(q, out=q))
 
-    # psi and pi in one buffer, so one vdot checks both; psi sits between its two ghost cells
+    # psi and pi in one buffer, so one dot of its float view checks both; psi sits between its two ghost cells
     buf = np.empty(2 * n + 2, dtype=complex)
     ext, pi = buf[: n + 2], buf[n + 2 :]
     psi = ext[1:-1]
@@ -437,17 +449,18 @@ def _leapfrog(
     state = GridState(grid, _show(grid, psi), _show(grid, pi), initial.t, initial.step_count)
     shown = state.field, state.pi
     _run(force)
+    live, dt, flat = state.__dict__, cfg.dt, _floats(buf)  # t and step_count, written past the checking __setattr__
     for _ in range(cfg.steps):
         _run(step)
-        state.t += cfg.dt
-        state.step_count += 1
-        _check_finite(state, buf)
+        live["t"] += dt
+        live["step_count"] += 1
+        _check_finite(state, flat)
         monitor(state)  # only a monitored run reaches a step here
         if state.field is not shown[0] or state.pi is not shown[1]:  # rebound: the next step starts from its values
             psi[...], pi[...] = _line(state.field), _line(state.pi)
             state.field, state.pi = _show(grid, psi), _show(grid, pi)
             shown = state.field, state.pi
-    _check_finite(state, buf)  # a step checks what the monitor wrote before it; this checks the last call
+    _check_finite(state, flat)  # a step checks what the monitor wrote before it; this checks the last call
     return state
 
 
@@ -471,55 +484,51 @@ def evolve_wave(
     return _leapfrog(initial, cfg, 0.0, monitor)
 
 
-@dataclass(frozen=True)
-class Observables:
+class Observables(NamedTuple):
     norm: float
     energy: float
     centroid: tuple[float, ...]
     width: tuple[float, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "norm": self.norm,
-            "energy": self.energy,
-            "centroid": list(self.centroid),
-            "width": list(self.width),
-        }
+        return {"norm": self.norm, "energy": self.energy, "centroid": list(self.centroid), "width": list(self.width)}
 
 
 def measure_observables(state: GridState, cfg: SolverConfig) -> Observables:
-    """Norm, scheme-consistent energy, and |psi|^2 centroid/width per axis."""
+    """Norm, scheme-consistent energy, and |psi|^2 centroid/width per axis, read off the z-line.
+
+    From s, the squares of psi's real and imaginary parts, in this order: one product of s with the
+    grid's weights gives S = sum |psi|^2 and Z = sum z |psi|^2; then K = sum |psi_{i+1} - psi_i|^2 / dz^2,
+    wrapping at the end; then sum |pi|^2 (leapfrog) or sum u |psi|^2 (CN); then the width in two passes,
+    the mean Z / S and the spread sum (z - mean)^2 |psi|^2 / S about it.  On a periodic grid
+    <psi, -lap psi> = K, so the energies are (sum |pi|^2 + m_s S + K) dv / 2 and coef (K + sum u |psi|^2) dv.
+    A 3-d line cell stands for nx ny cells, and the x and y centroid and width are the box's own.
+    """
     grid = state.grid
     if cfg.scheme == "crank_nicolson" and cfg.mass is None:
         raise ValueError("Schrodinger observables need mass parameters")
     if cfg.scheme == "leapfrog" and state.pi is None:
         raise ValueError("second-order observables need pi")
     f = np.ascontiguousarray(_line(state.field))  # a C-ordered line, as the solvers keep, is read in place
-    pi = np.ascontiguousarray(_line(state.pi)) if cfg.scheme == "leapfrog" else None
-    # kinetic: sum |psi_{i+1} - psi_i|^2 / dz^2 along the line, wrapping at the end; marginals: |psi|^2 per axis
-    sq, g, wrap = np.square(f.view(float)), np.subtract(f[1:], f[:-1]), f.item(0) - f.item(-1)
-    total, marginals, dz = float(sq.sum()), (sq[0::2] + sq[1::2],), grid.spacing[-1]
-    kinetic = (np.vdot(g, g).real + wrap.real**2 + wrap.imag**2) / (dz * dz)
-    pi_sq = 0.0 if pi is None else np.vdot(pi, pi).real
-    if grid.dim == 3:  # the line repeated across the box, whose x and y differences are exactly 0
-        (n0, n1, _), line = grid.points, total
-        total, marginals = n0 * n1 * line, (np.full(n0, n1 * line), np.full(n1, n0 * line), n0 * n1 * marginals[0])
-        kinetic, pi_sq = n0 * n1 * kinetic, n0 * n1 * pi_sq
-    dv = grid.cell_volume
-    if pi is None:  # <psi, H psi>: on a periodic grid <psi, -lap psi> = kinetic, and u is of z alone
-        coef = cfg.mass.hbar / (2.0 * cfg.mass.m * cfg.mass.c)
-        energy = coef * (kinetic + np.dot(cfg.potential_on(grid), marginals[-1])) * dv
-    else:
+    (weights, dv), dz, ff = grid._line_weights, grid.spacing[-1], f.view(float)
+    sq, g, wrap = np.square(ff), np.subtract(ff[2:], ff[:-2]), f.item(0) - f.item(-1)
+    total, first = weights.dot(sq).tolist()
+    kinetic = (float(g.dot(g)) + wrap.real**2 + wrap.imag**2) / (dz * dz)
+    if cfg.scheme == "leapfrog":
+        pf = np.ascontiguousarray(_line(state.pi)).view(float)
         m_s = cfg.resolved_mass_scalar() if (cfg.mass or cfg.mass_scalar is not None) else 0.0
-        energy = 0.5 * (pi_sq + m_s * total + kinetic) * dv
-
-    centroid, width = [0.0] * grid.dim, [0.0] * grid.dim
-    for ax, (x, m) in enumerate(zip(grid.coords, marginals)):
-        if total:  # two passes: the mean, then the spread about it; each marginal sums to total
-            centroid[ax] = mean = float(x.dot(m) / total)
-            r = x - mean
-            width[ax] = math.sqrt(r.dot(r * m) / total)
-    return Observables(math.sqrt(total * dv), float(energy), tuple(centroid), tuple(width))
+        energy = 0.5 * (float(pf.dot(pf)) + m_s * total + kinetic) * dv
+    else:  # u is of z alone
+        coef = cfg.mass.hbar / (2.0 * cfg.mass.m * cfg.mass.c)
+        energy = coef * (kinetic + sum(cfg.potential_on(grid).dot(sq.reshape(-1, 2)).tolist())) * dv
+    centroid = width = (0.0,) * grid.dim
+    if total:
+        r = np.subtract(weights[1], mean := first / total)
+        centroid, width = (mean,), (math.sqrt(float((r * sq).dot(r)) / total),)
+        if grid.dim == 3:  # the line repeated across the box: x and y each weigh their points alike
+            box = lambda stat: tuple(float(stat(a)) for a in grid.coords[:2])
+            centroid, width = box(np.mean) + centroid, box(np.std) + width
+    return tuple.__new__(Observables, (math.sqrt(total * dv), energy, centroid, width))
 
 
 def measure_dispersion(states: list[GridState], k: float) -> float:
@@ -531,20 +540,21 @@ def measure_dispersion(states: list[GridState], k: float) -> float:
     """
     if len(states) < 3:
         raise ValueError("need at least 3 snapshots to fit a rotation rate")
-    project = _mode_projector(states[0].grid, [k])
-    coeffs = [project(s.field)[0] for s in states]
-    return _rotation_rate(np.array([s.t for s in states]), np.array(coeffs))
+    project, n = _mode_projector(states[0].grid, [k]), states[0].grid.points[0]
+    coeffs = project([s.field for s in states])[0] / n  # divided at once, as each coefficient alone rounds
+    return _rotation_rate(np.array([s.t for s in states]), coeffs)
 
 
-def _mode_projector(grid: Grid, ks: list[float]) -> Callable[[np.ndarray], list[complex]]:
-    """f -> fft(f)[m] / n for the FFT mode m of each wavenumber in ``ks``, set up once per call or run.  Up to
-    log2 n modes whose phasors fit in 32 MB are projections on exp(-2 pi i (m j mod n) / n), j < n, as m dots
-    then cost less than one FFT (2-vCPU Xeon: 11 to 100 dots, 512 to 2^20 points); more are one FFT of f."""
+def _mode_projector(grid: Grid, ks: list[float]) -> Callable[[list[np.ndarray]], np.ndarray]:
+    """lines -> n fft(f)[m] for the FFT mode m of each wavenumber in ``ks`` (rows) and each line f (columns),
+    set up once per call or run; the caller divides by n.  Up to log2 n modes whose phasors fit in 32 MB are
+    projections on exp(-2 pi i (m j mod n) / n), j < n, as m dots then cost less than one FFT (2-vCPU Xeon:
+    11 to 100 dots, 512 to 2^20 points); more are one FFT of each line."""
     n, index = grid.points[-1], [_mode_index(grid, k) for k in ks]
     if len(index) > min(math.log2(n), (1 << 21) / n):
-        return lambda f: list(np.fft.fft(f)[index] / n)
+        return lambda lines: np.array([np.fft.fft(f)[index] for f in lines]).T
     phasors = [np.exp(-2j * np.pi * (m * np.arange(n) % n) / n) for m in index]
-    return lambda f: [np.dot(f, p) / n for p in phasors]
+    return lambda lines: np.array([[np.dot(f, p) for f in lines] for p in phasors])
 
 
 def _mode_index(grid: Grid, k: float) -> int:

@@ -85,8 +85,8 @@ def _points(z):
 
 def _cmul(a, b):
     """a * b, with arrays rounded as a product of two scalars is."""
-    if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
-        return a * b
+    if type(a) is complex is type(b) or not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
+        return a * b  # one point; two Python complexes, a per-event call's usual pair, take one test
     out = np.empty(np.broadcast(a, b).shape, dtype=complex)
     re, im = out.real, out.imag  # written in place through views: fewer temporaries
     np.multiply(a.real, b.real, out=re)

@@ -137,6 +137,18 @@ def test_cmul_rounds_scalars_as_arrays():
         assert _cmul(a, b) == _cmul(np.array([a]), np.array([b]))[0]
 
 
+
+@pytest.mark.parametrize("kinds", [("complex", "complex"), ("float", "complex"), ("complex", "np"), ("np", "np")])
+def test_cmul_of_one_point_is_its_product(kinds):
+    # two Python complexes take the one type test; any other pair of scalars the two array tests, both a * b
+    rng = np.random.default_rng(5)
+    make = {"complex": complex, "float": lambda v: v.real, "np": np.complex128}
+    for a, b in (rng.normal(size=(50, 2)) + 1j * rng.normal(size=(50, 2))).tolist() + [(-0.0 + 1j, 1j)]:
+        a, b = make[kinds[0]](a), make[kinds[1]](b)
+        got = _cmul(a, b)
+        assert type(got) is type(a * b) and np.asarray(got).tobytes() == np.asarray(a * b).tobytes()
+        assert np.asarray(_cmul(np.array([a]), b)).tobytes() == np.asarray(_cmul(a, np.array([b]))).tobytes()
+
 def test_harmonic_dtau_matches_stencil():
     spec = two_harmonic_spec(0.55)
     z = np.linspace(-0.8, 0.8, 9)

@@ -187,3 +187,10 @@ def test_a_boost_whose_output_overflows_raises(s, beta, sign):
         boost_event(Event(0.0, 0.0, s, -sign * s), b)
     with pytest.raises(ValueError, match=r"^non-finite event coordinate z=inf$"):
         inverse_boost_event(Event(0.0, 0.0, s, sign * s), b)
+    with pytest.raises(ValueError, match=r"^non-finite comoving coordinate xi=inf$"):  # xi is z'
+        comoving_coords(Event(0.0, 0.0, s, -sign * s), b)
+    e, b = Event(0.0, 0.0, -3e307, -1.7e308), LorentzBoost(-0.4)  # xi = -1.07e308, tau' overflows
+    with pytest.raises(ValueError, match=r"^non-finite event coordinate tau=-inf$"):
+        boost_event(e, b)
+    with pytest.raises(ValueError, match=r"^non-finite comoving coordinate eta=-inf$"):
+        comoving_coords(e, b)

@@ -106,6 +106,29 @@ def test_solver_config_validation():
         SolverConfig(dt=0.1, steps=1, scheme="leapfrog").resolved_mass_scalar()
 
 
+
+@pytest.mark.parametrize("steps", [2.5, True, np.float64(-1.5), "3"], ids=["fraction", "bool", "np_fraction", "str"])
+def test_solver_config_refuses_a_step_count_that_is_not_an_integer(steps):
+    # read as a profile reads an int field: a bool or a fraction was accepted, then failed or ran one step
+    with pytest.raises(ValueError, match=f"^steps must be an integer, got {re.escape(repr(steps))}$"):
+        SolverConfig(dt=0.1, steps=steps, scheme="leapfrog", mass_scalar=1.0)
+
+
+@pytest.mark.parametrize("dt", [True, np.True_, "0.1"], ids=["bool", "np_bool", "str"])
+def test_solver_config_refuses_a_dt_that_is_not_a_real_number(dt):
+    with pytest.raises(ValueError, match="^dt must be a real number"):
+        SolverConfig(dt=dt, steps=1, scheme="leapfrog", mass_scalar=1.0)
+
+
+@pytest.mark.parametrize("steps", [3.0, np.float64(3.0), np.int32(3)], ids=["float", "np_float64", "np_int32"])
+def test_an_integral_step_count_runs_as_its_int(steps):
+    cfg = SolverConfig(dt=0.1, steps=steps, scheme="leapfrog", mass_scalar=1.0)
+    assert type(cfg.steps) is int and cfg.steps == 3
+    g = Grid((8.0,), (16,))
+    fin = evolve_kgf(GridState(g, np.ones(16), np.zeros(16)), cfg, monitor=lambda s_: None)
+    assert fin.step_count == 3 and type(fin.step_count) is int
+
+
 def test_periodic_laplacian_discrete_eigenvalue():
     # exp(ikz) is an exact eigenvector with eigenvalue -[2 sin(k dx / 2) / dx]^2
     g = Grid((8.0,), (64,))
@@ -435,7 +458,7 @@ def test_a_mode_coefficient_is_the_fft_bin(nm, seed):
     n, m = nm
     f = random_field(np.random.default_rng(seed), n)
     bins = np.fft.fft(f) / n
-    got = pde._mode_projector(Grid((float(n),), (n,)), [2.0 * np.pi * m / n])(f)
+    got = pde._mode_projector(Grid((float(n),), (n,)), [2.0 * np.pi * m / n])([f])[:, 0] / n
     assert abs(got[0] - bins[m % n]) <= 1e-13 * np.abs(bins).max()
 
 
@@ -448,11 +471,32 @@ def test_many_modes_are_read_from_one_fft(n, count, fft):
     # up to log2 n modes whose phasors fit in 32 MB are projections; more are the FFT's own bins, bit for bit
     f = random_field(np.random.default_rng(n + count), n)
     ms = range(-(count // 2), count - count // 2)
-    got = pde._mode_projector(Grid((float(n),), (n,)), [2.0 * np.pi * m / n for m in ms])(f)
+    got = pde._mode_projector(Grid((float(n),), (n,)), [2.0 * np.pi * m / n for m in ms])([f])[:, 0] / n
     idx = [m % n for m in ms]
     phasor = lambda m: np.exp(-2j * np.pi * (m * np.arange(n) % n) / n)
     want = np.fft.fft(f)[idx] / n if fft else [np.dot(f, phasor(m)) / n for m in idx]
     assert np.array_equal(got, want)
+
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nm=st.integers(8, 1024).flatmap(lambda n: st.tuples(st.just(n), st.integers(-(n // 2), n // 2))),
+    count=st.integers(3, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(nm=(512, -3), count=701, seed=1)  # the bench's monitored line
+def test_dispersion_reads_each_coefficient_as_a_projection_divided_alone(nm, count, seed):
+    # a run's coefficients are divided by n at once, bit for bit as each divided alone
+    n, m = nm
+    grid, k = Grid((float(n),), (n,)), 2.0 * np.pi * m / n
+    rng = np.random.default_rng(seed)
+    states = [GridState(grid, random_field(rng, n), None, t=0.1 * i) for i in range(count)]
+    phasor = np.exp(-2j * np.pi * ((m % n) * np.arange(n) % n) / n)
+    want = np.array([np.dot(s_.field, phasor) / n for s_ in states])
+    got = pde._mode_projector(grid, [k])([s_.field for s_ in states])[0] / n
+    assert got.tobytes() == want.tobytes()
+    assert measure_dispersion(states, k) == pde._rotation_rate(np.array([s_.t for s_ in states]), want)
 
 
 # -- the spectral core -------------------------------------------------------------
@@ -500,6 +544,37 @@ grids_3d = st.builds(
     st.lists(st.integers(8, 12), min_size=3, max_size=3),
     st.lists(st.floats(0.5, 20.0), min_size=3, max_size=3),
 )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    grid=st.one_of(grids_1d, grids_3d),
+    with_pi=st.booleans(),
+    t=st.floats(-1e3, 1e3),
+    step_count=st.integers(0, 10**6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_copy_is_the_state_bit_for_bit_in_memory_of_its_own(grid, with_pi, t, step_count, seed):
+    rng = np.random.default_rng(seed)
+
+    def uniform():  # a random line with a -0.0, which compares equal to +0.0 but is not its bits
+        line = random_field(rng, grid.points[-1])
+        line[0] = complex(-0.0, line[0].imag)
+        return np.broadcast_to(line, grid.points).copy()
+
+    st_ = GridState(grid, uniform(), uniform() if with_pi else None, t, step_count)
+    cp = st_.copy()
+    assert type(cp) is GridState and cp.grid is grid and (cp.t, cp.step_count) == (t, step_count)
+    assert (cp.pi is None) == (not with_pi)
+    for a, b in [(st_.field, cp.field)] + [(st_.pi, cp.pi)] * with_pi:
+        assert b.shape == grid.points and b.dtype == complex and b.tobytes() == a.tobytes()
+        assert not np.shares_memory(a, b)
+        if grid.dim == 3:  # still the line, shown read-only across x and y
+            assert b.strides[:2] == (0, 0) and not b.flags.writeable
+        else:
+            assert b.flags.writeable and b.flags.c_contiguous
+    cp.t, cp.step_count = t + 1.0, step_count + 1
+    assert (st_.t, st_.step_count) == (t, step_count)
 
 
 @settings(max_examples=60, deadline=None)
@@ -691,23 +766,26 @@ def test_a_monitors_edit_carries_into_the_verlet_loop(grid, m_s, courant, steps,
 
 
 def _assert_plain_verlet_loop(grid, m_s, courant, steps, seed, edit):
+    # the monitor sees the loop's psi, pi, t and step at every step, before its edit
     rng = np.random.default_rng(seed)
     assume(edit != "write" or grid.dim == 1)  # a 3-d state's arrays are read-only views
     psi0, pi0 = uniform_field(rng, grid), uniform_field(rng, grid)
     dt = 2.0 * courant / np.sqrt(m_s - laplacian_symbol(grid).min())
-    st_ = GridState(grid, psi0.copy(), pi0.copy())
-    fin = evolve_kgf(st_, lf_config(dt, steps, m_s), monitor=_MONITOR_EDITS[edit])
+    st_, seen = GridState(grid, psi0.copy(), pi0.copy(), 0.25, 3), []
+    fin = evolve_kgf(st_, lf_config(dt, steps, m_s), monitor=lambda s_: (seen.append(s_.copy()), _MONITOR_EDITS[edit](s_)))
     assert np.array_equal(st_.field, psi0) and np.array_equal(st_.pi, pi0)  # input untouched
-    psi, pi = psi0, pi0
+    psi, pi, t = psi0, pi0, 0.25
     accel = roll_laplacian(psi, grid) - m_s * psi
-    for _ in range(steps):
+    for i, s_ in enumerate(seen, 1):
         pi = pi + 0.5 * dt * accel
         psi = psi + dt * pi
         accel = roll_laplacian(psi, grid) - m_s * psi
         pi = pi + 0.5 * dt * accel
+        t += dt
+        assert np.array_equal(s_.field, psi) and np.array_equal(s_.pi, pi) and (s_.t, s_.step_count) == (t, 3 + i)
         if edit != "none":
             psi, pi = psi + 0.01j * pi, pi * 0.99
-    assert np.array_equal(fin.field, psi) and np.array_equal(fin.pi, pi)
+    assert len(seen) == steps and np.array_equal(fin.field, psi) and np.array_equal(fin.pi, pi)
 
 
 def _write_into(s: GridState) -> None:
@@ -750,6 +828,36 @@ def test_a_monitored_run_builds_its_stencil_once(grid, monkeypatch):
     finally:
         tracemalloc.stop()
     assert max(rises[1:]) < st_.field.nbytes / 8
+
+
+@pytest.mark.parametrize("branch", ["fourier_1d", "fourier_3d", "lu_1d"])
+def test_a_monitor_sees_the_plain_cayley_loop_at_every_step(branch):
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    grid, kind = CN_BRANCHES[branch]
+    rng = np.random.default_rng(8)
+    psi, dt, coef = uniform_field(rng, grid), 0.003, MASS.hbar / (2.0 * MASS.m * MASS.c)
+    cfg = cn_config(dt, 40, potential=POTENTIALS[kind])
+    seen = []
+    evolve_schrodinger(GridState(grid, psi, None, 0.25, 3), cfg, monitor=lambda s_: seen.append(s_.copy()))
+    u, nz, dz = cfg.potential_on(grid), grid.points[-1], grid.spacing[-1]
+    if branch == "lu_1d":  # the periodic tridiagonal stencil, factorized once
+        lap = sp.diags([np.ones(nz - 1), -2.0 * np.ones(nz), np.ones(nz - 1)], [-1, 0, 1], format="lil")
+        lap[0, nz - 1] = lap[nz - 1, 0] = 1.0
+        H = coef * (-(lap / (dz * dz)).tocsr() + sp.diags(u))
+        eye = sp.identity(nz, dtype=complex, format="csr")
+        lu, B = spla.splu((eye - 0.5j * dt * H).tocsc()), (eye + 0.5j * dt * H).tocsr()
+        step = lambda f: lu.solve(B @ f)
+    else:  # the Cayley multiplier of each Fourier mode of the line
+        x = 0.5 * dt * coef * (u[0] - -4.0 / dz**2 * np.sin(np.pi * np.fft.fftfreq(nz)) ** 2)
+        cayley = (1.0 + 1j * x) / (1.0 - 1j * x)
+        step = lambda f: np.fft.ifft(np.fft.fft(f) * cayley)
+    line, t = psi[(0,) * (grid.dim - 1)], 0.25
+    for i, s_ in enumerate(seen, 1):
+        line, t = step(line), t + dt
+        assert np.array_equal(s_.field, np.broadcast_to(line, grid.points)) and (s_.t, s_.step_count) == (t, 3 + i)
+    assert len(seen) == cfg.steps
 
 
 def rel_l2(got, want):
@@ -1062,14 +1170,17 @@ def reference_observables(state, cfg):
 @example(grid=Grid((4.0, 5.0, 6.0), (8, 9, 10)), scheme="crank_nicolson", m_s=1.0, seed=6, kind="zero")
 @example(grid=Grid((8.0 * np.pi,), (4096,)), scheme="leapfrog", m_s=1.0, seed=0, kind="narrow")
 @example(grid=Grid((8.0 * np.pi,), (4096,)), scheme="crank_nicolson", m_s=1.0, seed=0, kind="narrow")
+@example(grid=Grid((3.0, 4.0, 8.0 * np.pi), (8, 9, 4096)), scheme="leapfrog", m_s=1.0, seed=1, kind="narrow")
+@example(grid=Grid((3.0, 4.0, 8.0 * np.pi), (8, 9, 4096)), scheme="crank_nicolson", m_s=1.0, seed=1, kind="narrow")
 def test_observables_are_the_roll_formula_to_round_off(grid, scheme, m_s, seed, kind):
     rng = np.random.default_rng(seed)
     st_ = GridState(grid, uniform_field(rng, grid), uniform_field(rng, grid))
     if kind == "zero":
         st_ = GridState(grid, np.zeros(grid.points), np.zeros(grid.points))
-    elif kind == "narrow":  # width L / 500 near 0.9 L, where a one-pass E[x^2] - mean^2 keeps few digits
-        L, z = grid.extents[-1], grid.axis(0)  # the examples are 1-d
-        st_.field = np.exp(-0.5 * ((z - L * rng.uniform(0.89, 0.91)) / (L / 500)) ** 2 + 1j * rng.uniform(0, 7))
+    elif kind == "narrow":  # width L / 500 near 0.9 L, where a one-pass E[z^2] - mean^2 keeps few digits
+        L, z = grid.extents[-1], grid.coords[-1]
+        line = np.exp(-0.5 * ((z - L * rng.uniform(0.89, 0.91)) / (L / 500)) ** 2 + 1j * rng.uniform(0, 7))
+        st_.field = np.broadcast_to(line, grid.points)
     if scheme == "leapfrog":
         cfg = lf_config(0.01, 1, m_s)
     else:
