@@ -575,7 +575,7 @@ def _run_evolve(cfg: ExperimentConfig, out: _Outputs) -> int:
     if modes and sc.steps < 2:
         raise ConfigError("--dispersion-modes needs at least 2 steps to fit a rotation rate")
     ks = [2.0 * np.pi * m / grid.extents[-1] for m in modes]
-    project = pde._mode_projector(grid, ks)  # ValueError, so exit 2, on a 3-d grid or an aliased mode
+    project = pde._mode_projector(grid, ks)  # ValueError, so exit 2, on an aliased mode
     continuum = lambda k: float(np.sqrt(k * k + sc.resolved_mass_scalar()))
     if modes and equation == "schrodinger":  # exp(ikz) under psi_t = i (hbar / 2mc)(-lap + u) psi, u constant
         u = sc.potential_on(grid)
@@ -599,7 +599,7 @@ def _run_evolve(cfg: ExperimentConfig, out: _Outputs) -> int:
         )
         if modes:  # each coefficient as measure_dispersion takes it
             times.append(st.t)
-            coeffs.append(project([st.field]))
+            coeffs.append(project([pde._line(st.field)]))
 
     record(state)
 

@@ -2,17 +2,18 @@
 
 Two integrators, second order in space and time, on uniform periodic grids
 in 1 or 3 dimensions.  The periodic second-order stencil is diagonal in
-Fourier space; one symbol, the sum of each axis's, serves both.  Both abort on a
-non-finite value, checked after every step of a monitored run; an unobserved
-Fourier or eigenbasis CN run, or leapfrog run, checks only its input and result,
-as each mode's one multiplier is finite (for CN of modulus 1).
+Fourier space; one symbol serves both.  Both abort on a non-finite value,
+checked after every step of a monitored run; an unobserved Fourier or
+eigenbasis CN run, or leapfrog run, checks only its input and result, as each
+mode's one multiplier is finite (for CN of modulus 1).
 
 A 3-d state is one z-line repeated across x and y, as every profile is a
 function of xi = gamma (z - beta tau) alone: ``GridState`` refuses any other,
 keeps the line and shows it read-only.  Every run, watched or not, steps the
-line, whose x and y differences vanish: it takes the kx = ky = 0 modes of the
-grid's symbol.  The 3-d grid still sets the dt warning, the Courant bound,
-the refusal of a potential that varies across x or y, and the CN branch.
+line, whose x and y differences vanish, and the line decides the run: the
+Courant bound reads its symbol, the CN warning its dz^2, the CN branch its nz.
+A 3-d run is the run of the 1-d grid along z, bit for bit.  The 3-d grid
+decides only the refusal of a potential that varies across x or y.
 
 * Crank-Nicolson for the first-order-in-time equation
 
@@ -24,8 +25,9 @@ the refusal of a potential that varies across x or y, and the CN branch.
   physics.  The potential depends on z alone, as the static potential
   u = lap q / q of a profile q(z) does.  A constant u makes a step a Cayley
   multiplier in Fourier space.  Any other makes H a real symmetric z-line
-  matrix: on a 3-d grid with nz <= nx ny a step is a Cayley multiplier in its
-  eigenbasis; in 1-d and on longer lines a prefactorized sparse LU solves it.
+  matrix: a step is a Cayley multiplier in its eigenbasis up to nz = 192 in a
+  watched run and nz = 512 in an unwatched one, and a prefactorized sparse LU
+  solves it on longer lines.
 
 * Velocity-Verlet leapfrog for the second-order equation
 
@@ -34,7 +36,7 @@ the refusal of a potential that varies across x or y, and the CN branch.
   storing (psi, pi = psi_t) at whole steps.  The scheme is symplectic:
   the discrete energy oscillates within an O(dt^2) band with no secular
   drift.  Stability requires dt * sqrt(max(-symbol) + m_s) <= 2; at m_s = 0
-  in 1-d that is the unit Courant number, where every Fourier mode advances
+  that is the unit Courant number, where every Fourier mode advances
   with exact phase speed and a full periodic transit returns the state to
   round-off.  A monitored run steps the stencil in real space, where real
   and imaginary parts never mix, by a plan: the step's ufunc calls over
@@ -51,8 +53,8 @@ in two passes: the mean, then the spread about it.  One kinetic sum
 K = sum of |psi_{i+1} - psi_i|^2 / dz^2 serves both energies: the leapfrog's
 (|pi|^2 + m_s |psi|^2 + K) / 2, and by summation by parts the CN
 <psi, H psi> = coef (K + u . |psi|^2).  ``measure_dispersion`` reads one
-Fourier mode of each state as a dot with that mode's phasor, built once per
-call (an FFT per state above 2^21 points), and divides them all by n at once.
+Fourier mode of each state's line as a dot with that mode's phasor, built once
+per call (an FFT per state above 2^21 points), and divides them all by n at once.
 """
 
 from __future__ import annotations
@@ -74,6 +76,9 @@ class SolverError(RuntimeError):
 
 
 _MAX_POINTS = 1 << 22
+# the longest z-line whose z-varying CN run steps in the line's eigenbasis, in a watched run (two nz^2
+# products a step) and in an unwatched one (one eigh); a longer line takes the sparse LU
+_EIGH_MAX_WATCHED, _EIGH_MAX = 192, 512
 
 
 @dataclass(frozen=True)
@@ -210,9 +215,7 @@ class SolverConfig:
             raise ValueError(f"steps must be >= 0, got {self.steps!r}")
         if self.scheme not in ("crank_nicolson", "leapfrog"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.mass_scalar is not None and (
-            not np.isfinite(self.mass_scalar) or self.mass_scalar < 0
-        ):
+        if self.mass_scalar is not None and not (math.isfinite(m_s := _real("mass scalar", self.mass_scalar)) and m_s >= 0):
             raise ValueError(f"mass scalar must be finite and >= 0, got {self.mass_scalar!r}")
 
     def resolved_mass_scalar(self) -> float:
@@ -307,8 +310,10 @@ def evolve_schrodinger(
 
     u is of z alone (``SolverConfig.potential_on``).  Constant u (none, a plane wave's)
     takes the Cayley step in Fourier space; any other (a static profile's) takes it in
-    the z-line eigenbasis on a 3-d grid with nz <= nx ny, and on a longer line or in 1-d
-    the z-line LU.  Unobserved, the Fourier and eigenbasis branches take N steps as one phase
+    the z-line eigenbasis for nz <= 192 in a watched run and nz <= 512 in an unwatched
+    one, and on a longer line the z-line LU.  Every choice reads the z-line alone, so a
+    3-d run is its line's 1-d run; a dt above dz^2 warns (stable, but less accurate).
+    Unobserved, the Fourier and eigenbasis branches take N steps as one phase
     e^{2iN arctan x} per mode: the Cayley multiplier (1 + ix) / (1 - ix), x = dt H / 2, is
     e^{2i arctan x}, so the phase is that of one step of tan(N arctan x).  Returns a fresh
     evolved state; the input is left untouched.
@@ -320,13 +325,9 @@ def evolve_schrodinger(
     if cfg.mass is None:
         raise ValueError("Schrodinger evolution needs mass parameters")
     grid = initial.grid
-    dx_max = max(grid.spacing)
-    if cfg.dt > dx_max * dx_max:
-        warnings.warn(
-            f"dt={cfg.dt} above dx^2={dx_max**2}: unconditionally stable but "
-            "accuracy degrades",
-            stacklevel=2,
-        )
+    nz, dz = grid.points[-1], grid.spacing[-1]
+    if cfg.dt > dz * dz:
+        warnings.warn(f"dt={cfg.dt} above dx^2={dz**2}: unconditionally stable but accuracy degrades", stacklevel=2)
     coef = cfg.mass.hbar / (2.0 * cfg.mass.m * cfg.mass.c)
     u = cfg.potential_on(grid)
     _check_finite(initial)
@@ -334,25 +335,28 @@ def evolve_schrodinger(
 
     # each branch maps psi to the basis it steps in (forward), advances one step there, and
     # maps back (inverse); where H is diagonal in that basis, x is dt H / 2 per mode
-    nz, dz, x = grid.points[-1], grid.spacing[-1], None
+    x = None
     if np.all(u == u[0]):
-        x = 0.5 * cfg.dt * coef * (u[0] - _axis_symbol(nz, dz))  # kx = ky = 0
+        x = 0.5 * cfg.dt * coef * (u[0] - _axis_symbol(nz, dz))
         forward, inverse = (lambda f: np.fft.fftn(f, out=f)), (lambda f: np.fft.ifftn(f, out=f))
-    elif grid.dim == 3 and nz <= grid.points[0] * grid.points[1]:
-        # chosen by the grid, as when each transverse mode stepped a z-line of its own, so the
-        # runs that load scipy stay the same: the line's eigenbasis, on numpy alone
+    elif nz <= (_EIGH_MAX if monitor is None else _EIGH_MAX_WATCHED):  # the line's eigenbasis, on numpy alone
         eye = np.eye(nz)
         lap_z = (np.roll(eye, 1, axis=1) - 2.0 * eye + np.roll(eye, -1, axis=1)) / (dz * dz)
         lam, V = np.linalg.eigh(coef * (np.diag(u) - lap_z))
         x, coeffs, line = 0.5 * cfg.dt * lam, np.empty_like(psi), psi
-        forward = lambda f: np.matmul(f, V, out=coeffs)
-        inverse = lambda c: np.matmul(c, V.T, out=line)
-    else:
+        pairs = lambda a: a.view(float).reshape(nz, 2)  # V is real: each product is one real matmul
+
+        def forward(f):
+            np.matmul(V.T, pairs(f), out=pairs(coeffs))
+            return coeffs
+
+        def inverse(c):
+            np.matmul(V, pairs(c), out=pairs(line))
+            return line
+    else:  # a longer line: one sparse LU, as V grows as nz^2 (32 GB at nz = 65536)
         import scipy.sparse as sp
         import scipy.sparse.linalg as spla
 
-        # 1-d, and 3-d lines longer than nx ny: one sparse LU.  The only path for long lines,
-        # where the eigenbasis's V grows as nz^2 (32 GB at 8 x 8 x 65536)
         lap_z = sp.diags([1.0, 1.0, -2.0, 1.0, 1.0], [1 - nz, -1, 0, 1, nz - 1], shape=(nz, nz), format="csr")
         H = coef * (-lap_z / (dz * dz) + sp.diags(u))
         eye = sp.identity(nz, dtype=complex, format="csr")
@@ -416,20 +420,15 @@ def _leapfrog(
     grid = initial.grid
     if initial.pi is None:
         raise ValueError("second-order evolution needs an initial pi = psi_t")
-    syms = [_axis_symbol(n, dx) for n, dx in zip(grid.points, grid.spacing)]
-    # the largest squared frequency m_s - symbol: rounding is monotone, so the sum of the axes' minima
-    # is the grid symbol's minimum bit for bit
-    courant = 0.5 * cfg.dt * np.sqrt(m_s - sum(s.min() for s in syms))  # velocity Verlet
+    n, dz = grid.points[-1], grid.spacing[-1]
+    sym = _axis_symbol(n, dz)  # the line's: its largest squared frequency m_s - symbol bounds dt
+    courant = 0.5 * cfg.dt * np.sqrt(m_s - sym.min())  # velocity Verlet
     if courant > 1.0 + 1e-12:
-        raise SolverError(
-            f"Courant violation: dt*omega_max/2 = {courant:.6g} > 1 "
-            f"(dt={cfg.dt}, dx={grid.spacing}, m_s={m_s})"
-        )
+        raise SolverError(f"Courant violation: dt*omega_max/2 = {courant:.6g} > 1 (dt={cfg.dt}, dz={dz}, m_s={m_s})")
     _check_finite(initial)
-    n = grid.points[-1]
     if monitor is None and cfg.steps > 0:  # nobody sees the steps in between: M^N per mode
         fold = np.minimum(np.arange(n), n - np.arange(n))  # modes j and n - j share their frequency
-        a, b, c, d = (e[fold] for e in _verlet_power(m_s - syms[-1][: n // 2 + 1], cfg.dt, cfg.steps))
+        a, b, c, d = (e[fold] for e in _verlet_power(m_s - sym[: n // 2 + 1], cfg.dt, cfg.steps))
         p, q = (np.fft.fftn(_line(f)) for f in (initial.field, initial.pi))
         p, q = a * p + b * q, c * p + d * q
         return _unobserved_steps_taken(initial, cfg, np.fft.ifftn(p, out=p), np.fft.ifftn(q, out=q))
@@ -441,7 +440,7 @@ def _leapfrog(
     psi[...], pi[...] = _line(initial.field), _line(initial.pi)
     accel, tmp = np.empty_like(psi), np.empty_like(psi)
     # the force, then its half kick dt / 2 accel, left in tmp for this step's last kick and the next one's first
-    force = _stencil(ext, grid.spacing[-1], accel)
+    force = _stencil(ext, dz, accel)
     force += [(np.multiply, m_s, _floats(psi), _floats(tmp)), (np.subtract, accel, tmp, accel)]
     force += [(np.multiply, 0.5 * cfg.dt, _floats(accel), _floats(tmp))]
     kick = [(np.add, pi, tmp, pi)]
@@ -534,14 +533,14 @@ def measure_observables(state: GridState, cfg: SolverConfig) -> Observables:
 def measure_dispersion(states: list[GridState], k: float) -> float:
     """Oscillation frequency of the spatial mode exp(i k z) over a run.
 
-    Fits the unwrapped phase of the mode's Fourier coefficient against time
-    and returns |d phase / dt|.  The states must come from a 1-d evolution
-    sampled at distinct times.
+    Fits the unwrapped phase of the mode's Fourier coefficient on each state's z-line
+    against time and returns |d phase / dt|.  The states must come from one evolution,
+    1-d or 3-d, sampled at distinct times; a 3-d run measures as its line's 1-d run.
     """
     if len(states) < 3:
         raise ValueError("need at least 3 snapshots to fit a rotation rate")
-    project, n = _mode_projector(states[0].grid, [k]), states[0].grid.points[0]
-    coeffs = project([s.field for s in states])[0] / n  # divided at once, as each coefficient alone rounds
+    project, n = _mode_projector(states[0].grid, [k]), states[0].grid.points[-1]
+    coeffs = project([_line(s.field) for s in states])[0] / n  # divided at once, as each coefficient alone rounds
     return _rotation_rate(np.array([s.t for s in states]), coeffs)
 
 
@@ -558,10 +557,8 @@ def _mode_projector(grid: Grid, ks: list[float]) -> Callable[[list[np.ndarray]],
 
 
 def _mode_index(grid: Grid, k: float) -> int:
-    """The FFT index of exp(i k z) on a 1-d grid; k commensurate with the extent, |m| <= n / 2."""
-    if grid.dim != 1:
-        raise ValueError("dispersion measurement expects 1-d states")
-    n, L = grid.points[0], grid.extents[0]
+    """The FFT index of exp(i k z) on the grid's z-line; k commensurate with its extent, |m| <= n / 2."""
+    n, L = grid.points[-1], grid.extents[-1]
     mode = k * L / (2.0 * np.pi)
     m = int(round(mode))
     if abs(mode - m) > 1e-9 * max(1.0, abs(mode)):

@@ -1119,17 +1119,16 @@ def test_evolve_schrodinger_3d_with_the_potential_of_a_static_gaussian(tmp_path)
 
 
 def test_3d_potential_run_leaves_scipy_unloaded(tmp_path):
-    # a potential of z alone on a 3-d grid with nz <= nx ny steps in the z-line eigenbasis,
-    # numpy alone; a 1-d one still takes the sparse LU and runs
+    # a potential of z alone on a watched line of up to 192 points steps in the z-line eigenbasis,
+    # numpy alone, on a 3-d grid and on a 1-d one
     spec = FieldSpec((HarmonicComponent(1.5, GaussianProfile(1.0, 4.0, 1.2)),), LorentzBoost(0.0))
     save_spec(spec, tmp_path / "static.json")
     code = (
         "import sys; from boostfield.cli import main; "
         "run = lambda grid, out: main(['evolve', 'schrodinger', '--spec', sys.argv[1], '--grid', grid, "
         "'--extent', '8', '--dt', '0.02', '--steps', '5', '--potential-from-spec', '--out', out]); "
-        "rc = run('16,16,16', sys.argv[2]); "
-        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
-        "print(run('64', sys.argv[3]))"
+        "rc = run('16,16,16', sys.argv[2]), run('64', sys.argv[3]); "
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(boostfield.__file__).resolve().parents[1]))
     args = [str(tmp_path / p) for p in ("static.json", "run3", "run1")]
@@ -1137,7 +1136,7 @@ def test_3d_potential_run_leaves_scipy_unloaded(tmp_path):
         [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:2] == ["0 []", "0"]
+    assert proc.stdout == "(0, 0) []\n"
 
 
 def test_evolve_wave_from_init_snapshot(tmp_path):
@@ -1255,6 +1254,16 @@ def test_evolve_kgf_dispersion(const_spec, tmp_path):
     assert k == pytest.approx(-0.75)
     assert cont == pytest.approx(1.25)  # mass scalar defaults to the carrier
     assert meas == pytest.approx(1.25, rel=1e-2)
+
+
+def test_a_3d_dispersion_run_writes_its_lines_csv(const_spec, tmp_path):
+    # --dispersion-modes reads the z-line: a 3-d run measures as the run of its --grid nz line, bit for bit
+    run = ["evolve", "kgf", "--spec", const_spec, "--extent", repr(8.0 * np.pi), "--dt", "0.02", "--steps", "100",
+           "--dispersion-modes=-3"]
+    for grid in ("16,16,512", "512"):
+        assert main([*run, "--grid", grid, "--out", str(tmp_path / grid)]) == 0
+    box, line = ((tmp_path / grid / "dispersion.csv").read_bytes() for grid in ("16,16,512", "512"))
+    assert box == line and len(read_csv(tmp_path / "512" / "dispersion.csv")[1]) == 1
 
 
 def test_the_default_mass_keeps_the_spec_carrier_at_any_hbar_and_c(const_spec, plane_spec, tmp_path):
@@ -1382,7 +1391,7 @@ def test_cli_dispersion_is_measure_dispersion_over_the_runs_states(equation, n, 
 )
 def test_evolve_refusals_come_before_any_output(dim, n, mode, steps, snap_every):
     refused = (
-        snap_every < 0 or not float(mode).is_integer() or steps < 2 or dim == 3 or 2 * abs(mode) > n
+        snap_every < 0 or not float(mode).is_integer() or steps < 2 or 2 * abs(mode) > n
     )
     with tempfile.TemporaryDirectory() as d:
         spec, out = Path(d, "c.json"), Path(d, "o")
@@ -1538,16 +1547,16 @@ _RESUMED = {
     "kgf": ("kgf", ["--mass-scalar=0.7"], False),
     "wave": ("wave", [], False),
     "schrodinger-free": ("schrodinger", ["--mass=1"], False),
-    "schrodinger-eigenbasis": ("schrodinger", ["--mass=1"], True),  # a 3-d grid with nz <= nx ny
-    "schrodinger-lu": ("schrodinger", ["--mass=1"], True),  # 1-d, or nz > nx ny
+    "schrodinger-eigenbasis": ("schrodinger", ["--mass=1"], True),  # nz <= 192, as an evolve run is watched
+    "schrodinger-lu": ("schrodinger", ["--mass=1"], True),  # nz > 192
 }
 
 
 @st.composite
 def resumed_runs(draw):
     case = draw(st.sampled_from(sorted(_RESUMED)))
-    dim = 3 if case == "schrodinger-eigenbasis" else draw(st.sampled_from([1, 3]))
-    nz = draw(st.integers(65, 72) if case == "schrodinger-lu" and dim == 3 else st.integers(8, 24))
+    dim = draw(st.sampled_from([1, 3]))
+    nz = draw(st.integers(193, 200) if case == "schrodinger-lu" else st.integers(8, 24))
     return case, (8, 8, nz)[3 - dim:], draw(st.integers(0, 5)), draw(st.integers(0, 5)), draw(st.integers(0, 2**32 - 1))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import subprocess
@@ -29,6 +30,7 @@ from boostfield import (
 from boostfield.pde import Observables, _check_finite, _mode_index, _potential_on_grid
 
 MASS = MassParameters(1.0, 1.0)
+LONG = pde._EIGH_MAX + 8  # a z-line whose z-varying CN run takes the LU, watched or not
 
 
 def cn_config(dt, steps, potential=None):
@@ -118,6 +120,13 @@ def test_solver_config_refuses_a_step_count_that_is_not_an_integer(steps):
 def test_solver_config_refuses_a_dt_that_is_not_a_real_number(dt):
     with pytest.raises(ValueError, match="^dt must be a real number"):
         SolverConfig(dt=dt, steps=1, scheme="leapfrog", mass_scalar=1.0)
+
+
+@pytest.mark.parametrize("m_s", [True, False, np.True_, "1.0"], ids=["bool", "false", "np_bool", "str"])
+def test_solver_config_refuses_a_mass_scalar_that_is_not_a_real_number(m_s):
+    # True was accepted and resolved to a mass scalar of 1.0
+    with pytest.raises(ValueError, match="^mass scalar must be a real number"):
+        SolverConfig(dt=0.1, steps=1, scheme="leapfrog", mass_scalar=m_s)
 
 
 @pytest.mark.parametrize("steps", [3.0, np.float64(3.0), np.int32(3)], ids=["float", "np_float64", "np_int32"])
@@ -431,9 +440,12 @@ def test_dispersion_measure_validation():
         measure_dispersion(weak, 2.0 * np.pi / 8.0)
     with pytest.raises(ValueError, match="ordered in time"):
         measure_dispersion(states[::-1], 2.0 * np.pi / 8.0)
-    with pytest.raises(ValueError, match="1-d"):
-        g3 = Grid((8.0,) * 3, (8,) * 3)
-        measure_dispersion([GridState(g3, np.ones((8,) * 3), None, t=0.1 * i) for i in range(4)], 0.0)
+    # a 3-d state measures as its z-line: the mode of its z extent and z points, bit for bit
+    g3 = Grid((3.0, 5.0, 8.0), (9, 10, 16))
+    box = [GridState(g3, np.broadcast_to(s_.field, g3.points), None, t=s_.t) for s_ in states]
+    assert measure_dispersion(box, 2.0 * np.pi / 8.0) == measure_dispersion(states, 2.0 * np.pi / 8.0)
+    with pytest.raises(ValueError, match="commensurate with extent 8.0"):
+        measure_dispersion(box, 2.0 * np.pi / 5.0)
 
 
 @pytest.mark.parametrize("n", [16, 17])
@@ -620,15 +632,15 @@ def test_courant_bound_comes_from_the_symbol():
 
 @settings(max_examples=60, deadline=None)
 @given(grid=st.one_of(grids_1d, grids_3d), m_s=st.sampled_from([0.0, 1.3, 1e-300]), ulps=st.integers(-2, 2))
-def test_the_solvers_read_the_grid_symbol_off_its_axes(grid, m_s, ulps):
+def test_the_solvers_read_the_symbol_of_their_line(grid, m_s, ulps):
     # the z axis's symbol is the grid symbol's kx = ky = 0 line, its k = 0 zero a +0.0, and the Courant
-    # bound refuses a dt exactly when the whole grid's largest m_s - symbol does
-    full = laplacian_symbol(grid)
-    assert same_bits(pde._axis_symbol(grid.points[-1], grid.spacing[-1]), full[(0,) * (grid.dim - 1)])
-    dt = 2.0 * (1.0 + 1e-12) / np.sqrt((m_s - full).max())
+    # bound refuses a dt exactly when that line's largest m_s - symbol does
+    line = laplacian_symbol(grid)[(0,) * (grid.dim - 1)]
+    assert same_bits(pde._axis_symbol(grid.points[-1], grid.spacing[-1]), line)
+    dt = 2.0 * (1.0 + 1e-12) / np.sqrt((m_s - line).max())
     for _ in range(abs(ulps)):
         dt = np.nextafter(dt, np.sign(ulps) * np.inf)
-    refused = 0.5 * dt * np.sqrt((m_s - full).max()) > 1.0 + 1e-12
+    refused = 0.5 * dt * np.sqrt((m_s - line).max()) > 1.0 + 1e-12
     st_ = uniform_state(np.random.default_rng(0), grid)
     try:
         evolve_kgf(st_, lf_config(dt, 0, m_s))
@@ -694,11 +706,11 @@ def test_one_cn_step_is_the_dense_cayley_solve(three_d, kind, dt, seed):
 
 @pytest.mark.parametrize(
     "points, across",
-    [((256,), 0.1), ((12, 12, 12), 0.1), ((12, 12, 12), 0.0)],
+    [((LONG,), 0.1), ((12, 12, 12), 0.1), ((12, 12, 12), 0.0)],
     ids=["points0", "points1", "points2_z_only"],
 )
 def test_cn_stiff_varying_potential_converges_and_conserves_norm(points, across):
-    # dt = 1000 dx^2: 1-d takes the z-line LU, a 3-d potential of z alone the z-line
+    # dt = 1000 dx^2: the long 1-d line takes the z-line LU, a 3-d potential of z alone the z-line
     # eigenbasis; one that varies across x is refused (in 1-d x = 0: a constant offset)
     g = Grid((20.0,) * len(points), points)
     z = np.broadcast_to(g.coords[-1], g.points)
@@ -969,19 +981,20 @@ def test_finite_check_is_exact():
                         _check_finite(st_)
 
 
-CN_BRANCHES = {  # grid and potential that select each Crank-Nicolson branch
+CN_BRANCHES = {  # grid and potential that select each Crank-Nicolson branch, watched or not
     "fourier_1d": (Grid((6.0,), (64,)), "constant"),
     "fourier_3d": (Grid((6.0, 7.0, 8.0), (8, 8, 16)), "zero"),
     "eigenbasis": (Grid((6.0, 7.0, 8.0), (8, 8, 16)), "z_only"),
-    "lu_1d": (Grid((6.0,), (64,)), "z_only"),
-    "lu_3d": (Grid((6.0, 7.0, 8.0), (8, 8, 80)), "z_only"),  # nz > nx ny
+    "eigenbasis_1d": (Grid((6.0,), (64,)), "z_only"),
+    "lu_1d": (Grid((60.0,), (LONG,)), "z_only"),
+    "lu_3d": (Grid((6.0, 7.0, 60.0), (8, 8, LONG)), "z_only"),
 }
 
 
 @settings(max_examples=30, deadline=None)
 @given(
     points=st.one_of(
-        st.tuples(st.integers(8, 64)), st.tuples(st.integers(8, 11), st.integers(8, 11), st.integers(8, 64))
+        st.tuples(st.integers(8, 256)), st.tuples(st.integers(8, 11), st.integers(8, 11), st.integers(8, 64))
     ),
     extents=st.tuples(*[st.floats(0.5, 20.0)] * 3),
     kind=st.sampled_from(["zero", "constant", "z_only"]),
@@ -992,11 +1005,12 @@ CN_BRANCHES = {  # grid and potential that select each Crank-Nicolson branch
 @example(points=(1024,), extents=(8.0 * np.pi,) * 3, kind="zero", steps=1000, ratio=0.9, seed=1)  # the bench's 1-d run
 def test_unmonitored_cn_is_the_monitored_loop_in_the_stepping_basis(points, extents, kind, steps, ratio, seed):
     # with no monitor the Fourier branch (zero or constant u) and the eigenbasis branch (u of z
-    # alone, nz <= nx ny) take one phase exp(2i steps arctan x) per mode; the monitored run,
+    # alone, nz <= 512) take one phase exp(2i steps arctan x) per mode; the monitored run,
     # which the dense-solve test pins step by step, takes the Cayley multiplier every step.
     # Both share x = dt H / 2, so only rounding parts them: the phase's is about eps steps pi,
     # a monitored step's about eps per basis change (worst of 550 draws: 8.5 eps steps)
-    assume(len(points) == 3 or kind != "z_only")  # a 1-d u of z takes the LU, which keeps its loop
+    # watched, a line past 192 points takes the LU, which keeps its loop
+    assume(kind != "z_only" or points[-1] <= pde._EIGH_MAX_WATCHED)
     grid = Grid(extents[: len(points)], points)
     rng = np.random.default_rng(seed)
     psi = uniform_field(rng, grid)
@@ -1051,8 +1065,8 @@ def test_1d_varying_potential_is_the_sparse_lu_bit_for_bit():
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    g = Grid((20.0,), (256,))
-    z, dx, n, dt = g.axis(0), g.spacing[0], 256, 0.9 * g.spacing[0] ** 2
+    g = Grid((20.0,), (LONG,))  # a line the LU steps, watched or not
+    z, dx, n, dt = g.axis(0), g.spacing[0], LONG, 0.9 * g.spacing[0] ** 2
     psi = np.exp(-((z - 10.0) ** 2) / 2.0) * np.exp(1.5j * z)
     pot = lambda x, y, zz: 0.5 * (zz - 10.0) ** 2 + np.cos(zz)
     # the reference: a periodic tridiagonal stencil, factorized once, as a plain loop
@@ -1076,32 +1090,33 @@ def transverse_mode_cayley_run(grid, table, coef, dt, steps, psi):
     nz, dz = grid.points[2], grid.spacing[2]
     eye = np.eye(nz)
     hz = -(np.roll(eye, 1, axis=1) - 2.0 * eye + np.roll(eye, -1, axis=1)) / dz**2 + np.diag(table)
-    shift = -laplacian_symbol(grid)[..., 0].reshape(-1, 1, 1)  # -(sx + sy) per mode
-    h = coef * (hz + shift * eye)
-    cayley = np.linalg.solve(np.eye(nz) - 0.5j * dt * h, np.eye(nz) + 0.5j * dt * h)
-    lines = np.fft.fft2(psi, axes=(0, 1)).reshape(-1, nz, 1)
-    out = np.linalg.matrix_power(cayley, steps) @ lines
+    # -(sx + sy) per mode; modes k and -k share theirs bit for bit, so each distinct one is built once
+    shift, which = np.unique(-laplacian_symbol(grid)[..., 0], return_inverse=True)
+    h = coef * (hz + shift.reshape(-1, 1, 1) * eye)
+    power = np.linalg.matrix_power(np.linalg.solve(eye - 0.5j * dt * h, eye + 0.5j * dt * h), steps)
+    lines = np.fft.fft2(psi, axes=(0, 1)).reshape(-1, nz)
+    out = np.array([power[m] @ line for m, line in zip(which.ravel(), lines)])
     return np.fft.ifft2(out.reshape(grid.points), axes=(0, 1))
 
 
 @settings(max_examples=25, deadline=None)
 @given(
-    points=st.tuples(st.integers(8, 11), st.integers(8, 11), st.integers(8, 130)),
+    points=st.tuples(st.integers(8, 11), st.integers(8, 11), st.one_of(st.integers(8, 130), st.integers(193, 260))),
     extents=st.tuples(*[st.floats(0.5, 20.0)] * 3),
     steps=st.integers(1, 12),
     stiffness=st.floats(0.0, 1.0),
     monitored=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(points=(8, 9, 73), extents=(3.0, 5.0, 20.0), steps=5, stiffness=1.0, monitored=False, seed=1)
+@example(points=(8, 9, 200), extents=(3.0, 5.0, 20.0), steps=5, stiffness=1.0, monitored=True, seed=1)
 @example(points=(11, 10, 24), extents=(7.0, 4.0, 9.0), steps=12, stiffness=1.0, monitored=True, seed=2)
 @example(points=(10, 10, 100), extents=(15.0, 18.0, 0.5), steps=12, stiffness=1.0, monitored=False, seed=21)
 def test_z_only_cn_run_is_each_transverse_modes_cayley_power(
     points, extents, steps, stiffness, monitored, seed
 ):
-    # nz <= nx ny steps in the z-line eigenbasis, a longer line (nz > nx ny) takes the LU;
-    # dt runs from 1e-3 to 1000 dx^2 on a log scale.  The third example is the worst draw
-    # found at the stiff end: nz = nx ny, dz the finest spacing, dt = 1000 dz^2, 12 steps
+    # nz <= 192 steps in the z-line eigenbasis, watched or not; 193 to 260 takes the LU watched
+    # and the eigenbasis unwatched; dt runs from 1e-3 to 1000 dx^2 on a log scale.  The third
+    # example is the worst draw found at the stiff end: dz the finest spacing, dt = 1000 dz^2, 12 steps
     grid = Grid(extents, points)
     rng = np.random.default_rng(seed)
     psi = uniform_field(rng, grid)
@@ -1345,8 +1360,8 @@ def test_a_uniform_run_is_the_full_grid_run_bit_for_bit(points, run):
 @example(points=(9, 8, 11), extents=(6.0, 7.0, 8.0), run="cn_z_only", monitored=False, steps=12, seed=2)
 def test_a_uniform_run_agrees_with_the_full_grid_run(points, extents, run, monitored, steps, seed):
     # every 3-d run steps its (0, 0) line, watched or not.  It is the whole box's run: the roll_laplacian
-    # Verlet loop, or the dense Cayley step.  On the leapfrog and Fourier branches it is also the run of the
-    # 1-d grid along z, bit for bit; the eigenbasis's 3-d line and the 1-d LU part at round-off
+    # Verlet loop, or the dense Cayley step.  As its line decides its branch, it is also the run of the 1-d
+    # grid along z, bit for bit
     grid = Grid(extents, points)
     rng = np.random.default_rng(seed)
     st_ = uniform_state(rng, grid, second_order=run in ("kgf", "wave"))
@@ -1362,11 +1377,8 @@ def test_a_uniform_run_agrees_with_the_full_grid_run(points, extents, run, monit
     else:
         assert rel_l2(got.field, psi) <= 1e-12 and (pi is None or rel_l2(got.pi, pi) <= 1e-12)
     line = line_run(evolve, st_, cfg, monitor)
-    if run == "cn_z_only":
-        assert rel_l2(got.field, np.broadcast_to(line.field, points)) <= 1e-12
-    else:
-        assert same_bits(got.field, np.broadcast_to(line.field, points))
-        assert same_bits(got.pi, None if line.pi is None else np.broadcast_to(line.pi, points))
+    assert same_bits(got.field, np.broadcast_to(line.field, points))
+    assert same_bits(got.pi, None if line.pi is None else np.broadcast_to(line.pi, points))
 
 
 def assert_refused(grid, arrays, where, first):
@@ -1496,37 +1508,112 @@ def test_the_laplacian_of_a_uniform_box_allocates_only_its_output():
         assert np.array_equal(out, roll_laplacian(f, grid))
 
 
-def test_an_unmonitored_uniform_z_only_potential_run_leaves_scipy_unloaded():
-    # the line takes the eigenbasis branch its 3-d grid selects, watched or not, never the sparse LU
+_SCIPY_ROWS = [  # (z-line points, watched, whether the run loads scipy): each side of both thresholds
+    ((192,), True, False), ((193,), True, True), ((512,), False, False), ((513,), False, True),
+    ((8, 8, 192), True, False), ((8, 8, 193), True, True), ((8, 9, 512), False, False), ((8, 9, 513), False, True),
+]
+
+
+@pytest.mark.parametrize(
+    "points, watched, loads",
+    _SCIPY_ROWS,
+    ids=["x".join(map(str, p)) + ("-watched" if w else "-unwatched") for p, w, _ in _SCIPY_ROWS],
+)
+def test_scipy_loads_where_the_lu_runs(points, watched, loads):
+    # a CN run whose u varies along z takes the sparse LU, and loads scipy, exactly past the eigenbasis's
+    # longest line: 192 points watched, 512 unwatched, in 1-d and 3-d alike; observing loads nothing
     code = (
         "import sys, numpy as np; from boostfield import pde; "
-        "g = pde.Grid((8.0,) * 3, (16, 16, 16)); z = g.axis(2); "
-        "st = pde.GridState(g, np.broadcast_to(np.exp(-(z - 4.0) ** 2), g.points)); "
-        "mass, u = pde.MassParameters(1.0, 1.0), lambda x, y, z: np.cos(z); "
-        "cfg = pde.SolverConfig(0.02, 5, 'crank_nicolson', mass, potential=u); "
-        "fin = pde.evolve_schrodinger(st, cfg); pde.measure_observables(fin, cfg); "
-        "pde.evolve_schrodinger(st, cfg, monitor=lambda s: pde.measure_observables(s, cfg)); "
-        "print(fin.field.shape, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "pts, watched = eval(sys.argv[1]), sys.argv[2] == 'True'; "
+        "g = pde.Grid((0.1 * pts[-1],) * len(pts), pts); z = g.axis(g.dim - 1); "
+        "st = pde.GridState(g, np.broadcast_to(np.exp(-(z - 4.0) ** 2) + 0j, g.points)); "
+        "cfg = pde.SolverConfig(0.005, 5, 'crank_nicolson', pde.MassParameters(1.0, 1.0), potential=lambda x, y, z: np.cos(z)); "
+        "watch = (lambda s: pde.measure_observables(s, cfg)) if watched else None; "
+        "fin = pde.evolve_schrodinger(st, cfg, monitor=watch); pde.measure_observables(fin, cfg); "
+        "print(fin.field.shape == g.points, any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(pde.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, repr(points), str(watched)], env=env, capture_output=True, text=True, timeout=120
+    )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "(16, 16, 16) []\n"
+    assert proc.stdout == f"True {loads}\n"
 
 
-def test_a_uniform_run_warns_and_refuses_as_its_grid_does():
-    # dx = dy = 1 and dz = 0.5: the line alone would warn from dt > dz^2 = 0.25 and bound the leapfrog's
-    # dt at 2 dz = 1; the grid warns only from dt > 1 and bounds dt at 2 / sqrt(24), about 0.41
+def test_a_3d_run_warns_and_refuses_as_its_line_does():
+    # dx = dy = 1 and dz = 0.5: the line warns from dt > dz^2 = 0.25 and bounds the leapfrog's dt at
+    # 2 / sqrt(4 / dz^2) = dz = 0.5; the whole box would warn only from dt > 1 and bound dt at 2 / sqrt(24),
+    # about 0.41
     grid = Grid((8.0, 8.0, 8.0), (8, 8, 16))
     st_ = uniform_state(np.random.default_rng(2), grid)
-    for dt, warned in ((0.5, 0), (1.5, 1)):
+    for dt, warned in ((0.25, 0), (0.3, 1)):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             evolve_schrodinger(st_, cn_config(dt, 4, potential=POTENTIALS["z_only"]))
         assert len(caught) == warned and all("accuracy" in str(w.message) for w in caught)
     with pytest.raises(SolverError, match="Courant violation"):
-        evolve_kgf(st_, lf_config(0.45, 4, 0.0))
-    evolve_kgf(st_, lf_config(0.4, 4, 0.0))
+        evolve_kgf(st_, lf_config(0.51, 4, 0.0))
+    evolve_kgf(st_, lf_config(0.5, 4, 0.0))
     bad = GridState(grid, np.full(grid.points, np.inf + 0j), st_.pi)
     with pytest.raises(SolverError, match="non-finite field values at step 0"):
         evolve_kgf(bad, lf_config(0.4, 4, 0.0))
+    # a 32^3 box of extent 8 pi at m_s = 1: dt = 0.6 is 0.82 of its line's bound and 1.36 of the box's
+    box = Grid((8.0 * np.pi,) * 3, (32,) * 3)
+    st_, cfg = uniform_state(np.random.default_rng(3), box), lf_config(0.6, 50, 1.0)
+    for monitor in (None, lambda s: None):
+        got, line = evolve_kgf(st_, cfg, monitor), line_run(evolve_kgf, st_, cfg, monitor)
+        assert same_bits(got.field, np.broadcast_to(line.field, box.points))
+        assert same_bits(got.pi, np.broadcast_to(line.pi, box.points))
+
+
+def _line_run_or_refusal(evolve, st_, cfg, monitor):
+    """(the final state, the warnings raised, the SolverError message): of a 3-d state's run, or its line's."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            fin, refused = evolve(st_, cfg, monitor), None
+        except SolverError as exc:
+            fin, refused = None, str(exc)
+    return fin, [str(w.message) for w in caught], refused
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    points=st.tuples(st.integers(8, 12), st.integers(8, 12), st.integers(8, 64)),
+    extents=st.tuples(*[st.floats(0.5, 20.0)] * 3),
+    run=st.sampled_from(["kgf", "wave", "cn_zero", "cn_constant", "cn_z_only"]),
+    scale=st.one_of(st.floats(0.5, 1.5), st.integers(-3, 3)),
+    monitored=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(points=(8, 8, 16), extents=(8.0, 8.0, 8.0), run="kgf", scale=0, monitored=False, seed=1)
+@example(points=(8, 8, 16), extents=(8.0, 8.0, 8.0), run="cn_z_only", scale=1, monitored=True, seed=2)
+def test_a_3d_run_is_refused_warned_and_stepped_as_its_line(points, extents, run, scale, monitored, seed):
+    # dt is drawn about the line's own bound: the leapfrog's 2 (1 + 1e-12) / sqrt(max(m_s - symbol)), CN's
+    # dz^2, either scaled by a float or moved by a few ulps.  The 3-d run is refused exactly when the run of
+    # the 1-d grid along z is, warns exactly when it warns, and else ends on that run's state bit for bit
+    grid = Grid(extents, points)
+    rng = np.random.default_rng(seed)
+    st_ = uniform_state(rng, grid, second_order=run in ("kgf", "wave"))
+    evolve, cfg = line_config(run, grid, int(rng.integers(1, 9)), table=rng.uniform(-2.0, 2.0, points[-1]))
+    sym, dz = pde._axis_symbol(points[-1], grid.spacing[-1]), grid.spacing[-1]
+    if cfg.scheme == "leapfrog":
+        bound = 2.0 * (1.0 + 1e-12) / np.sqrt(cfg.resolved_mass_scalar() - sym.min())
+    else:
+        bound = dz * dz
+    dt = bound * scale if isinstance(scale, float) else bound
+    for _ in range(abs(scale) if isinstance(scale, int) else 0):
+        dt = np.nextafter(dt, np.sign(scale) * np.inf)
+    cfg = dataclasses.replace(cfg, dt=float(dt))
+    monitor = (lambda s: None) if monitored else None
+    got = _line_run_or_refusal(evolve, st_, cfg, monitor)
+    line = _line_run_or_refusal(lambda s, c, m: line_run(evolve, s, c, m), st_, cfg, monitor)
+    assert got[1:] == line[1:]
+    if cfg.scheme == "leapfrog":
+        assert (got[2] is None) == (0.5 * dt * np.sqrt(cfg.resolved_mass_scalar() - sym.min()) <= 1.0 + 1e-12)
+    else:
+        assert len(got[1]) == (dt > dz * dz)
+    if got[0] is not None:
+        assert same_bits(got[0].field, np.broadcast_to(line[0].field, points))
+        assert same_bits(got[0].pi, None if line[0].pi is None else np.broadcast_to(line[0].pi, points))
+        assert (got[0].t, got[0].step_count) == (line[0].t, line[0].step_count)
