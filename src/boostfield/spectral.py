@@ -29,12 +29,14 @@ matrix product.  One probe is a real one, the samples' (re, im) pairs
 times the (2B, 2) real form [c, s; -s, c] of its table: on 160k samples
 and 2 vCPUs, 1,000 calls took p50 0.12 ms, p99 0.18 ms, where einsum
 took 0.29-0.38 ms and the complex matrix-vector product p50 0.04 ms but
-p99 8 ms and max 16 ms, as BLAS worker threads stalled.  Resynthesis (the
-scan residual, and `reconstruct` on evenly spaced times) is the conjugate
-product with the same tables, and the residual is summed a block of rows
-at a time, so a scan works in O(P sqrt(M)) memory and never copies the
-window of samples.  The estimator is unchanged: the results are those of
-the direct per-sample sums, to round-off.
+p99 8 ms and max 16 ms, as BLAS worker threads stalled.  The results
+are those of the direct per-sample sums, to round-off.  A scan's residual
+is a quadratic form in q_hat over the estimate's sums and the probes' Gram
+matrix, a Dirichlet kernel in closed form, so it costs O(P^2) after the
+estimate.  Where that form cancels by more than kappa = 1e4, or G would
+outgrow the window, the residual is resynthesized as `reconstruct` is on
+evenly spaced times, by the conjugate product with the same tables, a
+block of rows at a time in O(P sqrt(M)) memory.
 """
 
 from __future__ import annotations
@@ -62,6 +64,10 @@ class SampledSignal:
             raise ValueError("need a 1-d signal with at least 2 samples")
         if not np.all(np.isfinite(s.real) & np.isfinite(s.imag)):
             raise ValueError("signal samples must be finite")
+        for name in ("dt", "t0"):  # a bool is not a time
+            if isinstance(v := getattr(self, name), bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+                raise ValueError(f"{name} must be a real number, got {v!r}")
+            object.__setattr__(self, name, float(v))
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive, got {self.dt!r}")
         if not np.isfinite(self.t0):
@@ -173,6 +179,10 @@ def _window(sig: SampledSignal, T: float) -> _Window:
     return _Window(first, last, ends)
 
 
+_MAX_SAMPLES = 1 << 22  # the most samples sample_rest_signal writes, as many as pde's grids hold
+_KAPPA_MAX = 1e4  # the most cancellation kept in a Gram residual, 4 of its 16 digits
+
+
 def _probes(omegas, reach: float) -> np.ndarray:
     """The probe frequencies; each must keep every phase w t of the tables, |t| <= 65 reach (see _phasors), finite."""
     w, reach = [float(o) for o in omegas], float(reach)  # Python floats overflow to inf without a warning
@@ -231,6 +241,34 @@ def _synthesize(coeffs: np.ndarray, inner: np.ndarray, outer: np.ndarray, rows: 
     return np.conj(out, out=out).ravel()
 
 
+def _gram_power(x, q_hat, demod, omegas, t_start: float, dt: float) -> float | None:
+    """sum_j |x_j - sum_p q_p exp(i w_p t_j)|^2 over t_j = t_start + j dt, j < M, or None.
+
+    It is |x|^2 - 2 Re sum_p q_p conj(D_p) + q^H G q, D_p = sum_j x_j exp(-i w_p t_j),
+    with G[p, p'] = sum_j exp(i (w_p' - w_p) t_j) = exp(i (w_p' - w_p) t_mid) sin(M h) / sin(h),
+    h = (w_p' - w_p) dt / 2 (Oppenheim & Schafer, sec. 8.1).  A close fit makes the terms
+    cancel, losing about log10(kappa) digits, kappa = (|x|^2 + 2 |cross| + |quad|) / power:
+    None above _KAPPA_MAX, and where G would hold more numbers than x.
+    """
+    m = x.size
+    if omegas.size**2 > m:
+        return None
+    # G's Dirichlet factor sin(m h) / sin(h) from h reduced to r = h - k pi, so that
+    # probes 2 pi / dt apart keep their digits: (-1)^(k (m - 1)) sin(m r) / sin(r)
+    h = np.subtract.outer(omegas, omegas) * (0.5 * dt)
+    k = np.rint(h / np.pi)
+    r = h - np.pi * k
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gram = np.sin(m * r) / np.sin(r)
+    gram[r == 0.0] = m
+    if m % 2 == 0:
+        gram[k % 2 == 1] *= -1.0
+    y = (q_hat * np.exp(1j * omegas * (t_start + 0.5 * (m - 1) * dt))).view(float).reshape(-1, 2)
+    norm, cross, quad = float(np.vdot(x, x).real), complex(np.vdot(demod, q_hat)), float(np.sum(y * (gram @ y)))
+    power = norm - 2.0 * cross.real + quad
+    return power if norm + 2.0 * abs(cross) + abs(quad) <= _KAPPA_MAX * power else None
+
+
 def _uniform_grid(times: np.ndarray) -> tuple[float, float] | None:
     """(t_start, dt) when times is t_start + j dt to round-off, else None."""
     if times.ndim != 1 or times.size < 2:
@@ -245,15 +283,16 @@ def _uniform_grid(times: np.ndarray) -> tuple[float, float] | None:
 
 
 def _estimate(sig: SampledSignal, omegas: np.ndarray, T: float):
-    """q_hat for every probe, with the window and phasor tables that gave it."""
+    """q_hat for every probe, with the window, the interior sums D_p and the phasor tables that gave it."""
     win = _window(sig, T)
     x = sig.samples[win.interior]
     inner, outer = _phasors(omegas, sig.t0 + sig.dt * win.interior.start, sig.dt, x.size)
-    total = sig.dt * _demodulate(x, inner, outer)
+    demod = _demodulate(x, inner, outer)
+    total = sig.dt * demod
     ends = np.fromiter(win.ends, int, len(win.ends))
     weighed = np.fromiter(win.ends.values(), float, len(win.ends)) * sig.samples[ends]
     total += np.exp(-1j * np.multiply.outer(omegas, sig.t0 + sig.dt * ends)) @ weighed
-    return total / (2.0 * T), win, inner, outer
+    return total / (2.0 * T), win, demod, inner, outer
 
 
 def time_average(sig: SampledSignal, T: float) -> complex:
@@ -271,24 +310,26 @@ def scan_spectrum(sig: SampledSignal, omegas, T: float) -> SpectrumEstimate:
     """Extract q_hat at each probe frequency and report the residual RMS.
 
     The residual is signal minus reconstruction, measured over the samples
-    inside [-T, T].  An empty probe list yields the RMS of the signal
-    itself.
+    inside [-T, T], from the probes' Gram matrix where it keeps its digits
+    (see the module docstring).  An empty probe list yields the RMS of the
+    signal itself.
     """
     omegas = _probes(omegas, max(-sig.t0, sig.t_end))
-    q_hat, win, inner, outer = _estimate(sig, omegas, T)
+    q_hat, win, demod, inner, outer = _estimate(sig, omegas, T)
     entries = tuple(
         SpectrumEntry(float(w), complex(q), float(T)) for w, q in zip(omegas, q_hat)
     )
-    # the residual over samples first..last: the interior a block of table
-    # rows at a time, then the two end samples
+    # the residual over samples first..last: the interior, then the two end samples
     x = sig.samples[win.interior]
-    width = inner.shape[1]
-    block = max(1, 2**16 // width)
-    power = 0.0
-    for row in range(0, outer.shape[1], block):
-        seg = x[row * width : (row + block) * width]
-        resid = seg - _synthesize(q_hat, inner, outer, slice(row, row + block))[: seg.size]
-        power += float(np.vdot(resid, resid).real)
+    power = _gram_power(x, q_hat, demod, omegas, sig.t0 + sig.dt * win.interior.start, sig.dt)
+    if power is None:
+        width = inner.shape[1]
+        block = max(1, 2**16 // width)
+        power = 0.0
+        for row in range(0, outer.shape[1], block):
+            seg = x[row * width : (row + block) * width]
+            resid = seg - _synthesize(q_hat, inner, outer, slice(row, row + block))[: seg.size]
+            power += float(np.vdot(resid, resid).real)
     for j in {win.first, win.last} if win.first <= win.last else ():
         t_j = sig.t0 + sig.dt * j
         power += abs(sig.samples[j] - np.sum(q_hat * np.exp(1j * omegas * t_j))) ** 2
@@ -313,10 +354,12 @@ def reconstruct(est: SpectrumEstimate, times) -> np.ndarray:
 
 def sample_rest_signal(spec, z: float, T: float, dt: float, pad: float = 0.0) -> SampledSignal:
     """A spec's rest-frame psi at fixed z and t = j dt in [-T-pad, T+pad], from the tables `reconstruct` uses."""
-    if not (np.isfinite(T) and T > 0 and np.isfinite(dt) and dt > 0):
-        raise ValueError("need positive T and dt")
-    half = T + pad
-    n = int(np.floor(half / dt))
+    if not (np.isfinite(T) and T > 0 and np.isfinite(dt) and dt > 0 and np.isfinite(pad) and pad >= 0):
+        raise ValueError(f"need positive T and dt and a finite pad >= 0, got {T!r}, {dt!r}, {pad!r}")
+    half, dt = float(T) + float(pad), float(dt)
+    if not half / dt < _MAX_SAMPLES // 2:  # 2 floor(half / dt) + 1 <= the cap, and not inf
+        raise ValueError(f"sampling [-{half!r}, {half!r}] at dt = {dt!r} needs more than the cap of {_MAX_SAMPLES} samples")
+    n = math.floor(half / dt)
     omegas = _probes([comp.omega for comp in spec.components], half)
     coeffs = np.array([comp.profile.value(z) for comp in spec.components], dtype=complex)
     inner, outer = _phasors(omegas, dt * -n, dt, 2 * n + 1)

@@ -845,6 +845,16 @@ def test_spectrum_probe_whose_phase_overflows_is_one_config_error(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("t_max,dt", [("1e300", "1e-300"), ("1e6", "1e-6")])
+def test_spectrum_record_above_the_sample_cap_is_one_config_error(t_max, dt, gauss_spec, tmp_path):
+    # an infinite sample count, and 2e12 samples (29 TiB), each refused before any allocation
+    argv = ["spectrum", "--spec", gauss_spec, "--t-max", t_max, "--dt", dt, "--omegas", "1", "--window", "1"]
+    proc = run_boostfield(argv + ["--out", "d"], tmp_path)
+    assert_config_error(proc)
+    assert "needs more than the cap of 4194304 samples" in proc.stderr
+    assert not (tmp_path / "d").exists()
+
+
 # -- verify --------------------------------------------------------------------
 
 

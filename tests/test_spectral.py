@@ -39,6 +39,12 @@ def test_signal_validation():
         SampledSignal(np.ones(5, dtype=complex), -0.1, 0.0)
     with pytest.raises(ValueError, match="finite"):
         SampledSignal(np.array([1.0, np.inf]), 0.1, 0.0)
+    # a bool, a string or None is not a time; numpy numbers are stored as floats
+    for dt, t0 in ((True, 0.0), (0.1, False), (np.True_, 0.0), ("0.1", 0.0), (0.1, "0"), (None, 0.0)):
+        with pytest.raises(ValueError, match="^(dt|t0) must be a real number, got "):
+            SampledSignal(np.ones(3, dtype=complex), dt, t0)
+    sig = SampledSignal(np.ones(3, dtype=complex), np.float64(0.5), np.int64(-1))
+    assert (type(sig.dt), type(sig.t0), sig.t0) == (float, float, -1.0)
 
 
 def test_symmetric_constructor_centers_zero():
@@ -177,6 +183,17 @@ def test_sample_rest_signal_pad_extends_coverage():
         sample_rest_signal(spec, 0.0, -1.0, 0.1)
 
 
+def test_sample_rest_signal_refuses_a_bad_pad_or_too_many_samples():
+    # each before any allocation: 2 floor((T + pad) / dt) + 1 samples may not pass the cap
+    spec = spec_for(ConstantProfile(1.0), 0.0, omega=2.0)
+    for pad in (np.inf, -np.inf, np.nan, -0.5):
+        with pytest.raises(ValueError, match="finite pad >= 0"):
+            sample_rest_signal(spec, 0.0, 2.0, 0.1, pad=pad)
+    for T, dt, pad in ((1e300, 1e-300, 0.0), (1e6, 1e-6, 0.0), (0.01 * 2**21, 0.01, 0.0), (1e308, 1.0, 1e308)):
+        with pytest.raises(ValueError, match="needs more than the cap of 4194304 samples$"):
+            sample_rest_signal(spec, 0.0, T, dt, pad)
+
+
 # -- the batched kernel against the direct per-probe sum -------------------------
 
 
@@ -240,6 +257,9 @@ def kernel_tol(sig, omegas):
 # a window far narrower than dt that starts on a sample: its estimate must
 # not come out as the difference of two dt-sized sums
 @example((SampledSignal(np.array([-1.75 - 0.67j, 0.2 + 0.37j, 1.0 + 0.5j]), 0.3, -1e-7), 1e-7), [7.0])
+# every harmonic probed on a long record: the fit is exact to round-off, the
+# Gram form's terms cancel, and the residual is resynthesized
+@example((harmonic_signal([0.8 - 0.3j], [1.3], t_max=200.0, dt=0.01), 199.5), [1.3])
 def test_scan_matches_direct_sum(case, omegas):
     sig, T = case
     est = scan_spectrum(sig, omegas, T)
@@ -258,6 +278,64 @@ def test_scan_matches_direct_sum(case, omegas):
     )
     rms = float(np.sqrt(np.mean(np.abs(resid) ** 2))) if inside.any() else 0.0
     assert est.residual_rms == pytest.approx(rms, rel=1e-9, abs=tol * (1 + sum(map(abs, q))))
+
+
+@pytest.fixture(scope="module")
+def bench_record():
+    """A ladder of five harmonics over a mean, 160,001 samples at dt = 0.01, and off-ladder probes."""
+    rng = np.random.default_rng(5)
+    ladder = np.cumsum(rng.uniform(0.7, 1.5, 5))
+    comps = [HarmonicComponent(0.0, ConstantProfile(0.4))]
+    for w in ladder:
+        amp = complex(rng.uniform(0.3, 1.0), rng.uniform(-0.5, 0.5))
+        comps.append(HarmonicComponent(float(w), GaussianProfile(amp, rng.uniform(-0.5, 0.5), rng.uniform(1.0, 2.0))))
+    sig = sample_rest_signal(FieldSpec(tuple(comps), LorentzBoost(0.5)), 0.2, 800.0, 0.01)
+    extra = rng.uniform(0.0, ladder[-1] + 2.0, 400)
+    return sig, ladder, extra[np.abs(extra[:, None] - ladder).min(axis=1) >= 0.05]
+
+
+def counting_synthesize(monkeypatch) -> list:
+    """Patch spectral._synthesize to log each call in the returned list."""
+    calls, real = [], spectral._synthesize
+    monkeypatch.setattr(spectral, "_synthesize", lambda *args: calls.append(args[-1]) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("probes", ["ladder and 59 more", "ladder and 251 more", "none", "ladder twice"])
+def test_a_scan_that_leaves_the_mean_unprobed_takes_the_gram_residual(bench_record, probes, monkeypatch):
+    # the unprobed mean keeps the residual well above round-off, so the Gram
+    # form keeps its digits and nothing is resynthesized
+    sig, ladder, extra = bench_record
+    omegas = {
+        "ladder and 59 more": np.concatenate([ladder, extra[:59]]),
+        "ladder and 251 more": np.concatenate([ladder, extra[:251]]),
+        "none": np.array([]),
+        "ladder twice": np.repeat(ladder, 2),
+    }[probes]
+    calls = counting_synthesize(monkeypatch)
+    T = sig.max_symmetric_window()
+    gram = scan_spectrum(sig, omegas, T)
+    assert calls == []
+    monkeypatch.setattr(spectral, "_KAPPA_MAX", 0.0)  # resynthesize whatever the cancellation
+    resynthesized = scan_spectrum(sig, omegas, T)
+    assert calls and gram.entries == resynthesized.entries
+    assert abs(gram.residual_rms - resynthesized.residual_rms) <= 1e-12 * resynthesized.residual_rms
+
+
+def test_a_scan_whose_fit_is_round_off_resynthesizes(monkeypatch):
+    calls = counting_synthesize(monkeypatch)
+    est = scan_spectrum(harmonic_signal([0.8 - 0.3j], [1.3], t_max=200.0, dt=0.01), [1.3], 199.5)
+    assert calls and est.residual_rms < 1e-12
+
+
+def test_a_scan_resynthesizes_where_g_would_outgrow_the_window(monkeypatch):
+    # [-3, 3] holds 119 interior samples: G of 10 probes has 100 entries, of 11 probes 121
+    sig = harmonic_signal([1.0], [1.0], t_max=3.0, dt=0.05)
+    calls = counting_synthesize(monkeypatch)
+    scan_spectrum(sig, np.linspace(0.5, 5.0, 10), 3.0)
+    assert calls == []
+    scan_spectrum(sig, np.linspace(0.5, 5.0, 11), 3.0)
+    assert calls
 
 
 @settings(max_examples=100, deadline=None)
