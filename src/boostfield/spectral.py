@@ -32,11 +32,12 @@ took 0.29-0.38 ms and the complex matrix-vector product p50 0.04 ms but
 p99 8 ms and max 16 ms, as BLAS worker threads stalled.  The results
 are those of the direct per-sample sums, to round-off.  A scan's residual
 is a quadratic form in q_hat over the estimate's sums and the probes' Gram
-matrix, a Dirichlet kernel in closed form, so it costs O(P^2) after the
-estimate.  Where that form cancels by more than kappa = 1e4, or G would
-outgrow the window, the residual is resynthesized as `reconstruct` is on
-evenly spaced times, by the conjugate product with the same tables, a
-block of rows at a time in O(P sqrt(M)) memory.
+matrix, a Dirichlet kernel in closed form: 4 P trig calls and O(P^2)
+products after the estimate, the nearest pairs in the direct form (see
+_dirichlet).  Where that form cancels by more than kappa = 1e4, or G
+would outgrow the window, the residual is resynthesized as `reconstruct`
+is on evenly spaced times, by the conjugate product with the same
+tables, a block of rows at a time in O(P sqrt(M)) memory.
 """
 
 from __future__ import annotations
@@ -48,6 +49,13 @@ from operator import le, lt
 from typing import NamedTuple
 
 import numpy as np
+
+
+def _real(name: str, v) -> float:
+    """v as a float, for a real number that is not a bool: the rule for every time and frequency here."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {v!r}")
+    return float(v)
 
 
 @dataclass(frozen=True)
@@ -64,10 +72,8 @@ class SampledSignal:
             raise ValueError("need a 1-d signal with at least 2 samples")
         if not np.all(np.isfinite(s.real) & np.isfinite(s.imag)):
             raise ValueError("signal samples must be finite")
-        for name in ("dt", "t0"):  # a bool is not a time
-            if isinstance(v := getattr(self, name), bool) or not isinstance(v, (int, float, np.integer, np.floating)):
-                raise ValueError(f"{name} must be a real number, got {v!r}")
-            object.__setattr__(self, name, float(v))
+        for name in ("dt", "t0"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive, got {self.dt!r}")
         if not np.isfinite(self.t0):
@@ -181,11 +187,14 @@ def _window(sig: SampledSignal, T: float) -> _Window:
 
 _MAX_SAMPLES = 1 << 22  # the most samples sample_rest_signal writes, as many as pde's grids hold
 _KAPPA_MAX = 1e4  # the most cancellation kept in a Gram residual, 4 of its 16 digits
+_REAL_FORM = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, -1.0, 0.0]])  # (c, s) to (c, s, -s, c), exactly
 
 
 def _probes(omegas, reach: float) -> np.ndarray:
-    """The probe frequencies; each must keep every phase w t of the tables, |t| <= 65 reach (see _phasors), finite."""
-    w, reach = [float(o) for o in omegas], float(reach)  # Python floats overflow to inf without a warning
+    """The probes, read by _real; each must keep every phase w t of the tables, |t| <= 65 reach (see _phasors), finite."""
+    if isinstance(omegas, (str, bytes)) or not np.iterable(omegas):
+        raise ValueError(f"omegas must be a sequence of real numbers, got {omegas!r}")
+    w, reach = [_real("omega", o) for o in omegas], float(reach)  # Python floats overflow to inf without a warning
     for o in w:
         if not math.isfinite(o):
             raise ValueError(f"omega must be finite, got {o!r}")
@@ -206,12 +215,11 @@ def _phasors(omegas: np.ndarray, t_start: float, dt: float, m: int) -> tuple[np.
     c = math.isqrt(math.isqrt(max(m - 1, 0))) + 1
     t = np.multiply.outer([-dt, -dt * c, -dt * c * c, -dt * c**3], np.arange(c))
     t[3] -= t_start
-    phase = np.multiply.outer(omegas, t)
+    phase = t[:, None, :] * omegas[:, None]
     tab = np.empty(phase.shape, dtype=complex)
     np.cos(phase, out=tab.real)
     np.sin(phase, out=tab.imag)
-    inner = (tab[:, 1, :, None] * tab[:, 0, None, :]).reshape(len(omegas), c * c)
-    outer = (tab[:, 3, :, None] * tab[:, 2, None, :]).reshape(len(omegas), c * c)
+    inner, outer = (tab[1::2, :, :, None] * tab[0::2, :, None, :]).reshape(2, len(omegas), c * c)
     return inner, outer[:, : -(-m // (c * c))]
 
 
@@ -221,7 +229,7 @@ def _demodulate(x: np.ndarray, inner: np.ndarray, outer: np.ndarray) -> np.ndarr
     full = x.size // width
     rows = x[: full * width].reshape(full, width)
     if len(inner) == 1:  # a real product; see the module docstring
-        real_form = np.stack([inner[0], 1j * inner[0]], axis=1).view(float).reshape(-1, 2)
+        real_form = (inner[0].view(float).reshape(-1, 2) @ _REAL_FORM).reshape(-1, 2)
         partial = (rows.view(float) @ real_form).view(complex).T
     else:
         partial = inner @ rows.T
@@ -241,43 +249,62 @@ def _synthesize(coeffs: np.ndarray, inner: np.ndarray, outer: np.ndarray, rows: 
     return np.conj(out, out=out).ravel()
 
 
+def _dirichlet(omegas: np.ndarray, dt: float, m: int) -> np.ndarray:
+    """sin(m h) / sin(h) for every pair of probes, h = (w_p - w_p') dt / 2 (Oppenheim & Schafer, sec. 8.1).
+
+    With a = w dt / 2, sin(m a_p - m a_p') and sin(a_p - a_p') are S_p C_p' - C_p S_p' of one
+    sine and cosine per probe and phase: 4 P trig calls and O(P^2) products.  Where |sin h|
+    >= m^(-1/2) those keep the phases' digits, an error of about eps sqrt(m) |a| of m.  The
+    nearer pairs, duplicates, near-coincident probes and probes 2 pi / dt apart, take the
+    direct form from h reduced to r = h - k pi: (-1)^(k (m - 1)) sin(m r) / sin(r), m at r = 0.
+    """
+    a = omegas * (0.5 * dt)
+    s, c = np.sin([m * a, a]), np.cos([m * a, a])
+    gram, den = np.stack([s, -c], axis=2) @ np.stack([c, s], axis=1)
+    near = np.flatnonzero(np.abs(den) < (m ** -0.5 if m else math.inf))
+    with np.errstate(divide="ignore", invalid="ignore"):  # the near pairs are replaced below
+        gram /= den
+        h = (omegas[near // a.size] - omegas[near % a.size]) * (0.5 * dt)
+        k = np.rint(h / np.pi)
+        r = h - np.pi * k
+        g = np.sin(m * r) / np.sin(r)
+    g[r == 0.0] = m
+    if m % 2 == 0:
+        g[k % 2 == 1] *= -1.0
+    gram.ravel()[near] = g
+    return gram
+
+
 def _gram_power(x, q_hat, demod, omegas, t_start: float, dt: float) -> float | None:
     """sum_j |x_j - sum_p q_p exp(i w_p t_j)|^2 over t_j = t_start + j dt, j < M, or None.
 
     It is |x|^2 - 2 Re sum_p q_p conj(D_p) + q^H G q, D_p = sum_j x_j exp(-i w_p t_j),
-    with G[p, p'] = sum_j exp(i (w_p' - w_p) t_j) = exp(i (w_p' - w_p) t_mid) sin(M h) / sin(h),
-    h = (w_p' - w_p) dt / 2 (Oppenheim & Schafer, sec. 8.1).  A close fit makes the terms
-    cancel, losing about log10(kappa) digits, kappa = (|x|^2 + 2 |cross| + |quad|) / power:
-    None above _KAPPA_MAX, and where G would hold more numbers than x.
+    with G[p, p'] = sum_j exp(i (w_p' - w_p) t_j) = exp(i (w_p' - w_p) t_mid) times the
+    Dirichlet kernel, 4 P trig calls and O(P^2) products (_dirichlet).  A close fit makes
+    the terms cancel, losing about log10(kappa) digits, kappa = (|x|^2 + 2 |cross| +
+    |quad|) / power: None above _KAPPA_MAX, and where G would hold more numbers than x.
     """
     m = x.size
     if omegas.size**2 > m:
         return None
-    # G's Dirichlet factor sin(m h) / sin(h) from h reduced to r = h - k pi, so that
-    # probes 2 pi / dt apart keep their digits: (-1)^(k (m - 1)) sin(m r) / sin(r)
-    h = np.subtract.outer(omegas, omegas) * (0.5 * dt)
-    k = np.rint(h / np.pi)
-    r = h - np.pi * k
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gram = np.sin(m * r) / np.sin(r)
-    gram[r == 0.0] = m
-    if m % 2 == 0:
-        gram[k % 2 == 1] *= -1.0
+    gram = _dirichlet(omegas, dt, m)
     y = (q_hat * np.exp(1j * omegas * (t_start + 0.5 * (m - 1) * dt))).view(float).reshape(-1, 2)
     norm, cross, quad = float(np.vdot(x, x).real), complex(np.vdot(demod, q_hat)), float(np.sum(y * (gram @ y)))
     power = norm - 2.0 * cross.real + quad
     return power if norm + 2.0 * abs(cross) + abs(quad) <= _KAPPA_MAX * power else None
 
 
-def _uniform_grid(times: np.ndarray) -> tuple[float, float] | None:
-    """(t_start, dt) when times is t_start + j dt to round-off, else None."""
+def _uniform_grid(times: np.ndarray, reach: float) -> tuple[float, float] | None:
+    """(t_start, dt) when times, of largest |t| reach, is t_start + j dt to round-off, else None."""
     if times.ndim != 1 or times.size < 2:
         return None
     dt = (times[-1] - times[0]) / (times.size - 1)
-    dev = times[0] + dt * np.arange(times.size)
+    dev = np.arange(times.size, dtype=float)
+    dev *= dt
+    dev += times[0]
     dev -= times
     np.abs(dev, out=dev)
-    if not dev.max() <= 4.0 * np.finfo(float).eps * np.abs(times).max():
+    if not dev.max() <= 4.0 * np.finfo(float).eps * reach:
         return None
     return float(times[0]), float(dt)
 
@@ -289,9 +316,9 @@ def _estimate(sig: SampledSignal, omegas: np.ndarray, T: float):
     inner, outer = _phasors(omegas, sig.t0 + sig.dt * win.interior.start, sig.dt, x.size)
     demod = _demodulate(x, inner, outer)
     total = sig.dt * demod
-    ends = np.fromiter(win.ends, int, len(win.ends))
-    weighed = np.fromiter(win.ends.values(), float, len(win.ends)) * sig.samples[ends]
-    total += np.exp(-1j * np.multiply.outer(omegas, sig.t0 + sig.dt * ends)) @ weighed
+    ends = list(win.ends)
+    weighed = np.multiply(list(win.ends.values()), sig.samples[ends])
+    total += np.exp(-1j * np.multiply.outer(omegas, [sig.t0 + sig.dt * j for j in ends])) @ weighed
     return total / (2.0 * T), win, demod, inner, outer
 
 
@@ -302,7 +329,7 @@ def time_average(sig: SampledSignal, T: float) -> complex:
 
 def extract_harmonic(sig: SampledSignal, omega: float, T: float) -> complex:
     """Coefficient estimate q_hat(omega) = <f(t) exp(-i omega t)>_T."""
-    q_hat, *_ = _estimate(sig, _probes([omega], max(-sig.t0, sig.t_end)), T)
+    q_hat, *_ = _estimate(sig, _probes([omega], max(-sig.t0, sig.t_end)), _real("T", T))
     return complex(q_hat[0])
 
 
@@ -314,11 +341,9 @@ def scan_spectrum(sig: SampledSignal, omegas, T: float) -> SpectrumEstimate:
     (see the module docstring).  An empty probe list yields the RMS of the
     signal itself.
     """
-    omegas = _probes(omegas, max(-sig.t0, sig.t_end))
+    omegas, T = _probes(omegas, max(-sig.t0, sig.t_end)), _real("T", T)
     q_hat, win, demod, inner, outer = _estimate(sig, omegas, T)
-    entries = tuple(
-        SpectrumEntry(float(w), complex(q), float(T)) for w, q in zip(omegas, q_hat)
-    )
+    entries = tuple(SpectrumEntry(w, q, T) for w, q in zip(omegas.tolist(), q_hat.tolist()))
     # the residual over samples first..last: the interior, then the two end samples
     x = sig.samples[win.interior]
     power = _gram_power(x, q_hat, demod, omegas, sig.t0 + sig.dt * win.interior.start, sig.dt)
@@ -341,11 +366,12 @@ def scan_spectrum(sig: SampledSignal, omegas, T: float) -> SpectrumEstimate:
 def reconstruct(est: SpectrumEstimate, times) -> np.ndarray:
     """Sum of the estimated harmonics q_hat * exp(i omega t) at given times."""
     times = np.asarray(times, dtype=float)
-    if not np.all(np.isfinite(times)):
+    reach = float(max(times.max(initial=0.0), -times.min(initial=0.0)))  # not finite if a time is not
+    if not math.isfinite(reach):
         raise ValueError("times must be finite")
-    omegas = _probes([ent.omega for ent in est.entries], float(np.abs(times).max(initial=0.0)))
+    omegas = _probes([ent.omega for ent in est.entries], reach)
     coeffs = np.array([ent.q_hat for ent in est.entries], dtype=complex)
-    grid = _uniform_grid(times)
+    grid = _uniform_grid(times, reach)
     if grid is None:
         return sum((c * np.exp(1j * w * times) for c, w in zip(coeffs, omegas)), np.zeros(times.shape, complex))
     inner, outer = _phasors(omegas, grid[0], grid[1], times.size)

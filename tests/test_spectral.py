@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import spec_for
@@ -260,6 +262,10 @@ def kernel_tol(sig, omegas):
 # every harmonic probed on a long record: the fit is exact to round-off, the
 # Gram form's terms cancel, and the residual is resynthesized
 @example((harmonic_signal([0.8 - 0.3j], [1.3], t_max=200.0, dt=0.01), 199.5), [1.3])
+# probes 2 pi / dt apart, which the samples cannot tell apart, and probes 1e-9
+# apart: G's pairs there take the direct form of _dirichlet
+@example((harmonic_signal([0.8 - 0.3j, 0.4], [1.3, 0.0], t_max=20.0, dt=0.5), 19.5), [1.3, 1.3 + 4.0 * math.pi])
+@example((harmonic_signal([0.8 - 0.3j, 0.4], [1.3, 0.0], t_max=20.0, dt=0.05), 19.5), [1.3, 1.3 + 1e-9, 2.0])
 def test_scan_matches_direct_sum(case, omegas):
     sig, T = case
     est = scan_spectrum(sig, omegas, T)
@@ -336,6 +342,48 @@ def test_a_scan_resynthesizes_where_g_would_outgrow_the_window(monkeypatch):
     assert calls == []
     scan_spectrum(sig, np.linspace(0.5, 5.0, 11), 3.0)
     assert calls
+
+
+@st.composite
+def kernel_probes(draw):
+    """m, dt and probes with a duplicate, probes k 2 pi / dt apart, and pairs on both sides of |sin h| = m^(-1/2)."""
+    m = draw(st.sampled_from([0, 1, 2, 3, 4, 159_999]) | st.integers(0, 200_000))
+    dt = draw(st.floats(1e-3, 2.0))
+    omegas = draw(st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=4))
+    w = omegas[0]
+    omegas.append(w)
+    omegas += [w + k * 2.0 * math.pi / dt for k in draw(st.lists(st.sampled_from([-2, -1, 1, 2]), max_size=2))]
+    if m:
+        for f in draw(st.lists(st.floats(0.5, 2.0), max_size=3)):
+            omegas.append(w + 2.0 * math.asin(min(1.0, f / math.sqrt(m))) / dt)
+    return m, dt, np.array(omegas)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_probes())
+@example((0, 0.01, np.array([1.0, 1.0, 2.5])))
+@example((1, 0.01, np.array([1.0, 1.0, 2.5, 1.0 + 2.0 * math.pi / 0.01])))
+@example((2, 0.3, np.array([-3.0, -3.0, 7.0, -3.0 + 2.0 * math.pi / 0.3])))
+@example((159_999, 0.01, np.array([1.3, 1.3, 1.3 + 1e-9, 1.3 + 0.49, 1.3 + 0.51, 1.3 + 200.0 * math.pi, 7.9])))
+def test_dirichlet_kernel_matches_mpmath(case):
+    # sin(m h) / sin(h) to 40 digits: within 8 eps m (1 + sqrt(m) |a|) on the product
+    # pairs, where |a| is the larger of the pair's w dt / 2; near |sin h| = m^(-1/2)
+    # the direct form may be taken, and it rounds h itself, a further m |h|
+    mpmath = pytest.importorskip("mpmath")
+    m, dt, omegas = case
+    gram = spectral._dirichlet(omegas, dt, m)
+    assert gram.shape == (omegas.size, omegas.size)
+    eps = np.finfo(float).eps
+    with mpmath.workdps(40):
+        for p, w in enumerate(omegas):
+            for p2, w2 in enumerate(omegas):
+                h = (mpmath.mpf(float(w)) - mpmath.mpf(float(w2))) * mpmath.mpf(dt) / 2
+                sin_h = mpmath.sin(h)
+                exact = m if sin_h == 0 else mpmath.sin(m * h) / sin_h
+                phase = math.sqrt(m) * 0.5 * dt * max(abs(w), abs(w2))
+                if abs(sin_h) * math.sqrt(m) < 2.0:
+                    phase += m * abs(float(h))
+                assert abs(gram[p, p2] - float(exact)) <= 8.0 * eps * m * (1.0 + phase)
 
 
 @settings(max_examples=100, deadline=None)
@@ -419,8 +467,8 @@ def test_locate_is_searchsorted_on_the_sample_times(case, seed, kind):
 
 def test_reconstruct_takes_the_factored_path_on_sample_times():
     sig = sample_rest_signal(spec_for(ConstantProfile(1.0), 0.0), 0.0, 800.0, 0.01)
-    assert spectral._uniform_grid(sig.times) == (sig.t0, pytest.approx(sig.dt, rel=1e-12))
-    assert spectral._uniform_grid(np.array([0.0, 1.0, 3.0])) is None
+    assert spectral._uniform_grid(sig.times, 800.0) == (sig.t0, pytest.approx(sig.dt, rel=1e-12))
+    assert spectral._uniform_grid(np.array([0.0, 1.0, 3.0]), 3.0) is None
 
 
 # -- error contract ----------------------------------------------------------------
@@ -434,6 +482,28 @@ def test_nonfinite_probe_named_as_scalar():
         scan_spectrum(sig, np.array([1.0, np.inf]), 4.0)
     with pytest.raises(ValueError, match=r"^omega must be finite, got -inf$"):
         extract_harmonic(sig, np.float64(-np.inf), 4.0)
+
+
+def test_strings_and_bools_are_refused_as_frequencies_and_windows():
+    # probes and T are read by SampledSignal's rule for dt and t0
+    sig = harmonic_signal([1.0], [1.0], t_max=5.0, dt=1e-2)
+    for omegas in ("12", b"12", 1.0, np.float64(2.0), np.array(1.0), None):
+        with pytest.raises(ValueError, match="^omegas must be a sequence of real numbers, got "):
+            scan_spectrum(sig, omegas, 4.0)
+    for bad in (True, np.True_, "1.0", None, 1j):
+        with pytest.raises(ValueError, match="^omega must be a real number, got "):
+            extract_harmonic(sig, bad, 4.0)
+        with pytest.raises(ValueError, match="^omega must be a real number, got "):
+            scan_spectrum(sig, [1.0, bad], 4.0)
+        with pytest.raises(ValueError, match="^omega must be a real number, got "):
+            reconstruct(SpectrumEstimate((SpectrumEntry(bad, 1.0, 4.0),), 0.0), [0.0, 1.0])
+        for call in (lambda T: extract_harmonic(sig, 1.0, T), lambda T: time_average(sig, T),
+                     lambda T: scan_spectrum(sig, [1.0], T)):
+            with pytest.raises(ValueError, match="^T must be a real number, got "):
+                call(bad)
+    # numpy numbers are numbers, and a probe array reads as its floats
+    assert extract_harmonic(sig, np.int64(1), np.float64(4.0)) == extract_harmonic(sig, 1.0, 4.0)
+    assert scan_spectrum(sig, np.array([1, 2]), 4.0) == scan_spectrum(sig, [1.0, 2.0], 4.0)
 
 
 def test_strided_samples_give_the_results_of_a_copy():
