@@ -14,7 +14,7 @@ here (PEP 562), so a caller pays only for the modules it uses.
 
 import importlib
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 _EXPORTS = {
     "fields": ("FieldSpec", "HarmonicComponent", "MassParameters", "dumps_spec", "load_spec", "loads_spec",

@@ -32,8 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .kinematics import Event, LorentzBoost
-from .profiles import AmplitudeProfile, _cexp, _cmul, _real, _require_keys, profile_from_dict
+from .kinematics import Event, LorentzBoost, _real
+from .profiles import AmplitudeProfile, _cexp, _cmul, _require_keys, profile_from_dict
 
 
 @dataclass(frozen=True)
@@ -44,20 +44,21 @@ class HarmonicComponent:
     profile: AmplitudeProfile
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.omega) and self.omega >= 0.0):
-            raise ValueError(f"omega must be finite and >= 0, got {self.omega!r}")
-        object.__setattr__(self, "omega", float(self.omega))
+        object.__setattr__(self, "omega", omega := _real("omega", self.omega))
+        if not (math.isfinite(omega) and omega >= 0.0):
+            raise ValueError(f"omega must be finite and >= 0, got {omega!r}")
         if self.omega == 0.0 and not self.profile.is_real():
             raise ValueError("a zero-frequency (mean) component must have a real profile")
 
 
-def _check_spacing(h: float, what: str) -> None:
-    """Refuse a stencil spacing unless h > 0 and h^2 and 1 / h^2 are finite and nonzero."""
-    h = float(h)
+def _check_spacing(h: float, what: str) -> float:
+    """h as a float; ValueError unless h > 0 and h^2 and 1 / h^2 are finite and nonzero."""
+    h = _real(f"{what} spacing", h)
     if not (h > 0.0 and 0.0 < h * h < math.inf and 1.0 / (h * h) < math.inf):
         raise ValueError(
             f"{what} spacing must be positive, with its square and inverse square finite and nonzero, got {h!r}"
         )
+    return h
 
 
 @dataclass(frozen=True)
@@ -71,8 +72,8 @@ class MassParameters:
 
     def __post_init__(self) -> None:
         for name in ("m", "hbar", "c"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0.0):
+            object.__setattr__(self, name, v := _real(name, getattr(self, name)))
+            if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
         object.__setattr__(self, "omega", self.m * self.c / self.hbar)
         rest, scalar = self.m * (self.c * self.c), self.omega * self.omega  # where ** would raise, * gives inf
@@ -151,13 +152,13 @@ class FieldSpec:
 
 def spec_from_dict(d: dict) -> FieldSpec:
     d = _require_keys(d, "field-spec", ("boost", "components"))
-    boost = LorentzBoost(_real("beta", _require_keys(d["boost"], "boost", ("beta",))["beta"]))
+    boost = LorentzBoost(_require_keys(d["boost"], "boost", ("beta",))["beta"])
     if not isinstance(d["components"], list):
         raise ValueError(f"components must be a list, got {d['components']!r}")
     comps = []
     for rec in d["components"]:
         rec = _require_keys(rec, "component", ("omega", "profile"))
-        comps.append(HarmonicComponent(_real("omega", rec["omega"]), profile_from_dict(rec["profile"])))
+        comps.append(HarmonicComponent(rec["omega"], profile_from_dict(rec["profile"])))
     return FieldSpec(tuple(comps), boost)
 
 

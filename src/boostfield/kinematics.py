@@ -27,14 +27,52 @@ For a lab event (z, tau) the comoving coordinates are
 
 ``eta`` isolates the part of the rest-frame phase that a lab carrier wave
 exp(i*omega*tau) does not already account for: eta + tau = tau'.
+
+Here too is the one rule by which the package reads a caller's number (``_real``,
+``_as_complex``, ``_read_field``): a real number is not a bool, an integer accepts
+an integral float, and a numpy scalar is stored as a Python float or int.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
+from numbers import Complex, Real
+
+
+def _real(name: str, v) -> float:
+    """v as a Python float, for a real number that is not a bool; else ValueError naming it."""
+    if type(v) is float:  # the usual case, read without an ABC test, which costs twice the read
+        return v
+    if isinstance(v, bool) or not isinstance(v, (float, int, Real)):
+        raise ValueError(f"{name} must be a real number, got {v!r}")
+    return float(v)
+
+
+def _as_complex(v) -> complex:
+    """A complex number that is not a bool, or an [re, im] pair of real numbers, as a Python complex."""
+    if isinstance(v, (list, tuple)):
+        if len(v) != 2:
+            raise ValueError(f"complex value needs [re, im], got {v!r}")
+        return complex(_real("re", v[0]), _real("im", v[1]))
+    if isinstance(v, bool) or not isinstance(v, Complex):
+        raise ValueError(f"cannot parse complex value from {v!r}")
+    return complex(v)
+
+
+def _read_field(type_name: str, name: str, v):
+    """v by its annotated type: a finite Python complex or float, or a Python int (3.0 reads as 3; 2.7 is refused)."""
+    if type_name == "int":
+        if type(v) is int or not isinstance(v, bool) and isinstance(v, (float, Real)) and float(v).is_integer():
+            return int(v)
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    x = _as_complex(v) if type_name == "complex" else _real(name, v)
+    if not cmath.isfinite(x):
+        raise ValueError(f"{name} must be finite")
+    return x
 
 
 @dataclass(frozen=True)
@@ -51,14 +89,12 @@ class LorentzBoost:
     gamma: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.beta) and abs(self.beta) < 1.0):
-            raise ValueError(
-                f"superluminal boost: beta={self.beta!r}, need |beta| < 1"
-            )
+        object.__setattr__(self, "beta", beta := _real("beta", self.beta))
+        if not (math.isfinite(beta) and abs(beta) < 1.0):
+            raise ValueError(f"superluminal boost: beta={beta!r}, need |beta| < 1")
         # factored form stays accurate as |beta| -> 1, where 1 - beta**2
         # cancels catastrophically
-        gamma = 1.0 / math.sqrt((1.0 - self.beta) * (1.0 + self.beta))
-        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "gamma", 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta)))
 
     def inverse(self) -> "LorentzBoost":
         return self._inverse

@@ -68,7 +68,7 @@ from typing import Callable, Literal, NamedTuple
 import numpy as np
 
 from .fields import MassParameters, _check_spacing
-from .profiles import _read_field, _real
+from .kinematics import _read_field, _real
 
 
 class SolverError(RuntimeError):
@@ -89,8 +89,8 @@ class Grid:
     points: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        ext = tuple(float(L) for L in self.extents)
-        pts = tuple(int(n) for n in self.points)
+        ext = tuple(_real("extents", L) for L in self.extents)
+        pts = tuple(_read_field("int", "points", n) for n in self.points)
         if len(ext) != len(pts) or len(ext) not in (1, 3):
             raise ValueError("grid must be 1-d or 3-d with matching extents/points")
         if any(n < 8 for n in pts):
@@ -208,21 +208,24 @@ class SolverConfig:
     _potential_memo: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(dt := _real("dt", self.dt)) and dt > 0):  # _real refuses a bool
-            raise ValueError(f"dt must be positive, got {self.dt!r}")
+        object.__setattr__(self, "dt", dt := _real("dt", self.dt))
+        if not (math.isfinite(dt) and dt > 0):
+            raise ValueError(f"dt must be positive, got {dt!r}")
         object.__setattr__(self, "steps", _read_field("int", "steps", self.steps))  # 3.0 reads as 3
         if self.steps < 0:
             raise ValueError(f"steps must be >= 0, got {self.steps!r}")
         if self.scheme not in ("crank_nicolson", "leapfrog"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.mass_scalar is not None and not (math.isfinite(m_s := _real("mass scalar", self.mass_scalar)) and m_s >= 0):
-            raise ValueError(f"mass scalar must be finite and >= 0, got {self.mass_scalar!r}")
+        if self.mass_scalar is not None:
+            object.__setattr__(self, "mass_scalar", m_s := _real("mass scalar", self.mass_scalar))
+            if not (math.isfinite(m_s) and m_s >= 0):
+                raise ValueError(f"mass scalar must be finite and >= 0, got {m_s!r}")
 
     def resolved_mass_scalar(self) -> float:
         if self.mass_scalar is not None:
-            return float(self.mass_scalar)
+            return self.mass_scalar
         if self.mass is not None:
-            return float((self.mass.m * self.mass.c / self.mass.hbar) ** 2)
+            return self.mass.omega**2
         raise ValueError("config carries neither mass_scalar nor mass parameters")
 
     def potential_on(self, grid: Grid) -> np.ndarray:

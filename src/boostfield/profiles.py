@@ -31,39 +31,7 @@ from typing import ClassVar
 
 import numpy as np
 
-
-def _real(name: str, v) -> float:
-    """v as a float, for a real number that is not a bool."""
-    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
-        raise ValueError(f"{name} must be a real number, got {v!r}")
-    return float(v)
-
-
-def _as_complex(v) -> complex:
-    if isinstance(v, (list, tuple)):
-        if len(v) != 2:
-            raise ValueError(f"complex value needs [re, im], got {v!r}")
-        return complex(_real("re", v[0]), _real("im", v[1]))
-    if isinstance(v, (int, float, complex, np.number)) and not isinstance(v, bool):
-        return complex(v)
-    raise ValueError(f"cannot parse complex value from {v!r}")
-
-
-def _read_field(type_name: str, name: str, v):
-    """A record value as its field's annotated type: a finite complex or float, or an int.
-
-    An integral float reads as int() reads it; 2.7 and bools are not integers.
-    """
-    if type_name == "int":
-        if isinstance(v, (float, np.floating)) and float(v).is_integer():
-            v = int(v)
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {v!r}")
-        return int(v)
-    x = _as_complex(v) if type_name == "complex" else _real(name, v)
-    if not np.isfinite(x):
-        raise ValueError(f"{name} must be finite")
-    return x
+from .kinematics import _as_complex, _read_field, _real
 
 
 def _points(z):
@@ -123,10 +91,6 @@ def _refuse_overflow(profile, *bounds: float) -> None:
     """Refuse ``profile`` unless each bound on |q|, |q'|, |q''| and on the factors they are built from is finite."""
     if not all(map(math.isfinite, bounds)):
         raise ValueError(f"{profile!r}: q, q' or q'' would overflow a float")
-
-
-def _dump_complex(a: complex) -> list[float]:
-    return [float(a.real), float(a.imag)]
 
 
 def _require_keys(v, name: str, keys: tuple[str, ...]) -> dict:
@@ -191,7 +155,7 @@ class AmplitudeProfile(abc.ABC):
         rec = {"kind": self.kind}
         for f in fields(self):
             v = getattr(self, f.name)
-            rec[f.name] = _dump_complex(v) if isinstance(v, complex) else v
+            rec[f.name] = [v.real, v.imag] if isinstance(v, complex) else v
         return rec
 
     @classmethod
@@ -533,7 +497,7 @@ class TabulatedProfile(AmplitudeProfile):
         return {
             "kind": self.kind,
             "z": [float(x) for x in self.z_nodes],
-            "values": [_dump_complex(complex(v)) for v in self.values_at_nodes],
+            "values": [[v.real, v.imag] for v in self.values_at_nodes.tolist()],
         }
 
     @classmethod

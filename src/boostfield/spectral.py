@@ -50,12 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-
-def _real(name: str, v) -> float:
-    """v as a float, for a real number that is not a bool: the rule for every time and frequency here."""
-    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
-        raise ValueError(f"{name} must be a real number, got {v!r}")
-    return float(v)
+from .kinematics import _read_field, _real
 
 
 @dataclass(frozen=True)
@@ -72,12 +67,10 @@ class SampledSignal:
             raise ValueError("need a 1-d signal with at least 2 samples")
         if not np.all(np.isfinite(s.real) & np.isfinite(s.imag)):
             raise ValueError("signal samples must be finite")
-        for name in ("dt", "t0"):
-            object.__setattr__(self, name, _real(name, getattr(self, name)))
-        if not (np.isfinite(self.dt) and self.dt > 0):
+        object.__setattr__(self, "dt", _real("dt", self.dt))
+        object.__setattr__(self, "t0", _read_field("float", "t0", self.t0))
+        if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive, got {self.dt!r}")
-        if not np.isfinite(self.t0):
-            raise ValueError("t0 must be finite")
         object.__setattr__(self, "samples", s)
 
     @classmethod
@@ -380,9 +373,10 @@ def reconstruct(est: SpectrumEstimate, times) -> np.ndarray:
 
 def sample_rest_signal(spec, z: float, T: float, dt: float, pad: float = 0.0) -> SampledSignal:
     """A spec's rest-frame psi at fixed z and t = j dt in [-T-pad, T+pad], from the tables `reconstruct` uses."""
-    if not (np.isfinite(T) and T > 0 and np.isfinite(dt) and dt > 0 and np.isfinite(pad) and pad >= 0):
+    T, dt, pad = _real("T", T), _real("dt", dt), _real("pad", pad)
+    if not (math.isfinite(T) and T > 0 and math.isfinite(dt) and dt > 0 and math.isfinite(pad) and pad >= 0):
         raise ValueError(f"need positive T and dt and a finite pad >= 0, got {T!r}, {dt!r}, {pad!r}")
-    half, dt = float(T) + float(pad), float(dt)
+    half = T + pad
     if not half / dt < _MAX_SAMPLES // 2:  # 2 floor(half / dt) + 1 <= the cap, and not inf
         raise ValueError(f"sampling [-{half!r}, {half!r}] at dt = {dt!r} needs more than the cap of {_MAX_SAMPLES} samples")
     n = math.floor(half / dt)

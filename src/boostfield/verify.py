@@ -42,7 +42,7 @@ from typing import Callable, Literal
 import numpy as np
 
 from .fields import FieldSpec, MassParameters, _check_spacing
-from .kinematics import Event, LorentzBoost
+from .kinematics import Event, LorentzBoost, _read_field, _real
 from .profiles import _cdiv, _cmul
 
 _AXES = ("x", "y", "z", "tau")
@@ -124,7 +124,7 @@ def _stencils(field: Callable, X: np.ndarray, axes, h: float) -> dict:
     its (first, second) difference arrays.  A non-finite difference raises,
     naming the first event it belongs to.
     """
-    _check_spacing(h, "stencil")
+    h = _check_spacing(h, "stencil")
     shifts = np.zeros((4, 1 + 2 * len(axes)))
     for j, axis in enumerate(axes):
         shifts[_AXES.index(axis), 1 + 2 * j : 3 + 2 * j] = (h, -h)
@@ -187,7 +187,7 @@ def _certify(equation_id: str, spec: FieldSpec, k: int, events, eps_q: float, te
     the events, keep those where the envelope modulus exceeds ``eps_q`` times its
     largest, and report the normalized residual of the equation terms that
     ``terms(X, q, qzz, ph, bundle)`` returns there, with the check's own ``metadata``."""
-    X = _coords(events)
+    X, eps_q = _coords(events), _real("eps_q", eps_q)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual raises below
         q, qzz, ph, bundle = _closed_form(spec, k, X)
         mods = _abs(q)
@@ -339,6 +339,7 @@ def klein_gordon_residual(
     g, v, w = spec.boost.gamma, spec.boost.beta, spec.components[k].omega
     if w == 0.0:
         raise ValueError("mean component has no envelope equation")
+    mass_scalar = None if mass_scalar is None else _real("mass_scalar", mass_scalar)
 
     def terms(X, q, qzz, ph, bun):
         carrier = np.exp(1j * w * X[3])
@@ -376,7 +377,7 @@ def scalar_invariance_check(
 
 def neglected_term(mass: MassParameters, beta: float) -> float:
     """The rest-energy correction m c^2 (gamma - 1)^2 / 2 at a given beta."""
-    if not (np.isfinite(beta) and 0.0 <= beta < 1.0):
+    if not (math.isfinite(beta := _real("beta", beta)) and 0.0 <= beta < 1.0):
         raise ValueError(f"beta must lie in [0, 1), got {beta!r}")
     gamma = LorentzBoost(beta).gamma
     return mass.m * mass.c**2 * (gamma - 1.0) ** 2 / 2.0
@@ -388,7 +389,7 @@ def neglected_term_scan(mass: MassParameters, betas) -> ScanResult:
     The term is quartic in beta at low speed; the fitted slope makes that
     visible without trusting the algebra.
     """
-    betas = [float(b) for b in betas]
+    betas = [_real("betas", b) for b in betas]
     if any(b <= 0.0 or b >= 1.0 for b in betas):
         raise ValueError("scan betas must lie strictly inside (0, 1)")
     if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
@@ -432,7 +433,7 @@ def derivative_slopes(
     if hs is None:
         L = comp.profile.characteristic_length
         hs = [L * 1e-2, L * 5e-3, L * 2.5e-3]
-    hs = [float(h) for h in hs]
+    hs = [_real("hs", h) for h in hs]
     if len(hs) < 3 or any(h2 >= h1 for h1, h2 in zip(hs, hs[1:])):
         raise ValueError("need at least 3 strictly decreasing spacings")
     X = _coords(events)
@@ -472,12 +473,13 @@ def sample_events(
     tau=(-1.0, 1.0),
 ) -> list[Event]:
     """Deterministic uniform events inside a declared bounding box."""
-    if n < 1:
+    if (n := _read_field("int", "n", n)) < 1:
         raise ValueError("need at least one event")
-    if not all(math.isfinite(float(hi) - float(lo)) for lo, hi in (x, y, z, tau)):  # so the bounds are finite too
+    box = [(_real(name, lo), _real(name, hi)) for name, (lo, hi) in zip(_AXES, (x, y, z, tau))]
+    if not all(math.isfinite(hi - lo) for lo, hi in box):  # so the bounds are finite too
         raise ValueError(f"event box bounds must be finite with a finite width, got {(x, y, z, tau)}")
     rng = np.random.default_rng(seed)
-    cols = [rng.uniform(lo, hi, size=n).tolist() for lo, hi in (x, y, z, tau)]
+    cols = [rng.uniform(lo, hi, size=n).tolist() for lo, hi in box]
     return [Event(*vals) for vals in zip(*cols)]
 
 

@@ -72,3 +72,11 @@ def test_fresh_import_loads_no_module_and_no_numpy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "['boostfield']\n"
+
+
+def test_one_number_reader_serves_every_module():
+    from boostfield import kinematics, pde, profiles, spectral, verify
+
+    assert profiles._real is spectral._real is pde._real is verify._real is kinematics._real
+    assert profiles._read_field is spectral._read_field is pde._read_field is kinematics._read_field
+    assert profiles._as_complex is kinematics._as_complex
