@@ -14,11 +14,11 @@ here (PEP 562), so a caller pays only for the modules it uses.
 
 import importlib
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 _EXPORTS = {
-    "fields": ("FieldSpec", "HarmonicComponent", "MassParameters", "dumps_spec", "load_spec", "loads_spec",
-               "save_spec", "spec_from_dict"),
+    "fields": ("FieldSpec", "HarmonicComponent", "MassParameters", "dumps_spec", "loads_spec", "save_spec",
+               "spec_from_dict"),
     "kinematics": ("ComovingCoords", "Event", "LorentzBoost", "boost_event", "comoving_coords", "compose_boosts",
                    "interval", "inverse_boost_event"),
     "pde": ("Grid", "GridState", "Observables", "SolverConfig", "SolverError", "evolve_kgf", "evolve_schrodinger",

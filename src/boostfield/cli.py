@@ -445,8 +445,8 @@ def _run_verify(cfg: ExperimentConfig, out: _Outputs) -> int:
 
     spec = _load_spec_arg(cfg, out)
     k = _component(spec, p)
-    box = [tuple(_parse_floats(p[key], 2)) if p.get(key) else (-1.0, 1.0) for key in ("box_z", "box_tau")]
-    events = verify.sample_events(p["events"], cfg.seed, z=box[0], tau=box[1])
+    box = {axis: tuple(_parse_floats(p[f"box_{axis}"], 2)) for axis in ("z", "tau") if p.get(f"box_{axis}")}
+    events = verify.sample_events(p["events"], cfg.seed, **box)  # an unset bound takes sample_events' default
 
     if check == "derivatives":
         h = p.get("h")

@@ -172,7 +172,3 @@ def loads_spec(text: str) -> FieldSpec:
 
 def save_spec(spec: FieldSpec, path) -> None:
     Path(path).write_text(dumps_spec(spec) + "\n")
-
-
-def load_spec(path) -> FieldSpec:
-    return loads_spec(Path(path).read_text())

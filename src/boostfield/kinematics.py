@@ -30,7 +30,8 @@ exp(i*omega*tau) does not already account for: eta + tau = tau'.
 
 Here too is the one rule by which the package reads a caller's number (``_real``,
 ``_as_complex``, ``_read_field``): a real number is not a bool, an integer accepts
-an integral float, and a numpy scalar is stored as a Python float or int.
+an integral float, an integer beyond the floats reads as +-inf, and a numpy scalar is
+stored as a Python float or int.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
+from math import isfinite  # for Event's per-coordinate check: one global load, where math.isfinite is two
 from numbers import Complex, Real
 
 
@@ -49,7 +51,10 @@ def _real(name: str, v) -> float:
         return v
     if isinstance(v, bool) or not isinstance(v, (float, int, Real)):
         raise ValueError(f"{name} must be a real number, got {v!r}")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:  # an integer beyond the floats reads as the infinity it rounds to, as 1e400 does
+        return math.inf if v > 0 else -math.inf
 
 
 def _as_complex(v) -> complex:
@@ -60,7 +65,7 @@ def _as_complex(v) -> complex:
         return complex(_real("re", v[0]), _real("im", v[1]))
     if isinstance(v, bool) or not isinstance(v, Complex):
         raise ValueError(f"cannot parse complex value from {v!r}")
-    return complex(v)
+    return complex(_real("re", v)) if isinstance(v, Real) else complex(v)
 
 
 def _read_field(type_name: str, name: str, v):
@@ -114,14 +119,16 @@ class LorentzBoost:
 
 
 class Event(namedtuple("Event", "x y z tau")):
-    """Spacetime point (x, y, z, tau); tau in length units.  Its ``_replace`` checks as ``Event(...)`` does."""
+    """Spacetime point (x, y, z, tau) of Python floats, each read by ``_real``; tau in length units.  Its
+    ``_replace`` checks as ``Event(...)`` does."""
 
     __slots__ = ()
 
     def __new__(cls, x, y, z, tau):
-        finite = math.isfinite
-        if not (finite(x) and finite(y) and finite(z) and finite(tau)):
-            name, v = next((n, v) for n, v in zip(cls._fields, (x, y, z, tau)) if not finite(v))
+        if not type(x) is type(y) is type(z) is type(tau) is float:  # four Python floats skip the reader
+            x, y, z, tau = (_real(n, v) for n, v in zip(cls._fields, (x, y, z, tau)))
+        if not (isfinite(x) and isfinite(y) and isfinite(z) and isfinite(tau)):
+            name, v = next((n, v) for n, v in zip(cls._fields, (x, y, z, tau)) if not isfinite(v))
             raise ValueError(f"non-finite event coordinate {name}={v!r}")
         return tuple.__new__(cls, (x, y, z, tau))
 

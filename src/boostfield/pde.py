@@ -5,7 +5,8 @@ in 1 or 3 dimensions.  The periodic second-order stencil is diagonal in
 Fourier space; one symbol serves both.  Both abort on a non-finite value,
 checked after every step of a monitored run; an unobserved Fourier or
 eigenbasis CN run, or leapfrog run, checks only its input and result, as each
-mode's one multiplier is finite (for CN of modulus 1).
+mode's one multiplier is finite (for CN of modulus 1).  One loop serves both
+integrators, and its monitor observes: it sees the lines read-only.
 
 A 3-d state is one z-line repeated across x and y, as every profile is a
 function of xi = gamma (z - beta tau) alone: ``GridState`` refuses any other,
@@ -43,10 +44,9 @@ decides only the refusal of a potential that varies across x or y.
   fixed views, built once per run and replayed each step.  psi and pi live
   in one buffer, so one sum checks both for finite values; psi carries a
   ghost cell at each end, copied after each drift, and the stencil is four
-  calls over shifted views.  Multiplies by a real scalar run on float views,
-  and a monitor's rebound arrays are copied into the buffer.  With no monitor
-  each Fourier mode takes the N-th power of its 2x2 step matrix (repeated
-  squaring) in one go.
+  calls over shifted views.  Multiplies by a real scalar run on float views.
+  With no monitor each Fourier mode takes the N-th power of its 2x2 step
+  matrix (repeated squaring) in one go.
 
 ``measure_observables`` reads the line in eight whole-array calls, the width
 in two passes: the mean, then the spread about it.  One kinetic sum
@@ -141,7 +141,7 @@ class GridState:
     On a 3-d grid every (x, y) line of each array must equal the (0, 0) line bit for bit (a
     -0.0 is not a +0.0), else ValueError naming the first that differs, in the constructor
     and at every later assignment.  The state keeps that line and shows it as a read-only
-    view of the grid's shape, so a monitor that writes into it raises.
+    view of the grid's shape.
     """
 
     grid: Grid
@@ -180,6 +180,11 @@ def _grid_line(grid: Grid, a: np.ndarray, name: str) -> np.ndarray:
         if not same.all():
             raise ValueError(f"{name} is not uniform across x and y: line ({i}, {same.argmin()}) differs from (0, 0)")
     return a[0, 0].copy()
+
+
+class _Watched(GridState):
+    def __setattr__(self, name: str, value) -> None:  # the state a monitor sees refuses any assignment
+        raise ValueError(f"a monitor only observes the run: it cannot set the state's {name}")
 
 
 def _line(a: np.ndarray | None) -> np.ndarray | None:
@@ -320,8 +325,8 @@ def evolve_schrodinger(
     e^{2iN arctan x} per mode: the Cayley multiplier (1 + ix) / (1 - ix), x = dt H / 2, is
     e^{2i arctan x}, so the phase is that of one step of tan(N arctan x).  Returns a fresh
     evolved state; the input is left untouched.
-    ``monitor`` is called with the live working state after every step, whose arrays
-    the next step overwrites (copy them if you keep them).
+    ``monitor`` observes: after each step it sees the lines as read-only views, which the next
+    step overwrites (copy to keep); a write into them or any assignment to its state raises.
     """
     if cfg.scheme != "crank_nicolson":
         raise ValueError("evolve_schrodinger requires the crank_nicolson scheme")
@@ -336,26 +341,19 @@ def evolve_schrodinger(
     _check_finite(initial)
     psi = _line(initial.field).copy()
 
-    # each branch maps psi to the basis it steps in (forward), advances one step there, and
-    # maps back (inverse); where H is diagonal in that basis, x is dt H / 2 per mode
-    x = None
-    if np.all(u == u[0]):
-        x = 0.5 * cfg.dt * coef * (u[0] - _axis_symbol(nz, dz))
-        forward, inverse = (lambda f: np.fft.fftn(f, out=f)), (lambda f: np.fft.ifftn(f, out=f))
+    # every branch steps psi in place.  Where H is diagonal in a basis, x is dt H / 2 per mode, and a step
+    # maps psi to its coefficients c there (forward), multiplies them by the Cayley multiplier and maps back
+    if np.all(u == u[0]):  # Fourier modes, psi's FFT taken in place
+        x, c = 0.5 * cfg.dt * coef * (u[0] - _axis_symbol(nz, dz)), psi
+        forward, inverse = functools.partial(np.fft.fftn, psi, out=psi), functools.partial(np.fft.ifftn, psi, out=psi)
     elif nz <= (_EIGH_MAX if monitor is None else _EIGH_MAX_WATCHED):  # the line's eigenbasis, on numpy alone
         eye = np.eye(nz)
         lap_z = (np.roll(eye, 1, axis=1) - 2.0 * eye + np.roll(eye, -1, axis=1)) / (dz * dz)
         lam, V = np.linalg.eigh(coef * (np.diag(u) - lap_z))
-        x, coeffs, line = 0.5 * cfg.dt * lam, np.empty_like(psi), psi
-        pairs = lambda a: a.view(float).reshape(nz, 2)  # V is real: each product is one real matmul
-
-        def forward(f):
-            np.matmul(V.T, pairs(f), out=pairs(coeffs))
-            return coeffs
-
-        def inverse(c):
-            np.matmul(V, pairs(c), out=pairs(line))
-            return line
+        x, c = 0.5 * cfg.dt * lam, np.empty_like(psi)
+        pairs, c_pairs = (a.view(float).reshape(nz, 2) for a in (psi, c))  # V is real: one real matmul each way
+        forward = functools.partial(np.matmul, V.T, pairs, out=c_pairs)
+        inverse = functools.partial(np.matmul, V, c_pairs, out=pairs)
     else:  # a longer line: one sparse LU, as V grows as nz^2 (32 GB at nz = 65536)
         import scipy.sparse as sp
         import scipy.sparse.linalg as spla
@@ -364,31 +362,41 @@ def evolve_schrodinger(
         H = coef * (-lap_z / (dz * dz) + sp.diags(u))
         eye = sp.identity(nz, dtype=complex, format="csr")
         lu, B = spla.splu((eye - 0.5j * cfg.dt * H).tocsc()), (eye + 0.5j * cfg.dt * H).tocsr()
-        forward = inverse = lambda f: f
-        advance = lambda c: lu.solve(B @ c)
+        return _stepped(initial, cfg, lambda: np.copyto(psi, lu.solve(B @ psi)), psi, None, psi, monitor)
 
-    if x is not None:  # N steps that nobody sees are one of tan(N arctan x): numpy's float tan is
-        spectral = monitor is None and cfg.steps > 0  # vectorized, its complex exp is not
-        x = np.tan(cfg.steps * np.arctan(x)) if spectral else x
-        cayley = (1.0 + 1j * x) / (1.0 - 1j * x)
-        advance = lambda c: np.multiply(c, cayley, out=c)
-        if spectral:
-            return _unobserved_steps_taken(initial, cfg, inverse(advance(forward(psi))))
-    state = GridState(grid, _show(grid, psi), None, initial.t, initial.step_count)
-    live = state.__dict__  # the loop writes what needs no check past __setattr__: t, step_count, psi's line
+    # N steps that nobody sees are one of tan(N arctan x): numpy's float tan is vectorized, its complex exp is not
+    spectral = monitor is None and cfg.steps > 0
+    x = np.tan(cfg.steps * np.arctan(x)) if spectral else x
+    cayley = (1.0 + 1j * x) / (1.0 - 1j * x)
+
+    def step():
+        forward()
+        np.multiply(c, cayley, out=c)
+        inverse()
+
+    if spectral:
+        step()
+        return _unobserved_steps_taken(initial, cfg, psi)
+    return _stepped(initial, cfg, step, psi, None, psi, monitor)
+
+
+def _stepped(initial: GridState, cfg: SolverConfig, step: Callable, psi, pi, checked, monitor) -> GridState:
+    """The state of lines psi and pi after cfg.steps calls of ``step``, which advances them in place, from
+    ``initial``'s t and step count.  After each step t and step_count advance, ``checked`` (psi, or one buffer
+    that holds psi and pi) is checked finite, and ``monitor``, if any, sees the lines read-only."""
+    grid, dt = initial.grid, cfg.dt
+    shown = [None if a is None else np.broadcast_to(a, grid.points) for a in (psi, pi)]  # read-only, in 1-d too
+    watched = object.__new__(_Watched)
+    live = watched.__dict__  # the loop writes t and step_count past the refusing __setattr__
+    live.update(grid=grid, field=shown[0], pi=shown[1], t=initial.t, step_count=initial.step_count)
     for _ in range(cfg.steps):
-        psi = inverse(advance(forward(psi)))
-        live["t"] += cfg.dt
+        step()
+        live["t"] += dt
         live["step_count"] += 1
-        _check_finite(state, psi)
-        if monitor is not None:  # a monitor sees psi after every step
-            live["field"] = shown = _show(grid, psi)
-            monitor(state)
-            if state.field is not shown:  # rebound: the next step starts from its values
-                psi[...] = _line(state.field)
-            _check_finite(state, psi)  # the monitor may have written into the live state
-    state.field = _show(grid, psi)
-    return state
+        _check_finite(watched, checked)
+        if monitor is not None:
+            monitor(watched)
+    return GridState(grid, _show(grid, psi), _show(grid, pi), live["t"], live["step_count"])
 
 
 def _unobserved_steps_taken(initial: GridState, cfg: SolverConfig, psi: np.ndarray, pi=None) -> GridState:
@@ -448,22 +456,8 @@ def _leapfrog(
     force += [(np.multiply, 0.5 * cfg.dt, _floats(accel), _floats(tmp))]
     kick = [(np.add, pi, tmp, pi)]
     step = kick + [(np.multiply, cfg.dt, _floats(pi), _floats(tmp)), (np.add, psi, tmp, psi)] + force + kick
-    state = GridState(grid, _show(grid, psi), _show(grid, pi), initial.t, initial.step_count)
-    shown = state.field, state.pi
     _run(force)
-    live, dt, flat = state.__dict__, cfg.dt, _floats(buf)  # t and step_count, written past the checking __setattr__
-    for _ in range(cfg.steps):
-        _run(step)
-        live["t"] += dt
-        live["step_count"] += 1
-        _check_finite(state, flat)
-        monitor(state)  # only a monitored run reaches a step here
-        if state.field is not shown[0] or state.pi is not shown[1]:  # rebound: the next step starts from its values
-            psi[...], pi[...] = _line(state.field), _line(state.pi)
-            state.field, state.pi = _show(grid, psi), _show(grid, pi)
-            shown = state.field, state.pi
-    _check_finite(state, flat)  # a step checks what the monitor wrote before it; this checks the last call
-    return state
+    return _stepped(initial, cfg, functools.partial(_run, step), psi, pi, _floats(buf), monitor)
 
 
 def evolve_kgf(

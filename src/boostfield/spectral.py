@@ -73,12 +73,6 @@ class SampledSignal:
             raise ValueError(f"dt must be positive, got {self.dt!r}")
         object.__setattr__(self, "samples", s)
 
-    @classmethod
-    def symmetric(cls, samples, dt: float) -> "SampledSignal":
-        """Signal centered on t = 0: t0 = -(n-1)*dt/2."""
-        samples = np.asarray(samples, dtype=complex)
-        return cls(samples, dt, -0.5 * (samples.size - 1) * dt)
-
     @property
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.samples.size)
@@ -371,16 +365,15 @@ def reconstruct(est: SpectrumEstimate, times) -> np.ndarray:
     return _synthesize(coeffs, inner, outer, slice(None))[: times.size]
 
 
-def sample_rest_signal(spec, z: float, T: float, dt: float, pad: float = 0.0) -> SampledSignal:
-    """A spec's rest-frame psi at fixed z and t = j dt in [-T-pad, T+pad], from the tables `reconstruct` uses."""
-    T, dt, pad = _real("T", T), _real("dt", dt), _real("pad", pad)
-    if not (math.isfinite(T) and T > 0 and math.isfinite(dt) and dt > 0 and math.isfinite(pad) and pad >= 0):
-        raise ValueError(f"need positive T and dt and a finite pad >= 0, got {T!r}, {dt!r}, {pad!r}")
-    half = T + pad
-    if not half / dt < _MAX_SAMPLES // 2:  # 2 floor(half / dt) + 1 <= the cap, and not inf
-        raise ValueError(f"sampling [-{half!r}, {half!r}] at dt = {dt!r} needs more than the cap of {_MAX_SAMPLES} samples")
-    n = math.floor(half / dt)
-    omegas = _probes([comp.omega for comp in spec.components], half)
+def sample_rest_signal(spec, z: float, T: float, dt: float) -> SampledSignal:
+    """A spec's rest-frame psi at fixed z and t = j dt in [-T, T], from the tables `reconstruct` uses."""
+    T, dt = _real("T", T), _real("dt", dt)
+    if not (math.isfinite(T) and T > 0 and math.isfinite(dt) and dt > 0):
+        raise ValueError(f"need positive T and dt, got {T!r}, {dt!r}")
+    if not T / dt < _MAX_SAMPLES // 2:  # 2 floor(T / dt) + 1 <= the cap, and not inf
+        raise ValueError(f"sampling [-{T!r}, {T!r}] at dt = {dt!r} needs more than the cap of {_MAX_SAMPLES} samples")
+    n = math.floor(T / dt)
+    omegas = _probes([comp.omega for comp in spec.components], T)
     coeffs = np.array([comp.profile.value(z) for comp in spec.components], dtype=complex)
     inner, outer = _phasors(omegas, dt * -n, dt, 2 * n + 1)
     return SampledSignal(_synthesize(coeffs, inner, outer, slice(None))[: 2 * n + 1], dt, dt * -n)

@@ -170,6 +170,7 @@ def _fd_bundle(spec: FieldSpec, k: int, X: np.ndarray, h: float) -> DerivativeBu
 
 
 _SCALE_FLOOR = 1e-30
+_EPS_Q = 1e-8  # a check keeps the events whose envelope modulus exceeds this times its largest
 _SLOPE_FLOOR = 1e-12  # derivative_slopes' degeneracy floor, relative to 1 + |entry|
 
 
@@ -182,19 +183,19 @@ def _normalized(*terms) -> np.ndarray:
     return np.where(np.isfinite(scale), _abs(total) / (scale + _SCALE_FLOOR), np.nan)
 
 
-def _certify(equation_id: str, spec: FieldSpec, k: int, events, eps_q: float, terms, h=None, **metadata):
+def _certify(equation_id: str, spec: FieldSpec, k: int, events, terms, h=None, **metadata):
     """The one pipeline of every residual check: evaluate the closed forms once over
-    the events, keep those where the envelope modulus exceeds ``eps_q`` times its
+    the events, keep those where the envelope modulus exceeds ``_EPS_Q`` times its
     largest, and report the normalized residual of the equation terms that
     ``terms(X, q, qzz, ph, bundle)`` returns there, with the check's own ``metadata``."""
-    X, eps_q = _coords(events), _real("eps_q", eps_q)
+    X = _coords(events)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual raises below
         q, qzz, ph, bundle = _closed_form(spec, k, X)
         mods = _abs(q)
         qmax = float(np.max(mods)) if mods.size else 0.0
         if qmax == 0.0:
             raise ValueError("envelope vanishes on the whole event sample")
-        keep = mods > eps_q * qmax
+        keep = mods > _EPS_Q * qmax
         if not keep.any():
             raise ValueError("no events with envelope modulus above threshold")
         if not keep.all():
@@ -207,7 +208,7 @@ def _certify(equation_id: str, spec: FieldSpec, k: int, events, eps_q: float, te
         raise ValueError(f"residual is not finite at {e!r}: an equation term is inf or nan there")
     comp, max_abs = spec.components[k], float(residuals.max())
     md = {"beta": spec.boost.beta, "omega": comp.omega, "profile": comp.profile.kind,
-          "normalization": "local_term_scale", "eps_q": eps_q, "events_given": len(events), **metadata}
+          "normalization": "local_term_scale", "eps_q": _EPS_Q, "events_given": len(events), **metadata}
     # the rms of equal residuals can round one ulp above their maximum
     rms = min(float(np.sqrt(np.mean(residuals**2))), max_abs)
     return ResidualReport(equation_id, int(residuals.size), max_abs, rms, h, md)
@@ -225,7 +226,6 @@ def envelope_equation_residual(
     spec: FieldSpec,
     k: int,
     events: list[Event],
-    eps_q: float = 1e-8,
     derivatives: Literal["analytic", "fd"] = "analytic",
     h: float | None = None,
 ) -> ResidualReport:
@@ -262,7 +262,7 @@ def envelope_equation_residual(
             lap_q = _stencils(prof_field, X, ("z",), h)["z"][1]  # transverse parts vanish
         return _envelope_terms(bun, _cmul(q, ph), _cmul(lap_q, ph), g, w)
 
-    return _certify("envelope", spec, k, events, eps_q, terms, h, derivatives=derivatives)
+    return _certify("envelope", spec, k, events, terms, h, derivatives=derivatives)
 
 
 def schrodinger_residual(
@@ -272,7 +272,6 @@ def schrodinger_residual(
     potential: Callable,
     events: list[Event],
     gamma_mode: Literal["exact", "unity"] = "exact",
-    eps_q: float = 1e-8,
 ) -> ResidualReport:
     """Residual of the Schrodinger form of the envelope identity.
 
@@ -315,7 +314,7 @@ def schrodinger_residual(
         return _envelope_terms(bun, psi_b, _cmul(u, psi_b), g if gamma_mode == "exact" else 1.0, mass.omega)
 
     md = {"gamma_mode": gamma_mode, "m": mass.m, "hbar": mass.hbar, "c": mass.c}
-    return _certify("schrodinger", spec, k, events, eps_q, terms, **md)
+    return _certify("schrodinger", spec, k, events, terms, **md)
 
 
 def klein_gordon_residual(
@@ -323,7 +322,6 @@ def klein_gordon_residual(
     k: int,
     events: list[Event],
     mass_scalar: float | None = None,
-    eps_q: float = 1e-8,
 ) -> ResidualReport:
     """Residual of the second-order identity for the full harmonic psi.
 
@@ -354,12 +352,10 @@ def klein_gordon_residual(
             s_term = mass_scalar * psi
         return psi_tt, -lap_psi, s_term
 
-    return _certify("klein_gordon", spec, k, events, eps_q, terms, mass_scalar=mass_scalar)
+    return _certify("klein_gordon", spec, k, events, terms, mass_scalar=mass_scalar)
 
 
-def scalar_invariance_check(
-    spec: FieldSpec, k: int, events: list[Event], eps_q: float = 1e-8
-) -> ResidualReport:
+def scalar_invariance_check(spec: FieldSpec, k: int, events: list[Event]) -> ResidualReport:
     """Frame agreement of the curvature scalar of harmonic k.
 
     Compares (lap q - v^2 q_zz)/q evaluated with lab derivatives against
@@ -372,7 +368,7 @@ def scalar_invariance_check(
     g, v = b.gamma, b.beta
     rest = lambda X: prof.curvature_ratio(b.apply(X[2], X[3])[0])  # at z' = xi
     terms = lambda X, q, qzz, ph, bun: ((g * g * qzz - v * v * g * g * qzz) / q, -rest(X))
-    return _certify("scalar_invariance", spec, k, events, eps_q, terms)
+    return _certify("scalar_invariance", spec, k, events, terms)
 
 
 def neglected_term(mass: MassParameters, beta: float) -> float:
@@ -464,20 +460,13 @@ def derivative_slopes(
     return out
 
 
-def sample_events(
-    n: int,
-    seed: int,
-    x=(-1.0, 1.0),
-    y=(-1.0, 1.0),
-    z=(-1.0, 1.0),
-    tau=(-1.0, 1.0),
-) -> list[Event]:
-    """Deterministic uniform events inside a declared bounding box."""
+def sample_events(n: int, seed: int, z=(-1.0, 1.0), tau=(-1.0, 1.0)) -> list[Event]:
+    """Deterministic uniform events in a box: x and y on (-1, 1), z and tau on the given bounds."""
     if (n := _read_field("int", "n", n)) < 1:
         raise ValueError("need at least one event")
-    box = [(_real(name, lo), _real(name, hi)) for name, (lo, hi) in zip(_AXES, (x, y, z, tau))]
+    box = [(-1.0, 1.0)] * 2 + [(_real(name, lo), _real(name, hi)) for name, (lo, hi) in (("z", z), ("tau", tau))]
     if not all(math.isfinite(hi - lo) for lo, hi in box):  # so the bounds are finite too
-        raise ValueError(f"event box bounds must be finite with a finite width, got {(x, y, z, tau)}")
+        raise ValueError(f"event box bounds must be finite with a finite width, got z={box[2]}, tau={box[3]}")
     rng = np.random.default_rng(seed)
     cols = [rng.uniform(lo, hi, size=n).tolist() for lo, hi in box]
     return [Event(*vals) for vals in zip(*cols)]

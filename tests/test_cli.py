@@ -31,7 +31,7 @@ from boostfield import (
     PlaneWaveProfile,
     derivative_slopes,
     dumps_spec,
-    load_spec,
+    loads_spec,
     measure_dispersion,
     sample_events,
     save_spec,
@@ -550,9 +550,7 @@ def test_field_grid_mode(gauss_spec, tmp_path, capsys):
     header, rows = read_csv(out / "field.csv")
     assert header == ["z", "re_psi", "im_psi", "phi"]
     assert len(rows) == 33
-    from boostfield import load_spec
-
-    spec = load_spec(gauss_spec)
+    spec = loads_spec(Path(gauss_spec).read_text())
     z = np.array([float(r[0]) for r in rows])
     psi = spec.psi_lab_on_axis(z, 0.2)
     np.testing.assert_allclose([float(r[1]) for r in rows], psi.real, atol=1e-12)
@@ -584,7 +582,7 @@ def test_field_grid_mode_writes_the_chosen_component(k, two_harmonic_spec, tmp_p
     assert rc == 0
     header, rows = read_csv(out / "field.csv")
     assert header == ["z", "re_psi", "im_psi", "phi"] and len(rows) == 17
-    spec = load_spec(two_harmonic_spec)
+    spec = loads_spec(Path(two_harmonic_spec).read_text())
     z, re_psi, im_psi, phi = (np.array([float(r[i]) for r in rows]) for i in range(4))
     psi = spec.harmonic_on_axis(k, z, 0.2)
     np.testing.assert_array_equal(re_psi + 1j * im_psi, psi)
@@ -956,6 +954,17 @@ def test_spec_whose_profile_overflows_is_one_config_error(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("beta", ["1e400", str(10**400), str(-10**400)], ids=["1e400", "10**400", "-10**400"])
+def test_a_beta_beyond_the_floats_is_one_config_error(beta, tmp_path, capsys):
+    # json reads a 401-digit integer as a Python int, which the reader takes as the infinity 1e400 reads as
+    spec = tmp_path / "huge.json"
+    spec.write_text(f'{{"boost": {{"beta": {beta}}}, "components": '
+                    '[{"omega": 1.0, "profile": {"kind": "constant", "amplitude": 1.0}}]}')
+    err = main_config_error(["field", "--spec", str(spec), "--event", "0,0,0,0"], capsys)
+    sign = "-" if beta.startswith("-") else ""
+    assert err == f"config error: bad spec file {spec}: superluminal boost: beta={sign}inf, need |beta| < 1\n"
+
+
 def test_gauss_hermite_order_that_overflows_is_one_config_error(tmp_path):
     spec = FieldSpec((HarmonicComponent(2.0, GaussHermiteProfile(1.0, 3, 0.0, 1.2)),), LorentzBoost(0.4))
     (tmp_path / "gh.json").write_text(dumps_spec(spec).replace('"order": 3', '"order": 300'))
@@ -1019,7 +1028,7 @@ def test_verify_derivatives_uses_given_spacing(gauss_spec, tmp_path):
     rc = main(["verify", "derivatives", "--spec", gauss_spec, "--events", "4", "--h", "0.006",
                "--out", str(out)])
     assert rc == 0
-    want = derivative_slopes(load_spec(gauss_spec), 0, sample_events(4, 0), hs=[0.006, 0.003, 0.0015])
+    want = derivative_slopes(loads_spec(Path(gauss_spec).read_text()), 0, sample_events(4, 0), hs=[0.006, 0.003, 0.0015])
     assert json.loads((out / "report.json").read_text())["slopes"] == want
 
 

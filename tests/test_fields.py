@@ -18,7 +18,6 @@ from boostfield import (
     MassParameters,
     boost_event,
     dumps_spec,
-    load_spec,
     loads_spec,
     save_spec,
     spec_from_dict,
@@ -200,7 +199,7 @@ def test_spec_file_round_trip(tmp_path):
     spec = two_harmonic_spec()
     path = tmp_path / "spec.json"
     save_spec(spec, path)
-    assert load_spec(path).components == spec.components
+    assert loads_spec(path.read_text()).components == spec.components
 
 
 @pytest.mark.parametrize(

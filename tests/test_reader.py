@@ -2,6 +2,7 @@
 string, an integer accepts an integral float and no other, and a numpy scalar is stored as a Python float."""
 
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -33,18 +34,14 @@ from boostfield import (
     neglected_term_scan,
     sample_events,
     sample_rest_signal,
-    scalar_invariance_check,
     scan_spectrum,
-    schrodinger_residual,
-    separable_potential,
 )
 from boostfield.fields import _check_spacing
 
 _MASS = MassParameters(1.0, 1.0)
 _SPEC = FieldSpec((HarmonicComponent(1.0, GaussianProfile(1.0, 0.0, 1.0)),), LorentzBoost(0.3))
-_STATIC = FieldSpec(_SPEC.components, LorentzBoost(0.0))
 _EVENTS = [Event(0.0, 0.0, 0.1 * i, 0.2 - 0.1 * i) for i in range(3)]
-_SIGNAL = SampledSignal.symmetric(np.ones(21), 0.1)
+_SIGNAL = SampledSignal(np.ones(21), 0.1, -1.0)
 _bound = lambda i, v: (v, 1.0) if i == 0 else (-1.0, v)  # a box bound pair with v in place i
 
 
@@ -61,6 +58,8 @@ def _profile_fields():
 # (id, the name the message starts with, "float" or "int", a call that reads the value in that parameter)
 _PARAMETERS = [
     ("LorentzBoost.beta", "beta", "float", LorentzBoost),
+    *[(f"Event.{n}", n, "float", lambda v, i=i: Event(*[v if j == i else 0.5 for j in range(4)]))
+      for i, n in enumerate(Event._fields)],
     ("HarmonicComponent.omega", "omega", "float", lambda v: HarmonicComponent(v, ConstantProfile(1.0))),
     *[(f"MassParameters.{n}", n, "float", lambda v, n=n: MassParameters(**{"m": 1.0, "hbar": 1.0, n: v}))
       for n in ("m", "hbar", "c")],
@@ -77,19 +76,14 @@ _PARAMETERS = [
      lambda v: envelope_equation_residual(_SPEC, 0, _EVENTS, derivatives="fd", h=v)),
     ("sample_events.n", "n", "int", lambda v: sample_events(v, 0)),
     *[(f"sample_events.{axis}[{i}]", axis, "float", lambda v, axis=axis, i=i: sample_events(3, 0, **{axis: _bound(i, v)}))
-      for axis in ("x", "y", "z", "tau") for i in (0, 1)],
+      for axis in ("z", "tau") for i in (0, 1)],
     ("derivative_slopes.hs", "hs", "float", lambda v: derivative_slopes(_SPEC, 0, _EVENTS, hs=[0.04, v, 0.01])),
     ("neglected_term.beta", "beta", "float", lambda v: neglected_term(_MASS, v)),
     ("neglected_term_scan.betas", "betas", "float", lambda v: neglected_term_scan(_MASS, [0.01, v, 0.04, 0.08])),
     ("klein_gordon_residual.mass_scalar", "mass_scalar", "float",
      lambda v: klein_gordon_residual(_SPEC, 0, _EVENTS, mass_scalar=v)),
-    ("envelope_equation_residual.eps_q", "eps_q", "float", lambda v: envelope_equation_residual(_SPEC, 0, _EVENTS, eps_q=v)),
-    ("klein_gordon_residual.eps_q", "eps_q", "float", lambda v: klein_gordon_residual(_SPEC, 0, _EVENTS, eps_q=v)),
-    ("scalar_invariance_check.eps_q", "eps_q", "float", lambda v: scalar_invariance_check(_SPEC, 0, _EVENTS, eps_q=v)),
-    ("schrodinger_residual.eps_q", "eps_q", "float",
-     lambda v: schrodinger_residual(_STATIC, 0, _MASS, separable_potential(_STATIC, 0), _EVENTS, eps_q=v)),
     *[(f"sample_rest_signal.{n}", n, "float", lambda v, n=n: sample_rest_signal(_SPEC, 0.0, **{"T": 1.0, "dt": 0.1, n: v}))
-      for n in ("T", "dt", "pad")],
+      for n in ("T", "dt")],
     ("extract_harmonic.omega", "omega", "float", lambda v: extract_harmonic(_SIGNAL, v, 0.5)),
     ("extract_harmonic.T", "T", "float", lambda v: extract_harmonic(_SIGNAL, 1.0, v)),
     ("scan_spectrum.omegas", "omega", "float", lambda v: scan_spectrum(_SIGNAL, [1.0, v], 0.5)),
@@ -107,6 +101,26 @@ def test_each_parameter_refuses_what_is_not_its_kind_of_number_by_name(pid, name
             call(bad)
 
 
+_FLOATS = [p for p in _PARAMETERS if p[2] == "float"]
+
+
+@pytest.mark.parametrize("pid, name, kind, call", _FLOATS, ids=[p[0] for p in _FLOATS])
+def test_an_integer_beyond_the_floats_reads_as_the_infinity_it_rounds_to(pid, name, kind, call):
+    # so each parameter refuses 10**400 with the message it gives inf, where float() raises OverflowError
+    for sign in (1, -1):
+        with pytest.raises(ValueError) as inf:
+            call(sign * math.inf)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(inf.value))}$"):
+            call(sign * 10**400)
+
+
+@pytest.mark.parametrize("amplitude", [10**400, -(10**400), [10**400, 0.0], [0.0, -(10**400)]],
+                         ids=["10**400", "-10**400", "[10**400, 0]", "[0, -10**400]"])
+def test_a_complex_amplitude_beyond_the_floats_is_refused_as_not_finite(amplitude):
+    with pytest.raises(ValueError, match="^amplitude must be finite$"):
+        ConstantProfile(amplitude)
+
+
 @pytest.mark.parametrize("call", [lambda: Grid((8.0,), (8.0,)), lambda: Grid((np.float32(8.0),), (np.int64(8),))])
 def test_a_grid_reads_integral_points_and_stores_python_numbers(call):
     g = call()
@@ -121,6 +135,7 @@ def test_records_store_numpy_scalars_as_python_floats():
     assert (type(cfg.dt), type(cfg.steps), type(cfg.mass_scalar)) == (float, int, float)
     profile = GaussHermiteProfile(np.complex64(1.0), np.float64(3.0), np.float32(0.5), np.float32(1.0))
     assert [type(getattr(profile, f.name)) for f in dataclasses.fields(profile)] == [complex, int, float, float]
+    assert [type(v) for v in Event(np.float32(0.5), np.int64(1), 2, np.float16(0.25))] == [float] * 4
 
 
 @given(
@@ -137,5 +152,7 @@ def test_a_numpy_beta_boosts_as_its_python_float_bit_for_bit(beta, ftype, z, tau
     assert (b.beta.hex(), b.gamma.hex()) == (ref.beta.hex(), ref.gamma.hex())
     e = Event(0.0, 0.0, z, tau)
     assert [v.hex() for v in boost_event(e, b)] == [v.hex() for v in boost_event(e, ref)]
+    e, ref_e = Event(0.0, 0.0, ftype(z), ftype(tau)), Event(0.0, 0.0, float(ftype(z)), float(ftype(tau)))
+    assert [v.hex() for v in boost_event(e, ref)] == [v.hex() for v in boost_event(ref_e, ref)]  # so do coordinates
     spec = FieldSpec((HarmonicComponent(ftype(1.0), ConstantProfile(1.0)),), b)
     assert loads_spec(dumps_spec(spec)) == spec

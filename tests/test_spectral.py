@@ -49,9 +49,8 @@ def test_signal_validation():
     assert (type(sig.dt), type(sig.t0), sig.t0) == (float, float, -1.0)
 
 
-def test_symmetric_constructor_centers_zero():
-    sig = SampledSignal.symmetric(np.ones(11, dtype=complex), 0.5)
-    assert sig.t0 == pytest.approx(-2.5)
+def test_a_signal_centered_on_zero_spans_its_symmetric_window():
+    sig = SampledSignal(np.ones(11, dtype=complex), 0.5, -2.5)
     assert sig.t_end == pytest.approx(2.5)
     assert sig.times[5] == pytest.approx(0.0)
     assert sig.max_symmetric_window() == pytest.approx(2.5)
@@ -177,23 +176,21 @@ def test_sample_rest_signal_refuses_a_phase_that_overflows():
         sample_rest_signal(spec, 0.0, 10.0, 0.1)
 
 
-def test_sample_rest_signal_pad_extends_coverage():
+def test_sample_rest_signal_covers_its_window():
     spec = spec_for(ConstantProfile(1.0), 0.0, omega=2.0)
-    sig = sample_rest_signal(spec, 0.0, 2.0, 0.1, pad=1.0)
-    assert sig.max_symmetric_window() >= 3.0 - 0.1
-    with pytest.raises(ValueError, match="positive"):
-        sample_rest_signal(spec, 0.0, -1.0, 0.1)
+    sig = sample_rest_signal(spec, 0.0, 2.0, 0.1)
+    assert sig.max_symmetric_window() >= 2.0 - 0.1
+    for T, dt in ((-1.0, 0.1), (2.0, 0.0), (np.inf, 0.1), (2.0, np.nan)):
+        with pytest.raises(ValueError, match="positive"):
+            sample_rest_signal(spec, 0.0, T, dt)
 
 
-def test_sample_rest_signal_refuses_a_bad_pad_or_too_many_samples():
-    # each before any allocation: 2 floor((T + pad) / dt) + 1 samples may not pass the cap
+def test_sample_rest_signal_refuses_too_many_samples():
+    # before any allocation: 2 floor(T / dt) + 1 samples may not pass the cap
     spec = spec_for(ConstantProfile(1.0), 0.0, omega=2.0)
-    for pad in (np.inf, -np.inf, np.nan, -0.5):
-        with pytest.raises(ValueError, match="finite pad >= 0"):
-            sample_rest_signal(spec, 0.0, 2.0, 0.1, pad=pad)
-    for T, dt, pad in ((1e300, 1e-300, 0.0), (1e6, 1e-6, 0.0), (0.01 * 2**21, 0.01, 0.0), (1e308, 1.0, 1e308)):
+    for T, dt in ((1e300, 1e-300), (1e6, 1e-6), (0.01 * 2**21, 0.01), (1e308, 1e-10)):
         with pytest.raises(ValueError, match="needs more than the cap of 4194304 samples$"):
-            sample_rest_signal(spec, 0.0, T, dt, pad)
+            sample_rest_signal(spec, 0.0, T, dt)
 
 
 # -- the batched kernel against the direct per-probe sum -------------------------

@@ -78,7 +78,7 @@ def test_fd_envelope_residual_takes_the_profile_stencil_along_z_only():
     profile = GaussianProfile(1.0, 0.2, 0.8)
     events = sample_events(7, 3)
     sizes = _count_points(profile, "value")
-    envelope_equation_residual(spec_for(profile, 0.6), 0, events, eps_q=0.0, derivatives="fd")
+    envelope_equation_residual(spec_for(profile, 0.6), 0, events, derivatives="fd")
     n = len(events)
     assert sizes[-2:] == [5 * n, 3 * n]  # the envelope bundle, then the profile's lap q
 
@@ -150,7 +150,7 @@ def test_tail_events_filtered_not_fatal():
     events = [Event(0.0, 0.0, 0.0, 0.0), Event(0.0, 0.0, 30.0, 0.0)]
     rep = envelope_equation_residual(spec, 0, events)
     assert rep.sample_count == 1
-    assert rep.metadata["events_given"] == 2
+    assert rep.metadata["events_given"] == 2 and rep.metadata["eps_q"] == 1e-8  # the one threshold, recorded
 
 
 @pytest.mark.parametrize("beta", BETAS)
@@ -423,7 +423,7 @@ def test_scan_result_needs_three_points():
 
 # -- batched checks against a per-event reference ---------------------------------
 #
-# The reference is the per-event loop: the eps_q filter event by event, and each
+# The reference is the per-event loop: the envelope filter event by event, and each
 # identity's terms assembled in Python complex arithmetic from per-event bundles,
 # built from the profile's q, q' and q'' by the module docstring's closed forms,
 # or by stencils that shift one Event.  The batched checks must agree with it on
@@ -444,10 +444,10 @@ def _profile(kind, amp, shape, center, order):
     return _TABULATED
 
 
-def _reference_kept(spec, events, eps_q):
+def _reference_kept(spec, events):
     comp, b = spec.components[0], spec.boost
     mods = [abs(complex(comp.profile.value(comoving_coords(e, b).xi))) for e in events]
-    return [e for e, m in zip(events, mods) if m > eps_q * max(mods)]
+    return [e for e, m in zip(events, mods) if m > 1e-8 * max(mods)]  # the checks' one threshold
 
 
 def _partial(field, e, axis, order, h):
@@ -470,13 +470,13 @@ def _reference_bundle(spec, e):
     )
 
 
-def _reference(spec, check, events, eps_q, mass=None, u=None, geff=None):
+def _reference(spec, check, events, mass=None, u=None, geff=None):
     """Normalized residuals of one check, event by event."""
     comp, b = spec.components[0], spec.boost
     g, v, w = b.gamma, b.beta, comp.omega
     h = comp.profile.characteristic_length / 100.0
     out = []
-    for e in _reference_kept(spec, events, eps_q):
+    for e in _reference_kept(spec, events):
         cc = comoving_coords(e, b)
         q, qzz = complex(comp.profile.value(cc.xi)), complex(comp.profile.dzz(cc.xi))
         ph = complex(np.exp(1j * w * cc.eta))
@@ -535,29 +535,26 @@ _KINDS = st.sampled_from(sorted(catalog_profiles()))
     width=st.floats(0.01, 1.5),
     n=st.integers(1, 20),
     seed=st.integers(0, 2**16),
-    eps_q=st.sampled_from([1e-8, 1e-2, 0.5]),
 )
 # a single event
 @example(kind="gaussian", amp=1.0, shape=0.8, center=0.1, order=0, beta=0.6, omega=2.0,
-         z0=0.3, tau0=-0.2, width=0.5, n=1, seed=3, eps_q=1e-8)
+         z0=0.3, tau0=-0.2, width=0.5, n=1, seed=3)
 # a narrow Gaussian seen across a wide box: most envelopes fall below the threshold
 @example(kind="gaussian", amp=1.0 - 0.5j, shape=0.3, center=-0.5, order=0, beta=0.0, omega=1.0,
-         z0=1.0, tau0=0.0, width=1.5, n=20, seed=5, eps_q=1e-8)
+         z0=1.0, tau0=0.0, width=1.5, n=20, seed=5)
 def test_batched_checks_match_per_event_reference(
-    kind, amp, shape, center, order, beta, omega, z0, tau0, width, n, seed, eps_q
+    kind, amp, shape, center, order, beta, omega, z0, tau0, width, n, seed
 ):
     spec = FieldSpec((HarmonicComponent(omega, _profile(kind, amp, shape, center, order)),), LorentzBoost(beta))
     events = sample_events(n, seed, z=(z0, z0 + width), tau=(tau0, tau0 + width))
     # _certify hands terms() the coordinates of exactly the events the reference keeps
     seen = []
-    verify._certify("probe", spec, 0, events, eps_q, lambda X, q, *_: seen.append(X) or (q,))
-    assert np.array_equal(seen[0], _coords(_reference_kept(spec, events, eps_q)))
-    _assert_matches(envelope_equation_residual(spec, 0, events, eps_q), _reference(spec, "envelope", events, eps_q))
-    _assert_matches(
-        envelope_equation_residual(spec, 0, events, eps_q, derivatives="fd"), _reference(spec, "fd", events, eps_q)
-    )
-    _assert_matches(klein_gordon_residual(spec, 0, events, eps_q=eps_q), _reference(spec, "klein_gordon", events, eps_q))
-    _assert_matches(scalar_invariance_check(spec, 0, events, eps_q), _reference(spec, "scalar", events, eps_q))
+    verify._certify("probe", spec, 0, events, lambda X, q, *_: seen.append(X) or (q,))
+    assert np.array_equal(seen[0], _coords(_reference_kept(spec, events)))
+    _assert_matches(envelope_equation_residual(spec, 0, events), _reference(spec, "envelope", events))
+    _assert_matches(envelope_equation_residual(spec, 0, events, derivatives="fd"), _reference(spec, "fd", events))
+    _assert_matches(klein_gordon_residual(spec, 0, events), _reference(spec, "klein_gordon", events))
+    _assert_matches(scalar_invariance_check(spec, 0, events), _reference(spec, "scalar", events))
 
 
 @settings(max_examples=25, deadline=None)
@@ -576,7 +573,7 @@ def test_batched_schrodinger_matches_per_event_reference(wavenumber, beta, omega
     events = sample_events(n, seed)
     rep = schrodinger_residual(spec, 0, mass, u, events, gamma_mode=gamma_mode)
     geff = spec.boost.gamma if gamma_mode == "exact" else 1.0
-    _assert_matches(rep, _reference(spec, "schrodinger", events, 1e-8, mass=mass, u=u, geff=geff))
+    _assert_matches(rep, _reference(spec, "schrodinger", events, mass=mass, u=u, geff=geff))
 
 
 @settings(max_examples=40, deadline=None)
@@ -617,15 +614,15 @@ def test_first_offending_event_is_named():
     spec = spec_for(GaussianProfile(1.5e308, 5.0, 1.0), 0.0, omega=2.0)
     events = [Event(0.0, 0.0, z, 0.0) for z in (0.0, 4.9, 5.0)]
     with pytest.raises(ValueError, match="non-finite") as exc:
-        envelope_equation_residual(spec, 0, events, eps_q=0.0, derivatives="fd")
+        envelope_equation_residual(spec, 0, events, derivatives="fd")
     assert repr(events[1]) in str(exc.value)
 
 
 def test_sample_events_are_the_numpy_draws_as_plain_floats():
-    box = ((-1.0, 1.0), (-2.0, 0.5), (0.0, 3.0), (-4.0, 4.0))
+    box = ((-1.0, 1.0), (-1.0, 1.0), (0.0, 3.0), (-4.0, 4.0))  # x and y on (-1, 1), drawn first
     rng = np.random.default_rng(17)
     cols = [rng.uniform(lo, hi, size=40) for lo, hi in box]
-    events = sample_events(40, 17, *box)
+    events = sample_events(40, 17, *box[2:])
     assert len(events) == 40
     for e, row in zip(events, zip(*cols)):
         coords = (e.x, e.y, e.z, e.tau)
@@ -645,7 +642,7 @@ def test_stencil_failure_message_prints_plain_floats():
     spec = spec_for(GaussianProfile(1.5e308, 5.0, 1.0), 0.0, omega=2.0)
     events = [Event(0.0, 0.0, 4.9, 0.0)]
     with pytest.raises(ValueError, match="stencil produced non-finite value") as exc:
-        envelope_equation_residual(spec, 0, events, eps_q=0.0, derivatives="fd")
+        envelope_equation_residual(spec, 0, events, derivatives="fd")
     assert f"at {events[0]!r}" in str(exc.value)
     assert "Event(x=" in str(exc.value) and "np.float64(" not in str(exc.value)
 
