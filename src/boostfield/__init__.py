@@ -14,7 +14,7 @@ here (PEP 562), so a caller pays only for the modules it uses.
 
 import importlib
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 _EXPORTS = {
     "fields": ("FieldSpec", "HarmonicComponent", "MassParameters", "dumps_spec", "loads_spec", "save_spec",

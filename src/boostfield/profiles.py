@@ -15,7 +15,8 @@ call at one point pays for its own arithmetic and not for numpy's 0-d
 machinery, and it returns that point's element of the array call bit for bit.
 
 Profiles serialize to plain dicts (JSON-friendly).  A catalog profile's
-record is its dataclass fields plus its kind: complex numbers are stored as
+record is its dataclass fields plus its kind (a Gaussian, the order-0
+Gauss-Hermite profile, leaves out its order): complex numbers are stored as
 [re, im] pairs (a bare number is accepted on input), float fields as finite
 real numbers and int fields as integers.
 """
@@ -227,50 +228,6 @@ class PlaneWaveProfile(AmplitudeProfile):
 
 
 @dataclass(frozen=True)
-class GaussianProfile(AmplitudeProfile):
-    """q(z) = A * exp(-(z - z0)^2 / (2 sigma^2))."""
-
-    amplitude: complex
-    center: float
-    sigma: float
-    kind: ClassVar[str] = "gaussian"
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma!r}")
-        # |q| <= |A|, |q'| <= |A| / sigma, |q''| <= |A| / sigma^2; dzz forms sigma^2 and (u^2 - 1) / sigma^2
-        # before exp(-u^2/2), so both must be finite, out to |u| = 60, past the |u| < 38.6 where exp is not 0
-        r = max(1.0, 1.0 / self.sigma)
-        _refuse_overflow(self, max(abs(self.amplitude), 3600.0) * r * r, self.sigma * self.sigma)
-
-    def _u(self, z):
-        return (_points(z) - self.center) / self.sigma
-
-    def _value(self, u):
-        return self.amplitude * np.exp(-0.5 * u * u)
-
-    def value(self, z):
-        return self._value(self._u(z))
-
-    def dz(self, z):
-        u = self._u(z)
-        return -(u / self.sigma) * self._value(u)
-
-    def dzz(self, z):
-        u = self._u(z)
-        return ((u * u - 1.0) / self.sigma**2) * self._value(u)
-
-    def curvature_ratio(self, z):
-        u = self._u(z)
-        return (u * u - 1.0) / self.sigma**2
-
-    @property
-    def characteristic_length(self) -> float:
-        return self.sigma
-
-
-@dataclass(frozen=True)
 class GaussHermiteProfile(AmplitudeProfile):
     """q(z) = A * H_n(u) * exp(-u^2 / 2) with u = (z - z0) / sigma.
 
@@ -307,7 +264,8 @@ class GaussHermiteProfile(AmplitudeProfile):
         peak = math.ldexp(math.sqrt(m >> e), e // 2)
         r = max(1.0, 1.0 / self.sigma)
         _refuse_overflow(self, abs(self.amplitude) * peak * 1.09 * (4 * n + 2) * r * r, self.sigma * self.sigma)
-        object.__setattr__(self, "_amp", self.amplitude * peak)
+        # at n = 0 the peak is 1, and A * 1.0, a complex product, would turn a part -0.0 of A into +0.0
+        object.__setattr__(self, "_amp", self.amplitude * peak if n else self.amplitude)
         steps = tuple((math.sqrt(2.0 / (k + 1)), math.sqrt(k / (k + 1))) for k in range(1, n))
         object.__setattr__(self, "_steps", steps)  # (a, b) of psi_{k+1} = a u psi_k - b psi_{k-1}
 
@@ -360,6 +318,26 @@ class GaussHermiteProfile(AmplitudeProfile):
     @property
     def characteristic_length(self) -> float:
         return self.sigma
+
+
+class GaussianProfile(GaussHermiteProfile):
+    """q(z) = A * exp(-(z - z0)^2 / (2 sigma^2)): the order-0 Gauss-Hermite profile, whose code it runs.
+
+    Its record holds no order: exactly kind, amplitude, center and sigma.
+    """
+
+    kind: ClassVar[str] = "gaussian"
+
+    def __init__(self, amplitude, center, sigma) -> None:
+        super().__init__(amplitude, 0, center, sigma)
+
+    def to_dict(self) -> dict:
+        return {key: v for key, v in super().to_dict().items() if key != "order"}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "GaussianProfile":
+        _require_keys(d, f"{cls.kind} profile", ("kind", "amplitude", "center", "sigma"))
+        return cls(d["amplitude"], d["center"], d["sigma"])
 
 
 def _not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -315,7 +315,15 @@ def time_average(sig: SampledSignal, T: float) -> complex:
 
 
 def extract_harmonic(sig: SampledSignal, omega: float, T: float) -> complex:
-    """Coefficient estimate q_hat(omega) = <f(t) exp(-i omega t)>_T."""
+    """Coefficient estimate q_hat(omega) = <f(t) exp(-i omega t)>_T.
+
+    Each phase omega t is formed in floating point, so over a window reaching
+    |t| = T it is off by about eps |omega| T (eps = 2.2e-16), and q_hat by at
+    most about that much relative to |q|.  No window is refused, so a long
+    one loses digits quietly: a pure tone at omega = 1.7 on 20,001 samples
+    keeps |q_hat - 1| below 1e-13 up to T = 1e10, and reads 3.3e-10 at
+    T = 1e12 and 3.3e-6 at T = 1e14.
+    """
     q_hat, *_ = _estimate(sig, _probes([omega], max(-sig.t0, sig.t_end)), _real("T", T))
     return complex(q_hat[0])
 
@@ -326,7 +334,8 @@ def scan_spectrum(sig: SampledSignal, omegas, T: float) -> SpectrumEstimate:
     The residual is signal minus reconstruction, measured over the samples
     inside [-T, T], from the probes' Gram matrix where it keeps its digits
     (see the module docstring).  An empty probe list yields the RMS of the
-    signal itself.
+    signal itself.  Each q_hat carries extract_harmonic's phase error, about
+    eps |omega| T relative to |q|.
     """
     omegas, T = _probes(omegas, max(-sig.t0, sig.t_end)), _real("T", T)
     q_hat, win, demod, inner, outer = _estimate(sig, omegas, T)

@@ -317,27 +317,19 @@ def schrodinger_residual(
     return _certify("schrodinger", spec, k, events, terms, **md)
 
 
-def klein_gordon_residual(
-    spec: FieldSpec,
-    k: int,
-    events: list[Event],
-    mass_scalar: float | None = None,
-) -> ResidualReport:
+def klein_gordon_residual(spec: FieldSpec, k: int, events: list[Event]) -> ResidualReport:
     """Residual of the second-order identity for the full harmonic psi.
 
     The harmonic psi = q(xi) e^{i w tau'} satisfies exactly
 
         psi_tt - lap psi + [ (lap q - v^2 q_zz)/q + w^2 ] psi = 0
 
-    with lab derivatives of q throughout.  When ``mass_scalar`` is given it
-    replaces the bracket (caller asserts the field has that constant
-    scalar, e.g. plane waves); when None the bracket is evaluated from the
+    with lab derivatives of q throughout.  The bracket is evaluated from the
     profile, multiplied through by q.
     """
     g, v, w = spec.boost.gamma, spec.boost.beta, spec.components[k].omega
     if w == 0.0:
         raise ValueError("mean component has no envelope equation")
-    mass_scalar = None if mass_scalar is None else _real("mass_scalar", mass_scalar)
 
     def terms(X, q, qzz, ph, bun):
         carrier = np.exp(1j * w * X[3])
@@ -345,14 +337,10 @@ def klein_gordon_residual(
         psi = _cmul(psi_b, carrier)
         psi_tt = _cmul(bun.d2_tau + 2j * w * bun.d_tau - w * w * psi_b, carrier)
         lap_psi = _cmul(bun.d2_z, carrier)
-        if mass_scalar is None:
-            lap_q = g * g * qzz  # the lab lap q is its zz part: transverse parts vanish
-            s_term = _cmul(_cmul(lap_q - v * v * lap_q, ph), carrier) + w * w * psi
-        else:
-            s_term = mass_scalar * psi
-        return psi_tt, -lap_psi, s_term
+        lap_q = g * g * qzz  # the lab lap q is its zz part: transverse parts vanish
+        return psi_tt, -lap_psi, _cmul(_cmul(lap_q - v * v * lap_q, ph), carrier) + w * w * psi
 
-    return _certify("klein_gordon", spec, k, events, terms, mass_scalar=mass_scalar)
+    return _certify("klein_gordon", spec, k, events, terms)
 
 
 def scalar_invariance_check(spec: FieldSpec, k: int, events: list[Event]) -> ResidualReport:

@@ -925,7 +925,8 @@ def test_verify_that_exits_2_makes_no_out_directory(tmp_path, capsys):
 
 def test_verify_with_overflowing_terms_exits_2_in_one_line(tmp_path):
     # a valid spec whose derivative terms overflow: no numpy warnings and no nan report
-    spec = FieldSpec((HarmonicComponent(2.0, GaussianProfile(1e308, 0.0, 0.8)),), LorentzBoost(0.6))
+    # (5e307 is about the largest amplitude accepted at sigma = 0.8)
+    spec = FieldSpec((HarmonicComponent(2.0, GaussianProfile(5e307, 0.0, 0.8)),), LorentzBoost(0.6))
     save_spec(spec, tmp_path / "big.json")
     proc = run_boostfield(["verify", "envelope", "--spec", "big.json", "--out", "o"], tmp_path)
     assert_config_error(proc)
@@ -934,7 +935,7 @@ def test_verify_with_overflowing_terms_exits_2_in_one_line(tmp_path):
 
 
 def test_verify_derivatives_with_an_overflowing_closed_form_exits_2_in_one_line(tmp_path):
-    spec = FieldSpec((HarmonicComponent(2.0, GaussianProfile(1e308, 0.0, 0.8)),), LorentzBoost(0.6))
+    spec = FieldSpec((HarmonicComponent(2.0, GaussianProfile(5e307, 0.0, 0.8)),), LorentzBoost(0.6))
     save_spec(spec, tmp_path / "big.json")
     proc = run_boostfield(["verify", "derivatives", "--spec", "big.json", "--out", "o"], tmp_path)
     assert_config_error(proc)
@@ -943,14 +944,14 @@ def test_verify_derivatives_with_an_overflowing_closed_form_exits_2_in_one_line(
 
 
 def test_spec_whose_profile_overflows_is_one_config_error(tmp_path):
-    # sigma^2 underflows to 0: q'' cannot be finite, so the spec is refused as it loads
+    # 1 / sigma^2 overflows: q'' cannot be bounded, so the spec is refused as it loads
     profile = {"kind": "gaussian", "amplitude": 1.0, "center": 0.0, "sigma": 1e-200}
     (tmp_path / "thin.json").write_text(json.dumps({"boost": {"beta": 0.0}, "components": [{"omega": 1.0, "profile": profile}]}))
     proc = run_boostfield(["evolve", "kgf", "--spec", "thin.json", "--grid", "16", "--extent", "8", "--dt", "0.1",
                            "--steps", "2", "--out", "o"], tmp_path)
     assert_config_error(proc)
-    assert proc.stderr == ("config error: bad spec file thin.json: GaussianProfile(amplitude=(1+0j), center=0.0, "
-                           "sigma=1e-200): q, q' or q'' would overflow a float\n")
+    assert proc.stderr == ("config error: bad spec file thin.json: GaussianProfile(amplitude=(1+0j), order=0, "
+                           "center=0.0, sigma=1e-200): q, q' or q'' would overflow a float\n")
     assert not (tmp_path / "o").exists()
 
 

@@ -62,7 +62,7 @@ SIGNATURES = {
     "fit_loglog_slope": "(xs, ys)",
     "interval": "(e)",
     "inverse_boost_event": "(e, b)",
-    "klein_gordon_residual": "(spec, k, events, mass_scalar=None)",
+    "klein_gordon_residual": "(spec, k, events)",
     "loads_spec": "(text)",
     "measure_dispersion": "(states, k)",
     "measure_observables": "(state, cfg)",

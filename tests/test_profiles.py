@@ -16,6 +16,8 @@ from boostfield import (
     GaussianProfile,
     PlaneWaveProfile,
     TabulatedProfile,
+    dumps_spec,
+    loads_spec,
     profile_from_dict,
 )
 from boostfield.profiles import _cexp
@@ -157,12 +159,59 @@ def test_amplitude_accepts_re_im_pair():
     assert p.amplitude == 0.3 - 0.4j
 
 
-def test_hermite_order_zero_is_gaussian():
-    gh = GaussHermiteProfile(1.5, 0, 0.2, 0.8)
-    g = GaussianProfile(1.5, 0.2, 0.8)
-    z = np.linspace(-2, 2, 21)
-    assert_allclose(gh.value(z), g.value(z), rtol=1e-14)
-    assert_allclose(gh.dz(z), g.dz(z), rtol=0, atol=1e-13)
+def _parent_gaussian(p, z):
+    """q, q', q'' and lap q / q of p by the formulas GaussianProfile had before it became the
+    order-0 Gauss-Hermite profile, kept as the reference of the properties below."""
+    u = ((z if isinstance(z, float) else np.asarray(z, dtype=float)) - p.center) / p.sigma
+    val = p.amplitude * np.exp(-0.5 * u * u)
+    return val, -(u / p.sigma) * val, ((u * u - 1.0) / p.sigma**2) * val, (u * u - 1.0) / p.sigma**2
+
+
+def _bits(x):
+    x = np.asarray(x)
+    return x.dtype, x.shape, x.tobytes()
+
+
+_GAUSSIAN_ARGS = (
+    st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+    st.floats(-1e3, 1e3),
+    st.floats(1e-3, 1e3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(*_GAUSSIAN_ARGS, st.one_of(st.floats(-40.0, 40.0), st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=8)))
+def test_hermite_order_zero_is_gaussian(amplitude, center, sigma, us):
+    # us are (z - z0) / sigma, one float or an array; out to 40 widths, past where exp(-u^2/2) underflows
+    g, gh = GaussianProfile(amplitude, center, sigma), GaussHermiteProfile(amplitude, 0, center, sigma)
+    z = center + sigma * (us if isinstance(us, float) else np.array(us))
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    for name, want in zip(("value", "dz", "dzz", "curvature_ratio"), _parent_gaussian(g, z)):
+        got = getattr(g, name)(z)
+        assert type(got) is type(getattr(gh, name)(z)) and _bits(got) == _bits(getattr(gh, name)(z)), name
+        if name in ("value", "curvature_ratio"):
+            assert _bits(got) == _bits(want), name
+        else:  # the order of the roundings moved; tiny covers the subnormal range, where relative error is not defined
+            assert np.all(np.abs(got - want) <= 4.0 * eps * np.abs(want) + tiny), name
+
+
+def test_a_gaussian_runs_the_gauss_hermite_code():
+    assert issubclass(GaussianProfile, GaussHermiteProfile)
+    assert not {"value", "dz", "dzz", "curvature_ratio", "_u", "_value", "__post_init__"} & set(vars(GaussianProfile))
+
+
+@settings(max_examples=200, deadline=None)
+@given(*_GAUSSIAN_ARGS, st.floats(0.0, 0.99), st.floats(0.1, 10.0))
+def test_a_gaussian_record_round_trips_byte_for_byte(amplitude, center, sigma, beta, omega):
+    # the record is the one a Gaussian has always had: kind, amplitude, center and sigma, and no order
+    record = {"kind": "gaussian", "amplitude": [amplitude.real, amplitude.imag], "center": center, "sigma": sigma}
+    text = lambda rec: json.dumps({"boost": {"beta": beta}, "components": [{"omega": omega, "profile": rec}]},
+                                  indent=2, sort_keys=True)
+    spec = loads_spec(text(record))
+    assert spec.components[0].profile == GaussianProfile(amplitude, center, sigma)
+    assert dumps_spec(spec) == text(record)
+    with pytest.raises(ValueError, match=r"^unknown gaussian profile keys \['order'\]$"):
+        loads_spec(text(dict(record, order=0)))
 
 
 # the largest error of value, dz and dzz against mpmath, relative to the order's factor
@@ -222,14 +271,13 @@ def near_the_float_edge(draw):
         width, k = 1.0, 10.0 ** draw(st.one_of(st.floats(-3.0, 160.0), st.floats(153.8, 154.5)))
         log_top = 2.0 * math.log(max(1.0, k))
     else:
-        # some sigmas near 60 / sqrt(max float), where the Gaussian's (u^2 - 1) / sigma^2 reaches the edge,
-        # and near sqrt(max float), where sigma^2 does
-        log_width = st.one_of(st.floats(-156.0, 160.0), st.floats(-152.5, -152.2), st.floats(153.8, 154.5))
+        # some sigmas near 1 / sqrt(max float), where 1 / sigma^2 reaches the edge, and near
+        # sqrt(max float), where sigma^2 does; the Gaussian is the order-0 Gauss-Hermite profile
+        log_width = st.one_of(st.floats(-156.0, 160.0), st.floats(-154.5, -153.8), st.floats(153.8, 154.5))
         width = 10.0 ** draw(log_width)
+        n = draw(st.integers(0, 267)) if kind == "gauss_hermite" else 0
         log_top = 2.0 * math.log(max(1.0, 1.0 / width))
-        if kind == "gauss_hermite":
-            n = draw(st.integers(0, 267))
-            log_top += 0.5 * (n * math.log(2.0) + math.lgamma(n + 1)) + math.log(1.09 * (4 * n + 2))
+        log_top += 0.5 * (n * math.log(2.0) + math.lgamma(n + 1)) + math.log(1.09 * (4 * n + 2))
     log_modulus = _LOG_MAX - log_top + draw(st.floats(-3.0, 3.0)) * math.log(2.0)
     phase = draw(st.floats(0.0, 2.0 * math.pi))
     amp = math.exp(min(log_modulus, _LOG_MAX - 2.0)) * complex(math.cos(phase), math.sin(phase))
@@ -259,9 +307,11 @@ def test_every_accepted_profile_is_finite_out_to_60_widths(case, us):
 
 def test_profiles_whose_derivatives_overflow_are_refused():
     big = sys.float_info.max / 2.0
-    GaussianProfile(big, 0.0, 1.0)
-    for args in [(1.0, 0.0, 1e-200), (1.0, 0.0, 1e-153), (big, 0.0, 0.5)]:  # 1/sigma^2, 60^2/sigma^2, |A|/sigma^2
-        with pytest.raises(ValueError, match="would overflow a float"):
+    # the Gaussian's bound is the order-0 Gauss-Hermite one: sigma^2 and 2.18 |A| max(1, 1/sigma^2) finite
+    GaussianProfile(8.2e307, 0.0, 1.0)
+    GaussianProfile(1.0, 0.0, 1e-153)
+    for args in [(1.0, 0.0, 1e-200), (1.0, 0.0, 1e-154), (8.3e307, 0.0, 1.0), (big, 0.0, 0.5)]:
+        with pytest.raises(ValueError, match=r"^GaussianProfile\(.*, order=0, .*would overflow a float"):
             GaussianProfile(*args)
     with pytest.raises(ValueError, match=r"^GaussHermiteProfile\(amplitude=\(0\.9\+0\.1j\), order=267, .*would overflow"):
         GaussHermiteProfile(0.9 + 0.1j, 267, 0.1, 1.1)

@@ -28,7 +28,6 @@ from boostfield import (
     dumps_spec,
     envelope_equation_residual,
     extract_harmonic,
-    klein_gordon_residual,
     loads_spec,
     neglected_term,
     neglected_term_scan,
@@ -46,9 +45,14 @@ _bound = lambda i, v: (v, 1.0) if i == 0 else (-1.0, v)  # a box bound pair with
 
 
 def _profile_fields():
-    """(id, name, kind, call) for every real and integer field of every catalog profile."""
+    """(id, name, kind, call) for every real and integer field of every catalog profile.
+
+    GaussianProfile, the order-0 GaussHermiteProfile, has that class's fields; one row reads a value
+    through its own constructor.
+    """
     good = {"complex": 1.0, "float": 1.0, "int": 2}
-    for cls in (ConstantProfile, PlaneWaveProfile, GaussianProfile, GaussHermiteProfile):
+    yield "GaussianProfile.sigma", "sigma", "float", lambda v: GaussianProfile(1.0, 0.0, v)
+    for cls in (ConstantProfile, PlaneWaveProfile, GaussHermiteProfile):
         for f in dataclasses.fields(cls):
             if f.type != "complex":
                 others = {g.name: good[g.type] for g in dataclasses.fields(cls) if g is not f}
@@ -80,8 +84,6 @@ _PARAMETERS = [
     ("derivative_slopes.hs", "hs", "float", lambda v: derivative_slopes(_SPEC, 0, _EVENTS, hs=[0.04, v, 0.01])),
     ("neglected_term.beta", "beta", "float", lambda v: neglected_term(_MASS, v)),
     ("neglected_term_scan.betas", "betas", "float", lambda v: neglected_term_scan(_MASS, [0.01, v, 0.04, 0.08])),
-    ("klein_gordon_residual.mass_scalar", "mass_scalar", "float",
-     lambda v: klein_gordon_residual(_SPEC, 0, _EVENTS, mass_scalar=v)),
     *[(f"sample_rest_signal.{n}", n, "float", lambda v, n=n: sample_rest_signal(_SPEC, 0.0, **{"T": 1.0, "dt": 0.1, n: v}))
       for n in ("T", "dt")],
     ("extract_harmonic.omega", "omega", "float", lambda v: extract_harmonic(_SIGNAL, v, 0.5)),
@@ -90,7 +92,7 @@ _PARAMETERS = [
 ]
 _BAD = {"float": [True, np.True_, "1", None, 1 + 0j, np.complex128(1.0)], "int": [True, np.True_, "1", None, 8.7, np.float32(8.5)]}
 # where None is the documented default, it is not a bad value
-_NONE_IS_DEFAULT = {"SolverConfig.mass_scalar", "envelope_equation_residual.h", "klein_gordon_residual.mass_scalar"}
+_NONE_IS_DEFAULT = {"SolverConfig.mass_scalar", "envelope_equation_residual.h"}
 
 
 @pytest.mark.parametrize("pid, name, kind, call", _PARAMETERS, ids=[p[0] for p in _PARAMETERS])

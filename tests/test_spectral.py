@@ -383,6 +383,23 @@ def test_dirichlet_kernel_matches_mpmath(case):
                 assert abs(gram[p, p2] - float(exact)) <= 8.0 * eps * m * (1.0 + phase)
 
 
+@pytest.mark.parametrize("T", [10.0**k for k in range(11)])
+def test_a_long_window_keeps_a_pure_tone_to_1e_13(T):
+    # the phases w t carry about eps |w| T of error (extract_harmonic's docstring); on 20,001 samples
+    # taken exactly, a tone at w = 1.7 stays within 1e-13 up to T = 1e10 (it reads 3.3e-10 at 1e12)
+    mpmath = pytest.importorskip("mpmath")
+    n, omega = 20_001, 1.7
+    dt = 2.0 * T / (n - 1)
+    with mpmath.workdps(30):
+        w, t0, step = mpmath.mpf(omega), mpmath.mpf(-T), mpmath.mpf(dt)
+        x = np.array([complex(mpmath.expj(w * (t0 + j * step))) for j in range(n)])
+    sig = SampledSignal(x, dt, -T)
+    assert sig.t_end == T
+    q_hat = extract_harmonic(sig, omega, T)
+    assert abs(q_hat - 1.0) <= 1e-13
+    assert scan_spectrum(sig, [omega], T).entries[0].q_hat == q_hat
+
+
 @settings(max_examples=100, deadline=None)
 @given(signal_and_window())
 def test_time_average_is_extraction_at_zero(case):

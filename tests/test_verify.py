@@ -161,23 +161,6 @@ def test_klein_gordon_identity_intrinsic(name, beta):
     assert rep.max_abs < 1e-13, (name, beta, rep.max_abs)
 
 
-def test_klein_gordon_explicit_mass_scalar():
-    # the bracket reduces to the rest-frame curvature ratio plus omega^2
-    w = 2.0
-    events = sample_events(40, 29)
-    spec = spec_for(ConstantProfile(1.5), 0.6, omega=w)
-    rep = klein_gordon_residual(spec, 0, events, mass_scalar=w * w)
-    assert rep.max_abs < 1e-13
-
-    k = 1.3
-    spec = spec_for(PlaneWaveProfile(1.0, k), 0.6, omega=w)
-    rep = klein_gordon_residual(spec, 0, events, mass_scalar=w * w - k * k)
-    assert rep.max_abs < 1e-13
-    # a wrong constant leaves a visible residual
-    rep = klein_gordon_residual(spec, 0, events, mass_scalar=w * w)
-    assert rep.max_abs > 1e-3
-
-
 @pytest.mark.parametrize("name", sorted(catalog_profiles()))
 def test_scalar_invariance(name):
     spec = spec_for(catalog_profiles()[name], 0.8)
@@ -348,8 +331,9 @@ def test_derivative_slopes_gaussian():
 
 
 def test_derivative_slopes_refuse_an_overflowing_closed_form():
-    # the closed forms overflow where q is near 1e308: refused, not read as a degenerate None
-    spec = spec_for(GaussianProfile(1e308, 0.0, 0.8), 0.6)
+    # the closed forms overflow where q is near 5e307, about the largest amplitude accepted at sigma = 0.8:
+    # refused, not read as a degenerate None
+    spec = spec_for(GaussianProfile(5e307, 0.0, 0.8), 0.6)
     with pytest.raises(ValueError, match=r"^closed form is not finite at Event\(x="):
         derivative_slopes(spec, 0, sample_events(4, 43))
 
@@ -610,8 +594,9 @@ def test_first_offending_event_is_named():
     with pytest.raises(ValueError, match="does not separate") as exc:
         schrodinger_residual(spec, 0, MassParameters(2.0, 1.0), lambda x, y, z: 0.0, events)
     assert repr(events[0]) in str(exc.value)
-    # the second difference overflows where 2 b does: near the centre, not at z = 0
-    spec = spec_for(GaussianProfile(1.5e308, 5.0, 1.0), 0.0, omega=2.0)
+    # the second difference, about (omega gamma beta)^2 b, overflows near the centre xi = 6.125, where z = 4.9,
+    # and not at z = 0
+    spec = spec_for(GaussianProfile(1e307, 6.125, 1.0), 0.6, omega=100.0)
     events = [Event(0.0, 0.0, z, 0.0) for z in (0.0, 4.9, 5.0)]
     with pytest.raises(ValueError, match="non-finite") as exc:
         envelope_equation_residual(spec, 0, events, derivatives="fd")
@@ -638,8 +623,8 @@ def test_potential_mismatch_message_prints_plain_floats():
 
 
 def test_stencil_failure_message_prints_plain_floats():
-    # 2 b overflows near the centre, so the second difference is not finite there
-    spec = spec_for(GaussianProfile(1.5e308, 5.0, 1.0), 0.0, omega=2.0)
+    # the second difference, about (omega gamma beta)^2 b, overflows near the centre
+    spec = spec_for(GaussianProfile(1e307, 6.125, 1.0), 0.6, omega=100.0)
     events = [Event(0.0, 0.0, 4.9, 0.0)]
     with pytest.raises(ValueError, match="stencil produced non-finite value") as exc:
         envelope_equation_residual(spec, 0, events, derivatives="fd")
@@ -650,9 +635,10 @@ def test_stencil_failure_message_prints_plain_floats():
 @pytest.mark.parametrize(
     "check, amplitude, beta",
     [
-        (envelope_equation_residual, 1e308, 0.6),
-        (klein_gordon_residual, 1e308, 0.6),
-        (scalar_invariance_check, 1e308, 0.6),
+        # 5e307 is about the largest amplitude accepted at sigma = 0.8
+        (envelope_equation_residual, 5e307, 0.6),
+        (klein_gordon_residual, 5e307, 0.6),
+        (scalar_invariance_check, 5e307, 0.8),  # gamma^2 q'' overflows
         # every term is finite, but the sum of their moduli overflows: that reads as a residual of 0
         (klein_gordon_residual, 3e307, 0.0),
     ],
